@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Automorphism, BasicAlgebra
 from .fields import ExactMatrix, LinearAlgebraError
-from .homology import Homology, cosyzygy_morphism
+from .homology import Homology, cosyzygy_morphism, rank_exactness
 from .modules import (
     Module,
     ModuleMorphism,
@@ -152,20 +152,6 @@ class FunctorSequence:
         self._value_cache[key] = val
         return val
 
-    def verify_pointwise_exactness(self, m: Module) -> bool:
-        val = self.evaluate(m)
-        chain = [val["unit"]] + val["maps"] + [val["counit"]]
-        if val["unit"].rank() != m.dim:
-            return False
-        if val["counit"].rank() != val["suspended"].dim:
-            return False
-        for i in range(len(chain) - 1):
-            if not (chain[i].matrix @ chain[i + 1].matrix).is_zero():
-                return False
-            if chain[i].rank() + chain[i + 1].rank() != chain[i].target.dim:
-                return False
-        return True
-
 
 def suspension(algebra: BasicAlgebra, sigma: Automorphism, m: int) -> Suspension:
     """Suspension data for the m-fold twist; invertibility is strict."""
@@ -253,21 +239,8 @@ class AngleSequence:
 
 def is_exact(x: AngleSequence) -> bool:
     """Exactness of the doubly-infinite periodic extension at the n positions
-    of one period: zero composites and rank bookkeeping, including across the
-    suspension boundary."""
-    n = x.length
-    f = x.maps
-    sf1 = x.suspended_first_map()
-    chain = list(f) + [sf1]
-    for i in range(len(chain) - 1):
-        if not (chain[i].matrix @ chain[i + 1].matrix).is_zero():
-            return False
-    for i in range(1, n):
-        if f[i - 1].rank() + f[i].rank() != x.objects[i].dim:
-            return False
-    if f[-1].rank() + sf1.rank() != x.objects[0].dim:
-        return False
-    return True
+    of one period, including across the suspension boundary."""
+    return rank_exactness(x.maps + [x.suspended_first_map()])
 
 
 def standard_angle(seq: FunctorSequence, m: Module) -> AngleSequence:
@@ -298,6 +271,28 @@ def descend_through_epi(epi: ExactMatrix, rhs: ExactMatrix):
     return None if sol is None else sol.T
 
 
+def _ladder(eng: Homology, first, sources, source_maps, targets, target_maps,
+            fail) -> list[ModuleMorphism]:
+    """Lift a map onto a complex of projectives one rung at a time.
+
+    phi_0: sources[0] -> targets[0] solves C0 @ phi_0 = D0 for the pair
+    ``first`` = (C0, D0); each later phi_j solves
+    f_{j-1} @ phi_j = phi_{j-1} @ g_{j-1}, with f the source maps and g the
+    target maps.  Raises ``fail(j)`` when rung j has no solution.
+    """
+    phis = []
+    constraint = first
+    for j, (src, dst) in enumerate(zip(sources, targets)):
+        if j:
+            constraint = (source_maps[j - 1].matrix,
+                          phis[-1].matrix @ target_maps[j - 1].matrix)
+        phi = eng.solve_from_projective(src, dst, [constraint])
+        if phi is None:
+            raise fail(j)
+        phis.append(phi)
+    return phis
+
+
 def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
     """The comparison isomorphism Suspension(M) -> Omega^{-N} M built by the
     ladder between the functor sequence at M and the pinned standard
@@ -310,24 +305,13 @@ def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
     n = seq.length
     val = seq.evaluate(m)
     res = eng.resolution(m, n)
-    phis = []
-    iota = res.steps[0].include
-    phi = eng.solve_from_projective(
-        val["terms"][0], res.term(0), [(val["unit"].matrix, iota.matrix)]
-    )
-    if phi is None:
-        raise LinearAlgebraError("comparison ladder start failed")
-    phis.append(phi)
-    for k in range(1, n):
-        prev_map = val["maps"][k - 1]
-        e_prev = res.map_between(k - 1)
-        rhs = phis[-1].matrix @ e_prev.matrix
-        phi = eng.solve_from_projective(
-            val["terms"][k], res.term(k), [(prev_map.matrix, rhs)]
-        )
-        if phi is None:
-            raise LinearAlgebraError(f"comparison ladder failed at step {k}")
-        phis.append(phi)
+    phis = _ladder(
+        eng, (val["unit"].matrix, res.steps[0].include.matrix),
+        val["terms"], val["maps"],
+        [res.term(k) for k in range(n)],
+        [res.map_between(k) for k in range(n - 1)],
+        lambda k: LinearAlgebraError(f"comparison ladder failed at step {k}" if k
+                                     else "comparison ladder start failed"))
     q = res.final_projection(n)
     rhs = phis[-1].matrix @ q.matrix
     alpha_mat = descend_through_epi(val["counit"].matrix, rhs)
@@ -356,22 +340,12 @@ def angle_comparison(seq: FunctorSequence, x: AngleSequence,
     if pi_mat is None:
         raise LinearAlgebraError("last map does not factor through the kernel")
     pi = ModuleMorphism(x.objects[-1], sus_m, pi_mat)
-    phis = []
-    iota = res.steps[0].include
-    phi = eng.solve_from_projective(
-        x.objects[0], res.term(0), [(incl.matrix, iota.matrix)]
-    )
-    if phi is None:
-        raise LinearAlgebraError("angle comparison start failed")
-    phis.append(phi)
-    for k in range(1, n):
-        rhs = phis[-1].matrix @ res.map_between(k - 1).matrix
-        phi = eng.solve_from_projective(
-            x.objects[k], res.term(k), [(x.maps[k - 1].matrix, rhs)]
-        )
-        if phi is None:
-            raise LinearAlgebraError(f"angle comparison failed at step {k}")
-        phis.append(phi)
+    phis = _ladder(
+        eng, (incl.matrix, res.steps[0].include.matrix), x.objects, x.maps,
+        [res.term(k) for k in range(n)],
+        [res.map_between(k) for k in range(n - 1)],
+        lambda k: LinearAlgebraError(f"angle comparison failed at step {k}" if k
+                                     else "angle comparison start failed"))
     q = res.final_projection(n)
     rhs = phis[-1].matrix @ q.matrix
     beta_mat = descend_through_epi(pi.matrix, rhs)
@@ -496,21 +470,12 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
         c_mod, pi_c = cokernel_of(top_maps[-1])
 
     # ladder to the resolution of the kernel
-    phis = []
-    phi = eng.solve_from_projective(
-        top_terms[0], res_a.term(0), [(l.matrix, res_a.steps[0].include.matrix)]
-    )
-    if phi is None:
-        raise LinearAlgebraError("completion ladder start failed")
-    phis.append(phi)
-    for k in range(1, n - 1):
-        rhs = phis[-1].matrix @ res_a.map_between(k - 1).matrix
-        phi = eng.solve_from_projective(
-            top_terms[k], res_a.term(k), [(top_maps[k - 1].matrix, rhs)]
-        )
-        if phi is None:
-            raise LinearAlgebraError(f"completion ladder failed at step {k}")
-        phis.append(phi)
+    phis = _ladder(
+        eng, (l.matrix, res_a.steps[0].include.matrix), top_terms, top_maps,
+        [res_a.term(k) for k in range(n - 1)],
+        [res_a.map_between(k) for k in range(n - 2)],
+        lambda k: LinearAlgebraError(f"completion ladder failed at step {k}" if k
+                                     else "completion ladder start failed"))
     q = res_a.final_projection(n - 1)
     rhs = phis[-1].matrix @ q.matrix
     g_mat = descend_through_epi(pi_c.matrix, rhs)
@@ -565,18 +530,12 @@ def fill_morphism(seq: FunctorSequence, x: AngleSequence, y: AngleSequence,
     commute on the nose afterwards.
     """
     eng = seq.engine
-    n = x.length
     if (x.maps[0].matrix @ phi2.matrix) != (phi1.matrix @ y.maps[0].matrix):
         raise FillError("the given square does not commute")
-    comps = [phi1, phi2]
-    for i in range(2, n):
-        rhs = comps[-1].matrix @ y.maps[i - 1].matrix
-        phi = eng.solve_from_projective(
-            x.objects[i], y.objects[i], [(x.maps[i - 1].matrix, rhs)]
-        )
-        if phi is None:
-            raise FillError(f"no fill at position {i}")
-        comps.append(phi)
+    comps = [phi1, phi2] + _ladder(
+        eng, (x.maps[1].matrix, phi2.matrix @ y.maps[1].matrix),
+        x.objects[2:], x.maps[2:], y.objects[2:], y.maps[2:],
+        lambda j: FillError(f"no fill at position {j + 2}"))
     m, l_m = kernel_of(x.maps[0])
     nn, l_n = kernel_of(y.maps[0])
     h_mat = factor_through_mono(l_n.matrix, l_m.matrix @ phi1.matrix)
@@ -655,35 +614,17 @@ def good_fill_and_cone(seq: FunctorSequence, x: AngleSequence,
     val_m = seq.evaluate(m)
     val_n = seq.evaluate(nn)
     # homotopy equivalence a: X -> T_M extending the kernel identity
-    a1 = eng.solve_from_projective(
-        x.objects[0], t_m.objects[0], [(l_m.matrix, val_m["unit"].matrix)]
-    )
-    if a1 is None:
-        raise FillError("comparison to the standard angle failed")
-    a2 = eng.solve_from_projective(
-        x.objects[1], t_m.objects[1],
-        [(x.maps[0].matrix, a1.matrix @ t_m.maps[0].matrix)],
-    )
-    if a2 is None:
-        raise FillError("comparison to the standard angle failed")
-    a_fill = fill_morphism(seq, x, t_m,
-                           ModuleMorphism(x.objects[0], t_m.objects[0], a1.matrix),
-                           ModuleMorphism(x.objects[1], t_m.objects[1], a2.matrix))
+    a1, a2 = _ladder(
+        eng, (l_m.matrix, val_m["unit"].matrix),
+        x.objects[:2], x.maps, t_m.objects[:2], t_m.maps,
+        lambda _: FillError("comparison to the standard angle failed"))
+    a_fill = fill_morphism(seq, x, t_m, a1, a2)
     # homotopy equivalence b: T_N -> Y extending the kernel identity
-    b1 = eng.solve_from_projective(
-        t_n.objects[0], y.objects[0], [(val_n["unit"].matrix, l_n.matrix)]
-    )
-    if b1 is None:
-        raise FillError("comparison from the standard angle failed")
-    b2 = eng.solve_from_projective(
-        t_n.objects[1], y.objects[1],
-        [(t_n.maps[0].matrix, b1.matrix @ y.maps[0].matrix)],
-    )
-    if b2 is None:
-        raise FillError("comparison from the standard angle failed")
-    b_fill = fill_morphism(seq, t_n, y,
-                           ModuleMorphism(t_n.objects[0], y.objects[0], b1.matrix),
-                           ModuleMorphism(t_n.objects[1], y.objects[1], b2.matrix))
+    b1, b2 = _ladder(
+        eng, (val_n["unit"].matrix, l_n.matrix),
+        t_n.objects[:2], t_n.maps, y.objects[:2], y.maps,
+        lambda _: FillError("comparison from the standard angle failed"))
+    b_fill = fill_morphism(seq, t_n, y, b1, b2)
     t_h = angle_functor_morphism(seq, h)
     base = [
         ModuleMorphism(

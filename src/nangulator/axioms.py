@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BasicAlgebra
-from .fields import ExactMatrix
+from .fields import ExactMatrix, LinearAlgebraError
 from .homology import Homology
 from .modules import (
     Module,
@@ -213,7 +213,7 @@ def verify_axioms(eng: Homology, seq: FunctorSequence, samples: int,
             ok = cc.verdict and comp.maps[0].matrix == f1.matrix
             detail = None if ok else {"reason": cc.reason,
                                       **_witness(comp, cc)}
-        except Exception as e:  # construction failure is a finding
+        except LinearAlgebraError as e:  # construction failure is a finding
             comp = None
             ok = False
             detail = {"error": str(e), "first_map": f1.matrix.tolist()}

@@ -36,11 +36,21 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A coefficient field: F_p for prime p, or the rationals (p = 0)."""
+    """A coefficient field: F_p for prime p < 2^16, or the rationals (p = 0).
+
+    The bound keeps int64 arithmetic exact: (p - 1)^2 < 2^32, so an int64
+    matmul could only overflow with an inner dimension above 2^31, which no
+    matrix in memory reaches.
+    """
 
     characteristic: int = 0
 
     def __post_init__(self):
+        if self.characteristic >= 1 << 16:
+            raise LinearAlgebraError(
+                f"characteristic {self.characteristic} is too large: prime "
+                f"fields need p < 2^16 = 65536 so that int64 products stay exact"
+            )
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise LinearAlgebraError(
                 f"characteristic must be 0 or prime, got {self.characteristic}"
@@ -318,30 +328,6 @@ class ExactMatrix:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def kernel_basis(m: ExactMatrix) -> ExactMatrix:
-    """Canonical reduced-echelon basis of the left kernel {x : x m = 0}."""
-    return m.left_kernel()
-
-
-@dataclass
-class SolveResult:
-    solution: ExactMatrix | None
-    kernel: ExactMatrix
-
-    @property
-    def consistent(self) -> bool:
-        return self.solution is not None
-
-
-def solve_linear(a: ExactMatrix, b: ExactMatrix) -> SolveResult:
-    """Solve x a = b for a row vector (or row stack) x.
-
-    Returns the deterministic particular solution together with the kernel
-    basis of a; ``solution`` is None when the system is inconsistent.
-    """
-    return SolveResult(a.solve_left(b), a.left_kernel())
 
 
 def stack_rows(field: FieldSpec, mats) -> ExactMatrix:

@@ -134,20 +134,6 @@ class Resolution:
         """I_{length-1} -> Omega^{-length}."""
         return self.steps[length - 1].project
 
-    def verify_exactness(self, length: int) -> None:
-        """Rank bookkeeping: consecutive composites vanish and
-        rank(d_i) + rank(d_{i+1}) = dim of the middle term."""
-        maps = [self.steps[0].include]
-        for k in range(length - 1):
-            maps.append(self.map_between(k))
-        maps.append(self.final_projection(length))
-        for i in range(len(maps) - 1):
-            if not (maps[i].matrix @ maps[i + 1].matrix).is_zero():
-                raise LinearAlgebraError(f"resolution composite nonzero at {i}")
-            mid = maps[i].target.dim
-            if maps[i].rank() + maps[i + 1].rank() != mid:
-                raise LinearAlgebraError(f"resolution not exact at position {i}")
-
 
 class Homology:
     """Homological operations over a fixed self-injective basic algebra."""
@@ -399,12 +385,14 @@ def _section_of(proj: ModuleMorphism) -> ExactMatrix:
     return sec
 
 
-def rank_exactness(terms, maps) -> bool:
-    """Exactness bookkeeping for a complex of modules given by ``maps``:
-    consecutive composites vanish and rank(d_i) + rank(d_{i+1}) = dim."""
-    for i in range(len(maps) - 1):
-        if not (maps[i].matrix @ maps[i + 1].matrix).is_zero():
-            return False
-        if maps[i].rank() + maps[i + 1].rank() != terms[i + 1].dim:
-            return False
-    return True
+def rank_exactness(maps) -> bool:
+    """Exactness of the complex given by ``maps`` at every inner term:
+    consecutive composites vanish and rank(f_i) + rank(f_{i+1}) is the
+    dimension of the term between them.  Injectivity of the first map and
+    surjectivity of the last are checked by padding the chain with zero maps
+    out of and into a zero module."""
+    if any(not (f.matrix @ g.matrix).is_zero() for f, g in zip(maps, maps[1:])):
+        return False
+    ranks = [f.rank() for f in maps]
+    return all(ranks[i] + ranks[i + 1] == maps[i].target.dim
+               for i in range(len(maps) - 1))

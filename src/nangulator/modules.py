@@ -20,7 +20,6 @@ from .fields import (
     LinearAlgebraError,
     _empty,
     block_diag,
-    kernel_basis,
     reduce_rows_mod,
     row_space,
     stack_rows,
@@ -394,11 +393,7 @@ def quotient(m: Module, rows: ExactMatrix):
 
 
 def kernel_of(f: ModuleMorphism):
-    return submodule(f.source, kernel_basis(f.matrix))
-
-
-def image_of(f: ModuleMorphism):
-    return submodule(f.target, f.matrix)
+    return submodule(f.source, f.matrix.left_kernel())
 
 
 def cokernel_of(f: ModuleMorphism):
@@ -434,7 +429,7 @@ def pullback(f: ModuleMorphism, g: ModuleMorphism):
     algebra = f.source.algebra
     fld = algebra.field
     stacked = stack_rows(fld, [f.matrix, -g.matrix])
-    k = kernel_basis(stacked)  # rows are (x | y) pairs
+    k = stacked.left_kernel()  # rows are (x | y) pairs
     sum_mod, _, projs = direct_sum(algebra, [f.source, g.source])
     p, inc = submodule(sum_mod, k)
     p.ambient_rows = inc.matrix

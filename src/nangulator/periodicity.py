@@ -17,6 +17,7 @@ from .fields import ExactMatrix, LinearAlgebraError
 from .modules import (
     Module,
     ModuleMorphism,
+    bim_right_action,
     iso_test,
     left_twist,
     opposite_regular,
@@ -100,7 +101,7 @@ def detect_twist(algebra: BasicAlgebra, m: Module) -> TwistWitness | None:
     rows = []
     phi_inv = phi.matrix.inv()
     for j in range(algebra.dim):
-        gj = g @ _right_action(m, algebra, j)
+        gj = g @ bim_right_action(m, algebra, j)
         rows.append((gj @ phi_inv).a[0])
     import numpy as np
 
@@ -117,12 +118,6 @@ def detect_twist(algebra: BasicAlgebra, m: Module) -> TwistWitness | None:
     # pin the representative of smallest matrix order within the inner class
     sigma, witness = normalize_twist(algebra, sigma, witness)
     return TwistWitness(sigma, witness)
-
-
-def _right_action(m: Module, algebra: BasicAlgebra, j: int) -> ExactMatrix:
-    from .modules import bim_right_action
-
-    return bim_right_action(m, algebra, j)
 
 
 def is_inner(algebra: BasicAlgebra, rho: Automorphism,
@@ -391,26 +386,3 @@ def iterated_sequence(report: PeriodicityReport, m: int) -> SplicedSequence:
     end_inclusion = ModuleMorphism(end_module, terms[-1], end_mat)
     return SplicedSequence(algebra, sigma, m, terms, diffs, end_inclusion,
                            end_module)
-
-
-def verify_spliced_exactness(seq: SplicedSequence) -> bool:
-    """Zero composites and rank bookkeeping along the spliced sequence."""
-    maps = [seq.differentials[0]]
-    for k in range(1, len(seq.differentials)):
-        d, prev = seq.differentials[k], maps[-1]
-        if not (d.matrix @ prev.matrix).is_zero():
-            return False
-        if d.rank() + prev.rank() != d.target.dim:
-            return False
-        maps.append(d)
-    inc = seq.end_inclusion
-    last = maps[-1]
-    if not (inc.matrix @ last.matrix).is_zero():
-        return False
-    if inc.rank() + last.rank() != inc.target.dim:
-        return False
-    if inc.rank() != seq.end_module.dim:
-        return False
-    if maps[0].rank() != seq.algebra.dim:
-        return False
-    return True

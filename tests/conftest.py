@@ -63,6 +63,23 @@ def load_sequence(name, m):
     return _sequence_cache[key]
 
 
+def padded(maps):
+    """The chain 0 -> ... -> 0 around ``maps``: with these zero maps,
+    rank_exactness also checks that the first map is mono and the last epi."""
+    from nangulator.modules import zero_module, zero_morphism
+
+    z = zero_module(maps[0].source.algebra)
+    return ([zero_morphism(z, maps[0].source)] + list(maps)
+            + [zero_morphism(maps[-1].target, z)])
+
+
+def resolution_chain(res, length):
+    """M -> I_0 -> ... -> I_{length-1} -> Omega^{-length} M as a list of maps."""
+    return ([res.steps[0].include]
+            + [res.map_between(k) for k in range(length - 1)]
+            + [res.final_projection(length)])
+
+
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES

@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 from conftest import load_pipeline, load_sequence
 
 from nangulator.angulation import AngleSequence, certify_angle, standard_angle
+import nangulator.axioms
 from nangulator.axioms import (
     corrupted_suspension_sequence,
     random_module,
@@ -76,3 +78,14 @@ def test_sampled_squares_commute():
                                              random.Random(seed))
         assert (t1.maps[0].matrix @ phi2.matrix) == (
             phi1.matrix @ t2.maps[0].matrix)
+
+
+def test_n1c_records_only_construction_failures(monkeypatch):
+    # a programming error in the completion is not an axiom finding
+    def broken(seq, f1):
+        raise TypeError("broken completion")
+
+    monkeypatch.setattr(nangulator.axioms, "complete_morphism", broken)
+    seq = load_sequence("loop_p3", 3)
+    with pytest.raises(TypeError, match="broken completion"):
+        verify_axioms(seq.engine, seq, samples=1, seed=0)

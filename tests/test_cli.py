@@ -63,6 +63,15 @@ def test_bad_syntax_exit_two(tmp_path):
     assert "error" in r.stderr
 
 
+def test_large_prime_field_exit_two(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"field": 2147483647, "vertices": ["1"], "arrows": [], '
+                   '"relations": []}')
+    r = run("algebra", str(big))
+    assert r.returncode == 2
+    assert "too large" in r.stderr
+
+
 def test_angulation_too_short_exit_two():
     r = run("verify", str(FIXTURES / "loop_p3.json"), "--m", "1")
     assert r.returncode == 2

@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nangulator.fields import (
-    ExactMatrix,
-    FieldSpec,
-    LinearAlgebraError,
-    kernel_basis,
-    solve_linear,
-)
+from nangulator.fields import ExactMatrix, FieldSpec, LinearAlgebraError
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -32,12 +26,22 @@ def test_field_spec_rejects_composite_characteristic():
     assert QQ.kind == "rationals"
 
 
+def test_field_spec_refuses_primes_that_could_overflow_int64():
+    # (p - 1)^2 < 2^32 keeps int64 products exact; 2^31 - 1 wrapped silently
+    for p in (2**31 - 1, 2**61 - 1, 2**16 + 1):
+        with pytest.raises(LinearAlgebraError, match="too large"):
+            FieldSpec(p)
+    big = FieldSpec(65521)  # the largest prime below 2^16
+    m = ExactMatrix(big, [[-1] * 4] * 4)
+    assert (m @ m).a.tolist() == [[4] * 4] * 4
+
+
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(ExactMatrix.identity(F3, 3)).rows == 0
+    assert ExactMatrix.identity(F3, 3).left_kernel().rows == 0
 
 
 def test_kernel_of_zero_is_identity():
-    k = kernel_basis(ExactMatrix.zeros(F3, 2, 2))
+    k = ExactMatrix.zeros(F3, 2, 2).left_kernel()
     assert k == ExactMatrix.identity(F3, 2)
 
 
@@ -48,7 +52,7 @@ def test_kernel_f3_matches_exhaustive_enumeration():
              if all((v[0] * m.a[0][c] + v[1] * m.a[1][c]) % 3 == 0
                     for c in range(2))
              and any(v)]
-    k = kernel_basis(m)
+    k = m.left_kernel()
     # the enumeration finds the span of (1, 1): det = 1 - 4 = 0 in F_3
     assert len(brute) == 2  # (1,1) and (2,2)
     assert k.rows == 1
@@ -57,14 +61,13 @@ def test_kernel_f3_matches_exhaustive_enumeration():
 
 def test_solve_identity_returns_rhs():
     b = mat(F5, [[1, 2, 3]])
-    res = solve_linear(ExactMatrix.identity(F5, 3), b)
-    assert res.solution == b
+    assert ExactMatrix.identity(F5, 3).solve_left(b) == b
 
 
 def test_solve_zero_with_nonzero_rhs_is_inconsistent():
-    res = solve_linear(ExactMatrix.zeros(F5, 2, 2), mat(F5, [[1, 0]]))
-    assert res.solution is None
-    assert res.kernel.rows == 2
+    zero = ExactMatrix.zeros(F5, 2, 2)
+    assert zero.solve_left(mat(F5, [[1, 0]])) is None
+    assert zero.left_kernel().rows == 2
 
 
 def test_solve_random_4x3_cross_checked_against_exhaustive_search():
@@ -72,15 +75,15 @@ def test_solve_random_4x3_cross_checked_against_exhaustive_search():
     rng = np.random.RandomState(11)
     a = mat(F5, rng.randint(0, 5, size=(4, 3)))
     b = mat(F5, [[1, 4, 2]])
-    res = solve_linear(a, b)
+    sol = a.solve_left(b)
     brute = [v for v in product(range(5), repeat=4)
              if all(sum(v[r] * int(a.a[r][c]) for r in range(4)) % 5
                     == int(b.a[0][c]) for c in range(3))]
-    if res.solution is None:
+    if sol is None:
         assert brute == []
     else:
-        assert (res.solution @ a) == b
-        assert tuple(int(x) for x in res.solution.a[0]) in brute
+        assert (sol @ a) == b
+        assert tuple(int(x) for x in sol.a[0]) in brute
 
 
 def test_rationals_are_exact():
@@ -115,12 +118,12 @@ def f5_matrix(draw, max_dim=5):
 
 @given(f5_matrix())
 def test_rank_nullity(m):
-    assert m.rank() + kernel_basis(m).rows == m.rows
+    assert m.rank() + m.left_kernel().rows == m.rows
 
 
 @given(f5_matrix())
 def test_kernel_annihilates(m):
-    k = kernel_basis(m)
+    k = m.left_kernel()
     if k.rows:
         assert (k @ m).is_zero()
 
@@ -136,9 +139,9 @@ def test_rref_is_idempotent(m):
 def test_solutions_verify_by_substitution(m, xs):
     x = mat(F5, [xs[: m.rows] + [0] * max(0, m.rows - len(xs))])
     b = x @ m
-    res = solve_linear(m, b)
-    assert res.solution is not None
-    assert (res.solution @ m) == b
+    sol = m.solve_left(b)
+    assert sol is not None
+    assert (sol @ m) == b
 
 
 def test_determinism_same_bits():
@@ -156,11 +159,11 @@ def test_no_solution_confirmed_by_exhaustive_search(rows, rhs):
     # when the solver reports no solution, brute force over F_5^3 agrees
     m = mat(F5, rows)
     b = mat(F5, [rhs])
-    res = solve_linear(m, b)
+    sol = m.solve_left(b)
     brute = [v for v in product(range(5), repeat=3)
              if all(sum(v[r] * int(m.a[r][c]) for r in range(3)) % 5
                     == int(b.a[0][c]) for c in range(2))]
-    if res.solution is None:
+    if sol is None:
         assert brute == []
     else:
         assert brute != []

@@ -2,10 +2,15 @@
 
 import random
 
-from conftest import load_fixture, load_pipeline
+from conftest import load_fixture, load_pipeline, padded, resolution_chain
 
 from nangulator.fields import ExactMatrix, member_of_row_space, row_space, stack_rows
-from nangulator.homology import cosyzygy_morphism, projective_cover, syzygy
+from nangulator.homology import (
+    cosyzygy_morphism,
+    projective_cover,
+    rank_exactness,
+    syzygy,
+)
 from nangulator.modules import (
     hom_space,
     identity_morphism,
@@ -115,10 +120,21 @@ def test_resolution_exactness_and_determinism():
     eng = engine("nakayama_2_2")
     S = simple_module(eng.algebra, 0)
     res = eng.resolution(S, 4)
-    res.verify_exactness(4)
+    assert rank_exactness(padded(resolution_chain(res, 4)))
     # the cache pins the resolution: same module content, same object
     S2 = simple_module(eng.algebra, 0)
     assert eng.resolution(S2, 4) is res
+
+
+def test_rank_exactness_sees_a_non_mono_first_map_only_when_padded():
+    eng = engine("nakayama_2_2")
+    S = simple_module(eng.algebra, 0)
+    P, pi = projective_cover(S)
+    assert not pi.is_mono()
+    z = zero_module(eng.algebra)
+    unpadded = [pi, zero_morphism(S, z)]
+    assert rank_exactness(unpadded)
+    assert not rank_exactness(padded(unpadded))
 
 
 def test_loop_resolution_terms_are_regular():

@@ -81,6 +81,14 @@ def test_composite_characteristic_rejected():
         parse_algebra('{"field": 4, "vertices": ["1"]}')
 
 
+def test_characteristic_above_int64_safe_bound_rejected():
+    with pytest.raises(SemanticError, match="too large"):
+        parse_algebra('{"field": 2147483647, "vertices": ["1"]}')
+    desc = parse_algebra('{"field": 65521, "vertices": ["1"], "arrows": [], '
+                         '"relations": []}')
+    assert desc.field.characteristic == 65521
+
+
 def test_duplicate_arrow_name_rejected():
     text = json.dumps({
         "field": 3,
