@@ -23,7 +23,7 @@ from .algebra import (
 from .angulation import certify_angle, complete_morphism, functor_sequence, standard_angle
 from .axioms import random_projective, verify_axioms
 from .homology import Homology
-from .modules import random_hom, projective_module
+from .modules import UndecidedIsomorphismError, random_hom, projective_module
 from .periodicity import ResourceBoundExceeded, quasi_period_scan
 from .quiver import ParseError, SemanticError, load_algebra_file
 from .reports import (
@@ -257,7 +257,8 @@ def run_cli(argv=None) -> int:
         # bad parameter combinations (such as an angulation length below 3)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceBoundExceeded as e:
+    except (ResourceBoundExceeded, UndecidedIsomorphismError) as e:
+        # search limits, not usage errors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
 

@@ -143,6 +143,10 @@ def is_inner(algebra: BasicAlgebra, rho: Automorphism,
     space = big.left_kernel()
     if space.rows == 0:
         return None
+    # A = span(e_i) + rad A, so u mod rad A is read off the idempotent
+    # coordinates; one that vanishes on the whole space leaves no unit in it
+    if any((space.a[:, i] == 0).all() for i in algebra.idempotents):
+        return None
 
     def realize(coeffs):
         row = sum((c * space.a[i] for i, c in enumerate(coeffs) if c != 0),
@@ -156,13 +160,142 @@ def is_inner(algebra: BasicAlgebra, rho: Automorphism,
                              degree=d, draws=draws, seed=seed)
 
 
-def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int]):
-    """Automorphisms sending e_i to e_{perm(i)} and each arrow to a scalar
-    multiple of the unique parallel arrow over the permuted vertices.  Only
-    quivers with one-dimensional arrow spaces are handled; candidates are
-    returned sorted by matrix order (relation compatibility pre-checked)."""
+class _Scalars:
+    """The arrow scalars of monomial candidates: F_p^* over F_p, and the
+    units {-1, 1} of finite order over Q."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.size = p - 1 if p else 2
+        self.values = range(1, p) if p else (-1, 1)
+        self.primes = []
+        n, q = self.size, 2
+        while q * q <= n:
+            if n % q == 0:
+                self.primes.append(q)
+                while n % q == 0:
+                    n //= q
+            q += 1
+        if n > 1:
+            self.primes.append(n)
+        self.generator = next(g for g in self.values
+                              if self.order(g) == self.size)
+
+    def power(self, x, k: int):
+        return pow(x, k, self.p) if self.p else x ** k
+
+    def product(self, x, y):
+        return x * y % self.p if self.p else x * y
+
+    def quotient(self, x, y):
+        return x * pow(y, -1, self.p) % self.p if self.p else x * y
+
+    def order(self, x) -> int:
+        o = self.size
+        for q in self.primes:
+            while o % q == 0 and self.power(x, o // q) == 1:
+                o //= q
+        return o
+
+    def roots(self, m: int) -> list:
+        """The m elements x with x^m = 1, for m dividing the group order."""
+        step = self.size // m
+        return [self.power(self.generator, step * j) for j in range(m)]
+
+
+def _orbits(mapping: list[int]) -> list[list[int]]:
+    """The cycles of a permutation of range(len(mapping))."""
+    seen, out = set(), []
+    for start in range(len(mapping)):
+        orbit, b = [], start
+        while b not in seen:
+            seen.add(b)
+            orbit.append(b)
+            b = mapping[b]
+        if orbit:
+            out.append(orbit)
+    return out
+
+
+def _scalings(perm: list[int], arrow_map: list[int], scalars: _Scalars,
+              orders):
+    """(order, arrow scalars) of the monomial automorphisms over perm and the
+    arrow bijection arrow_map, by ascending order (taken from ``orders``),
+    then ascending scalar tuple.
+
+    The order is the lcm of the vertex-orbit lengths and, for each orbit of
+    arrow_map of length l with scalar product mu, of l * ord(mu): a power of
+    the automorphism is the identity exactly when it fixes the idempotents
+    and the arrows.  A depth-first walk keeps a prefix only while some
+    completion reaches the wanted order; an orbit whose last arrow is still
+    free can reach any l * d with d dividing gcd(order / l, #scalars).
+    """
+    from math import gcd, lcm
+
+    n = len(arrow_map)
+    orbits = _orbits(arrow_map)
+    orbit_of = {a: k for k, orbit in enumerate(orbits) for a in orbit}
+    lengths = [len(orbit) for orbit in orbits]
+    last = [max(orbit) for orbit in orbits]
+    vertex_lcm = lcm(*map(len, _orbits(perm)))
+
+    def walk(o):
+        def reach(fixed, after):
+            # the largest lcm the orbits still open after arrow ``after`` add
+            for k, ell in enumerate(lengths):
+                if last[k] > after:
+                    if o % ell:
+                        return 0
+                    fixed = lcm(fixed, ell * gcd(o // ell, scalars.size))
+            return fixed
+
+        chosen, partial = [], [1] * len(lengths)
+
+        def extend(a, fixed):
+            if a == n:
+                yield tuple(chosen)
+                return
+            k = orbit_of[a]
+            before = partial[k]
+            if a != last[k]:
+                options = ((c, fixed) for c in scalars.values)
+            else:
+                options = []
+                for mu in scalars.roots(gcd(o // lengths[k], scalars.size)):
+                    f = lcm(fixed, lengths[k] * scalars.order(mu))
+                    if reach(f, a) == o:
+                        options.append((scalars.quotient(mu, before), f))
+                options.sort()
+            for c, f in options:
+                chosen.append(c)
+                partial[k] = scalars.product(before, c)
+                yield from extend(a + 1, f)
+                chosen.pop()
+            partial[k] = before
+
+        if o % vertex_lcm == 0 and reach(vertex_lcm, -1) == o:
+            yield from extend(0, vertex_lcm)
+
+    for o in orders:
+        for s in walk(o):
+            yield o, s
+
+
+def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int],
+                              below: int, limit: int, accept=None):
+    """The first ``limit`` automorphisms of order below ``below`` that send
+    e_i to e_{perm(i)} and each arrow to a scalar multiple of the unique
+    parallel arrow over the permuted vertices, as (order, automorphism)
+    pairs by ascending (order, arrow scalars).  The walk also stops at the
+    first candidate for which ``accept`` is true, which ends the list.
+
+    Only quivers with one-dimensional arrow spaces are handled, and orders
+    above 64 are never listed.  Scalings are generated by order, without
+    enumerating the others; each one is built and certified by
+    verify_automorphism, and those that do not respect the relations are
+    skipped.
+    """
     import numpy as np
-    from itertools import product
 
     q = algebra.quiver
     if q is None or algebra.basis_paths is None:
@@ -174,26 +307,23 @@ def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int]):
         if len(hits) != 1:
             return []
         arrow_map.append(hits[0])
+    if len(set(arrow_map)) != len(arrow_map):
+        # two arrows with one image arrow: every candidate matrix is singular
+        return []
     fld = algebra.field
-    p = fld.characteristic
-    if not p:
-        scalar_choices = [1, -1]
-    else:
-        scalar_choices = list(range(1, p))
-    n_arr = len(q.arrows)
     arrow_basis_index = {}
     for idx, path in enumerate(algebra.basis_paths):
         if len(path) == 1 and not isinstance(path[0], tuple):
             arrow_basis_index[path[0]] = idx
 
-    def build(scalars) -> ExactMatrix | None:
+    def build(scalars) -> ExactMatrix:
         rows = []
         for path in algebra.basis_paths:
             if isinstance(path[0], tuple):
                 v = path[0][1]
                 row = ExactMatrix.zeros(fld, 1, algebra.dim).a.copy()
                 row.flags.writeable = True
-                row[0, algebra.idempotents[perm[v]]] = 1 if p else 1
+                row[0, algebra.idempotents[perm[v]]] = 1
                 rows.append(ExactMatrix(fld, row))
                 continue
             acc = None
@@ -205,30 +335,31 @@ def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int]):
                 vec = ExactMatrix(fld, vec)
                 acc = vec if acc is None else algebra.multiply(acc, vec)
             rows.append(acc)
-        mat = ExactMatrix(fld, np.concatenate([r.a for r in rows], axis=0))
-        return mat
+        return ExactMatrix(fld, np.concatenate([r.a for r in rows], axis=0))
 
     out = []
-    for scalars in product(scalar_choices, repeat=n_arr):
-        mat = build(scalars)
-        if not mat.is_invertible():
-            continue
-        cand = Automorphism(algebra, mat)
-        # relation compatibility: the monomial extension must kill relations
+    stream = _scalings(perm, arrow_map, _Scalars(fld.characteristic),
+                       range(1, min(below, 65)))
+    for order, scalars in stream:
+        if len(out) == limit:
+            break
         try:
-            verify_automorphism(algebra, mat)
+            cand = verify_automorphism(algebra, build(scalars))
         except AutomorphismError:
             continue
-        order = cand.matrix_order(64)
-        out.append((order if order else 10 ** 9, scalars, cand))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [c for _, _, c in out]
+        out.append((order, cand))
+        if accept is not None and accept(cand):
+            break
+    return out
 
 
 def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
                     witness: ModuleMorphism, max_inner_tests: int = 40):
     """Replace the extracted twist by the representative of smallest matrix
-    order within its inner class, when a monomial representative exists.
+    order within its inner class, when a monomial representative exists:
+    among the first ``max_inner_tests`` monomial candidates of order below
+    sigma's, by ascending (order, arrow scalars), the first one that is
+    inner-equivalent to sigma.
 
     Returns (sigma', witness') or the original pair.
     """
@@ -245,17 +376,13 @@ def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
         if sorted(perm) != list(range(len(algebra.idempotents))):
             return sigma, witness
     base_order = sigma.matrix_order(64) or 10 ** 9
-    tested = 0
-    for cand in monomial_twist_candidates(algebra, perm):
-        cand_order = cand.matrix_order(64) or 10 ** 9
-        if cand_order >= base_order:
-            break
-        if tested >= max_inner_tests:
-            break
-        tested += 1
-        u = is_inner(algebra, sigma.inverse().compose(cand))
+    sigma_inv = sigma.inverse()
+    found = []
+
+    def inner_equivalent(cand: Automorphism) -> bool:
+        u = is_inner(algebra, sigma_inv.compose(cand))
         if u is None:
-            continue
+            return False
         # new witness: x -> x u identifies the candidate twist with sigma's
         r_u = algebra.element_right_matrix(u)
         new_witness = ModuleMorphism(
@@ -270,8 +397,12 @@ def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
             for g in env_gens
         ) and new_witness.matrix.is_invertible()
         if ok:
-            return cand, new_witness
-    return sigma, witness
+            found.append((cand, new_witness))
+        return ok
+
+    monomial_twist_candidates(algebra, perm, base_order, max_inner_tests,
+                              inner_equivalent)
+    return found[0] if found else (sigma, witness)
 
 
 @dataclass

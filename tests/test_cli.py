@@ -6,6 +6,8 @@ import subprocess
 import sys
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
@@ -146,3 +148,33 @@ def test_angulate_emit_matches_golden_dump():
     golden = (pathlib.Path(__file__).parent / "golden" /
               "loop_p3.angle.json").read_text()
     assert r.stdout == golden
+
+
+@pytest.mark.parametrize("name", [
+    "nakayama_5_2",   # 40 inner tests, none accepted: the twist is kept
+    "nakayama_5_3",   # no candidate of lower order: nothing is tested
+    "nakayama_4_3",   # a lower-order candidate replaces the twist
+    "preproj_a3",     # the same on the fixture, with commutativity relations
+])
+def test_period_payload_matches_golden_dump(name):
+    # freezes which representative of the twist's inner class is reported
+    golden = pathlib.Path(__file__).parent / "golden"
+    algebra = golden / f"{name}.algebra.json"
+    if not algebra.exists():
+        algebra = FIXTURES / f"{name}.json"
+    r = run("period", str(algebra))
+    assert r.returncode == 0
+    assert r.stdout == (golden / f"{name}.period.json").read_text()
+
+
+def test_undecided_search_exits_one(monkeypatch, capsys):
+    from nangulator import modules
+    from nangulator.cli import run_cli
+
+    def undecided(*args, **kwargs):
+        raise modules.UndecidedIsomorphismError("search undecided")
+
+    monkeypatch.setattr(modules, "search_invertible", undecided)
+    assert run_cli(["period", str(FIXTURES / "loop_p3.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "undecided" in err

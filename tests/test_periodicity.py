@@ -251,3 +251,158 @@ def test_full_pipeline_over_the_rationals():
     seq = functor_sequence(eng, rep, 3)
     t = standard_angle(seq, projective_module(A, 0))
     assert certify_angle(seq, t).verdict
+
+
+def _nakayama_text(n, s, p):
+    """kQ_n/I_s over F_p: the n-cycle a_k: k -> k+1, paths of length s zero."""
+    import json
+
+    arrows = [{"name": f"a{k + 1}", "from": str(k + 1),
+               "to": str((k + 1) % n + 1)} for k in range(n)]
+    relations = [[{"coeff": 1,
+                   "path": [f"a{(k + t) % n + 1}" for t in range(s)]}]
+                 for k in range(n)]
+    return json.dumps({"field": p, "vertices": [str(k + 1) for k in range(n)],
+                       "arrows": arrows, "relations": relations})
+
+
+def _reference_candidates(algebra, perm):
+    """Every relation-compatible monomial candidate over perm as (order,
+    automorphism), by ascending (matrix order or 10**9, arrow scalars): the
+    enumerate-all-then-sort construction, kept as a brute-force oracle."""
+    from itertools import product
+
+    import numpy as np
+
+    from nangulator.algebra import AutomorphismError, verify_automorphism
+    from nangulator.fields import ExactMatrix
+
+    q = algebra.quiver
+    arrow_map = []
+    for a in q.arrows:
+        hits = [k for k, b in enumerate(q.arrows)
+                if b.source == perm[a.source] and b.target == perm[a.target]]
+        if len(hits) != 1:
+            return []
+        arrow_map.append(hits[0])
+    fld = algebra.field
+    p = fld.characteristic
+    arrow_basis_index = {path[0]: idx
+                         for idx, path in enumerate(algebra.basis_paths)
+                         if len(path) == 1 and not isinstance(path[0], tuple)}
+
+    def unit_row(idx, value):
+        row = ExactMatrix.zeros(fld, 1, algebra.dim).a.copy()
+        row[0, idx] = value
+        return ExactMatrix(fld, row)
+
+    def build(scalars):
+        rows = []
+        for path in algebra.basis_paths:
+            if isinstance(path[0], tuple):
+                rows.append(unit_row(algebra.idempotents[perm[path[0][1]]], 1))
+                continue
+            acc = None
+            for ai in path:
+                vec = unit_row(arrow_basis_index[arrow_map[ai]], scalars[ai])
+                acc = vec if acc is None else algebra.multiply(acc, vec)
+            rows.append(acc)
+        return ExactMatrix(fld, np.concatenate([r.a for r in rows], axis=0))
+
+    out = []
+    for scalars in product(range(1, p) if p else [1, -1], repeat=len(arrow_map)):
+        mat = build(scalars)
+        if not mat.is_invertible():
+            continue
+        try:
+            cand = verify_automorphism(algebra, mat)
+        except AutomorphismError:
+            continue
+        out.append((cand.matrix_order(64) or 10 ** 9, scalars, cand))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return [(order, cand) for order, _, cand in out]
+
+
+def _stream_cases():
+    from itertools import permutations
+
+    cases = []
+    for name in ("loop_p3", "nakayama_2_2", "nakayama_3_2", "preproj_a3"):
+        A, _ = load_fixture(name)
+        cases += [pytest.param(A, list(p), id=f"{name}-{''.join(map(str, p))}")
+                  for p in permutations(range(len(A.idempotents)))]
+    # the twist of kQ_5/I_2 rotates the cycle; one rotation keeps this fast
+    A = compute_basis(parse_algebra(_nakayama_text(5, 2, 5)))
+    cases.append(pytest.param(A, [1, 2, 3, 4, 0], id="kq5_i2_f5-12340"))
+    # k[x]/(x^2) over F101: scalings of order 100 sit in the 10**9 group
+    A = compute_basis(parse_algebra(_nakayama_text(1, 2, 101)))
+    cases.append(pytest.param(A, [0], id="loop_f101-0"))
+    return cases
+
+
+@pytest.mark.parametrize("A, perm", _stream_cases())
+def test_candidate_stream_is_a_prefix_of_the_brute_force_list(A, perm):
+    from nangulator.periodicity import monomial_twist_candidates
+
+    reference = _reference_candidates(A, perm)
+    listed = [(o, c) for o, c in reference if o <= 64]
+
+    def same(got, want):
+        return (len(got) == len(want)
+                and all(o1 == o2 and c1.matrix == c2.matrix
+                        for (o1, c1), (o2, c2) in zip(got, want)))
+
+    everything = monomial_twist_candidates(A, perm, 10 ** 9, len(reference))
+    assert same(everything, listed)
+    # the closed-form order is the matrix order
+    assert all(o == c.matrix_order(64) for o, c in everything)
+    # normalize_twist passes sigma's order (or 10**9) as ``below``; the
+    # prefix only changes where ``below`` passes a listed order
+    belows = ({1, 2, 65, 10 ** 9} | {o for o, _ in listed}
+              | {o + 1 for o, _ in listed})
+    for below in sorted(belows):
+        prefix = [(o, c) for o, c in listed if o < below]
+        for limit in (0, 1, 40):
+            got = monomial_twist_candidates(A, perm, below, limit)
+            assert same(got, prefix[:limit]), (below, limit)
+    if len(listed) > 2:
+        target = listed[2][1].matrix
+        got = monomial_twist_candidates(A, perm, 10 ** 9, 40,
+                                        lambda c: c.matrix == target)
+        assert same(got, listed[:3])
+
+
+@pytest.mark.parametrize("n, s, p", [(3, 2, 101), (3, 3, 101), (2, 2, 65521)])
+def test_period_scan_over_large_prime_fields(n, s, p, tmp_path, capsys):
+    import json
+
+    from nangulator.algebra import verify_automorphism
+    from nangulator.cli import run_cli
+    from nangulator.fields import ExactMatrix
+
+    text = _nakayama_text(n, s, p)
+    path = tmp_path / "algebra.json"
+    path.write_text(text)
+    assert run_cli(["period", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["period"] == 2 * n // math.gcd(n, s)
+    assert payload["quasi_period"] == (1 if s == 2 else 2)
+    A = compute_basis(parse_algebra(text))
+    verify_automorphism(A, ExactMatrix(A.field, payload["twist_matrix"]))
+
+
+def test_is_inner_refuses_scaling_with_cycle_holonomy_over_f101():
+    # on kQ_3/I_4, a1 -> 2 a1 fixing the other arrows has holonomy 2 around
+    # the cycle, and no conjugation changes a holonomy.  The conjugation
+    # space is spanned by the three surviving 3-cycles, so an exhaustive
+    # grid would need 101^3 points, beyond the search bound
+    from nangulator.algebra import verify_automorphism
+    from nangulator.fields import ExactMatrix
+
+    A = compute_basis(parse_algebra(_nakayama_text(3, 4, 101)))
+    scale = [2 ** label.split("*").count("a1") for label in A.labels]
+    rows = [[scale[i] if i == j else 0 for j in range(A.dim)]
+            for i in range(A.dim)]
+    sigma = verify_automorphism(A, ExactMatrix(A.field, rows))
+    assert is_inner(A, sigma) is None
+    assert is_inner(A, sigma.power(100)) is not None
