@@ -322,10 +322,6 @@ def _is_trivial(path) -> bool:
     return len(path) == 1 and isinstance(path[0], tuple)
 
 
-def _length(path) -> int:
-    return 0 if _is_trivial(path) else len(path)
-
-
 class _Rewriter:
     """Sparse reduced echelon of the relation ideal.  Pivots are the largest
     paths in length-lex order (on arrow names), so rewriting always replaces

@@ -205,17 +205,6 @@ class AngleSequence:
     def length(self) -> int:
         return len(self.objects)
 
-    def last_target(self) -> Module:
-        return self.maps[-1].target
-
-    def verify_shape(self) -> None:
-        n = self.length
-        assert len(self.maps) == n
-        for i in range(n - 1):
-            assert self.maps[i].source.dim == self.objects[i].dim
-            assert self.maps[i].target.dim == self.objects[i + 1].dim
-        assert self.maps[-1].target.dim == self.objects[0].dim
-
     def suspended_first_map(self) -> ModuleMorphism:
         return self.suspension.apply_morphism(self.maps[0])
 
@@ -499,7 +488,9 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
     sum_rows = np.concatenate(
         [np.zeros((c_mod.dim, h.source.dim), dtype=iota_c.matrix.a.dtype),
          iota_c.matrix.a], axis=1)
-    incl_basis = _pullback_basis(x_n)
+    # the pullback's embedding into the ambient sum, as RREF rows
+    incl_basis = ExactMatrix(fld, np.concatenate(
+        [leg_sus.matrix.a, leg_hull.matrix.a], axis=1))
     coords = _coords_in(incl_basis, ExactMatrix(fld, sum_rows))
     l_leg = ModuleMorphism(c_mod, x_n, coords)
 
@@ -510,14 +501,6 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
     maps = top_maps + [theta, last]
     eng.proj_structure(x_n)  # raises when the pullback is not projective
     return AngleSequence(objects, maps, seq.suspension)
-
-
-def _pullback_basis(p: Module) -> ExactMatrix:
-    """The RREF rows embedding a pullback module into the ambient sum."""
-    basis = getattr(p, "ambient_rows", None)
-    if basis is None:
-        raise LinearAlgebraError("module does not remember its ambient rows")
-    return basis
 
 
 def fill_morphism(seq: FunctorSequence, x: AngleSequence, y: AngleSequence,

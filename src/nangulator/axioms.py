@@ -98,8 +98,7 @@ def random_projective(algebra: BasicAlgebra, rng: random.Random,
         copies.extend([pos] * rng.randint(0, max_copies))
     if not copies:
         copies = [rng.randrange(n)]
-    p, _, _, _ = standard_projective(algebra, copies)
-    return p
+    return standard_projective(algebra, copies)
 
 
 def random_module(algebra: BasicAlgebra, eng: Homology,

@@ -5,7 +5,9 @@
 All data goes to stdout as JSON; human-readable diagnostics go to stderr
 under --verbose.  Exit codes: 0 success / all checks pass, 1 mathematical
 failure (not self-injective, no quasi-period, axiom violation), 2 input or
-usage error.  The default seed may be overridden with NANGULATOR_SEED.
+usage error.  Internal faults (``LinearAlgebraError``, ``AutomorphismError``,
+``FillError``) propagate instead of passing for bad input.  The default seed
+may be overridden with NANGULATOR_SEED.
 """
 
 from __future__ import annotations
@@ -15,13 +17,21 @@ import os
 import sys
 
 from .algebra import (
+    AutomorphismError,
     NotFiniteDimensionalError,
     NotSelfInjectiveError,
     check_self_injective,
     compute_basis,
 )
-from .angulation import certify_angle, complete_morphism, functor_sequence, standard_angle
+from .angulation import (
+    FillError,
+    certify_angle,
+    complete_morphism,
+    functor_sequence,
+    standard_angle,
+)
 from .axioms import random_projective, verify_axioms
+from .fields import LinearAlgebraError
 from .homology import Homology
 from .modules import UndecidedIsomorphismError, random_hom, projective_module
 from .periodicity import ResourceBoundExceeded, quasi_period_scan
@@ -253,6 +263,9 @@ def run_cli(argv=None) -> int:
             FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (LinearAlgebraError, AutomorphismError, FillError):
+        # internal faults: these subclass ValueError but are not bad input
+        raise
     except ValueError as e:
         # bad parameter combinations (such as an angulation length below 3)
         print(f"error: {e}", file=sys.stderr)

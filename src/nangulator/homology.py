@@ -4,7 +4,10 @@ algebras.
 
 The Homology engine memoizes the pinned standard resolution per module, so
 comparison isomorphisms built against it are well defined within a run.  All
-caches behave as pure functions of the module contents.
+caches are keyed by module contents and hold values computed from the
+contents alone: maps out of a module with a ``proj`` decomposition come from
+its generators and are not cached, and every other projective goes through
+its projective cover.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .algebra import BasicAlgebra, NakayamaData
 from .fields import (
     ExactMatrix,
     LinearAlgebraError,
-    _empty,
     reduce_rows_mod,
     row_space,
     stack_rows,
@@ -29,6 +31,7 @@ from .modules import (
     hom_space,
     iso_test,
     kernel_of,
+    map_from_generators,
     quotient,
     standard_projective,
     zero_module,
@@ -72,23 +75,14 @@ def projective_cover(m: Module, variant: int = 0):
     top generators; used by the perturbed-choices mode.
     """
     A = m.algebra
-    fld = A.field
     tops = top_multiplicities(m)
     if variant:
         tops = list(reversed(tops))
     if not tops:
         p = zero_module(A)
         return p, zero_morphism(p, m)
-    copies = [pos for pos, _ in tops]
-    P, parts, incs, projs = standard_projective(A, copies)
-    rows = []
-    for (pos, gen), part in zip(tops, parts):
-        block = _empty(fld, part.dim, m.dim)
-        for local_i, k in enumerate(part.proj_rows):
-            img = gen @ m.action[k]
-            block[local_i] = img.a[0]
-        rows.append(ExactMatrix(fld, block))
-    pi = ModuleMorphism(P, m, stack_rows(fld, rows))
+    P = standard_projective(A, [pos for pos, _ in tops])
+    pi = map_from_generators(P, m, [gen for _, gen in tops])
     if pi.rank() != m.dim:
         raise LinearAlgebraError("projective cover map is not onto")
     return P, pi
@@ -174,11 +168,10 @@ class Homology:
         md = dual_module(m)
         p_op, pi_op = projective_cover(md, variant=self.choice_variant)
         iota0 = pi_op.matrix.T  # M = D(D(M)) -> D(P_op)
-        copies_op = p_op.proj_copies
         # D(P_op) decomposes blockwise; normalize each block to a literal e A
-        target_copies = [self.nakayama.nu_inverse(pos) for pos in copies_op]
-        I, parts, incs, projs = standard_projective(A, target_copies)
-        blocks = [self._dual_projective_iso(pos).matrix for pos in copies_op]
+        I = standard_projective(A, [self.nakayama.nu_inverse(pos)
+                                    for pos in p_op.proj])
+        blocks = [self._dual_projective_iso(pos).matrix for pos in p_op.proj]
         from .fields import block_diag
 
         rho = block_diag(A.field, blocks)
@@ -281,21 +274,22 @@ class Homology:
 
     # -- maps out of projectives ----------------------------------------------
     def proj_structure(self, m: Module):
-        """Cover-based decomposition of a projective module: returns
-        (standard projective P, iso pi: P -> m, inverse iso)."""
+        """Decomposition of a projective module: (m, None, None) when m has a
+        ``proj`` decomposition, else (standard projective P, iso pi: P -> m,
+        inverse iso) from its projective cover, cached by module contents."""
+        if m.proj is not None:
+            return m, None, None
         key = m.digest()
         if key not in self._proj_structure:
-            if hasattr(m, "proj_copies") or hasattr(m, "proj_rows"):
-                self._proj_structure[key] = (m, None, None)
-            else:
-                P, pi = projective_cover(m)
-                if P.dim != m.dim or not pi.matrix.is_invertible():
-                    raise LinearAlgebraError("module is not projective")
-                self._proj_structure[key] = (P, pi, pi.matrix.inv())
+            P, pi = projective_cover(m)
+            if P.dim != m.dim or not pi.matrix.is_invertible():
+                raise LinearAlgebraError("module is not projective")
+            self._proj_structure[key] = (P, pi, pi.matrix.inv())
         return self._proj_structure[key]
 
     def hom_from_projective(self, p: Module, n: Module):
-        """Basis of Hom(P, N) through the cover decomposition."""
+        """Basis of Hom(P, N): generator images when P has a ``proj``
+        decomposition, else transported along its projective cover."""
         P, pi, pi_inv = self.proj_structure(p)
         homs = hom_space(P, n)
         if pi is None:

@@ -75,11 +75,20 @@ def search_invertible(field, n_params: int, realize, is_hit, degree: int,
 
 @dataclass
 class Module:
-    """A right module: one exact action matrix per algebra basis element."""
+    """A right module: one exact action matrix per algebra basis element.
+
+    ``proj`` lists c_1..c_r when the module is literally
+    e_{c_1}A (+) ... (+) e_{c_r}A in path bases, block by block; only
+    ``projective_module`` and ``direct_sum`` set it.  Maps out of such a
+    module are given by the images of the summand generators
+    (``map_from_generators``); any other projective is handled through its
+    projective cover.  ``digest`` covers the contents only.
+    """
 
     algebra: BasicAlgebra
     dim: int
     action: list[ExactMatrix]
+    proj: tuple[int, ...] | None = None
 
     def digest(self) -> bytes:
         cached = getattr(self, "_digest", None)
@@ -230,16 +239,18 @@ def projective_module(algebra: BasicAlgebra, pos: int) -> Module:
     Its basis is the subset of algebra basis elements with that left unit,
     so action matrices are restrictions of right multiplication.
     """
-    rows = [k for k in range(algebra.dim) if algebra.left_unit_of[k] == pos]
+    rows = _path_rows(algebra, pos)
     sel = np.array(rows, dtype=int)
     action = []
     for j in range(algebra.dim):
         a = algebra.right_mult[j].a
         action.append(ExactMatrix(algebra.field, a[np.ix_(sel, sel)].copy()))
-    m = Module(algebra, len(rows), action)
-    m.proj_rows = rows
-    m.proj_vertex = pos
-    return m
+    return Module(algebra, len(rows), action, (pos,))
+
+
+def _path_rows(algebra: BasicAlgebra, pos: int) -> list[int]:
+    """The algebra basis elements that span e A for the idempotent at pos."""
+    return [k for k in range(algebra.dim) if algebra.left_unit_of[k] == pos]
 
 
 def regular_module(algebra: BasicAlgebra) -> Module:
@@ -247,19 +258,11 @@ def regular_module(algebra: BasicAlgebra) -> Module:
     return Module(algebra, algebra.dim, list(algebra.right_mult))
 
 
-def standard_projective(algebra: BasicAlgebra, copies: list[int]):
-    """Direct sum of indecomposable projectives in the given vertex order.
-
-    Returns (P, parts, inclusions, projections); P.proj_copies records the
-    decomposition, which downstream solvers use to parametrize maps out of P.
-    """
+def standard_projective(algebra: BasicAlgebra, copies: list[int]) -> Module:
+    """Direct sum of indecomposable projectives in the given vertex order;
+    its ``proj`` is ``tuple(copies)``."""
     parts = [projective_module(algebra, pos) for pos in copies]
-    total, incs, projs = direct_sum(algebra, parts)
-    total.proj_copies = list(copies)
-    total.proj_parts = parts
-    total.proj_incs = incs
-    total.proj_projs = projs
-    return total, parts, incs, projs
+    return direct_sum(algebra, parts)[0]
 
 
 def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
@@ -402,12 +405,16 @@ def cokernel_of(f: ModuleMorphism):
 
 
 def direct_sum(algebra: BasicAlgebra, parts: list[Module]):
-    """Direct sum with canonical inclusions and projections."""
+    """Direct sum with canonical inclusions and projections; the sum keeps
+    the ``proj`` decomposition when every part has one."""
     fld = algebra.field
     total = sum(p.dim for p in parts)
     action = [block_diag(fld, [p.action[g] for p in parts])
               for g in range(algebra.dim)]
-    m = Module(algebra, total, action)
+    proj = None
+    if all(p.proj is not None for p in parts):
+        proj = tuple(c for p in parts for c in p.proj)
+    m = Module(algebra, total, action, proj)
     incs, projs = [], []
     off = 0
     one = 1 if fld.characteristic else Fraction(1)
@@ -432,7 +439,6 @@ def pullback(f: ModuleMorphism, g: ModuleMorphism):
     k = stacked.left_kernel()  # rows are (x | y) pairs
     sum_mod, _, projs = direct_sum(algebra, [f.source, g.source])
     p, inc = submodule(sum_mod, k)
-    p.ambient_rows = inc.matrix
     p_x = ModuleMorphism(p, f.source, inc.matrix @ projs[0].matrix)
     p_y = ModuleMorphism(p, g.source, inc.matrix @ projs[1].matrix)
     return p, p_x, p_y
@@ -442,18 +448,38 @@ def pullback(f: ModuleMorphism, g: ModuleMorphism):
 
 
 def hom_space(m: Module, n: Module) -> list[ModuleMorphism]:
-    """Deterministic basis of Hom(M, N)."""
+    """Deterministic basis of Hom(M, N).  For a ``proj`` module this is
+    Hom(e_{c_1}A (+) ... (+) e_{c_r}A, N) = N e_{c_1} (+) ... (+) N e_{c_r}:
+    summand by summand, the generator runs through the basis of N e_{c_t}
+    while the other generators go to zero."""
     if m.dim == 0 or n.dim == 0:
         return []
-    if hasattr(m, "proj_rows"):
-        return _hom_from_indecomposable_projective(m, n)
-    if hasattr(m, "proj_parts"):
-        out = []
-        for t, part in enumerate(m.proj_parts):
-            for h in hom_space(part, n):
-                out.append(ModuleMorphism(m, n, m.proj_projs[t].matrix @ h.matrix))
-        return out
-    return _hom_generic(m, n)
+    if m.proj is None:
+        return _hom_generic(m, n)
+    out = []
+    for t, pos in enumerate(m.proj):
+        target_rows = n.idempotent_image(pos)
+        for r in range(target_rows.rows):
+            images = [None] * len(m.proj)
+            images[t] = target_rows.take_rows([r])
+            out.append(map_from_generators(m, n, images))
+    return out
+
+
+def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
+    """The map out of a ``proj`` module P that sends the generator e_{c_t} of
+    summand t to ``images[t]``, a row of N e_{c_t} (None stands for zero):
+    the path b of e_{c_t}A goes to images[t] . b."""
+    A = p.algebra
+    rows = {pos: _path_rows(A, pos) for pos in set(p.proj)}
+    mat = _empty(A.field, p.dim, n.dim)
+    off = 0
+    for pos, y in zip(p.proj, images):
+        if y is not None:
+            for local_i, k in enumerate(rows[pos]):
+                mat[off + local_i] = (y @ n.action[k]).a[0]
+        off += len(rows[pos])
+    return ModuleMorphism(p, n, ExactMatrix(A.field, mat))
 
 
 def _hom_generic(m: Module, n: Module) -> list[ModuleMorphism]:
@@ -472,22 +498,6 @@ def _hom_generic(m: Module, n: Module) -> list[ModuleMorphism]:
     for i in range(null.rows):
         mat = ExactMatrix(fld, null.a[i].reshape(m.dim, n.dim).copy())
         out.append(ModuleMorphism(m, n, mat))
-    return out
-
-
-def _hom_from_indecomposable_projective(p: Module, n: Module):
-    """Hom(eA, N) = N e: generator images extend freely along the basis."""
-    A = p.algebra
-    pos = p.proj_vertex
-    target_rows = n.idempotent_image(pos)
-    out = []
-    for r in range(target_rows.rows):
-        y = target_rows.take_rows([r])
-        mat = _empty(A.field, p.dim, n.dim)
-        for local_i, k in enumerate(p.proj_rows):
-            img = y @ n.action[k]
-            mat[local_i] = img.a[0]
-        out.append(ModuleMorphism(p, n, ExactMatrix(A.field, mat)))
     return out
 
 

@@ -40,14 +40,8 @@ class Quiver:
     vertices: list[str]
     arrows: list[Arrow]
 
-    def vertex_index(self, label: str) -> int:
-        return self.vertices.index(label)
-
     def arrows_from(self, v: int):
         return [i for i, a in enumerate(self.arrows) if a.source == v]
-
-    def arrows_to(self, v: int):
-        return [i for i, a in enumerate(self.arrows) if a.target == v]
 
 
 @dataclass

@@ -10,7 +10,7 @@ import json
 
 from .algebra import BasicAlgebra, NakayamaData
 from .fields import ExactMatrix
-from .modules import Module, ModuleMorphism
+from .modules import Module
 from .angulation import AngleSequence, AngleCertificate
 from .periodicity import PeriodicityReport
 
@@ -23,14 +23,6 @@ def module_dump(m: Module) -> dict:
     return {
         "dim": m.dim,
         "actions": [matrix_dump(a) for a in m.action],
-    }
-
-
-def morphism_dump(f: ModuleMorphism) -> dict:
-    return {
-        "source_dim": f.source.dim,
-        "target_dim": f.target.dim,
-        "matrix": matrix_dump(f.matrix),
     }
 
 

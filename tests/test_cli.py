@@ -178,3 +178,24 @@ def test_undecided_search_exits_one(monkeypatch, capsys):
     assert run_cli(["period", str(FIXTURES / "loop_p3.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "undecided" in err
+
+
+def test_internal_faults_are_not_reported_as_usage_errors(monkeypatch, capsys):
+    from nangulator import cli
+    from nangulator.fields import LinearAlgebraError
+
+    loop = str(FIXTURES / "loop_p3.json")
+
+    def broken(*args, **kwargs):
+        raise LinearAlgebraError("comparison ladder start failed")
+
+    monkeypatch.setattr(cli, "certify_angle", broken)
+    with pytest.raises(LinearAlgebraError):
+        cli.run_cli(["angulate", loop])
+    # bad parameters still exit 2
+    assert cli.run_cli(["verify", loop, "--m", "1"]) == 2
+    assert cli.run_cli(["verify", loop, "--m", "0"]) == 2
+    monkeypatch.setenv("NANGULATOR_SEED", "seven")
+    assert cli.run_cli(["angulate", loop]) == 2
+    err = capsys.readouterr().err
+    assert "must be at least 3" in err and "invalid literal" in err

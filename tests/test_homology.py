@@ -6,18 +6,21 @@ from conftest import load_fixture, load_pipeline, padded, resolution_chain
 
 from nangulator.fields import ExactMatrix, member_of_row_space, row_space, stack_rows
 from nangulator.homology import (
+    Homology,
     cosyzygy_morphism,
     projective_cover,
     rank_exactness,
     syzygy,
 )
 from nangulator.modules import (
+    cokernel_of,
     hom_space,
     identity_morphism,
     iso_test,
     projective_module,
     quotient,
     random_hom,
+    standard_projective,
     zero_module,
     zero_morphism,
 )
@@ -47,7 +50,7 @@ def test_cover_of_simple():
     A, _ = load_fixture("nakayama_2_2")
     S = simple_module(A, 0)
     cover, pi = projective_cover(S)
-    assert cover.proj_copies == [0]
+    assert cover.proj == (0,)
     k, inc, P, _ = syzygy(S)
     assert k.dim == 1
 
@@ -89,9 +92,27 @@ def test_hull_of_simple_uses_nakayama_permutation():
     S2 = simple_module(eng.algebra, 1)
     I, iota = eng.injective_hull(S2)
     # soc(e_1 A) has type S_2, so the hull of S_2 is e_1 A
-    assert I.proj_copies == [0]
+    assert I.proj == (0,)
     assert iota.is_mono()
     iota.verify(exhaustive=True)
+
+
+def test_hom_from_projective_does_not_depend_on_call_order():
+    # P carries its decomposition; Q has the same contents without it, so the
+    # two share a digest but reach Hom(-, N) by different routes
+    A, nakayama = load_fixture("nakayama_2_2")
+    P = standard_projective(A, [1, 0])
+    Q = cokernel_of(zero_morphism(zero_module(A), P))[0]
+    N = standard_projective(A, [0, 1, 1])
+    assert Q.proj is None and Q.digest() == P.digest()
+    results = []
+    for order in ((P, Q), (Q, P)):
+        eng = Homology(A, nakayama)
+        homs = {id(m): eng.hom_from_projective(m, N) for m in order}
+        results.append([[h.matrix for h in homs[id(m)]] for m in (P, Q)])
+    assert results[0] == results[1]
+    for basis in results[0]:
+        assert basis
 
 
 def test_hull_of_zero():

@@ -372,8 +372,13 @@ def test_candidate_stream_is_a_prefix_of_the_brute_force_list(A, perm):
         assert same(got, listed[:3])
 
 
-@pytest.mark.parametrize("n, s, p", [(3, 2, 101), (3, 3, 101), (2, 2, 65521)])
+@pytest.mark.parametrize("n, s, p", [
+    (3, 2, 101), (3, 3, 101), (2, 2, 65521),
+    (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2), (3, 3, 2), (4, 3, 2),
+])
 def test_period_scan_over_large_prime_fields(n, s, p, tmp_path, capsys):
+    # over F2 the s = 2 twist a_k -> -a_{k+1} loses its sign (-1 = 1), so its
+    # n-th power is inner for every n and the period is n, not 2n/gcd(n, 2)
     import json
 
     from nangulator.algebra import verify_automorphism
@@ -385,7 +390,8 @@ def test_period_scan_over_large_prime_fields(n, s, p, tmp_path, capsys):
     path.write_text(text)
     assert run_cli(["period", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["period"] == 2 * n // math.gcd(n, s)
+    expected = n if (p, s) == (2, 2) else 2 * n // math.gcd(n, s)
+    assert payload["period"] == expected
     assert payload["quasi_period"] == (1 if s == 2 else 2)
     A = compute_basis(parse_algebra(text))
     verify_automorphism(A, ExactMatrix(A.field, payload["twist_matrix"]))
