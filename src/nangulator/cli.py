@@ -5,9 +5,11 @@
 All data goes to stdout as JSON; human-readable diagnostics go to stderr
 under --verbose.  Exit codes: 0 success / all checks pass, 1 mathematical
 failure (not self-injective, no quasi-period, axiom violation), 2 input or
-usage error.  Internal faults (``LinearAlgebraError``, ``AutomorphismError``,
-``FillError``) propagate instead of passing for bad input.  The default seed
-may be overridden with NANGULATOR_SEED.
+usage error, 70 internal fault.  ``run_cli`` lets internal faults
+(``LinearAlgebraError``, ``AutomorphismError``, ``FillError``) propagate
+instead of passing them for bad input; ``main`` prints their traceback to
+stderr and exits 70 (EX_SOFTWARE).  The default seed may be overridden with
+NANGULATOR_SEED.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .reports import (
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
+EXIT_SOFTWARE = 70
 
 
 def _log(args, message: str) -> None:
@@ -277,7 +280,15 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+    except Exception:
+        # an internal fault: neither a mathematical answer nor bad input
+        import traceback
+
+        traceback.print_exc()
+        code = EXIT_SOFTWARE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,52 +20,21 @@ from .algebra import BasicAlgebra, NakayamaData
 from .fields import (
     ExactMatrix,
     LinearAlgebraError,
-    reduce_rows_mod,
-    row_space,
-    stack_rows,
 )
 from .modules import (
     Module,
     ModuleMorphism,
+    cover_from_tops,
     dual_module,
     hom_space,
     iso_test,
     kernel_of,
-    map_from_generators,
     quotient,
     standard_projective,
+    top_multiplicities,
     zero_module,
     zero_morphism,
 )
-
-
-def top_multiplicities(m: Module):
-    """Multiplicity of each simple in M / M.rad, with lifted generator rows.
-
-    Returns a list of (idempotent position, row vector in M) in a fixed
-    deterministic order.
-    """
-    A = m.algebra
-    fld = A.field
-    if m.dim == 0:
-        return []
-    if A.radical:
-        rad = row_space(stack_rows(fld, [m.action[j] for j in A.radical]))
-    else:
-        rad = ExactMatrix.zeros(fld, 0, m.dim)
-    out = []
-    for pos in range(len(A.idempotents)):
-        comp = m.idempotent_image(pos)
-        if comp.rows == 0:
-            continue
-        rad_comp = row_space(rad @ m.action[A.idempotents[pos]]) if rad.rows \
-            else ExactMatrix.zeros(fld, 0, m.dim)
-        reduced = reduce_rows_mod(rad_comp, comp) if rad_comp.rows else comp
-        lifts = row_space(reduced)
-        # lift back: rows of `lifts` are inside M e_pos but reduced mod rad
-        for r in range(lifts.rows):
-            out.append((pos, lifts.take_rows([r])))
-    return out
 
 
 def projective_cover(m: Module, variant: int = 0):
@@ -81,11 +50,10 @@ def projective_cover(m: Module, variant: int = 0):
     if not tops:
         p = zero_module(A)
         return p, zero_morphism(p, m)
-    P = standard_projective(A, [pos for pos, _ in tops])
-    pi = map_from_generators(P, m, [gen for _, gen in tops])
+    pi = cover_from_tops(m, tops)
     if pi.rank() != m.dim:
         raise LinearAlgebraError("projective cover map is not onto")
-    return P, pi
+    return pi.source, pi
 
 
 def syzygy(m: Module):

@@ -574,23 +574,119 @@ def _top_rows(m: Module) -> ExactMatrix:
     return row_space(red)
 
 
+def top_multiplicities(m: Module):
+    """Multiplicity of each simple in M / M.rad, with lifted generator rows.
+
+    Returns a list of (idempotent position, row vector in M) in a fixed
+    deterministic order.
+    """
+    A = m.algebra
+    fld = A.field
+    if m.dim == 0:
+        return []
+    if A.radical:
+        rad = row_space(stack_rows(fld, [m.action[j] for j in A.radical]))
+    else:
+        rad = ExactMatrix.zeros(fld, 0, m.dim)
+    out = []
+    for pos in range(len(A.idempotents)):
+        comp = m.idempotent_image(pos)
+        if comp.rows == 0:
+            continue
+        rad_comp = row_space(rad @ m.action[A.idempotents[pos]]) if rad.rows \
+            else ExactMatrix.zeros(fld, 0, m.dim)
+        reduced = reduce_rows_mod(rad_comp, comp) if rad_comp.rows else comp
+        lifts = row_space(reduced)
+        # lift back: rows of `lifts` are inside M e_pos but reduced mod rad
+        for r in range(lifts.rows):
+            out.append((pos, lifts.take_rows([r])))
+    return out
+
+
+def cover_from_tops(m: Module, tops) -> ModuleMorphism:
+    """The map P -> M, P the standard projective on the top vertices, that
+    sends each summand generator to its lifted top row (onto by Nakayama)."""
+    P = standard_projective(m.algebra, [pos for pos, _ in tops])
+    return map_from_generators(P, m, [gen for _, gen in tops])
+
+
+def _is_projective(m: Module, tops) -> bool:
+    """M is projective iff its cover P -> M (onto) has dim P = dim M."""
+    A = m.algebra
+    return m.dim == sum(len(_path_rows(A, pos)) for pos, _ in tops)
+
+
+def _hom_through_cover(m: Module, n: Module, cover: ModuleMorphism):
+    """Basis of Hom(M, N) for a projective M with cover isomorphism
+    cover: P -> M.  A ``proj`` module keeps the generator-image basis of
+    ``hom_space``; otherwise Hom(P, N) is transported to cover^-1 . h and
+    brought to the canonical RREF basis of the flattened matrices, the basis
+    ``_hom_generic(m, n)`` returns."""
+    if m.proj is not None:
+        return hom_space(m, n)
+    fld = m.algebra.field
+    inv = cover.matrix.inv()
+    flat = [(inv @ h.matrix).a.reshape(-1) for h in hom_space(cover.source, n)]
+    if not flat:
+        return []
+    basis = row_space(ExactMatrix(fld, np.stack(flat)))
+    return [ModuleMorphism(m, n, ExactMatrix(fld, row.reshape(m.dim, n.dim).copy()))
+            for row in basis.a]
+
+
+def _first_invertible(homs, m: Module, n: Module, draws: int, seed: int):
+    """The first invertible element of the hom basis, else of ``draws``
+    seeded random combinations, else None."""
+    for h in homs:
+        if h.matrix.is_invertible():
+            return h
+    rng = random.Random(seed)
+    for _ in range(draws):
+        cand = random_hom(rng, homs, m, n)
+        if cand.matrix.is_invertible():
+            return cand
+    return None
+
+
 def iso_test(m: Module, n: Module, draws: int = 1000,
              exhaustive_bound: int = 1 << 16, seed: int = 0xC0FFEE):
     """An invertible intertwiner M -> N, or None when provably none exists.
 
-    Strategy: cheap rejects, the hom basis itself, seeded random combinations,
-    then fingerprint comparison backed by exhaustive search on small spaces.
+    Exact for projective pairs: when M or N is projective (its dimension is
+    that of the projective cover of its top), M and N are isomorphic iff
+    they have the same dimension and the same top (Auslander-Reiten-Smalo,
+    ch. I).  The witness is the first invertible element of the hom basis or
+    of the seeded draws, else the cover isomorphism pi_M^-1 . pi_N.  Only
+    when neither side is projective is the search used: the hom basis, seeded
+    random combinations, then fingerprint comparison backed by exhaustive
+    search on small spaces.
     """
     if m.dim != n.dim:
         return None
     if m.dim == 0:
         return identity_morphism(m)
+    tops_m, tops_n = top_multiplicities(m), top_multiplicities(n)
+    if _is_projective(m, tops_m) or _is_projective(n, tops_n):
+        if [pos for pos, _ in tops_m] != [pos for pos, _ in tops_n]:
+            return None
+        # same top and dimension: both covers are isomorphisms from one P
+        cover_m = cover_from_tops(m, tops_m)
+        homs = _hom_through_cover(m, n, cover_m)
+        found = _first_invertible(homs, m, n, draws, seed)
+        if found is not None:
+            return found
+        cover_n = cover_from_tops(n, tops_n)
+        return ModuleMorphism(m, n, cover_m.matrix.inv() @ cover_n.matrix)
     homs = hom_space(m, n)
     if not homs:
         return None
     if len(homs) != len(hom_space(n, m)):
         return None
-    fld = m.algebra.field
+    found = _first_invertible(homs, m, n, draws, seed)
+    if found is not None:
+        return found
+    if _fingerprint(m) != _fingerprint(n):
+        return None
 
     def realize(coeffs):
         acc = None
@@ -603,18 +699,8 @@ def iso_test(m: Module, n: Module, draws: int = 1000,
     def is_hit(cand):
         return cand is not None and cand.matrix.is_invertible()
 
-    for h in homs:
-        if h.matrix.is_invertible():
-            return h
-    rng = random.Random(seed)
-    for _ in range(draws):
-        cand = random_hom(rng, homs, m, n)
-        if cand.matrix.is_invertible():
-            return cand
-    if _fingerprint(m) != _fingerprint(n):
-        return None
-    return search_invertible(fld, len(homs), realize, is_hit, degree=m.dim,
-                             draws=0, seed=seed,
+    return search_invertible(m.algebra.field, len(homs), realize, is_hit,
+                             degree=m.dim, draws=0, seed=seed,
                              exhaustive_bound=exhaustive_bound)
 
 

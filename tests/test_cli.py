@@ -155,6 +155,7 @@ def test_angulate_emit_matches_golden_dump():
     "nakayama_5_3",   # no candidate of lower order: nothing is tested
     "nakayama_4_3",   # a lower-order candidate replaces the twist
     "preproj_a3",     # the same on the fixture, with commutativity relations
+    "nakayama_5_4",   # dim 20: the twist is a vertex permutation
 ])
 def test_period_payload_matches_golden_dump(name):
     # freezes which representative of the twist's inner class is reported
@@ -199,3 +200,20 @@ def test_internal_faults_are_not_reported_as_usage_errors(monkeypatch, capsys):
     assert cli.run_cli(["angulate", loop]) == 2
     err = capsys.readouterr().err
     assert "must be at least 3" in err and "invalid literal" in err
+
+
+def test_internal_fault_exits_70_from_main(monkeypatch, capsys):
+    from nangulator import cli
+    from nangulator.fields import LinearAlgebraError
+
+    def broken(*args, **kwargs):
+        raise LinearAlgebraError("comparison ladder start failed")
+
+    monkeypatch.setattr(cli, "certify_angle", broken)
+    monkeypatch.setattr(sys, "argv",
+                        ["nangulator", "angulate", str(FIXTURES / "loop_p3.json")])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "comparison ladder start failed" in err

@@ -1,11 +1,15 @@
 """Module category: projectives, twisted bimodules, hom spaces, tensor
 functors, pullbacks, isomorphism testing."""
 
+import pathlib
 import random
 
 import numpy as np
+import pytest
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
+
+from nangulator import homology, modules, periodicity
 
 from nangulator.algebra import identity_automorphism, verify_automorphism
 from nangulator.fields import ExactMatrix, stack_rows
@@ -276,3 +280,151 @@ def test_tensor_by_twist_swaps_projectives():
     assert iso_test(td.module, P2) is not None
     td2 = tensor_module(P2, B, A)
     assert iso_test(td2.module, P1) is not None
+
+
+# -- projective pairs: decided by tops and dimensions ------------------------
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def load_golden(name):
+    from nangulator.algebra import compute_basis
+    from nangulator.quiver import load_algebra_file
+
+    return compute_basis(load_algebra_file(GOLDEN / f"{name}.algebra.json"))
+
+
+def search_witness(m, n, seed=0xC0FFEE, draws=1000):
+    """The witness choice of the search path, kept as an oracle: the first
+    invertible element of the hom basis (generator images for a ``proj``
+    module, the dense kernel of ``_hom_generic`` otherwise), then of the
+    seeded draws."""
+    homs = hom_space(m, n) if m.proj is not None else modules._hom_generic(m, n)
+    for h in homs:
+        if h.matrix.is_invertible():
+            return h
+    rng = random.Random(seed)
+    for _ in range(draws):
+        cand = random_hom(rng, homs, m, n)
+        if cand.matrix.is_invertible():
+            return cand
+    return None
+
+
+def recorded_iso_calls(monkeypatch, run):
+    """Every (M, N, keyword arguments, result) of the production iso_test
+    calls (twist detection and dual projectives) made by ``run()``."""
+    calls = []
+
+    def recording(m, n, **kwargs):
+        out = iso_test(m, n, **kwargs)
+        calls.append((m, n, kwargs, out))
+        return out
+
+    monkeypatch.setattr(periodicity, "iso_test", recording)
+    monkeypatch.setattr(homology, "iso_test", recording)
+    run()
+    return calls
+
+
+def scan_fixture(name):
+    return lambda: periodicity.quasi_period_scan(load_fixture(name)[0])
+
+
+def scan_golden(name):
+    return lambda: periodicity.quasi_period_scan(load_golden(name))
+
+
+def dual_projectives(name):
+    def run():
+        A, nak = load_fixture(name)
+        eng = homology.Homology(A, nak)
+        for pos in range(len(A.idempotents)):
+            eng._dual_projective_iso(pos)
+    return run
+
+
+SELF_INJECTIVE = [p.stem for p in sorted(FIXTURES.glob("*.json"))
+                  if load_fixture(p.stem)[1] is not None]
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(scan_fixture("preproj_a3"), id="period-preproj_a3"),
+    pytest.param(scan_fixture("nakayama_3_3"), id="period-nakayama_3_3"),
+] + [pytest.param(scan_golden(name), id=f"period-golden-{name}")
+     for name in ("nakayama_4_3", "nakayama_5_2", "nakayama_5_3")
+] + [pytest.param(dual_projectives(name), id=f"dual-projectives-{name}")
+     for name in SELF_INJECTIVE])
+def test_projective_pairs_match_the_search_oracle(monkeypatch, run):
+    calls = recorded_iso_calls(monkeypatch, run)
+    assert calls
+    for m, n, kwargs, out in calls:
+        tops_m = modules.top_multiplicities(m)
+        m_projective = modules._is_projective(m, tops_m)
+        assert m_projective or modules._is_projective(n, modules.top_multiplicities(n))
+        if m_projective and m.proj is None:
+            cover = modules.cover_from_tops(m, tops_m)
+            fast = modules._hom_through_cover(m, n, cover)
+            slow = modules._hom_generic(m, n)
+            assert [h.matrix for h in fast] == [h.matrix for h in slow]
+        old = search_witness(m, n, **kwargs)
+        if old is not None:
+            assert out is not None and out.matrix == old.matrix
+        elif out is not None:  # every draw missed: the cover isomorphism
+            assert out.is_iso()
+            out.verify(exhaustive=True)
+
+
+def test_hom_through_cover_is_the_canonical_basis():
+    # a projective in scrambled coordinates: the transported generator
+    # images are not in RREF until row_space brings them there
+    rng = random.Random(11)
+    for name in ("nakayama_2_3", "preproj_a2", "loop_p3"):
+        A, _ = load_fixture(name)
+        P = modules.standard_projective(A, list(range(len(A.idempotents))))
+        while True:
+            T = ExactMatrix(A.field, [[rng.randrange(A.field.characteristic)
+                                       for _ in range(P.dim)]
+                                      for _ in range(P.dim)])
+            if T.is_invertible():
+                break
+        M = Module(A, P.dim, [T.inv() @ a @ T for a in P.action])
+        cover = modules.cover_from_tops(M, modules.top_multiplicities(M))
+        for N in (regular_module(A), simple_module(A, 0), M):
+            fast = modules._hom_through_cover(M, N, cover)
+            slow = modules._hom_generic(M, N)
+            assert [h.matrix for h in fast] == [h.matrix for h in slow]
+
+
+def test_projective_pairs_are_decided_without_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search used on a projective pair")
+
+    monkeypatch.setattr(modules, "search_invertible", forbidden)
+    monkeypatch.setattr(modules, "_fingerprint", forbidden)
+    A = load_golden("nakayama_5_3")               # quasi-period 2
+    omega = periodicity.bimodule_syzygies(A, 2)[-1]
+    left = modules.restrict_to_left_factor(omega, A)
+    phi = iso_test(modules.opposite_regular(A), left)
+    assert phi is not None and phi.is_iso()
+    phi.verify(exhaustive=True)
+    B, _ = load_fixture("nakayama_2_2")
+    P00 = modules.standard_projective(B, [0, 0])
+    P01 = modules.standard_projective(B, [0, 1])
+    assert P00.dim == P01.dim
+    assert iso_test(P00, P01) is None             # same dimension, other top
+
+
+def test_detect_twist_builds_no_dense_hom_system(monkeypatch):
+    A = load_golden("nakayama_5_3")
+    omega = periodicity.bimodule_syzygies(A, 2)[-1]
+    calls = []
+    real = modules._hom_generic
+
+    def counting(m, n):
+        calls.append((m.dim, n.dim))
+        return real(m, n)
+
+    monkeypatch.setattr(modules, "_hom_generic", counting)
+    assert periodicity.detect_twist(A, omega) is not None
+    assert calls == []
