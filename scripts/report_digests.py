@@ -10,15 +10,19 @@ Each command runs in-process through ``nangulator.cli.run_cli``; each line is
 ``verify --samples 3 --seed 5``, and on loop_p3, nakayama_2_2 and
 nakayama_2_3 also ``verify --samples 3 --seed 5 --m 2``; it also runs
 ``period`` on the four ``tests/golden/*.algebra.json`` algebras (labelled
-``golden/<name>``): 97 lines.  Diff the output of two checkouts to see which
-reports changed.
+``golden/<name>``) and on the Nakayama algebras kQ_n/I_s over F101, F65521
+and F2 that ``test_period_scan_over_large_prime_fields`` scans (labelled
+``kQ<n>/I<s>/F<p>``, written to a temporary directory): 106 lines.  Diff the
+output of two checkouts to see which reports changed.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -29,9 +33,22 @@ FIXTURES = ROOT / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
 VERIFY = ["verify", "--samples", "3", "--seed", "5"]
 EXTRA_M2 = ("loop_p3", "nakayama_2_2", "nakayama_2_3")
+NAKAYAMA = [(3, 2, 101), (3, 3, 101), (2, 2, 65521), (2, 2, 2), (3, 2, 2),
+            (4, 2, 2), (5, 2, 2), (3, 3, 2), (4, 3, 2)]
 
 
-def commands():
+def nakayama_text(n, s, p):
+    """kQ_n/I_s over F_p: the n-cycle a_k: k -> k+1, paths of length s zero."""
+    arrows = [{"name": f"a{k + 1}", "from": str(k + 1),
+               "to": str((k + 1) % n + 1)} for k in range(n)]
+    relations = [[{"coeff": 1,
+                   "path": [f"a{(k + t) % n + 1}" for t in range(s)]}]
+                 for k in range(n)]
+    return json.dumps({"field": p, "vertices": [str(k + 1) for k in range(n)],
+                       "arrows": arrows, "relations": relations})
+
+
+def commands(tmp):
     for path in sorted(FIXTURES.glob("*.json")):
         name = path.stem
         yield name, path, ["period"]
@@ -44,15 +61,20 @@ def commands():
     for path in sorted(GOLDEN.glob("*.algebra.json")):
         name = path.name[: -len(".algebra.json")]
         yield f"golden/{name}", path, ["period"]
+    for n, s, p in NAKAYAMA:
+        path = tmp / f"kq{n}_i{s}_f{p}.json"
+        path.write_text(nakayama_text(n, s, p))
+        yield f"kQ{n}/I{s}/F{p}", path, ["period"]
 
 
 def main() -> None:
-    for name, path, args in commands():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli([args[0], str(path)] + args[1:])
-        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
-        print(f"{name}:{','.join(args)} {code} {digest}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, path, args in commands(pathlib.Path(tmp)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli([args[0], str(path)] + args[1:])
+            digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+            print(f"{name}:{','.join(args)} {code} {digest[:16]}", flush=True)
 
 
 if __name__ == "__main__":

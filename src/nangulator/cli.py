@@ -35,8 +35,12 @@ from .angulation import (
 from .axioms import random_projective, verify_axioms
 from .fields import LinearAlgebraError
 from .homology import Homology
-from .modules import UndecidedIsomorphismError, random_hom, projective_module
-from .periodicity import ResourceBoundExceeded, quasi_period_scan
+from .modules import random_hom, projective_module
+from .periodicity import (
+    ResourceBoundExceeded,
+    UndecidedIsomorphismError,
+    quasi_period_scan,
+)
 from .quiver import ParseError, SemanticError, load_algebra_file
 from .reports import (
     algebra_report,
@@ -274,7 +278,7 @@ def run_cli(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceBoundExceeded, UndecidedIsomorphismError) as e:
-        # search limits, not usage errors
+        # resource bounds, not usage errors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
 

@@ -5,6 +5,9 @@ the suspension data."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .algebra import (
     Automorphism,
@@ -31,6 +34,17 @@ class ResourceBoundExceeded(RuntimeError):
     pass
 
 
+class UndecidedIsomorphismError(RuntimeError):
+    """``is_inner`` over F_p with 2 <= p <= #vertices would have to enumerate
+    more than ENUMERATION_BOUND vectors to decide whether a twist is inner."""
+
+
+DIM_GUARD = 10_000         # largest bimodule syzygy the resolution extends
+ORDER_BOUND = 64           # twist orders (and period multiples) scanned
+MAX_INNER_TESTS = 40       # monomial candidates tested by normalize_twist
+ENUMERATION_BOUND = 1 << 16  # vectors is_inner may enumerate for small p
+
+
 @dataclass
 class BimoduleResolution:
     """Initial segment of the minimal projective bimodule resolution of A:
@@ -44,10 +58,10 @@ class BimoduleResolution:
     syzygies: list[Module]              # Omega^1, Omega^2, ...
     inclusions: list[ModuleMorphism]    # Omega^k -> P_k
 
-    def extend(self, up_to: int, dim_guard: int = 10_000) -> None:
+    def extend(self, up_to: int) -> None:
         while len(self.syzygies) < up_to:
             prev = self.syzygies[-1] if self.syzygies else self.regular
-            if prev.dim > dim_guard:
+            if prev.dim > DIM_GUARD:
                 raise ResourceBoundExceeded(
                     f"bimodule syzygy dimension {prev.dim} exceeds guard"
                 )
@@ -68,12 +82,11 @@ def bimodule_resolution(algebra: BasicAlgebra) -> BimoduleResolution:
     return BimoduleResolution(algebra, regular, [], [], [], [])
 
 
-def bimodule_syzygies(algebra: BasicAlgebra, max_n: int,
-                      dim_guard: int = 10_000) -> list[Module]:
+def bimodule_syzygies(algebra: BasicAlgebra, max_n: int) -> list[Module]:
     """Minimal syzygies Omega^1 .. Omega^max_n of A over its enveloping
     algebra (each projective-free by minimality of the covers)."""
     res = bimodule_resolution(algebra)
-    res.extend(max_n, dim_guard)
+    res.extend(max_n)
     return list(res.syzygies)
 
 
@@ -103,8 +116,6 @@ def detect_twist(algebra: BasicAlgebra, m: Module) -> TwistWitness | None:
     for j in range(algebra.dim):
         gj = g @ bim_right_action(m, algebra, j)
         rows.append((gj @ phi_inv).a[0])
-    import numpy as np
-
     sigma_matrix = ExactMatrix(algebra.field, np.stack(rows))
     if not sigma_matrix.is_invertible():
         # no free generator induces an invertible twist, so none does
@@ -120,20 +131,16 @@ def detect_twist(algebra: BasicAlgebra, m: Module) -> TwistWitness | None:
     return TwistWitness(sigma, witness)
 
 
-def is_inner(algebra: BasicAlgebra, rho: Automorphism,
-             draws: int = 400, seed: int = 0x5EED):
+def is_inner(algebra: BasicAlgebra, rho: Automorphism):
     """A unit u with rho = conj_u (that is, rho(a) u = u a for all a), or
-    None when rho is provably not inner.
+    None when rho is not inner.
 
-    The conjugation equations cut out a linear space; what remains is an
-    invertible-element search over it.
+    The conjugation equations cut out a linear space S.  Since
+    A = span(e_i) + rad A, u is a unit iff none of its idempotent
+    coordinates vanishes, so ``nowhere_zero`` on the image of S in those
+    coordinates decides the question.
     """
-    import numpy as np
-
-    from .modules import search_invertible
-
     fld = algebra.field
-    d = algebra.dim
     blocks = []
     for g in algebra.generators:
         rho_g = rho.matrix.row(g)
@@ -141,23 +148,63 @@ def is_inner(algebra: BasicAlgebra, rho: Automorphism,
                       - algebra.right_mult[g].a)
     big = ExactMatrix(fld, np.concatenate(blocks, axis=1))
     space = big.left_kernel()
-    if space.rows == 0:
+    coeffs = nowhere_zero(space.take_cols(algebra.idempotents))
+    if coeffs is None:
         return None
-    # A = span(e_i) + rad A, so u mod rad A is read off the idempotent
-    # coordinates; one that vanishes on the whole space leaves no unit in it
-    if any((space.a[:, i] == 0).all() for i in algebra.idempotents):
+    return ExactMatrix(fld, [coeffs]) @ space
+
+
+def nowhere_zero(rows: ExactMatrix):
+    """Coefficients c such that c . rows has no zero entry, or None when the
+    row space V has no such vector.
+
+    1. A coordinate that vanishes on all of V leaves none; otherwise the
+       first row without a zero entry is taken as it is.
+    2. When p = 0 or p > n (n columns) the vector is built greedily: each
+       vanishing coordinate in turn is fixed by adding t times a row that
+       is nonzero there, with t avoiding 0 and the at most n - 1 values that
+       would zero a coordinate already fixed.
+    3. For 2 <= p <= n the problem is NP-hard in general (3-colouring reduces
+       to nowhere-zero Z_3-tensions), so V is enumerated, as long as
+       p^rank(V) <= ENUMERATION_BOUND; beyond that UndecidedIsomorphismError
+       is raised.
+    """
+    fld = rows.field
+    p = fld.characteristic
+    a = rows.a
+    n = rows.cols
+    if rows.rows == 0 or (a == 0).all(axis=0).any():
         return None
-
-    def realize(coeffs):
-        row = sum((c * space.a[i] for i, c in enumerate(coeffs) if c != 0),
-                  start=np.zeros(d, dtype=space.a.dtype))
-        return ExactMatrix(fld, row[None, :])
-
-    def invertible(u):
-        return algebra.element_right_matrix(u).is_invertible()
-
-    return search_invertible(fld, space.rows, realize, invertible,
-                             degree=d, draws=draws, seed=seed)
+    coeffs = [0] * rows.rows
+    for k in range(rows.rows):
+        if (a[k] != 0).all():
+            coeffs[k] = 1
+            return coeffs
+    if p == 0 or p > n:
+        w = [fld.canon(0)] * n
+        for j in range(n):
+            if w[j] != 0:
+                continue
+            k = next(k for k in range(rows.rows) if a[k, j] != 0)
+            row = [fld.canon(x) for x in a[k]]
+            forbidden = {fld.canon(-w[i] * fld.inv(row[i]))
+                         for i in range(n) if w[i] != 0 and row[i] != 0}
+            t = next(t for t in range(1, n + 1) if fld.canon(t) not in forbidden)
+            coeffs[k] += t
+            w = [fld.canon(w[i] + t * row[i]) for i in range(n)]
+        return coeffs
+    basis = list(rows.T.rref()[1])
+    if p ** len(basis) > ENUMERATION_BOUND:
+        raise UndecidedIsomorphismError(
+            f"inner twist undecided: a nowhere-zero vector in a "
+            f"{len(basis)}-dimensional space over F_{p} needs more than "
+            f"{ENUMERATION_BOUND} vectors enumerated")
+    for c in product(range(p), repeat=len(basis)):
+        if ((np.array(c) @ a[basis]) % p).all():
+            for k, ck in zip(basis, c):
+                coeffs[k] = ck
+            return coeffs
+    return None
 
 
 class _Scalars:
@@ -295,8 +342,6 @@ def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int],
     verify_automorphism, and those that do not respect the relations are
     skipped.
     """
-    import numpy as np
-
     q = algebra.quiver
     if q is None or algebra.basis_paths is None:
         return []
@@ -354,10 +399,10 @@ def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int],
 
 
 def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
-                    witness: ModuleMorphism, max_inner_tests: int = 40):
+                    witness: ModuleMorphism):
     """Replace the extracted twist by the representative of smallest matrix
     order within its inner class, when a monomial representative exists:
-    among the first ``max_inner_tests`` monomial candidates of order below
+    among the first MAX_INNER_TESTS monomial candidates of order below
     sigma's, by ascending (order, arrow scalars), the first one that is
     inner-equivalent to sigma.
 
@@ -400,7 +445,7 @@ def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
             found.append((cand, new_witness))
         return ok
 
-    monomial_twist_candidates(algebra, perm, base_order, max_inner_tests,
+    monomial_twist_candidates(algebra, perm, base_order, MAX_INNER_TESTS,
                               inner_equivalent)
     return found[0] if found else (sigma, witness)
 
@@ -422,9 +467,8 @@ class PeriodicityReport:
         }
 
 
-def quasi_period_scan(algebra: BasicAlgebra, max_n: int = 12,
-                      order_bound: int = 64,
-                      dim_guard: int = 10_000) -> PeriodicityReport | None:
+def quasi_period_scan(algebra: BasicAlgebra,
+                      max_n: int = 12) -> PeriodicityReport | None:
     """Smallest n with Omega^n(A) isomorphic to a twisted regular bimodule.
 
     twist_order is the order of the extracted automorphism matrix; the period
@@ -434,15 +478,15 @@ def quasi_period_scan(algebra: BasicAlgebra, max_n: int = 12,
     """
     res = bimodule_resolution(algebra)
     for n in range(1, max_n + 1):
-        res.extend(n, dim_guard)
+        res.extend(n)
         hit = detect_twist(algebra, res.syzygies[n - 1])
         if hit is None:
             continue
         sigma, witness = hit.automorphism, hit.iso
-        order = sigma.matrix_order(order_bound)
+        order = sigma.matrix_order(ORDER_BOUND)
         period = None
         power = sigma
-        for k in range(1, (order or order_bound) + 1):
+        for k in range(1, (order or ORDER_BOUND) + 1):
             if is_inner(algebra, power) is not None:
                 period = n * k
                 break

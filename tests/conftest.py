@@ -83,3 +83,97 @@ def resolution_chain(res, length):
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+def disjoint_loops_text(p):
+    """Three disjoint loops x_k with x_k^2 = 0 over F_p (Q for p = 0): a
+    commutative algebra whose centre has the RREF basis e_1, e_2, e_3, x_1,
+    x_2, x_3, none of them a unit."""
+    import json
+
+    return json.dumps({
+        "field": p, "vertices": ["1", "2", "3"],
+        "arrows": [{"name": f"x{k}", "from": str(k), "to": str(k)}
+                   for k in (1, 2, 3)],
+        "relations": [[{"coeff": 1, "path": [f"x{k}", f"x{k}"]}]
+                      for k in (1, 2, 3)]})
+
+
+def fingerprint(m):
+    """Iso-invariant fingerprint: per-idempotent dims, radical series, socle
+    data and top multiplicities."""
+    import numpy as np
+
+    from nangulator.fields import ExactMatrix, reduce_rows_mod, row_space, stack_rows
+
+    A = m.algebra
+    fld = A.field
+    vertices = range(len(A.idempotents))
+    per_vertex = tuple(m.idempotent_image(pos).rows for pos in vertices)
+    series = []
+    cur = row_space(stack_rows(fld, [m.action[j] for j in A.radical])) \
+        if A.radical else ExactMatrix.zeros(fld, 0, m.dim)
+    while cur.rows:
+        series.append(cur.rows)
+        nxt = row_space(stack_rows(fld, [cur @ m.action[j] for j in A.radical]))
+        if nxt.rows == cur.rows:
+            break
+        cur = nxt
+    soc_stack = [m.action[g].a for g in A.radical_right_generators]
+    if soc_stack:
+        soc = ExactMatrix(fld, np.concatenate(soc_stack, axis=1)).left_kernel()
+    else:
+        soc = ExactMatrix.identity(fld, m.dim)
+    soc_per_vertex = tuple(row_space(soc @ m.action[A.idempotents[pos]]).rows
+                           for pos in vertices)
+    top = ExactMatrix.identity(fld, m.dim)
+    if A.radical:
+        rad = row_space(stack_rows(fld, [m.action[j] for j in A.radical]))
+        top = row_space(reduce_rows_mod(rad, top))
+    top_per_vertex = tuple(
+        row_space(top @ m.action[A.idempotents[pos]]).rows if top.rows else 0
+        for pos in vertices)
+    return (m.dim, per_vertex, tuple(series), soc.rows, soc_per_vertex,
+            top_per_vertex)
+
+
+def search_iso(m, n, seed=0xC0FFEE, draws=1000, exhaustive_bound=1 << 16):
+    """An invertible intertwiner M -> N or None, by search: the hom basis,
+    seeded random combinations, a fingerprint comparison, then every
+    combination over a grid with more values per coefficient than the degree
+    dim M of the determinant (the whole field over F_p).  Kept as an oracle
+    for pairs with neither side projective nor semisimple, which
+    ``iso_test`` does not decide."""
+    import random
+    from fractions import Fraction
+    from itertools import product
+
+    from nangulator.modules import hom_space, identity_morphism, random_hom
+
+    if m.dim != n.dim:
+        return None
+    if m.dim == 0:
+        return identity_morphism(m)
+    homs = hom_space(m, n)
+    if not homs or len(homs) != len(hom_space(n, m)):
+        return None
+    for h in homs:
+        if h.matrix.is_invertible():
+            return h
+    rng = random.Random(seed)
+    for _ in range(draws):
+        cand = random_hom(rng, homs, m, n)
+        if cand.matrix.is_invertible():
+            return cand
+    if fingerprint(m) != fingerprint(n):
+        return None
+    p = m.algebra.field.characteristic
+    grid = range(p) if p else [Fraction(c) for c in range(m.dim + 1)]
+    assert len(grid) ** len(homs) <= exhaustive_bound, "search undecided"
+    for coeffs in product(grid, repeat=len(homs)):
+        cand = homs[0].scale(coeffs[0])
+        for c, h in zip(coeffs[1:], homs[1:]):
+            cand = cand + h.scale(c)
+        if cand.matrix.is_invertible():
+            return cand
+    return None

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import load_pipeline, load_sequence
+from conftest import load_pipeline, load_sequence, search_iso
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -265,7 +265,7 @@ def test_criterion_6_resolution_rank_exactness():
 
 
 def test_criterion_6_twist_tensor_coherence():
-    from nangulator.modules import iso_test, tensor_module, twisted_bimodule
+    from nangulator.modules import tensor_module, twisted_bimodule
 
     ok = True
     for name in ("loop_p3", "nakayama_2_2", "preproj_a3"):
@@ -276,7 +276,7 @@ def test_criterion_6_twist_tensor_coherence():
                 td = tensor_module(twisted_bimodule(A, s),
                                    twisted_bimodule(A, t), A)
                 composed = twisted_bimodule(A, t.compose(s))
-                ok = ok and iso_test(td.module, composed) is not None
+                ok = ok and search_iso(td.module, composed) is not None
     _line("6 (twisted tensor coherence)", ok, "all computed twist pairs")
     assert ok
 

@@ -7,6 +7,7 @@ import sys
 import pathlib
 
 import pytest
+from conftest import disjoint_loops_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -168,15 +169,17 @@ def test_period_payload_matches_golden_dump(name):
     assert r.stdout == (golden / f"{name}.period.json").read_text()
 
 
-def test_undecided_search_exits_one(monkeypatch, capsys):
-    from nangulator import modules
+def test_undecided_search_exits_one(monkeypatch, capsys, tmp_path):
+    # over F2, p <= #vertices and no basis row of the identity's conjugation
+    # space is a unit, so is_inner enumerates
+    from nangulator import periodicity
     from nangulator.cli import run_cli
 
-    def undecided(*args, **kwargs):
-        raise modules.UndecidedIsomorphismError("search undecided")
-
-    monkeypatch.setattr(modules, "search_invertible", undecided)
-    assert run_cli(["period", str(FIXTURES / "loop_p3.json")]) == 1
+    path = tmp_path / "loops.json"
+    path.write_text(disjoint_loops_text(2))
+    assert run_cli(["period", str(path)]) == 0
+    monkeypatch.setattr(periodicity, "ENUMERATION_BOUND", 4)
+    assert run_cli(["period", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "undecided" in err
 

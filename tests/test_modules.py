@@ -7,12 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, search_iso
 
 from nangulator import homology, modules, periodicity
 
 from nangulator.algebra import identity_automorphism, verify_automorphism
-from nangulator.fields import ExactMatrix, stack_rows
+from nangulator.fields import ExactMatrix, LinearAlgebraError, stack_rows
 from nangulator.modules import (
     Module,
     bim_right_action,
@@ -90,7 +90,7 @@ def test_twist_composition_coherence():
         td = tensor_module(left, right, A)
         composed = twisted_bimodule(A, t.compose(s))
         assert td.module.dim == composed.dim
-        assert iso_test(td.module, composed) is not None
+        assert search_iso(td.module, composed) is not None
 
 
 def test_twist_composition_coherence_noncommutative():
@@ -101,7 +101,7 @@ def test_twist_composition_coherence_noncommutative():
     right = twisted_bimodule(A, tau)
     td = tensor_module(left, right, A)
     composed = twisted_bimodule(A, tau.compose(sigma))
-    assert iso_test(td.module, composed) is not None
+    assert search_iso(td.module, composed) is not None
 
 
 def test_hom_space_dimensions():
@@ -398,10 +398,9 @@ def test_hom_through_cover_is_the_canonical_basis():
 
 def test_projective_pairs_are_decided_without_search(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("search used on a projective pair")
+        raise AssertionError("dense hom kernel used on a projective pair")
 
-    monkeypatch.setattr(modules, "search_invertible", forbidden)
-    monkeypatch.setattr(modules, "_fingerprint", forbidden)
+    monkeypatch.setattr(modules, "_hom_generic", forbidden)
     A = load_golden("nakayama_5_3")               # quasi-period 2
     omega = periodicity.bimodule_syzygies(A, 2)[-1]
     left = modules.restrict_to_left_factor(omega, A)
@@ -428,3 +427,57 @@ def test_detect_twist_builds_no_dense_hom_system(monkeypatch):
     monkeypatch.setattr(modules, "_hom_generic", counting)
     assert periodicity.detect_twist(A, omega) is not None
     assert calls == []
+
+
+# -- semisimple pairs: decided by tops and dimensions -------------------------
+
+
+def scrambled(m, rng):
+    """An isomorphic copy of m in random coordinates."""
+    fld = m.algebra.field
+    while True:
+        T = ExactMatrix(fld, [[rng.randrange(fld.characteristic)
+                               for _ in range(m.dim)] for _ in range(m.dim)])
+        if T.is_invertible():
+            return Module(m.algebra, m.dim, [T.inv() @ a @ T for a in m.action])
+
+
+@pytest.mark.parametrize("name", ["nakayama_2_2", "nakayama_3_3", "loop_p3",
+                                  "preproj_a3", "a2_hereditary"])
+def test_semisimple_pairs_match_the_search_oracle(name):
+    A, _ = load_fixture(name)
+    rng = random.Random(5)
+    simples = [simple_module(A, pos) for pos in range(len(A.idempotents))]
+    mods = list(simples)
+    mods.append(modules.direct_sum(A, simples)[0])
+    mods.append(scrambled(modules.direct_sum(A, simples[::-1])[0], rng))
+    mods.append(scrambled(modules.direct_sum(A, [simples[0]] * 2)[0], rng))
+    for S in simples:          # Omega^k S: one-dimensional on Nakayama algebras
+        m = S
+        for _ in range(3):
+            m = homology.syzygy(m)[0]
+            mods.append(m)
+
+    def semisimple(m):
+        return all(m.action[j].is_zero() for j in A.radical)
+
+    pairs = 0
+    for m in mods:
+        for n in mods:
+            if not (semisimple(m) or semisimple(n)):
+                continue
+            got, want = iso_test(m, n), search_iso(m, n)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.is_iso()
+                got.verify(exhaustive=True)
+                pairs += 1
+    assert pairs > len(simples)
+
+
+def test_iso_test_refuses_pairs_without_projective_or_semisimple_side():
+    A, _ = load_fixture("loop_p3")
+    reg = twisted_bimodule(A, identity_automorphism(A))
+    with pytest.raises(LinearAlgebraError):
+        iso_test(reg, reg)
+    assert search_iso(reg, reg) is not None

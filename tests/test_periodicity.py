@@ -4,7 +4,13 @@ spliced exact sequences."""
 import math
 
 import pytest
-from conftest import load_fixture, load_pipeline, padded
+from conftest import (
+    disjoint_loops_text,
+    load_fixture,
+    load_pipeline,
+    padded,
+    search_iso,
+)
 
 from nangulator.algebra import compute_basis, identity_automorphism
 from nangulator.fields import member_of_row_space, row_space, stack_rows
@@ -15,11 +21,14 @@ from nangulator.modules import (
     quotient,
     twisted_bimodule,
 )
+from nangulator import periodicity
 from nangulator.periodicity import (
+    UndecidedIsomorphismError,
     bimodule_syzygies,
     detect_twist,
     is_inner,
     iterated_sequence,
+    nowhere_zero,
 )
 from nangulator.quiver import parse_algebra
 
@@ -81,7 +90,7 @@ def test_scan_reports_verified_witness():
         for g in env.generators:
             assert tw.action[g] @ w.matrix == w.matrix @ om.action[g]
         # the defining isomorphism, independently re-derived
-        assert iso_test(om, tw) is not None
+        assert search_iso(om, tw) is not None
 
 
 def test_minimal_syzygies_are_projective_free():
@@ -101,9 +110,9 @@ def test_period_is_minimal_among_twist_powers():
     k_min = rep.period // rep.quasi_period
     power = rep.twist
     for k in range(1, k_min):
-        assert iso_test(twisted_bimodule(A, power), reg) is None
+        assert search_iso(twisted_bimodule(A, power), reg) is None
         power = power.compose(rep.twist)
-    assert iso_test(twisted_bimodule(A, power), reg) is not None
+    assert search_iso(twisted_bimodule(A, power), reg) is not None
 
 
 def test_period_witnessed_on_the_resolution():
@@ -112,7 +121,7 @@ def test_period_witnessed_on_the_resolution():
     rep.resolution.extend(rep.period)
     om_p = rep.resolution.syzygies[rep.period - 1]
     reg = twisted_bimodule(A, identity_automorphism(A))
-    assert iso_test(om_p, reg) is not None
+    assert search_iso(om_p, reg) is not None
 
 
 def test_nakayama_2_2_second_syzygy_is_regular_bimodule():
@@ -123,8 +132,8 @@ def test_nakayama_2_2_second_syzygy_is_regular_bimodule():
     rep.resolution.extend(2)
     reg = twisted_bimodule(A, identity_automorphism(A))
     om1, om2 = rep.resolution.syzygies[0], rep.resolution.syzygies[1]
-    assert iso_test(om1, reg) is None          # the twist at step one is outer
-    hit = iso_test(om2, reg)
+    assert search_iso(om1, reg) is None          # the twist at step one is outer
+    hit = search_iso(om2, reg)
     assert hit is not None
     env = A.enveloping()
     assert hit.matrix.is_invertible()
@@ -191,7 +200,7 @@ def test_iterated_sequence_loop_m2_ends_in_regular_bimodule():
     assert seq.euler_dimension_sum() == 0
     assert rank_exactness(spliced_chain(seq))
     reg = twisted_bimodule(A, identity_automorphism(A))
-    assert iso_test(seq.end_module, reg) is not None
+    assert search_iso(seq.end_module, reg) is not None
 
 
 def test_iterated_sequence_length_eight_euler_bookkeeping():
@@ -412,3 +421,75 @@ def test_is_inner_refuses_scaling_with_cycle_holonomy_over_f101():
     sigma = verify_automorphism(A, ExactMatrix(A.field, rows))
     assert is_inner(A, sigma) is None
     assert is_inner(A, sigma.power(100)) is not None
+
+
+def _brute_nowhere_zero(a, p):
+    """Whether some combination of the rows of a has no zero entry over F_p."""
+    from itertools import product
+
+    import numpy as np
+
+    return any(((np.array(c) @ a) % p).all()
+               for c in product(range(p), repeat=a.shape[0]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nowhere_zero_matches_brute_force(p):
+    import random
+
+    import numpy as np
+
+    from nangulator.fields import ExactMatrix, FieldSpec
+
+    rng = random.Random(p)
+    past_rows = 0  # cases decided beyond step 1 with a vector found
+    for n in range(1, 5):
+        for _ in range(150):
+            r = rng.randint(1, 3)
+            # mostly zeros, so that few rows are nowhere zero by themselves
+            a = np.array([[rng.randrange(1, p) if rng.random() < 0.45 else 0
+                           for _ in range(n)] for _ in range(r)])
+            coeffs = nowhere_zero(ExactMatrix(FieldSpec(p), a))
+            assert (coeffs is not None) == _brute_nowhere_zero(a, p), a
+            if coeffs is not None:
+                assert ((np.array(coeffs) @ a) % p).all()
+                past_rows += not (a != 0).all(axis=1).any()
+    assert past_rows > 0
+
+
+def test_nowhere_zero_greedy_step_and_small_field_enumeration(monkeypatch):
+    from nangulator.fields import ExactMatrix, FieldSpec
+
+    V = [[1, 1, 0], [0, 1, 1]]
+    # p > #columns: no row is nowhere zero, and with no enumeration allowed
+    # only the greedy step can find (1, 1) . V = (1, 2, 1)
+    monkeypatch.setattr(periodicity, "ENUMERATION_BOUND", 0)
+    for p in (5, 0):
+        rows = ExactMatrix(FieldSpec(p), V)
+        coeffs = nowhere_zero(rows)
+        vec = ExactMatrix(FieldSpec(p), [coeffs]) @ rows
+        assert all(x != 0 for x in vec.a[0])
+    # over F2 the only candidate is (1, 1, 1), which V misses; deciding that
+    # takes the enumeration of V's 2^2 vectors
+    rows = ExactMatrix(FieldSpec(2), V)
+    with pytest.raises(UndecidedIsomorphismError):
+        nowhere_zero(rows)
+    monkeypatch.setattr(periodicity, "ENUMERATION_BOUND", 4)
+    assert nowhere_zero(rows) is None
+
+
+@pytest.mark.parametrize("p", [2, 5, 0])
+def test_is_inner_finds_a_unit_when_no_basis_row_is_one(p):
+    # the conjugation space of the identity is the centre
+    from nangulator.algebra import verify_automorphism
+    from nangulator.fields import ExactMatrix
+
+    A = compute_basis(parse_algebra(disjoint_loops_text(p)))
+    u = is_inner(A, identity_automorphism(A))
+    assert u is not None and A.element_right_matrix(u).is_invertible()
+    # swapping the first two components is not inner
+    swap = {"e_1": "e_2", "e_2": "e_1", "x1": "x2", "x2": "x1"}
+    rows = [[1 if A.labels[j] == swap.get(label, label) else 0
+             for j in range(A.dim)] for label in A.labels]
+    sigma = verify_automorphism(A, ExactMatrix(A.field, rows))
+    assert is_inner(A, sigma) is None
