@@ -8,12 +8,15 @@ Each command runs in-process through ``nangulator.cli.run_cli``; each line is
 ``label exit sha256(stdout)[:16]``.  On all 15 fixtures it runs ``period``,
 ``angulate standard``, ``angulate complete --seed 1..3`` and
 ``verify --samples 3 --seed 5``, and on loop_p3, nakayama_2_2 and
-nakayama_2_3 also ``verify --samples 3 --seed 5 --m 2``; it also runs
-``period`` on the four ``tests/golden/*.algebra.json`` algebras (labelled
-``golden/<name>``) and on the Nakayama algebras kQ_n/I_s over F101, F65521
-and F2 that ``test_period_scan_over_large_prime_fields`` scans (labelled
-``kQ<n>/I<s>/F<p>``, written to a temporary directory): 106 lines.  Diff the
-output of two checkouts to see which reports changed.
+nakayama_2_3 also ``verify --samples 3 --seed 5 --m 2`` and
+``angulate standard --m 2``; it also runs ``period`` on the four
+``tests/golden/*.algebra.json`` algebras (labelled ``golden/<name>``) and on
+the Nakayama algebras kQ_n/I_s over F101, F65521 and F2 that
+``test_period_scan_over_large_prime_fields`` scans, and ``period`` and
+``angulate standard --m 3, 2, 3`` on kQ_2/I_2, kQ_2/I_3 and kQ_3/I_2 over Q,
+with ``verify --m 3 --samples 2 --seed 5`` on kQ_2/I_2 over Q (labelled
+``kQ<n>/I<s>/F<p>``, F0 for Q, written to a temporary directory): 116 lines.
+Diff the output of two checkouts to see which reports changed.
 """
 
 import contextlib
@@ -35,6 +38,8 @@ VERIFY = ["verify", "--samples", "3", "--seed", "5"]
 EXTRA_M2 = ("loop_p3", "nakayama_2_2", "nakayama_2_3")
 NAKAYAMA = [(3, 2, 101), (3, 3, 101), (2, 2, 65521), (2, 2, 2), (3, 2, 2),
             (4, 2, 2), (5, 2, 2), (3, 3, 2), (4, 3, 2)]
+# (n, s, multiplier of angulate standard) over Q
+RATIONAL = [(2, 2, 3), (2, 3, 2), (3, 2, 3)]
 
 
 def nakayama_text(n, s, p):
@@ -58,6 +63,7 @@ def commands(tmp):
         yield name, path, VERIFY
         if name in EXTRA_M2:
             yield name, path, VERIFY + ["--m", "2"]
+            yield name, path, ["angulate", "standard", "--m", "2"]
     for path in sorted(GOLDEN.glob("*.algebra.json")):
         name = path.name[: -len(".algebra.json")]
         yield f"golden/{name}", path, ["period"]
@@ -65,6 +71,14 @@ def commands(tmp):
         path = tmp / f"kq{n}_i{s}_f{p}.json"
         path.write_text(nakayama_text(n, s, p))
         yield f"kQ{n}/I{s}/F{p}", path, ["period"]
+    for n, s, m in RATIONAL:
+        path = tmp / f"kq{n}_i{s}_f0.json"
+        path.write_text(nakayama_text(n, s, 0))
+        yield f"kQ{n}/I{s}/F0", path, ["period"]
+        yield f"kQ{n}/I{s}/F0", path, ["angulate", "standard", "--m", str(m)]
+        if (n, s) == (2, 2):
+            yield f"kQ{n}/I{s}/F0", path, ["verify", "--m", "3", "--samples",
+                                           "2", "--seed", "5"]
 
 
 def main() -> None:

@@ -4,6 +4,12 @@ All arithmetic is exact: prime-field entries are canonical residues stored in
 int64 numpy arrays, rational entries are ``fractions.Fraction`` in object
 arrays.  Pivoting is pinned (leftmost nonzero column, topmost nonzero row) so
 every downstream construction is reproducible bit for bit.
+
+A matrix knows when it is reduced: the R that ``rref()`` returns and the
+basis that ``row_space`` returns carry their pivot columns, and ``rref()`` on
+such a matrix returns it at once, with no elimination.  Every other matrix,
+including one derived from a reduced matrix (rows, transpose, products,
+sums, the constructor), starts unreduced.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ class ExactMatrix:
     maps act on the right (x @ M), and the left kernel is {x : x M = 0}.
     """
 
-    __slots__ = ("field", "a", "_digest")
+    __slots__ = ("field", "a", "_digest", "_pivots")
 
     def __init__(self, field: FieldSpec, data):
         self.field = field
@@ -116,6 +122,7 @@ class ExactMatrix:
         a.flags.writeable = False
         self.a = a
         self._digest = None
+        self._pivots = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -137,6 +144,7 @@ class ExactMatrix:
         a.flags.writeable = False
         m.a = a
         m._digest = None
+        m._pivots = None
         return m
 
     def _new(self, a: np.ndarray) -> "ExactMatrix":
@@ -232,36 +240,15 @@ class ExactMatrix:
         """Reduced row echelon form with pinned pivoting.
 
         Returns (R, pivots) where pivots lists the pivot column of each of
-        the leading rows of R; trailing rows of R are zero.
+        the leading rows of R; trailing rows of R are zero.  R carries its
+        pivots, and a matrix that carries them is returned as it is.
         """
-        p = self.field.characteristic
-        a = self.a.copy()
-        a.flags.writeable = True
-        rows, cols = a.shape
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            if p:
-                a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-                col = a[:, c].copy()
-                col[r] = 0
-                a = (a - np.outer(col, a[r])) % p
-            else:
-                a[r] = a[r] * (Fraction(1) / a[r, c])
-                col = a[:, c].copy()
-                col[r] = Fraction(0)
-                a = a - np.outer(col, a[r])
-            pivots.append(c)
-            r += 1
-        return self._new(a), tuple(pivots)
+        if self._pivots is not None:
+            return self, self._pivots
+        a, pivots = _eliminate(self.field.characteristic, self.a)
+        r = self._new(a)
+        r._pivots = pivots
+        return r, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -327,6 +314,38 @@ class ExactMatrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+def _eliminate(p: int, a: np.ndarray):
+    """Gauss-Jordan elimination of a copy of ``a`` with pinned pivoting:
+    (reduced array, pivot columns)."""
+    a = a.copy()
+    a.flags.writeable = True
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        if p:
+            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+            col = a[:, c].copy()
+            col[r] = 0
+            a = (a - np.outer(col, a[r])) % p
+        else:
+            a[r] = a[r] * (Fraction(1) / a[r, c])
+            col = a[:, c].copy()
+            col[r] = Fraction(0)
+            a = a - np.outer(col, a[r])
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
 # -- module-level operations ------------------------------------------------
 
 
@@ -356,9 +375,14 @@ def block_diag(field: FieldSpec, mats) -> ExactMatrix:
 
 
 def row_space(m: ExactMatrix) -> ExactMatrix:
-    """Canonical RREF basis of the row space, zero rows stripped."""
+    """Canonical RREF basis of the row space, zero rows stripped; it carries
+    its pivots."""
     r, piv = m.rref()
-    return r.take_rows(range(len(piv)))
+    if r.rows == len(piv):
+        return r
+    basis = r.take_rows(range(len(piv)))
+    basis._pivots = piv
+    return basis
 
 
 def reduce_rows_mod(space: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:

@@ -178,11 +178,6 @@ def right_action_over(m: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
     return bim_right_action(m, algebra, g)
 
 
-def right_idempotent_rows(m: Module, algebra: BasicAlgebra, pos: int) -> ExactMatrix:
-    e = algebra.idempotents[pos]
-    return row_space(right_action_over(m, algebra, e))
-
-
 # -- constructions -----------------------------------------------------------
 
 
@@ -330,7 +325,10 @@ def submodule(m: Module, rows: ExactMatrix):
 def quotient(m: Module, rows: ExactMatrix):
     """Canonical quotient of M by the row space of ``rows`` (must be stable).
 
-    Returns (Q, project: M -> Q, lift: Q -> M coordinate section).
+    Returns (Q, project: M -> Q, lift: Q -> M coordinate section).  With
+    RREF basis rows R_i and pivots pc_i of the space, e_j reduced modulo it
+    is e_j off the pivots and e_{pc_i} - R_i at pc_i; ``project`` is its
+    non-pivot columns and ``lift`` picks the non-pivot rows.
     """
     space = row_space(rows)
     fld = m.algebra.field
@@ -338,14 +336,16 @@ def quotient(m: Module, rows: ExactMatrix):
     if space.rows == 0:
         q = Module(m.algebra, m.dim, list(m.action))
         return q, ModuleMorphism(m, q, eye), eye
-    piv = set(space.rref()[1])
-    keep = [j for j in range(m.dim) if j not in piv]
-    reduced = reduce_rows_mod(space, eye)
-    proj = reduced.take_cols(keep)
-    lift = eye.take_rows(keep)
-    action = [lift @ m.action[g] @ proj for g in range(m.algebra.dim)]
+    piv = space.rref()[1]
+    pivots = set(piv)
+    keep = [j for j in range(m.dim) if j not in pivots]
+    proj = _empty(fld, m.dim, len(keep))
+    proj[keep, list(range(len(keep)))] = 1 if fld.characteristic else Fraction(1)
+    proj[list(piv)] = -space.a[:, keep]
+    proj = ExactMatrix(fld, proj)
+    action = [m.action[g].take_rows(keep) @ proj for g in range(m.algebra.dim)]
     q = Module(m.algebra, len(keep), action)
-    return q, ModuleMorphism(m, q, proj), lift
+    return q, ModuleMorphism(m, q, proj), eye.take_rows(keep)
 
 
 def kernel_of(f: ModuleMorphism):
@@ -620,6 +620,37 @@ class TensorData:
     bimodule: Module
 
 
+def _tensor_side(x: Module, algebra: BasicAlgebra, left: bool):
+    """What ``tensor_module`` needs of one factor, built once per algebra
+    and factor (keyed by digest): (rows, arrows, other).
+
+    For the right factor B (``left``): rows[v] is the canonical basis of
+    e_v B, arrows[g] for g: u -> w the coordinates of g . rows[w] in rows[u],
+    and other[x][v] those of rows[v] . x.  For the left factor M: rows[v]
+    is the basis of M e_v, arrows[g] the coordinates of rows[u] . g in
+    rows[w], and other[x][v] those of x . rows[v] when M is a bimodule
+    (None for a plain module)."""
+    key = (left, x.digest())
+    side = algebra._tensor_sides.get(key)
+    if side is not None:
+        return side
+    near, far = ((bim_left_action, bim_right_action) if left
+                 else (right_action_over, bim_left_action))
+    rows = [row_space(near(x, algebra, e)) for e in algebra.idempotents]
+    arrows = {}
+    for g in algebra.generators:
+        if g not in algebra.idempotents:
+            u, w = algebra.left_unit_of[g], algebra.right_unit_of[g]
+            src, dst = (w, u) if left else (u, w)
+            arrows[g] = _coords_in(rows[dst], rows[src] @ near(x, algebra, g))
+    other = None
+    if left or x.algebra is not algebra:
+        acts = (far(x, algebra, y) for y in range(algebra.dim))
+        other = [[_coords_in(r, r @ act) for r in rows] for act in acts]
+    side = algebra._tensor_sides[key] = (rows, arrows, other)
+    return side
+
+
 def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
     """M (x)_A B for a right A-module (or bimodule) M and an A-bimodule B.
 
@@ -627,95 +658,51 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
     action from M, right action from B).
     """
     fld = algebra.field
-    n_vert = len(algebra.idempotents)
-    m_is_bim = m.algebra is not algebra
-    m_rows = [right_idempotent_rows(m, algebra, pos) for pos in range(n_vert)]
-    b_rows = [row_space(bim_left_action(b, algebra, algebra.idempotents[pos]))
-              for pos in range(n_vert)]
+    m_rows, m_arrows, m_other = _tensor_side(m, algebra, left=False)
+    b_rows, b_arrows, b_other = _tensor_side(b, algebra, left=True)
+    dims = [(rm.rows, rb.rows) for rm, rb in zip(m_rows, b_rows)]
     offsets = [0]
-    for v in range(n_vert):
-        offsets.append(offsets[-1] + m_rows[v].rows * b_rows[v].rows)
+    for rm, rb in dims:
+        offsets.append(offsets[-1] + rm * rb)
     big_dim = offsets[-1]
 
-    arrows = [g for g in algebra.generators if g not in algebra.idempotents]
-    rel_rows = []
-    for g in arrows:
-        u = algebra.left_unit_of[g]
-        w = algebra.right_unit_of[g]
-        if m_rows[u].rows == 0 or b_rows[w].rows == 0:
+    # bilinearity of each arrow g: u -> w, (m . g) (x) y = m (x) (g . y):
+    # kron(mg, I) in block w minus kron(I, gy) in block u, rows ordered by
+    # (basis row of M e_u, basis row of e_w B)
+    rel_blocks = []
+    for g, mg_c in m_arrows.items():
+        u, w = algebra.left_unit_of[g], algebra.right_unit_of[g]
+        (rm_u, _), (_, rb_w) = dims[u], dims[w]
+        if rm_u == 0 or rb_w == 0:
             continue
-        mg = m_rows[u] @ right_action_over(m, algebra, g)
-        mg_c = _coords_in(m_rows[w], mg)
-        gy = b_rows[w] @ bim_left_action(b, algebra, g)
-        gy_c = _coords_in(b_rows[u], gy)
-        for im in range(m_rows[u].rows):
-            for ib in range(b_rows[w].rows):
-                vec = _empty(fld, 1, big_dim)
-                if m_rows[w].rows and b_rows[w].rows:
-                    base_w = offsets[w]
-                    unit = _unit_vec(fld, b_rows[w].rows, ib)
-                    seg = np.outer(mg_c.a[im], unit).reshape(-1)
-                    vec[0, base_w: base_w + seg.shape[0]] = seg
-                if m_rows[u].rows and b_rows[u].rows:
-                    base_u = offsets[u]
-                    unit = _unit_vec(fld, m_rows[u].rows, im)
-                    seg = np.outer(unit, gy_c.a[ib]).reshape(-1)
-                    vec[0, base_u: base_u + seg.shape[0]] = (
-                        vec[0, base_u: base_u + seg.shape[0]] - seg
-                    )
-                rel_rows.append(ExactMatrix(fld, vec))
+        blk = _empty(fld, rm_u * rb_w, big_dim)
+        blk[:, offsets[w]: offsets[w + 1]] = np.kron(mg_c.a, _eye_arr(fld, rb_w))
+        blk[:, offsets[u]: offsets[u + 1]] -= np.kron(_eye_arr(fld, rm_u),
+                                                       b_arrows[g].a)
+        rel_blocks.append(blk)
 
-    out_algebra = m.algebra if m_is_bim else algebra
+    live = [v for v, (rm, rb) in enumerate(dims) if rm and rb]
 
-    def big_matrix(per_vertex_blocks) -> ExactMatrix:
+    def big_matrix(block) -> ExactMatrix:
         big = _empty(fld, big_dim, big_dim)
-        for v, blk in per_vertex_blocks:
-            base = offsets[v]
-            big[base: base + blk.shape[0], base: base + blk.shape[1]] = blk
+        for v in live:
+            big[offsets[v]: offsets[v + 1], offsets[v]: offsets[v + 1]] = block(v)
         return ExactMatrix(fld, big)
 
-    big_action = []
-    if m_is_bim:
-        env = algebra.enveloping()
-        for (i, j) in env.envelope_pairs:
-            blocks = []
-            for v in range(n_vert):
-                rm, rb = m_rows[v].rows, b_rows[v].rows
-                if rm == 0 or rb == 0:
-                    continue
-                lm = m_rows[v] @ bim_left_action(m, algebra, i)
-                lm_c = _coords_in(m_rows[v], lm)
-                br = b_rows[v] @ bim_right_action(b, algebra, j)
-                br_c = _coords_in(b_rows[v], br)
-                blocks.append((v, np.kron(lm_c.a, br_c.a)))
-            big_action.append(big_matrix(blocks))
+    if m_other is not None:
+        big_action = [big_matrix(lambda v: np.kron(m_other[i][v].a, b_other[j][v].a))
+                      for (i, j) in algebra.enveloping().envelope_pairs]
     else:
-        for g in range(algebra.dim):
-            blocks = []
-            for v in range(n_vert):
-                rm, rb = m_rows[v].rows, b_rows[v].rows
-                if rm == 0 or rb == 0:
-                    continue
-                br = b_rows[v] @ bim_right_action(b, algebra, g)
-                br_c = _coords_in(b_rows[v], br)
-                blocks.append((v, np.kron(_eye_arr(fld, rm), br_c.a)))
-            big_action.append(big_matrix(blocks))
-    big_module = Module(out_algebra, big_dim, big_action)
+        eyes = [_eye_arr(fld, rm) for rm, _ in dims]
+        big_action = [big_matrix(lambda v: np.kron(eyes[v], b_other[g][v].a))
+                      for g in range(algebra.dim)]
+    big_module = Module(m.algebra if m_other is not None else algebra,
+                        big_dim, big_action)
 
-    rel = stack_rows(fld, rel_rows) if rel_rows else ExactMatrix.zeros(fld, 0, big_dim)
+    rel = (ExactMatrix(fld, np.concatenate(rel_blocks)) if rel_blocks
+           else ExactMatrix.zeros(fld, 0, big_dim))
     q, proj, lift = quotient(big_module, rel)
     return TensorData(q, algebra, m_rows, b_rows, offsets, proj.matrix, lift, m, b)
-
-
-def _unit_vec(fld, n, i):
-    v = np.zeros(n, dtype=np.int64)
-    if not fld.characteristic:
-        v = v.astype(object)
-        v[...] = Fraction(0)
-        v[i] = Fraction(1)
-    else:
-        v[i] = 1
-    return v
 
 
 def _coords_in(basis: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:

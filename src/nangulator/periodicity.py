@@ -35,7 +35,7 @@ class ResourceBoundExceeded(RuntimeError):
 
 
 class UndecidedIsomorphismError(RuntimeError):
-    """``is_inner`` over F_p with 2 <= p <= #vertices would have to enumerate
+    """``is_inner`` over F_p with 2 <= p < #vertices would have to enumerate
     more than ENUMERATION_BOUND vectors to decide whether a twist is inner."""
 
 
@@ -160,11 +160,12 @@ def nowhere_zero(rows: ExactMatrix):
 
     1. A coordinate that vanishes on all of V leaves none; otherwise the
        first row without a zero entry is taken as it is.
-    2. When p = 0 or p > n (n columns) the vector is built greedily: each
+    2. When p = 0 or p >= n (n columns) the vector is built greedily: each
        vanishing coordinate in turn is fixed by adding t times a row that
-       is nonzero there, with t avoiding 0 and the at most n - 1 values that
-       would zero a coordinate already fixed.
-    3. For 2 <= p <= n the problem is NP-hard in general (3-colouring reduces
+       is nonzero there, with t in 1..n-1 avoiding the values that would
+       zero a coordinate already fixed.  That row has a zero entry (step 1
+       found no row without one), so at most n - 2 values are forbidden.
+    3. For 2 <= p < n the problem is NP-hard in general (3-colouring reduces
        to nowhere-zero Z_3-tensions), so V is enumerated, as long as
        p^rank(V) <= ENUMERATION_BOUND; beyond that UndecidedIsomorphismError
        is raised.
@@ -180,7 +181,7 @@ def nowhere_zero(rows: ExactMatrix):
         if (a[k] != 0).all():
             coeffs[k] = 1
             return coeffs
-    if p == 0 or p > n:
+    if p == 0 or p >= n:
         w = [fld.canon(0)] * n
         for j in range(n):
             if w[j] != 0:
@@ -189,7 +190,7 @@ def nowhere_zero(rows: ExactMatrix):
             row = [fld.canon(x) for x in a[k]]
             forbidden = {fld.canon(-w[i] * fld.inv(row[i]))
                          for i in range(n) if w[i] != 0 and row[i] != 0}
-            t = next(t for t in range(1, n + 1) if fld.canon(t) not in forbidden)
+            t = next(t for t in range(1, n) if fld.canon(t) not in forbidden)
             coeffs[k] += t
             w = [fld.canon(w[i] + t * row[i]) for i in range(n)]
         return coeffs

@@ -177,3 +177,127 @@ def search_iso(m, n, seed=0xC0FFEE, draws=1000, exhaustive_bound=1 << 16):
         if cand.matrix.is_invertible():
             return cand
     return None
+
+
+def quotient_oracle(m, rows):
+    """``modules.quotient`` by elimination: every unit vector reduced modulo
+    the RREF space with ``reduce_rows_mod``, then lift . action . project.
+    Kept as an oracle for the closed form."""
+    from nangulator.fields import ExactMatrix, reduce_rows_mod, row_space
+    from nangulator.modules import Module, ModuleMorphism
+
+    space = row_space(rows)
+    fld = m.algebra.field
+    eye = ExactMatrix.identity(fld, m.dim)
+    if space.rows == 0:
+        q = Module(m.algebra, m.dim, list(m.action))
+        return q, ModuleMorphism(m, q, eye), eye
+    piv = set(space.rref()[1])
+    keep = [j for j in range(m.dim) if j not in piv]
+    reduced = reduce_rows_mod(space, eye)
+    proj = reduced.take_cols(keep)
+    lift = eye.take_rows(keep)
+    action = [lift @ m.action[g] @ proj for g in range(m.algebra.dim)]
+    q = Module(m.algebra, len(keep), action)
+    return q, ModuleMorphism(m, q, proj), lift
+
+
+def tensor_module_oracle(m, b, algebra):
+    """``modules.tensor_module`` rebuilt from scratch on every call: both
+    factors' bases and coordinates per call, one relation row per pair
+    (basis row of M e_u, basis row of e_w B) of each arrow u -> w, and
+    ``quotient_oracle``.  Kept as an oracle for the cached, blockwise
+    construction."""
+    import numpy as np
+    from fractions import Fraction
+
+    from nangulator.fields import ExactMatrix, _empty, row_space, stack_rows
+    from nangulator.modules import (Module, TensorData, _coords_in, _eye_arr,
+                                    bim_left_action, bim_right_action,
+                                    right_action_over)
+
+    def unit_vec(n, i):
+        v = np.zeros(n, dtype=np.int64)
+        if not fld.characteristic:
+            v = v.astype(object)
+            v[...] = Fraction(0)
+            v[i] = Fraction(1)
+        else:
+            v[i] = 1
+        return v
+
+    fld = algebra.field
+    n_vert = len(algebra.idempotents)
+    m_is_bim = m.algebra is not algebra
+    m_rows = [row_space(right_action_over(m, algebra, e))
+              for e in algebra.idempotents]
+    b_rows = [row_space(bim_left_action(b, algebra, e))
+              for e in algebra.idempotents]
+    offsets = [0]
+    for v in range(n_vert):
+        offsets.append(offsets[-1] + m_rows[v].rows * b_rows[v].rows)
+    big_dim = offsets[-1]
+
+    arrows = [g for g in algebra.generators if g not in algebra.idempotents]
+    rel_rows = []
+    for g in arrows:
+        u = algebra.left_unit_of[g]
+        w = algebra.right_unit_of[g]
+        if m_rows[u].rows == 0 or b_rows[w].rows == 0:
+            continue
+        mg_c = _coords_in(m_rows[w], m_rows[u] @ right_action_over(m, algebra, g))
+        gy_c = _coords_in(b_rows[u], b_rows[w] @ bim_left_action(b, algebra, g))
+        for im in range(m_rows[u].rows):
+            for ib in range(b_rows[w].rows):
+                vec = _empty(fld, 1, big_dim)
+                if m_rows[w].rows:
+                    seg = np.outer(mg_c.a[im], unit_vec(b_rows[w].rows, ib))
+                    seg = seg.reshape(-1)
+                    vec[0, offsets[w]: offsets[w] + seg.shape[0]] = seg
+                if b_rows[u].rows:
+                    seg = np.outer(unit_vec(m_rows[u].rows, im), gy_c.a[ib])
+                    seg = seg.reshape(-1)
+                    vec[0, offsets[u]: offsets[u] + seg.shape[0]] = (
+                        vec[0, offsets[u]: offsets[u] + seg.shape[0]] - seg)
+                rel_rows.append(ExactMatrix(fld, vec))
+
+    def big_matrix(per_vertex_blocks):
+        big = _empty(fld, big_dim, big_dim)
+        for v, blk in per_vertex_blocks:
+            base = offsets[v]
+            big[base: base + blk.shape[0], base: base + blk.shape[1]] = blk
+        return ExactMatrix(fld, big)
+
+    live = [v for v in range(n_vert) if m_rows[v].rows and b_rows[v].rows]
+    big_action = []
+    if m_is_bim:
+        for (i, j) in algebra.enveloping().envelope_pairs:
+            big_action.append(big_matrix([(v, np.kron(
+                _coords_in(m_rows[v], m_rows[v] @ bim_left_action(m, algebra, i)).a,
+                _coords_in(b_rows[v], b_rows[v] @ bim_right_action(b, algebra, j)).a))
+                for v in live]))
+    else:
+        for g in range(algebra.dim):
+            big_action.append(big_matrix([(v, np.kron(
+                _eye_arr(fld, m_rows[v].rows),
+                _coords_in(b_rows[v], b_rows[v] @ bim_right_action(b, algebra, g)).a))
+                for v in live]))
+    big_module = Module(m.algebra if m_is_bim else algebra, big_dim, big_action)
+    rel = (stack_rows(fld, rel_rows) if rel_rows
+           else ExactMatrix.zeros(fld, 0, big_dim))
+    q, proj, lift = quotient_oracle(big_module, rel)
+    return TensorData(q, algebra, m_rows, b_rows, offsets, proj.matrix, lift, m, b)
+
+
+def nakayama_text(n, s, p):
+    """kQ_n/I_s over F_p (Q for p = 0): the n-cycle a_k: k -> k+1 with every
+    path of length s zero."""
+    import json
+
+    arrows = [{"name": f"a{k + 1}", "from": str(k + 1),
+               "to": str((k + 1) % n + 1)} for k in range(n)]
+    relations = [[{"coeff": 1,
+                   "path": [f"a{(k + t) % n + 1}" for t in range(s)]}]
+                 for k in range(n)]
+    return json.dumps({"field": p, "vertices": [str(k + 1) for k in range(n)],
+                       "arrows": arrows, "relations": relations})

@@ -141,13 +141,18 @@ def test_perturb_choices_reports_agreement():
     assert payload["perturbed"]["samples"] == 2
 
 
-def test_angulate_emit_matches_golden_dump():
-    # freezes the angle dump format bit for bit
-    r = run("angulate", str(FIXTURES / "loop_p3.json"), "standard",
-            "--m", "3", "--seed", "0")
+@pytest.mark.parametrize("name, m", [
+    ("loop_p3", 3),        # length 3, one vertex, objects of dimension 2
+    ("nakayama_2_3", 2),   # length 4, two vertices
+    ("preproj_a3", 1),     # length 3, three vertices
+])
+def test_angulate_emit_matches_golden_dump(name, m):
+    # freezes the angle dump format and the basis of each X^k(M) bit for bit
+    r = run("angulate", str(FIXTURES / f"{name}.json"), "standard",
+            "--m", str(m), "--seed", "0")
     assert r.returncode == 0
     golden = (pathlib.Path(__file__).parent / "golden" /
-              "loop_p3.angle.json").read_text()
+              f"{name}.angle.json").read_text()
     assert r.stdout == golden
 
 

@@ -167,3 +167,55 @@ def test_no_solution_confirmed_by_exhaustive_search(rows, rhs):
         assert brute == []
     else:
         assert brute != []
+
+
+def _random_matrices(field, rng):
+    """Seeded random matrices over ``field``: dense and sparse ones, some with
+    zero or repeated rows, the zero matrix, and 0 x n and n x 0 shapes."""
+    p = field.characteristic
+
+    def entry(density):
+        if rng.random() > density:
+            return 0
+        return rng.randrange(p) if p else Fraction(rng.randrange(-4, 5),
+                                                    rng.randrange(1, 4))
+
+    out = [ExactMatrix.zeros(field, 0, 4), ExactMatrix.zeros(field, 3, 0),
+           ExactMatrix.zeros(field, 0, 0), ExactMatrix.zeros(field, 4, 5)]
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        density = rng.choice((0.3, 0.7, 1.0))
+        a = [[entry(density) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.5:
+            a[rng.randrange(rows)] = [0] * cols
+            a[rng.randrange(rows)] = list(a[0])
+        out.append(ExactMatrix(field, a))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
+def test_reduced_matrices_match_a_fresh_elimination(p, monkeypatch):
+    import random
+
+    from nangulator import fields
+    from nangulator.fields import row_space
+
+    field = FieldSpec(p)
+    for x in _random_matrices(field, random.Random(p)):
+        fresh, fresh_piv = ExactMatrix(field, x.a).rref()
+        r, piv = x.rref()
+        basis = row_space(x)
+        assert piv == fresh_piv and r == fresh
+        assert basis == fresh.take_rows(range(len(fresh_piv)))
+        # the reduced matrices answer rref() themselves, with no elimination
+        with monkeypatch.context() as patched:
+            patched.setattr(fields, "_eliminate", None)
+            assert r.rref() == (r, fresh_piv)
+            assert basis.rref() == (basis, fresh_piv)
+            assert r.rank() == basis.rank() == len(fresh_piv)
+        # anything derived from them is eliminated afresh
+        derived = [ExactMatrix(field, r), basis.take_rows(range(basis.rows)),
+                   basis.T, r + r, r @ ExactMatrix.identity(field, r.cols)]
+        for d in derived:
+            assert d._pivots is None
+            assert d.rref() == ExactMatrix(field, d.a).rref()

@@ -7,11 +7,22 @@ import random
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, load_fixture, search_iso
+from conftest import (
+    FIXTURES,
+    load_fixture,
+    nakayama_text,
+    quotient_oracle,
+    search_iso,
+    tensor_module_oracle,
+)
 
 from nangulator import homology, modules, periodicity
 
-from nangulator.algebra import identity_automorphism, verify_automorphism
+from nangulator.algebra import (
+    compute_basis,
+    identity_automorphism,
+    verify_automorphism,
+)
 from nangulator.fields import ExactMatrix, LinearAlgebraError, stack_rows
 from nangulator.modules import (
     Module,
@@ -34,6 +45,7 @@ from nangulator.modules import (
     zero_module,
     zero_morphism,
 )
+from nangulator.quiver import parse_algebra
 
 
 def simple_module(A, pos):
@@ -481,3 +493,89 @@ def test_iso_test_refuses_pairs_without_projective_or_semisimple_side():
     with pytest.raises(LinearAlgebraError):
         iso_test(reg, reg)
     assert search_iso(reg, reg) is not None
+
+
+def _assert_same_tensor_data(td, ref):
+    assert td.offsets == ref.offsets
+    assert td.m_rows == ref.m_rows and td.b_rows == ref.b_rows
+    assert td.project == ref.project and td.lift == ref.lift
+    assert td.module.algebra is ref.module.algebra
+    assert td.module.dim == ref.module.dim
+    assert td.module.action == ref.module.action
+
+
+@pytest.mark.parametrize("name, m", [
+    ("nakayama_2_2", None),
+    ("nakayama_2_3", 2),
+    ("nakayama_3_3", 2),
+    ("preproj_a3", None),
+    ("loop_p3", None),
+    ("kq2_i2_q", 3),     # kQ_2/I_2 over Q
+])
+def test_tensor_module_matches_oracle_on_every_verify_call(
+        name, m, monkeypatch, capsys, tmp_path):
+    from nangulator import angulation
+    from nangulator.cli import run_cli
+
+    calls = []
+
+    def recording(m, b, algebra):
+        td = tensor_module(m, b, algebra)
+        calls.append((m, b, algebra, td))
+        return td
+
+    monkeypatch.setattr(angulation, "tensor_module", recording)
+    path = FIXTURES / f"{name}.json"
+    if name == "kq2_i2_q":
+        path = tmp_path / f"{name}.json"
+        path.write_text(nakayama_text(2, 2, 0))
+    argv = ["verify", str(path), "--samples", "2", "--seed", "5"]
+    assert run_cli(argv + (["--m", str(m)] if m else [])) == 0
+    assert len(calls) > 4
+    for x, b, algebra, td in calls:
+        _assert_same_tensor_data(td, tensor_module_oracle(x, b, algebra))
+
+
+@pytest.mark.parametrize("name", ["nakayama_2_2", "preproj_a2"])
+def test_tensor_of_bimodules_matches_oracle(name):
+    # M a bimodule: the result is a bimodule built from both sides' actions
+    A, _ = load_fixture(name)
+    reg = twisted_bimodule(A, identity_automorphism(A))
+    om = periodicity.bimodule_syzygies(A, 1)[0]
+    for m, b in ((reg, reg), (om, reg), (reg, om), (om, om)):
+        td = tensor_module(m, b, A)
+        assert td.module.algebra is A.enveloping()
+        _assert_same_tensor_data(td, tensor_module_oracle(m, b, A))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 0])
+def test_quotient_closed_form_matches_oracle(p):
+    A = compute_basis(parse_algebra(nakayama_text(2, 3, p)))
+    fld = A.field
+    rng = random.Random(p)
+    P0 = projective_module(A, 0)
+    mods = [regular_module(A), modules.direct_sum(A, [P0, regular_module(A)])[0]]
+
+    def entry():
+        return rng.randrange(p) if p else rng.randrange(-3, 4)
+
+    cases = 0
+    for M in mods:
+        # the zero space (no rows, a zero row), the whole space, and the
+        # submodules generated by 1 to 3 random vectors
+        spaces = [ExactMatrix.zeros(fld, 0, M.dim),
+                  ExactMatrix.zeros(fld, 1, M.dim),
+                  ExactMatrix.identity(fld, M.dim)]
+        for _ in range(12):
+            gens = ExactMatrix(fld, [[entry() for _ in range(M.dim)]
+                                     for _ in range(rng.randrange(1, 4))])
+            spaces.append(stack_rows(fld, [gens @ M.action[j]
+                                           for j in range(A.dim)]))
+        for rows in spaces:
+            q, proj, lift = quotient(M, rows)
+            q_ref, proj_ref, lift_ref = quotient_oracle(M, rows)
+            assert q.dim == q_ref.dim and q.action == q_ref.action
+            assert proj.matrix == proj_ref.matrix and lift == lift_ref
+            assert (lift @ proj.matrix) == ExactMatrix.identity(fld, q.dim)
+            cases += 1
+    assert cases == 2 * 15

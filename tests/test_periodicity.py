@@ -8,6 +8,7 @@ from conftest import (
     disjoint_loops_text,
     load_fixture,
     load_pipeline,
+    nakayama_text,
     padded,
     search_iso,
 )
@@ -262,19 +263,6 @@ def test_full_pipeline_over_the_rationals():
     assert certify_angle(seq, t).verdict
 
 
-def _nakayama_text(n, s, p):
-    """kQ_n/I_s over F_p: the n-cycle a_k: k -> k+1, paths of length s zero."""
-    import json
-
-    arrows = [{"name": f"a{k + 1}", "from": str(k + 1),
-               "to": str((k + 1) % n + 1)} for k in range(n)]
-    relations = [[{"coeff": 1,
-                   "path": [f"a{(k + t) % n + 1}" for t in range(s)]}]
-                 for k in range(n)]
-    return json.dumps({"field": p, "vertices": [str(k + 1) for k in range(n)],
-                       "arrows": arrows, "relations": relations})
-
-
 def _reference_candidates(algebra, perm):
     """Every relation-compatible monomial candidate over perm as (order,
     automorphism), by ascending (matrix order or 10**9, arrow scalars): the
@@ -341,10 +329,10 @@ def _stream_cases():
         cases += [pytest.param(A, list(p), id=f"{name}-{''.join(map(str, p))}")
                   for p in permutations(range(len(A.idempotents)))]
     # the twist of kQ_5/I_2 rotates the cycle; one rotation keeps this fast
-    A = compute_basis(parse_algebra(_nakayama_text(5, 2, 5)))
+    A = compute_basis(parse_algebra(nakayama_text(5, 2, 5)))
     cases.append(pytest.param(A, [1, 2, 3, 4, 0], id="kq5_i2_f5-12340"))
     # k[x]/(x^2) over F101: scalings of order 100 sit in the 10**9 group
-    A = compute_basis(parse_algebra(_nakayama_text(1, 2, 101)))
+    A = compute_basis(parse_algebra(nakayama_text(1, 2, 101)))
     cases.append(pytest.param(A, [0], id="loop_f101-0"))
     return cases
 
@@ -394,7 +382,7 @@ def test_period_scan_over_large_prime_fields(n, s, p, tmp_path, capsys):
     from nangulator.cli import run_cli
     from nangulator.fields import ExactMatrix
 
-    text = _nakayama_text(n, s, p)
+    text = nakayama_text(n, s, p)
     path = tmp_path / "algebra.json"
     path.write_text(text)
     assert run_cli(["period", str(path)]) == 0
@@ -414,7 +402,7 @@ def test_is_inner_refuses_scaling_with_cycle_holonomy_over_f101():
     from nangulator.algebra import verify_automorphism
     from nangulator.fields import ExactMatrix
 
-    A = compute_basis(parse_algebra(_nakayama_text(3, 4, 101)))
+    A = compute_basis(parse_algebra(nakayama_text(3, 4, 101)))
     scale = [2 ** label.split("*").count("a1") for label in A.labels]
     rows = [[scale[i] if i == j else 0 for j in range(A.dim)]
             for i in range(A.dim)]
@@ -476,6 +464,28 @@ def test_nowhere_zero_greedy_step_and_small_field_enumeration(monkeypatch):
         nowhere_zero(rows)
     monkeypatch.setattr(periodicity, "ENUMERATION_BOUND", 4)
     assert nowhere_zero(rows) is None
+
+
+def test_nowhere_zero_greedy_step_at_p_equal_to_columns(monkeypatch):
+    from nangulator.fields import ExactMatrix, FieldSpec
+
+    # p = #columns: no row is nowhere zero, so the greedy row has a zero
+    # entry and at most n - 2 of the values 1..n-1 are forbidden.  Over F5
+    # the second row meets three forbidden values (4, 2, 3) and takes t = 1.
+    monkeypatch.setattr(periodicity, "ENUMERATION_BOUND", 0)
+    cases = {3: [[1, 1, 0], [0, 1, 1]],
+             5: [[1, 1, 1, 1, 0], [0, 1, 2, 3, 1]]}
+    for p, V in cases.items():
+        rows = ExactMatrix(FieldSpec(p), V)
+        coeffs = nowhere_zero(rows)
+        assert coeffs is not None
+        vec = ExactMatrix(FieldSpec(p), [coeffs]) @ rows
+        assert all(x != 0 for x in vec.a[0])
+    # p < #columns still enumerates, which a zero bound forbids
+    for p, V in ((3, [[1, 1, 1, 0], [0, 1, 2, 1]]),
+                 (2, [[1, 1, 0], [0, 1, 1]])):
+        with pytest.raises(UndecidedIsomorphismError):
+            nowhere_zero(ExactMatrix(FieldSpec(p), V))
 
 
 @pytest.mark.parametrize("p", [2, 5, 0])
