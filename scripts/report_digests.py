@@ -9,13 +9,13 @@ Each command runs in-process through ``nangulator.cli.run_cli``; each line is
 ``angulate standard``, ``angulate complete --seed 1..3`` and
 ``verify --samples 3 --seed 5``, and on loop_p3, nakayama_2_2 and
 nakayama_2_3 also ``verify --samples 3 --seed 5 --m 2`` and
-``angulate standard --m 2``; it also runs ``period`` on the four
+``angulate standard --m 2``; it also runs ``period`` on the five
 ``tests/golden/*.algebra.json`` algebras (labelled ``golden/<name>``) and on
 the Nakayama algebras kQ_n/I_s over F101, F65521 and F2 that
 ``test_period_scan_over_large_prime_fields`` scans, and ``period`` and
 ``angulate standard --m 3, 2, 3`` on kQ_2/I_2, kQ_2/I_3 and kQ_3/I_2 over Q,
 with ``verify --m 3 --samples 2 --seed 5`` on kQ_2/I_2 over Q (labelled
-``kQ<n>/I<s>/F<p>``, F0 for Q, written to a temporary directory): 116 lines.
+``kQ<n>/I<s>/F<p>``, F0 for Q, written to a temporary directory): 117 lines.
 Diff the output of two checkouts to see which reports changed.
 """
 

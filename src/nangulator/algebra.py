@@ -2,10 +2,18 @@
 self-injectivity, automorphisms, opposite and enveloping algebras.
 
 A BasicAlgebra is stored uniformly (basis, right-multiplication matrices,
-idempotent bookkeeping) whether it came from a quiver presentation, from
-taking the opposite, or from the enveloping construction A^op (x) A.  Paths
-compose left to right (p.q means traverse p, then q) and all modules in the
-package are right modules.
+idempotent bookkeeping, and the generator word of every basis element)
+whether it came from a quiver presentation or from taking the opposite.
+Paths compose left to right (p.q means traverse p, then q) and all modules in
+the package are right modules.  A module stores the action of the
+generators only (the idempotents and the arrows); the word of a basis
+element says which product of generator actions gives its action.
+
+The enveloping algebra A^e = A^op (x) A is index bookkeeping over A
+(``EnvelopingAlgebra``): it never forms its d^2 structure matrices of size
+d^2 x d^2.  Its generators are e_i (x) e_j, a (x) e_j and e_i (x) a for the
+vertices i, j and arrows a, and b_k (x) b_l is the word of b_k over A^op
+followed by that of b_l over A.
 """
 
 from __future__ import annotations
@@ -56,10 +64,11 @@ class BasicAlgebra:
     quiver: Quiver | None = None
     basis_paths: list | None = None  # for quiver algebras
     nilpotency: int | None = None
+    # words[k]: generators whose product, left to right, is b_k
+    words: list | None = dc_field(default=None, repr=False)
     _left_mult: list | None = dc_field(default=None, repr=False)
     _opposite: object = dc_field(default=None, repr=False)
     _enveloping: object = dc_field(default=None, repr=False)
-    envelope_pairs: list | None = dc_field(default=None, repr=False)
     # tensor_module's data of each module and bimodule, keyed by digest
     _tensor_sides: dict = dc_field(default_factory=dict, repr=False,
                                    compare=False)
@@ -84,6 +93,14 @@ class BasicAlgebra:
                 for i in range(self.dim)
             ]
         return self._left_mult[i]
+
+    def word(self, k: int) -> tuple[int, ...]:
+        """The generators whose product, left to right, is basis element k."""
+        return self.words[k]
+
+    def projective_rows(self, pos: int) -> list[int]:
+        """The basis elements that span e A for the idempotent at pos."""
+        return [k for k in range(self.dim) if self.left_unit_of[k] == pos]
 
     def multiply(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """Product of elements given as coordinate row vectors."""
@@ -157,60 +174,73 @@ class BasicAlgebra:
                 radical_right_generators=list(self.radical_right_generators),
                 generators=list(self.generators),
                 name=f"{self.name}^op",
+                words=[w[::-1] for w in self.words] if self.words else None,
             )
             op._opposite = self
             self._opposite = op
         return self._opposite
 
-    def enveloping(self) -> "BasicAlgebra":
+    def enveloping(self) -> "EnvelopingAlgebra":
         """A^e = A^op (x) A with (a (x) b)(a' (x) b') = (a'a) (x) (bb')."""
         if self._enveloping is None:
-            d = self.dim
-            pairs = [(i, j) for i in range(d) for j in range(d)]
-            right = [
-                ExactMatrix(self.field,
-                            np.kron(self.left_mult(k).a, self.right_mult[l].a))
-                for (k, l) in pairs
-            ]
-            idem_pairs = [(i, j) for i in self.idempotents for j in self.idempotents]
-            idem = [i * d + j for (i, j) in idem_pairs]
-            idem_pos = {pr: t for t, pr in enumerate(idem_pairs)}
-            lu, ru = [], []
-            for (i, j) in pairs:
-                # (e_u (x) e_v) . (b_i (x) b_j) = (b_i e_u) (x) (e_v b_j)
-                u = self.idempotents[self.right_unit_of[i]]
-                v = self.idempotents[self.left_unit_of[j]]
-                lu.append(idem_pos[(u, v)])
-                u2 = self.idempotents[self.left_unit_of[i]]
-                v2 = self.idempotents[self.right_unit_of[j]]
-                ru.append(idem_pos[(u2, v2)])
-            triv = set(self.idempotents)
-            rad = [i * d + j for (i, j) in pairs
-                   if i not in triv or j not in triv]
-            arrows = [g for g in self.generators if g not in triv]
-            rad_gens = [a * d + e for a in arrows for e in self.idempotents]
-            rad_gens += [e * d + a for e in self.idempotents for a in arrows]
-            gens = list(idem)
-            gens += [a * d + e for a in arrows for e in self.idempotents]
-            gens += [e * d + a for e in self.idempotents for a in arrows]
-            env = BasicAlgebra(
-                field=self.field,
-                labels=[f"{self.labels[i]}(x){self.labels[j]}" for i, j in pairs],
-                right_mult=right,
-                idempotents=idem,
-                left_unit_of=lu,
-                right_unit_of=ru,
-                radical=rad,
-                radical_right_generators=rad_gens,
-                generators=gens,
-                name=f"{self.name}^e",
-            )
-            env.envelope_pairs = pairs
-            self._enveloping = env
+            self._enveloping = EnvelopingAlgebra(self)
         return self._enveloping
 
     def envelope_index(self, i: int, j: int) -> int:
         return i * self.dim + j
+
+
+class EnvelopingAlgebra:
+    """A^e = A^op (x) A as index bookkeeping over A: basis element k*d + l
+    is b_k (x) b_l, and nothing of size d^2 x d^2 is stored.
+
+    ``right_mult`` is empty: a module over A^e acts through the generators
+    e_i (x) e_j, a (x) e_j and e_i (x) a, and a projective e A^e =
+    A e_u (x) e_v A is built from A's own multiplication blocks.
+    """
+
+    def __init__(self, base: BasicAlgebra):
+        d = base.dim
+        idem = base.idempotents
+        arrows = [g for g in base.generators if g not in idem]
+        self.base = base
+        self.field = base.field
+        self.name = f"{base.name}^e"
+        self.dim = d * d
+        self.right_mult = ()
+        self.idempotents = [i * d + j for i in idem for j in idem]
+        self.radical_right_generators = (
+            [a * d + e for a in arrows for e in idem]
+            + [e * d + a for e in idem for a in arrows])
+        self.generators = self.idempotents + self.radical_right_generators
+
+    def word(self, k: int) -> tuple[int, ...]:
+        """b_k (x) b_l = (b_k (x) e_v)(e_u (x) b_l) with e_u b_k = b_k and
+        e_v b_l = b_l: the arrows of b_k in reverse, each tensored with
+        e_v, then e_u tensored with the arrows of b_l; e_u (x) e_v itself
+        when both are trivial."""
+        A = self.base
+        d = A.dim
+        i, j = divmod(k, d)
+        triv = A.idempotents
+        e_u = triv[A.left_unit_of[i]]
+        e_v = triv[A.left_unit_of[j]]
+        left = [g * d + e_v for g in A.word(i)[::-1] if g not in triv]
+        right = [e_u * d + g for g in A.word(j) if g not in triv]
+        return tuple(left + right) or (k,)
+
+    def projective_factors(self, pos: int) -> tuple[list[int], list[int]]:
+        """The bases of A e_u and e_v A in A, for e = e_u (x) e_v at
+        position pos = u * #vertices + v."""
+        A = self.base
+        u, v = divmod(pos, len(A.idempotents))
+        return ([k for k in range(A.dim) if A.right_unit_of[k] == u],
+                A.projective_rows(v))
+
+    def projective_rows(self, pos: int) -> list[int]:
+        """The basis of e A^e = A e_u (x) e_v A, in index order."""
+        left, right = self.projective_factors(pos)
+        return [k * self.base.dim + l for k in left for l in right]
 
 
 @dataclass(frozen=True)
@@ -516,6 +546,8 @@ def compute_basis(desc: AlgebraDescription, degree_bound: int = 32) -> BasicAlge
             return f"e_{q.vertices[p[0][1]]}"
         return "*".join(q.arrows[i].name for i in p)
 
+    words = [(k,) if _is_trivial(p) else tuple(index[(ai,)] for ai in p)
+             for k, p in enumerate(basis_paths)]
     alg = BasicAlgebra(
         field=fld,
         labels=[label(p) for p in basis_paths],
@@ -530,6 +562,7 @@ def compute_basis(desc: AlgebraDescription, degree_bound: int = 32) -> BasicAlge
         quiver=q,
         basis_paths=basis_paths,
         nilpotency=nilpotency,
+        words=words,
     )
     alg.verify_idempotents()
     alg.verify_associativity()

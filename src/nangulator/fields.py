@@ -331,16 +331,17 @@ def _eliminate(p: int, a: np.ndarray):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+        # rows r.. are zero left of column c, so only columns c.. change
         if p:
-            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+            a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
             col = a[:, c].copy()
             col[r] = 0
-            a = (a - np.outer(col, a[r])) % p
+            a[:, c:] = (a[:, c:] - np.outer(col, a[r, c:])) % p
         else:
-            a[r] = a[r] * (Fraction(1) / a[r, c])
+            a[r, c:] = a[r, c:] * (Fraction(1) / a[r, c])
             col = a[:, c].copy()
             col[r] = Fraction(0)
-            a = a - np.outer(col, a[r])
+            a[:, c:] = a[:, c:] - np.outer(col, a[r, c:])
         pivots.append(c)
         r += 1
     return a, tuple(pivots)

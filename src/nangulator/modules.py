@@ -1,9 +1,14 @@
 """Finite-dimensional right modules, morphism spaces, tensor functors,
 pullbacks and isomorphism testing.
 
-Bimodules are right modules over the enveloping algebra.  Elements are row
-vectors; a morphism matrix F sends x to x @ F, so composition "f then g" is
-the matrix product F @ G.
+A module stores one action matrix per algebra generator: per idempotent and
+arrow for a module over A, and per e_i (x) e_j, a (x) e_j and e_i (x) a for
+a bimodule, a right module over the enveloping algebra A^e.  The action of
+any other basis element is the product of generator actions along its word
+(``BasicAlgebra.word``), derived on demand.  Constructions work on the
+generators; images of a vector under many basis elements are walked along
+the words on row vectors.  Elements are row vectors; a morphism matrix F
+sends x to x @ F, so composition "f then g" is the matrix product F @ G.
 """
 
 from __future__ import annotations
@@ -26,69 +31,114 @@ from .fields import (
 )
 
 
-@dataclass
 class Module:
-    """A right module: one exact action matrix per algebra basis element.
+    """A right module, stored by the action of each algebra generator.
+
+    ``action`` is read at the generators only (a list by basis index or a
+    dict).  ``action[k]`` gives the matrix of any basis element k: the
+    product of generator actions along the word of k, derived once and
+    kept.  Idempotent images, the top and a bimodule's one-sided generator
+    actions are kept too, one entry per idempotent or generator.
 
     ``proj`` lists c_1..c_r when the module is literally
     e_{c_1}A (+) ... (+) e_{c_r}A in path bases, block by block; only
     ``projective_module`` and ``direct_sum`` set it.  Maps out of such a
     module are given by the images of the summand generators
     (``map_from_generators``); any other projective is handled through its
-    projective cover.  ``digest`` covers the contents only.
+    projective cover.  ``digest`` covers the generator actions only.
     """
 
-    algebra: BasicAlgebra
-    dim: int
-    action: list[ExactMatrix]
-    proj: tuple[int, ...] | None = None
+    def __init__(self, algebra, dim: int, action, proj: tuple | None = None):
+        self.algebra = algebra
+        self.dim = dim
+        self.proj = proj
+        self._actions = {g: action[g] for g in algebra.generators}
+        self._images: dict[int, ExactMatrix] = {}
+        self._sides: dict[tuple, ExactMatrix] = {}
+        self._tops = None
+        self._digest = None
+
+    @property
+    def action(self) -> "_Actions":
+        return _Actions(self)
 
     def digest(self) -> bytes:
-        cached = getattr(self, "_digest", None)
-        if cached is None:
+        if self._digest is None:
             import hashlib
 
             h = hashlib.blake2b(digest_size=16)
             h.update(id(self.algebra).to_bytes(8, "little", signed=False))
             h.update(self.dim.to_bytes(4, "little"))
-            for m in self.action:
-                h.update(m.digest())
-            cached = self._digest = h.digest()
-        return cached
+            for g in self.algebra.generators:
+                h.update(self._actions[g].digest())
+            self._digest = h.digest()
+        return self._digest
 
-    def act_element(self, x: ExactMatrix) -> ExactMatrix:
-        """Action matrix of an arbitrary algebra element (coordinate row)."""
+    def combination(self, terms) -> ExactMatrix:
+        """Action of the element sum c . b_k for (k, c) in ``terms``."""
         acc = _empty(self.algebra.field, self.dim, self.dim)
-        for j in range(self.algebra.dim):
-            c = x.a[0, j]
-            if c != 0:
-                acc = acc + c * self.action[j].a
+        for k, c in terms:
+            acc = acc + c * self.action[k].a
         return ExactMatrix(self.algebra.field, acc)
 
     def idempotent_image(self, pos: int) -> ExactMatrix:
         """Canonical basis rows of M e for the idempotent at position pos."""
-        e = self.algebra.idempotents[pos]
-        return row_space(self.action[e])
-
-    def verify_axioms(self, exhaustive: bool = True) -> None:
-        """Module axioms: unit acts as identity, action respects products."""
-        A = self.algebra
-        uni = self.act_element(A.unit())
-        if uni != ExactMatrix.identity(A.field, self.dim):
-            raise LinearAlgebraError("unit does not act as identity")
-        pairs = (
-            [(i, j) for i in range(A.dim) for j in range(A.dim)]
-            if exhaustive
-            else [(i, j) for i in A.generators for j in A.generators]
-        )
-        for i, j in pairs:
-            lhs = self.action[i] @ self.action[j]
-            rhs = self.act_element(A.right_mult[j].row(i))
-            if lhs != rhs:
-                raise LinearAlgebraError(f"action violates product at ({i}, {j})")
+        hit = self._images.get(pos)
+        if hit is None:
+            e = self.algebra.idempotents[pos]
+            hit = self._images[pos] = row_space(self.action[e])
+        return hit
 
     def is_zero(self) -> bool:
         return self.dim == 0
+
+
+class _Actions:
+    """``Module.action``: the action matrix of each basis element by index."""
+
+    __slots__ = ("module",)
+
+    def __init__(self, module: Module):
+        self.module = module
+
+    def __len__(self) -> int:
+        return self.module.algebra.dim
+
+    def __getitem__(self, k: int) -> ExactMatrix:
+        acts = self.module._actions
+        hit = acts.get(k)
+        if hit is None:
+            if not 0 <= k < len(self):
+                raise IndexError(f"basis index {k} out of range")
+            word = self.module.algebra.word(k)
+            hit = acts[word[0]]
+            for g in word[1:]:
+                hit = hit @ acts[g]
+            acts[k] = hit
+        return hit
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+
+def walk_words(y: ExactMatrix, words, act) -> list[ExactMatrix]:
+    """y . w for each word w of generators, act(g) the matrix of generator
+    g: one product of rows per distinct prefix, and no path matrix."""
+    memo = {}
+
+    def walk(w):
+        if not w:
+            return y
+        hit = memo.get(w)
+        if hit is None:
+            hit = memo[w] = walk(w[:-1]) @ act(w[-1])
+        return hit
+
+    return [walk(w) for w in words]
 
 
 @dataclass
@@ -147,27 +197,43 @@ def zero_morphism(m: Module, n: Module) -> ModuleMorphism:
 
 
 def zero_module(algebra: BasicAlgebra) -> Module:
-    return Module(algebra, 0,
-                  [ExactMatrix.zeros(algebra.field, 0, 0)] * algebra.dim)
+    zero = ExactMatrix.zeros(algebra.field, 0, 0)
+    return Module(algebra, 0, dict.fromkeys(algebra.generators, zero))
 
 
 # -- bimodule action helpers ---------------------------------------------------
 
 
+def _one_sided(b: Module, algebra: BasicAlgebra, g: int, left: bool) -> ExactMatrix:
+    """Action of b_g (x) 1 (``left``) or 1 (x) b_g on a bimodule.  For a
+    generator g it is the sum of the A^e generators g (x) e_j, or e_i (x) g,
+    kept on the module; any other b_g is the product along its word, read
+    backwards on the left."""
+    key = (left, g)
+    hit = b._sides.get(key)
+    if hit is not None:
+        return hit
+    word = algebra.word(g)
+    if len(word) == 1:
+        pairs = ((g, e) if left else (e, g) for e in algebra.idempotents)
+        hit = b._sides[key] = b.combination(
+            (algebra.envelope_index(*pair), 1) for pair in pairs)
+        return hit
+    acts = [_one_sided(b, algebra, x, left) for x in (word[::-1] if left else word)]
+    hit = acts[0]
+    for a in acts[1:]:
+        hit = hit @ a
+    return hit
+
+
 def bim_right_action(b: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
-    """Action of (1 (x) b_g) on a bimodule over the enveloping algebra."""
-    acc = _empty(algebra.field, b.dim, b.dim)
-    for i in algebra.idempotents:
-        acc = acc + b.action[algebra.envelope_index(i, g)].a
-    return ExactMatrix(algebra.field, acc)
+    """Action of (1 (x) b_g) on a bimodule: right multiplication by b_g."""
+    return _one_sided(b, algebra, g, left=False)
 
 
 def bim_left_action(b: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
     """Action of (b_g (x) 1) on a bimodule: left multiplication by b_g."""
-    acc = _empty(algebra.field, b.dim, b.dim)
-    for j in algebra.idempotents:
-        acc = acc + b.action[algebra.envelope_index(g, j)].a
-    return ExactMatrix(algebra.field, acc)
+    return _one_sided(b, algebra, g, left=True)
 
 
 def right_action_over(m: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
@@ -181,29 +247,35 @@ def right_action_over(m: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
 # -- constructions -----------------------------------------------------------
 
 
-def projective_module(algebra: BasicAlgebra, pos: int) -> Module:
+def projective_module(algebra, pos: int) -> Module:
     """The indecomposable projective e A for the idempotent at position pos.
 
-    Its basis is the subset of algebra basis elements with that left unit,
-    so action matrices are restrictions of right multiplication.
-    """
-    rows = _path_rows(algebra, pos)
-    sel = np.array(rows, dtype=int)
-    action = []
-    for j in range(algebra.dim):
-        a = algebra.right_mult[j].a
-        action.append(ExactMatrix(algebra.field, a[np.ix_(sel, sel)].copy()))
+    Its basis is ``algebra.projective_rows(pos)``, so generator actions are
+    restrictions of right multiplication.  Over A^e, e = e_u (x) e_v and
+    e A^e = A e_u (x) e_v A: the generator a (x) b acts by the Kronecker
+    product of A's left multiplication by a on A e_u and its right
+    multiplication by b on e_v A."""
+    fld = algebra.field
+    rows = algebra.projective_rows(pos)
+    base = getattr(algebra, "base", None)
+    action = {}
+    if base is None:
+        sel = np.ix_(rows, rows)
+        for g in algebra.generators:
+            action[g] = ExactMatrix(fld, algebra.right_mult[g].a[sel].copy())
+        return Module(algebra, len(rows), action, (pos,))
+    left, right = algebra.projective_factors(pos)
+    for g in algebra.generators:
+        i, j = divmod(g, base.dim)
+        action[g] = ExactMatrix(fld, np.kron(
+            base.left_mult(i).a[np.ix_(left, left)],
+            base.right_mult[j].a[np.ix_(right, right)]))
     return Module(algebra, len(rows), action, (pos,))
-
-
-def _path_rows(algebra: BasicAlgebra, pos: int) -> list[int]:
-    """The algebra basis elements that span e A for the idempotent at pos."""
-    return [k for k in range(algebra.dim) if algebra.left_unit_of[k] == pos]
 
 
 def regular_module(algebra: BasicAlgebra) -> Module:
     """The algebra as a right module over itself."""
-    return Module(algebra, algebra.dim, list(algebra.right_mult))
+    return Module(algebra, algebra.dim, algebra.right_mult)
 
 
 def standard_projective(algebra: BasicAlgebra, copies: list[int]) -> Module:
@@ -215,23 +287,27 @@ def standard_projective(algebra: BasicAlgebra, copies: list[int]) -> Module:
 
 def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
     """The bimodule that is regular on the left and right-twisted by sigma,
-    as a right module over the enveloping algebra: the basis pair (u, v)
+    as a right module over the enveloping algebra: the generator u (x) v
     acts by x -> u x sigma(v)."""
     env = algebra.enveloping()
     d = algebra.dim
-    sig_right = []
-    for j in range(d):
-        row = sigma.matrix.a[j]
-        acc = _empty(algebra.field, d, d)
-        for t in range(d):
-            if row[t] != 0:
-                acc = acc + row[t] * algebra.right_mult[t].a
-        sig_right.append(acc)
-    action = []
-    for (i, j) in env.envelope_pairs:
-        action.append(ExactMatrix(algebra.field,
-                                  algebra.left_mult(i).a @ sig_right[j]))
+    right = {g: algebra.element_right_matrix(sigma.matrix.row(g))
+             for g in algebra.generators}
+    action = {}
+    for k in env.generators:
+        i, j = divmod(k, d)
+        action[k] = algebra.left_mult(i) @ right[j]
     return Module(env, d, action)
+
+
+def _substituted(m: Module, terms_of) -> Module:
+    """m with each generator g acting as the combination ``terms_of(g)``."""
+    return Module(m.algebra, m.dim,
+                  {g: m.combination(terms_of(g)) for g in m.algebra.generators})
+
+
+def _terms(row) -> list:
+    return [(t, row[t]) for t in np.nonzero(row)[0]]
 
 
 def right_twist(m: Module, tau: Automorphism) -> Module:
@@ -239,69 +315,43 @@ def right_twist(m: Module, tau: Automorphism) -> Module:
     m (x)_A (regular bimodule right-twisted by tau).  Morphism matrices are
     unchanged under this identification, so the construction is a strict,
     strictly invertible functor."""
-    A = tau.algebra
-    alg = m.algebra
-    if alg is A:
-        out = []
-        for i in range(A.dim):
-            row = tau.matrix.a[i]
-            acc = _empty(A.field, m.dim, m.dim)
-            for t in range(A.dim):
-                if row[t] != 0:
-                    acc = acc + row[t] * m.action[t].a
-            out.append(ExactMatrix(A.field, acc))
-        return Module(alg, m.dim, out)
-    assert alg is A.enveloping()
-    d = A.dim
-    out = []
-    for (i, j) in alg.envelope_pairs:
-        row = tau.matrix.a[j]
-        acc = _empty(A.field, m.dim, m.dim)
-        for t in range(d):
-            if row[t] != 0:
-                acc = acc + row[t] * m.action[A.envelope_index(i, t)].a
-        out.append(ExactMatrix(A.field, acc))
-    return Module(alg, m.dim, out)
+    assert m.algebra is tau.algebra
+    return _substituted(m, lambda g: _terms(tau.matrix.a[g]))
 
 
 def left_twist(m: Module, tau: Automorphism) -> Module:
     """Substitution model of the tau-twisted regular bimodule tensored on the
-    left of a bimodule m: the pair (u, v) acts as the original
-    (tau^{-1}(u), v).  Morphism matrices are unchanged."""
+    left of a bimodule m: the generator u (x) v acts as the original
+    tau^{-1}(u) (x) v.  Morphism matrices are unchanged."""
     A = tau.algebra
-    env = A.enveloping()
-    assert m.algebra is env
-    inv = tau.inverse().matrix
+    assert m.algebra is A.enveloping()
+    inv = tau.inverse().matrix.a
     d = A.dim
-    out = []
-    for (i, j) in env.envelope_pairs:
-        row = inv.a[i]
-        acc = _empty(A.field, m.dim, m.dim)
-        for t in range(d):
-            if row[t] != 0:
-                acc = acc + row[t] * m.action[A.envelope_index(t, j)].a
-        out.append(ExactMatrix(A.field, acc))
-    return Module(env, m.dim, out)
+
+    def terms(g):
+        i, j = divmod(g, d)
+        return [(s * d + j, c) for s, c in _terms(inv[i])]
+    return _substituted(m, terms)
 
 
 def restrict_to_left_factor(m: Module, algebra: BasicAlgebra) -> Module:
     """Restrict a bimodule to its left action, as a right A^op-module."""
-    env = algebra.enveloping()
-    assert m.algebra is env
-    action = [bim_left_action(m, algebra, i) for i in range(algebra.dim)]
-    return Module(algebra.opposite(), m.dim, action)
+    assert m.algebra is algebra.enveloping()
+    op = algebra.opposite()
+    return Module(op, m.dim, {g: bim_left_action(m, algebra, g)
+                              for g in op.generators})
 
 
 def opposite_regular(algebra: BasicAlgebra) -> Module:
     """A as a right module over A^op (that is, A as a left module)."""
     op = algebra.opposite()
-    return Module(op, algebra.dim, list(op.right_mult))
+    return Module(op, algebra.dim, op.right_mult)
 
 
 def dual_module(m: Module) -> Module:
     """k-linear dual, a right module over the opposite algebra (transposes)."""
     op = m.algebra.opposite()
-    return Module(op, m.dim, [mat.T for mat in m.action])
+    return Module(op, m.dim, {g: m.action[g].T for g in op.generators})
 
 
 def submodule(m: Module, rows: ExactMatrix):
@@ -314,10 +364,8 @@ def submodule(m: Module, rows: ExactMatrix):
         s = zero_module(m.algebra)
         return s, ModuleMorphism(s, m, ExactMatrix.zeros(m.algebra.field, 0, m.dim))
     piv = basis.rref()[1]
-    action = []
-    for g in range(m.algebra.dim):
-        img = basis @ m.action[g]
-        action.append(img.take_cols(piv))
+    action = {g: (basis @ m.action[g]).take_cols(piv)
+              for g in m.algebra.generators}
     s = Module(m.algebra, basis.rows, action)
     return s, ModuleMorphism(s, m, basis)
 
@@ -334,7 +382,7 @@ def quotient(m: Module, rows: ExactMatrix):
     fld = m.algebra.field
     eye = ExactMatrix.identity(fld, m.dim)
     if space.rows == 0:
-        q = Module(m.algebra, m.dim, list(m.action))
+        q = Module(m.algebra, m.dim, m.action)
         return q, ModuleMorphism(m, q, eye), eye
     piv = space.rref()[1]
     pivots = set(piv)
@@ -343,7 +391,8 @@ def quotient(m: Module, rows: ExactMatrix):
     proj[keep, list(range(len(keep)))] = 1 if fld.characteristic else Fraction(1)
     proj[list(piv)] = -space.a[:, keep]
     proj = ExactMatrix(fld, proj)
-    action = [m.action[g].take_rows(keep) @ proj for g in range(m.algebra.dim)]
+    action = {g: m.action[g].take_rows(keep) @ proj
+              for g in m.algebra.generators}
     q = Module(m.algebra, len(keep), action)
     return q, ModuleMorphism(m, q, proj), eye.take_rows(keep)
 
@@ -362,8 +411,8 @@ def direct_sum(algebra: BasicAlgebra, parts: list[Module]):
     the ``proj`` decomposition when every part has one."""
     fld = algebra.field
     total = sum(p.dim for p in parts)
-    action = [block_diag(fld, [p.action[g] for p in parts])
-              for g in range(algebra.dim)]
+    action = {g: block_diag(fld, [p.action[g] for p in parts])
+              for g in algebra.generators}
     proj = None
     if all(p.proj is not None for p in parts):
         proj = tuple(c for p in parts for c in p.proj)
@@ -422,16 +471,17 @@ def hom_space(m: Module, n: Module) -> list[ModuleMorphism]:
 def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
     """The map out of a ``proj`` module P that sends the generator e_{c_t} of
     summand t to ``images[t]``, a row of N e_{c_t} (None stands for zero):
-    the path b of e_{c_t}A goes to images[t] . b."""
+    the basis element b of e_{c_t}A goes to images[t] . b, walked along the
+    word of b."""
     A = p.algebra
-    rows = {pos: _path_rows(A, pos) for pos in set(p.proj)}
     mat = _empty(A.field, p.dim, n.dim)
     off = 0
     for pos, y in zip(p.proj, images):
+        rows = A.projective_rows(pos)
         if y is not None:
-            for local_i, k in enumerate(rows[pos]):
-                mat[off + local_i] = (y @ n.action[k]).a[0]
-        off += len(rows[pos])
+            imgs = walk_words(y, [A.word(k) for k in rows], n.action.__getitem__)
+            mat[off: off + len(rows)] = np.concatenate([im.a for im in imgs])
+        off += len(rows)
     return ModuleMorphism(p, n, ExactMatrix(A.field, mat))
 
 
@@ -491,6 +541,12 @@ def top_multiplicities(m: Module):
     Returns a list of (idempotent position, row vector in M) in a fixed
     deterministic order.
     """
+    if m._tops is None:
+        m._tops = _tops(m)
+    return list(m._tops)
+
+
+def _tops(m: Module):
     A = m.algebra
     fld = A.field
     if m.dim == 0:
@@ -527,7 +583,7 @@ def cover_from_tops(m: Module, tops) -> ModuleMorphism:
 def _is_projective(m: Module, tops) -> bool:
     """M is projective iff its cover P -> M (onto) has dim P = dim M."""
     A = m.algebra
-    return m.dim == sum(len(_path_rows(A, pos)) for pos, _ in tops)
+    return m.dim == sum(len(A.projective_rows(pos)) for pos, _ in tops)
 
 
 def _hom_through_cover(m: Module, n: Module, cover: ModuleMorphism):
@@ -626,10 +682,10 @@ def _tensor_side(x: Module, algebra: BasicAlgebra, left: bool):
 
     For the right factor B (``left``): rows[v] is the canonical basis of
     e_v B, arrows[g] for g: u -> w the coordinates of g . rows[w] in rows[u],
-    and other[x][v] those of rows[v] . x.  For the left factor M: rows[v]
-    is the basis of M e_v, arrows[g] the coordinates of rows[u] . g in
-    rows[w], and other[x][v] those of x . rows[v] when M is a bimodule
-    (None for a plain module)."""
+    and other[x][v] those of rows[v] . x for each generator x.  For the left
+    factor M: rows[v] is the basis of M e_v, arrows[g] the coordinates of
+    rows[u] . g in rows[w], and other[x][v] those of x . rows[v] when M is a
+    bimodule (None for a plain module)."""
     key = (left, x.digest())
     side = algebra._tensor_sides.get(key)
     if side is not None:
@@ -645,8 +701,8 @@ def _tensor_side(x: Module, algebra: BasicAlgebra, left: bool):
             arrows[g] = _coords_in(rows[dst], rows[src] @ near(x, algebra, g))
     other = None
     if left or x.algebra is not algebra:
-        acts = (far(x, algebra, y) for y in range(algebra.dim))
-        other = [[_coords_in(r, r @ act) for r in rows] for act in acts]
+        other = {y: [_coords_in(r, r @ far(x, algebra, y)) for r in rows]
+                 for y in algebra.generators}
     side = algebra._tensor_sides[key] = (rows, arrows, other)
     return side
 
@@ -689,13 +745,18 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
             big[offsets[v]: offsets[v + 1], offsets[v]: offsets[v + 1]] = block(v)
         return ExactMatrix(fld, big)
 
+    big_action = {}
     if m_other is not None:
-        big_action = [big_matrix(lambda v: np.kron(m_other[i][v].a, b_other[j][v].a))
-                      for (i, j) in algebra.enveloping().envelope_pairs]
+        # the generator b_i (x) b_j of A^e acts on m (x) y as b_i m (x) y b_j
+        for k in m.algebra.generators:
+            i, j = divmod(k, algebra.dim)
+            big_action[k] = big_matrix(
+                lambda v: np.kron(m_other[i][v].a, b_other[j][v].a))
     else:
         eyes = [_eye_arr(fld, rm) for rm, _ in dims]
-        big_action = [big_matrix(lambda v: np.kron(eyes[v], b_other[g][v].a))
-                      for g in range(algebra.dim)]
+        for g in algebra.generators:
+            big_action[g] = big_matrix(
+                lambda v: np.kron(eyes[v], b_other[g][v].a))
     big_module = Module(m.algebra if m_other is not None else algebra,
                         big_dim, big_action)
 
@@ -787,7 +848,8 @@ def unit_into_tensor(td: TensorData) -> ModuleMorphism:
 def multiply_out_of_tensor(td: TensorData, target: Module) -> ModuleMorphism:
     """The multiplication map M (x)_A B -> target for B a right-twist model
     of the regular bimodule and target the matching right twist of M: the
-    class of m (x) y maps to m . y (plain action of the element y on m)."""
+    class of m (x) y maps to m . y (plain action of the element y on m),
+    the rows of M e_v walked along the word of each basis element of y."""
     algebra = td.base
     fld = algebra.field
     m = td.source
@@ -796,22 +858,16 @@ def multiply_out_of_tensor(td: TensorData, target: Module) -> ModuleMorphism:
         rm, rb = td.m_rows[v].rows, td.b_rows[v].rows
         if rm == 0 or rb == 0:
             continue
+        support = np.nonzero((td.b_rows[v].a != 0).any(axis=0))[0]
+        walked = dict(zip(support, walk_words(
+            td.m_rows[v], [algebra.word(j) for j in support],
+            lambda g: right_action_over(m, algebra, g))))
         base = td.offsets[v]
         for ib in range(rb):
-            y = td.b_rows[v].take_rows([ib])
-            act_y = _plain_act_element(m, algebra, y)
-            img = td.m_rows[v] @ act_y
-            for im in range(rm):
-                big[base + im * rb + ib] = img.a[im]
+            y = td.b_rows[v].a[ib]
+            img = _empty(fld, rm, m.dim)
+            for j in np.nonzero(y)[0]:
+                img = img + y[j] * walked[j].a
+            big[base + ib: base + rm * rb: rb] = img
     mat = td.lift @ ExactMatrix(fld, big)
     return ModuleMorphism(td.module, target, mat)
-
-
-def _plain_act_element(m: Module, algebra: BasicAlgebra, y: ExactMatrix) -> ExactMatrix:
-    """Action of the base-algebra element y on m (module or bimodule)."""
-    acc = _empty(algebra.field, m.dim, m.dim)
-    for j in range(algebra.dim):
-        c = y.a[0, j]
-        if c != 0:
-            acc = acc + c * right_action_over(m, algebra, j).a
-    return ExactMatrix(algebra.field, acc)

@@ -1,6 +1,13 @@
 """Bimodule resolutions over the enveloping algebra, quasi-periodicity
 detection, twist extraction and the spliced exact sequences used to build
-the suspension data."""
+the suspension data.
+
+Bimodules are modules over A^e stored by their generator actions (e_i (x)
+e_j, a (x) e_j and e_i (x) a), and each projective cover is a direct sum of
+A e_i (x) e_j A built from A's own multiplication blocks, so no dense A^e is
+ever formed.  Before a cover is built, ``BimoduleResolution.extend``
+estimates the memory of its generator actions and stops with
+``ResourceBoundExceeded`` above MEMORY_BOUND."""
 
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from .algebra import (
     identity_automorphism,
     verify_automorphism,
 )
-from .fields import ExactMatrix, LinearAlgebraError
+from .fields import ExactMatrix
 from .modules import (
     Module,
     ModuleMorphism,
@@ -25,7 +32,9 @@ from .modules import (
     left_twist,
     opposite_regular,
     restrict_to_left_factor,
+    top_multiplicities,
     twisted_bimodule,
+    walk_words,
 )
 from .homology import syzygy
 
@@ -39,7 +48,8 @@ class UndecidedIsomorphismError(RuntimeError):
     more than ENUMERATION_BOUND vectors to decide whether a twist is inner."""
 
 
-DIM_GUARD = 10_000         # largest bimodule syzygy the resolution extends
+MEMORY_BOUND = 1 << 30     # bytes the next cover's generator actions may take
+FRACTION_BYTES = 112       # 8-byte pointer, 48-byte Fraction, two 28-byte ints
 ORDER_BOUND = 64           # twist orders (and period multiples) scanned
 MAX_INNER_TESTS = 40       # monomial candidates tested by normalize_twist
 ENUMERATION_BOUND = 1 << 16  # vectors is_inner may enumerate for small p
@@ -61,10 +71,7 @@ class BimoduleResolution:
     def extend(self, up_to: int) -> None:
         while len(self.syzygies) < up_to:
             prev = self.syzygies[-1] if self.syzygies else self.regular
-            if prev.dim > DIM_GUARD:
-                raise ResourceBoundExceeded(
-                    f"bimodule syzygy dimension {prev.dim} exceeds guard"
-                )
+            _check_cover_memory(prev)
             k, inc, P, pi = syzygy(prev)
             if self.syzygies:
                 d = ModuleMorphism(P, self.terms[-1],
@@ -75,6 +82,22 @@ class BimoduleResolution:
             self.differentials.append(d)
             self.syzygies.append(k)
             self.inclusions.append(inc)
+
+
+def _check_cover_memory(m: Module) -> None:
+    """Refuse to build the projective cover of m when its generator actions
+    alone, #generators(A^e) dense matrices of size dim P x dim P, would take
+    more than MEMORY_BOUND bytes (8 per int64 entry, FRACTION_BYTES per
+    rational entry)."""
+    env = m.algebra
+    size = sum(len(env.projective_rows(pos)) for pos, _ in top_multiplicities(m))
+    per_entry = 8 if env.field.characteristic else FRACTION_BYTES
+    estimate = len(env.generators) * size * size * per_entry
+    if estimate > MEMORY_BOUND:
+        raise ResourceBoundExceeded(
+            f"the next bimodule cover has dimension {size}; its "
+            f"{len(env.generators)} generator actions need an estimated "
+            f"{estimate} bytes, above the bound of {MEMORY_BOUND} bytes")
 
 
 def bimodule_resolution(algebra: BasicAlgebra) -> BimoduleResolution:
@@ -111,21 +134,18 @@ def detect_twist(algebra: BasicAlgebra, m: Module) -> TwistWitness | None:
     if phi is None:
         return None
     g = algebra.unit() @ phi.matrix  # image of 1: a free left generator of M
-    rows = []
-    phi_inv = phi.matrix.inv()
-    for j in range(algebra.dim):
-        gj = g @ bim_right_action(m, algebra, j)
-        rows.append((gj @ phi_inv).a[0])
-    sigma_matrix = ExactMatrix(algebra.field, np.stack(rows))
+    # row j: the coordinates of g . b_j in the left basis g . b_k
+    images = walk_words(g, [algebra.word(j) for j in range(algebra.dim)],
+                        lambda x: bim_right_action(m, algebra, x))
+    sigma_matrix = ExactMatrix(algebra.field, np.concatenate(
+        [im.a for im in images])) @ phi.matrix.inv()
     if not sigma_matrix.is_invertible():
         # no free generator induces an invertible twist, so none does
         return None
     sigma = verify_automorphism(algebra, sigma_matrix)
     tw = twisted_bimodule(algebra, sigma)
     witness = ModuleMorphism(tw, m, phi.matrix)
-    for gidx in algebra.enveloping().generators:
-        if tw.action[gidx] @ witness.matrix != witness.matrix @ m.action[gidx]:
-            raise LinearAlgebraError("twist witness is not a bimodule map")
+    witness.verify()  # a bimodule map: it intertwines the A^e generators
     # pin the representative of smallest matrix order within the inner class
     sigma, witness = normalize_twist(algebra, sigma, witness)
     return TwistWitness(sigma, witness)

@@ -99,6 +99,15 @@ def disjoint_loops_text(p):
                       for k in (1, 2, 3)]})
 
 
+def radical_indices(A):
+    """The basis elements spanning rad A; over A^e, the b_k (x) b_l with b_k
+    or b_l in the radical of the base algebra."""
+    if not hasattr(A, "base"):
+        return A.radical
+    d, triv = A.base.dim, set(A.base.idempotents)
+    return [k for k in range(A.dim) if k // d not in triv or k % d not in triv]
+
+
 def fingerprint(m):
     """Iso-invariant fingerprint: per-idempotent dims, radical series, socle
     data and top multiplicities."""
@@ -108,14 +117,15 @@ def fingerprint(m):
 
     A = m.algebra
     fld = A.field
+    radical = radical_indices(A)
     vertices = range(len(A.idempotents))
     per_vertex = tuple(m.idempotent_image(pos).rows for pos in vertices)
     series = []
-    cur = row_space(stack_rows(fld, [m.action[j] for j in A.radical])) \
-        if A.radical else ExactMatrix.zeros(fld, 0, m.dim)
+    cur = row_space(stack_rows(fld, [m.action[j] for j in radical])) \
+        if radical else ExactMatrix.zeros(fld, 0, m.dim)
     while cur.rows:
         series.append(cur.rows)
-        nxt = row_space(stack_rows(fld, [cur @ m.action[j] for j in A.radical]))
+        nxt = row_space(stack_rows(fld, [cur @ m.action[j] for j in radical]))
         if nxt.rows == cur.rows:
             break
         cur = nxt
@@ -127,8 +137,8 @@ def fingerprint(m):
     soc_per_vertex = tuple(row_space(soc @ m.action[A.idempotents[pos]]).rows
                            for pos in vertices)
     top = ExactMatrix.identity(fld, m.dim)
-    if A.radical:
-        rad = row_space(stack_rows(fld, [m.action[j] for j in A.radical]))
+    if radical:
+        rad = row_space(stack_rows(fld, [m.action[j] for j in radical]))
         top = row_space(reduce_rows_mod(rad, top))
     top_per_vertex = tuple(
         row_space(top @ m.action[A.idempotents[pos]]).rows if top.rows else 0
@@ -190,14 +200,14 @@ def quotient_oracle(m, rows):
     fld = m.algebra.field
     eye = ExactMatrix.identity(fld, m.dim)
     if space.rows == 0:
-        q = Module(m.algebra, m.dim, list(m.action))
+        q = Module(m.algebra, m.dim, m.action)
         return q, ModuleMorphism(m, q, eye), eye
     piv = set(space.rref()[1])
     keep = [j for j in range(m.dim) if j not in piv]
     reduced = reduce_rows_mod(space, eye)
     proj = reduced.take_cols(keep)
     lift = eye.take_rows(keep)
-    action = [lift @ m.action[g] @ proj for g in range(m.algebra.dim)]
+    action = {g: lift @ m.action[g] @ proj for g in m.algebra.generators}
     q = Module(m.algebra, len(keep), action)
     return q, ModuleMorphism(m, q, proj), lift
 
@@ -269,19 +279,20 @@ def tensor_module_oracle(m, b, algebra):
         return ExactMatrix(fld, big)
 
     live = [v for v in range(n_vert) if m_rows[v].rows and b_rows[v].rows]
-    big_action = []
+    big_action = {}
     if m_is_bim:
-        for (i, j) in algebra.enveloping().envelope_pairs:
-            big_action.append(big_matrix([(v, np.kron(
+        for k in m.algebra.generators:
+            i, j = divmod(k, algebra.dim)
+            big_action[k] = big_matrix([(v, np.kron(
                 _coords_in(m_rows[v], m_rows[v] @ bim_left_action(m, algebra, i)).a,
                 _coords_in(b_rows[v], b_rows[v] @ bim_right_action(b, algebra, j)).a))
-                for v in live]))
+                for v in live])
     else:
-        for g in range(algebra.dim):
-            big_action.append(big_matrix([(v, np.kron(
+        for g in algebra.generators:
+            big_action[g] = big_matrix([(v, np.kron(
                 _eye_arr(fld, m_rows[v].rows),
                 _coords_in(b_rows[v], b_rows[v] @ bim_right_action(b, algebra, g)).a))
-                for v in live]))
+                for v in live])
     big_module = Module(m.algebra if m_is_bim else algebra, big_dim, big_action)
     rel = (stack_rows(fld, rel_rows) if rel_rows
            else ExactMatrix.zeros(fld, 0, big_dim))
@@ -301,3 +312,75 @@ def nakayama_text(n, s, p):
                  for k in range(n)]
     return json.dumps({"field": p, "vertices": [str(k + 1) for k in range(n)],
                        "arrows": arrows, "relations": relations})
+
+
+def dense_enveloping(A):
+    """A^e = A^op (x) A as a dense BasicAlgebra: one d^2 x d^2 right
+    multiplication matrix kron(L_k, R_l) per basis pair (k, l), with
+    (a (x) b)(a' (x) b') = (a'a) (x) (bb').  The construction the program
+    used before it kept A^e as index bookkeeping, kept as an oracle."""
+    import numpy as np
+
+    from nangulator.algebra import BasicAlgebra
+    from nangulator.fields import ExactMatrix
+
+    d = A.dim
+    pairs = [(i, j) for i in range(d) for j in range(d)]
+    right = [ExactMatrix(A.field, np.kron(A.left_mult(k).a, A.right_mult[l].a))
+             for (k, l) in pairs]
+    idem_pairs = [(i, j) for i in A.idempotents for j in A.idempotents]
+    idem = [i * d + j for (i, j) in idem_pairs]
+    idem_pos = {pr: t for t, pr in enumerate(idem_pairs)}
+    lu, ru = [], []
+    for (i, j) in pairs:
+        # (e_u (x) e_v) . (b_i (x) b_j) = (b_i e_u) (x) (e_v b_j)
+        u = A.idempotents[A.right_unit_of[i]]
+        v = A.idempotents[A.left_unit_of[j]]
+        lu.append(idem_pos[(u, v)])
+        u2 = A.idempotents[A.left_unit_of[i]]
+        v2 = A.idempotents[A.right_unit_of[j]]
+        ru.append(idem_pos[(u2, v2)])
+    triv = set(A.idempotents)
+    rad = [i * d + j for (i, j) in pairs if i not in triv or j not in triv]
+    arrows = [g for g in A.generators if g not in triv]
+    rad_gens = [a * d + e for a in arrows for e in A.idempotents]
+    rad_gens += [e * d + a for e in A.idempotents for a in arrows]
+    return BasicAlgebra(
+        field=A.field,
+        labels=[f"{A.labels[i]}(x){A.labels[j]}" for i, j in pairs],
+        right_mult=right,
+        idempotents=idem,
+        left_unit_of=lu,
+        right_unit_of=ru,
+        radical=rad,
+        radical_right_generators=rad_gens,
+        generators=idem + rad_gens,
+        name=f"{A.name}^e",
+    )
+
+
+def verify_module_axioms(m, exhaustive=True):
+    """Raise LinearAlgebraError unless the idempotents of m's algebra act
+    with sum the identity and every pair of basis elements (or of
+    generators) acts as its product does, read off the dense structure
+    constants (``dense_enveloping`` for a bimodule)."""
+    from nangulator.fields import ExactMatrix, LinearAlgebraError
+
+    A = m.algebra
+    dense = dense_enveloping(A.base) if hasattr(A, "base") else A
+
+    def acting(coords):
+        acc = ExactMatrix.zeros(A.field, m.dim, m.dim)
+        for k, c in enumerate(coords):
+            if c != 0:
+                acc = acc + m.action[k].scale(c)
+        return acc
+
+    unit = [1 if k in A.idempotents else 0 for k in range(A.dim)]
+    if acting(unit) != ExactMatrix.identity(A.field, m.dim):
+        raise LinearAlgebraError("unit does not act as identity")
+    idx = range(A.dim) if exhaustive else A.generators
+    for i in idx:
+        for j in idx:
+            if m.action[i] @ m.action[j] != acting(dense.right_mult[j].a[i]):
+                raise LinearAlgebraError(f"action violates product at ({i}, {j})")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import load_fixture
+from conftest import dense_enveloping, load_fixture
 
 from nangulator.algebra import (
     AutomorphismError,
@@ -76,7 +76,7 @@ def test_unit_is_sum_of_orthogonal_idempotents():
 
 def test_enveloping_dimension_and_associativity():
     A, _ = load_fixture("nakayama_2_2")
-    env = A.enveloping()
+    env = dense_enveloping(A)
     assert env.dim == A.dim ** 2 == 16
     env.verify_associativity()  # all 16^3 triples
     env.verify_idempotents()

@@ -162,6 +162,7 @@ def test_angulate_emit_matches_golden_dump(name, m):
     "nakayama_4_3",   # a lower-order candidate replaces the twist
     "preproj_a3",     # the same on the fixture, with commutativity relations
     "nakayama_5_4",   # dim 20: the twist is a vertex permutation
+    "nakayama_6_4",   # dim 24: a cyclic twist of order 3, period 6
 ])
 def test_period_payload_matches_golden_dump(name):
     # freezes which representative of the twist's inner class is reported
@@ -225,3 +226,32 @@ def test_internal_fault_exits_70_from_main(monkeypatch, capsys):
     assert exc.value.code == 70
     err = capsys.readouterr().err
     assert "Traceback" in err and "comparison ladder start failed" in err
+
+
+def test_memory_guard_exits_one_naming_the_estimate(monkeypatch, capsys):
+    from nangulator import periodicity
+    from nangulator.cli import run_cli
+
+    path = str(FIXTURES / "nakayama_2_2.json")
+    assert run_cli(["period", path]) == 0
+    monkeypatch.setattr(periodicity, "MEMORY_BOUND", 1000)
+    assert run_cli(["period", path]) == 1
+    err = capsys.readouterr().err
+    # the first cover, A e_1 (x) e_1 A (+) A e_2 (x) e_2 A, has dimension
+    # 2 * 2 * 2 = 8; A^e has 4 + 2 * 2 * 2 = 12 generators; 8 bytes an entry
+    assert err.startswith("error: ") and "6144 bytes" in err
+
+
+def test_period_on_dimension_20_stays_small_in_memory(capsys):
+    import tracemalloc
+
+    from nangulator.cli import run_cli
+
+    path = pathlib.Path(__file__).parent / "golden" / "nakayama_5_4.algebra.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["period", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -219,3 +219,48 @@ def test_reduced_matrices_match_a_fresh_elimination(p, monkeypatch):
         for d in derived:
             assert d._pivots is None
             assert d.rref() == ExactMatrix(field, d.a).rref()
+
+
+def _full_width_eliminate(p, a):
+    """Gauss-Jordan elimination that updates every column at each pivot:
+    the elimination ``fields._eliminate`` did before it skipped the columns
+    left of the pivot, kept as an oracle."""
+    a = a.copy()
+    a.flags.writeable = True
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        if p:
+            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+            col = a[:, c].copy()
+            col[r] = 0
+            a = (a - np.outer(col, a[r])) % p
+        else:
+            a[r] = a[r] * (Fraction(1) / a[r, c])
+            col = a[:, c].copy()
+            col[r] = Fraction(0)
+            a = a - np.outer(col, a[r])
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
+def test_rref_matches_full_width_elimination(p):
+    import random
+
+    field = FieldSpec(p)
+    for x in _random_matrices(field, random.Random(100 + p)):
+        want, want_piv = _full_width_eliminate(p, x.a)
+        r, piv = x.rref()
+        assert piv == want_piv
+        assert r == ExactMatrix(field, want)

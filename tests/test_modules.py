@@ -14,6 +14,7 @@ from conftest import (
     quotient_oracle,
     search_iso,
     tensor_module_oracle,
+    verify_module_axioms,
 )
 
 from nangulator import homology, modules, periodicity
@@ -67,9 +68,10 @@ def test_projective_dimensions():
 def test_modules_satisfy_axioms_exhaustively():
     A, _ = load_fixture("nakayama_2_2")
     for pos in range(2):
-        projective_module(A, pos).verify_axioms(exhaustive=True)
-    regular_module(A).verify_axioms(exhaustive=True)
-    twisted_bimodule(A, identity_automorphism(A)).verify_axioms(exhaustive=False)
+        verify_module_axioms(projective_module(A, pos), exhaustive=True)
+    verify_module_axioms(regular_module(A), exhaustive=True)
+    verify_module_axioms(twisted_bimodule(A, identity_automorphism(A)),
+                         exhaustive=False)
 
 
 def test_regular_twisted_bimodule_actions_are_left_right_composites():
