@@ -69,9 +69,6 @@ class BasicAlgebra:
     _left_mult: list | None = dc_field(default=None, repr=False)
     _opposite: object = dc_field(default=None, repr=False)
     _enveloping: object = dc_field(default=None, repr=False)
-    # tensor_module's data of each module and bimodule, keyed by digest
-    _tensor_sides: dict = dc_field(default_factory=dict, repr=False,
-                                   compare=False)
 
     @property
     def dim(self) -> int:

@@ -6,9 +6,15 @@ checks (N1c, N2, N3, N4).
 
 The suspension is realized by action substitution (precomposing every action
 matrix with a power of the twist), which is a strict and strictly invertible
-endofunctor; the tensor description it models is checked against it in the
-test suite.  Morphism matrices are therefore literally reused under
+endofunctor.  Morphism matrices are therefore literally reused under
 suspension, which makes rotation a bitwise-invertible operation.
+
+Each functor X^k = - (x)_A B_k of the sequence is evaluated directly: B_k is
+a projective bimodule Q = (+) A e_u (x) e_v A whose left action is twisted by
+an automorphism tau, so M (x)_A B_k = (+) M'e_u (x) e_v A with M' the right
+twist of M by tau.  X^k(M) is the standard projective with one copy of e_vA
+per basis row of M'e_u, and every map out of it is given by the images of
+its summand generators.
 """
 
 from __future__ import annotations
@@ -18,27 +24,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Automorphism, BasicAlgebra
-from .fields import ExactMatrix, LinearAlgebraError
+from .fields import ExactMatrix, LinearAlgebraError, _empty
 from .homology import Homology, cosyzygy_morphism, rank_exactness
 from .modules import (
     Module,
     ModuleMorphism,
-    TensorData,
     _coords_in,
+    _terms,
     direct_sum,
     hom_space,
     identity_morphism,
     kernel_of,
     cokernel_of,
-    multiply_out_of_tensor,
+    map_from_generators,
     pullback,
     right_twist,
     left_twist,
-    tensor_module,
-    tensor_morphism_left,
-    tensor_morphism_right,
+    standard_projective,
     twisted_bimodule,
-    unit_into_tensor,
     zero_morphism,
 )
 from .periodicity import PeriodicityReport, iterated_sequence
@@ -53,7 +56,9 @@ class Suspension:
     """The suspension functor on modules: right-twist by sigma^{-m}.
 
     Strictly functorial and strictly invertible: objects are re-actioned,
-    morphism matrices are unchanged.
+    morphism matrices are unchanged.  Each direction returns one module per
+    input content, so a suspended module keeps its derived actions,
+    idempotent images and top.
     """
 
     algebra: BasicAlgebra
@@ -63,12 +68,14 @@ class Suspension:
     def __post_init__(self):
         self.twist = self.sigma.power(-self.copies)
         self.twist_inverse = self.sigma.power(self.copies)
+        self._applied: dict[bytes, Module] = {}
+        self._unapplied: dict[bytes, Module] = {}
 
     def apply(self, m: Module) -> Module:
-        return right_twist(m, self.twist)
+        return _twist_once(self._applied, m.digest(), m, self.twist)
 
     def unapply(self, m: Module) -> Module:
-        return right_twist(m, self.twist_inverse)
+        return _twist_once(self._unapplied, m.digest(), m, self.twist_inverse)
 
     def apply_morphism(self, f: ModuleMorphism) -> ModuleMorphism:
         return ModuleMorphism(self.apply(f.source), self.apply(f.target), f.matrix)
@@ -80,11 +87,75 @@ class Suspension:
     def is_identity(self) -> bool:
         return self.twist.is_identity()
 
-    def verify_invertibility(self, m: Module) -> bool:
-        back = self.unapply(self.apply(m))
-        return back.dim == m.dim and all(
-            back.action[g] == m.action[g] for g in range(self.algebra.dim)
-        )
+
+def _twist_once(cache: dict, key: bytes, m: Module, tau: Automorphism) -> Module:
+    """right_twist(m, tau), built once per key and kept in cache."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = right_twist(m, tau)
+    return hit
+
+
+def _summand_generators(q: Module) -> list[tuple[int, int, int]]:
+    """(u, v, row of the generator e_u (x) e_v) of each summand
+    A e_u (x) e_v A of a ``proj`` bimodule, in order."""
+    env = q.algebra
+    A = env.base
+    out, off = [], 0
+    for pos in q.proj:
+        u, v = divmod(pos, len(A.idempotents))
+        left, right = env.projective_factors(pos)
+        out.append((u, v, off + left.index(A.idempotents[u]) * len(right)
+                    + right.index(A.idempotents[v])))
+        off += len(left) * len(right)
+    return out
+
+
+def _tensor_rows(twisted: Module, q: Module, rows: ExactMatrix,
+                 elem: ExactMatrix) -> ExactMatrix:
+    """x (x) elem for each row x of M', with elem = sum c x_a (x) y_b an
+    element of the cover Q = (+)_t A e_{u_t} (x) e_{v_t} A: the row
+    sum c (x . x_a) (x) y_b of (+)_t M'e_{u_t} (x) e_{v_t} A, where x . x_a
+    (the action of M') is written in the basis of M'e_{u_t}."""
+    env = q.algebra
+    fld = env.field
+    blocks, off = [], 0
+    for pos in q.proj:
+        left, right = env.projective_factors(pos)
+        basis = twisted.idempotent_image(pos // len(env.base.idempotents))
+        piv = basis.rref()[1]
+        coeffs = elem.a[0, off: off + len(left) * len(right)].reshape(
+            len(left), len(right))
+        block = _empty(fld, rows.rows, basis.rows * len(right))
+        for a in np.nonzero((coeffs != 0).any(axis=1))[0]:
+            moved = (rows @ twisted.action[left[a]]).take_cols(piv)
+            block = block + np.kron(moved.a, coeffs[a: a + 1])
+        blocks.append(block)
+        off += len(left) * len(right)
+    return ExactMatrix(fld, np.concatenate(blocks, axis=1))
+
+
+@dataclass
+class TensorTerm:
+    """X(M) = M (x)_A B for B the left twist of a ``proj`` bimodule Q by
+    tau: ``module`` is the standard projective (+)_s M'e_{u_s} (x) e_{v_s}A,
+    M' = right_twist(M, tau), and ``generators[s]`` the basis rows of
+    M'e_{u_s} (vectors of M), whose tensors with e_{u_s} (x) e_{v_s} are
+    the summand generators, in order."""
+
+    module: Module
+    twisted: Module
+    cover: Module
+    generators: list[ExactMatrix]
+
+    def map_out(self, target: Module, images_of) -> ModuleMorphism:
+        """The map to target sending the generators of summand s to the
+        rows of images_of(s, generators[s])."""
+        images = []
+        for s, gens in enumerate(self.generators):
+            rows = images_of(s, gens)
+            images.extend(rows.take_rows([i]) for i in range(rows.rows))
+        return map_from_generators(self.module, target, images)
 
 
 @dataclass
@@ -92,63 +163,67 @@ class FunctorSequence:
     """The exact sequence of exact endofunctors 0 -> Id -> X^1 -> ... ->
     X^N -> suspension -> 0, realized by bimodules B_1..B_N with connecting
     maps, a unit out of the regular bimodule and a counit into the twisted
-    bimodule model of the suspension."""
+    bimodule model of the suspension.
+
+    ``covers[i]`` = (Q_i, tau_i) with Q_i a ``proj`` bimodule and
+    B_i = left_twist(Q_i, tau_i); the counit's target is
+    twisted_bimodule(A, end_twist).  Terms and maps are computed from these
+    alone; only the "suspended" entry of a value comes from ``suspension``."""
 
     algebra: BasicAlgebra
     engine: Homology
     suspension: Suspension
     length: int
     bimodules: list[Module]
+    covers: list[tuple[Module, Automorphism]]
+    end_twist: Automorphism
     connecting: list[ModuleMorphism]     # B_i -> B_{i+1}
     unit_map: ModuleMorphism             # regular bimodule -> B_1
     counit_map: ModuleMorphism           # B_N -> twisted model
-    regular: Module
-    twisted_end: Module
 
     def __post_init__(self):
-        self._tensor_cache: dict[tuple, TensorData] = {}
+        self._summands = [_summand_generators(q) for q, _ in self.covers]
         self._value_cache: dict[bytes, dict] = {}
         self._alpha_cache: dict[bytes, ModuleMorphism] = {}
 
-    def _tensor(self, m: Module, which: int) -> TensorData:
-        # which: 0 = regular, 1..N = bimodules, N+1 = twisted end
-        key = (m.digest(), which)
-        td = self._tensor_cache.get(key)
-        if td is None:
-            if which == 0:
-                b = self.regular
-            elif which == self.length + 1:
-                b = self.twisted_end
-            else:
-                b = self.bimodules[which - 1]
-            td = tensor_module(m, b, self.algebra)
-            self._tensor_cache[key] = td
-        return td
-
     def evaluate(self, m: Module) -> dict:
         """The sequence 0 -> M -> X_1(M) -> ... -> X_N(M) -> Suspension(M) -> 0
-        evaluated at a module: returns dict with terms, maps, unit, counit."""
+        evaluated at a module: returns dict with terms, maps, unit, counit
+        and the ``TensorTerm`` of each X_k(M)."""
         key = m.digest()
         val = self._value_cache.get(key)
         if val is not None:
             return val
-        tds = [self._tensor(m, i) for i in range(1, self.length + 1)]
-        terms = [td.module for td in tds]
-        maps = [
-            tensor_morphism_right(tds[i], tds[i + 1], self.connecting[i])
-            for i in range(self.length - 1)
-        ]
-        td_reg = self._tensor(m, 0)
-        unit = unit_into_tensor(td_reg).then(
-            tensor_morphism_right(td_reg, tds[0], self.unit_map)
-        )
-        td_end = self._tensor(m, self.length + 1)
-        sus = self.suspension.apply(m)
-        counit = tensor_morphism_right(tds[-1], td_end, self.counit_map).then(
-            multiply_out_of_tensor(td_end, sus)
-        )
-        val = {"terms": terms, "maps": maps, "unit": unit, "counit": counit,
-               "suspended": sus, "module": m}
+        twisted: dict[bytes, Module] = {}   # M' per twist
+        tensors = []
+        for (q, tau), summands in zip(self.covers, self._summands):
+            mt = _twist_once(twisted, tau.matrix.digest(), m, tau)
+            gens = [mt.idempotent_image(u) for u, _, _ in summands]
+            copies = [v for (_, v, _), g in zip(summands, gens)
+                      for _ in range(g.rows)]
+            tensors.append(TensorTerm(standard_projective(self.algebra, copies),
+                                      mt, q, gens))
+        maps = []
+        for k, d in enumerate(self.connecting):
+            src, dst = tensors[k], tensors[k + 1]
+            gen_rows = [row for _, _, row in self._summands[k]]
+            maps.append(src.map_out(dst.module, lambda s, gens: _tensor_rows(
+                dst.twisted, dst.cover, gens, d.matrix.row(gen_rows[s]))))
+        first = tensors[0]
+        xi = self.algebra.unit() @ self.unit_map.matrix  # the image of 1
+        unit = ModuleMorphism(m, first.module, _tensor_rows(
+            first.twisted, first.cover,
+            ExactMatrix.identity(self.algebra.field, m.dim), xi))
+        # m (x) y in M (x)_A twisted_bimodule(end_twist) goes to m . y
+        end = _twist_once(twisted, self.end_twist.matrix.digest(), m,
+                          self.end_twist)
+        last_rows = [row for _, _, row in self._summands[-1]]
+        counit = tensors[-1].map_out(end, lambda s, gens: gens @ m.combination(
+            _terms(self.counit_map.matrix.a[last_rows[s]])))
+        val = {"terms": [t.module for t in tensors], "maps": maps,
+               "unit": unit, "counit": counit,
+               "suspended": self.suspension.apply(m), "module": m,
+               "tensors": tensors}
         self._value_cache[key] = val
         return val
 
@@ -175,8 +250,12 @@ def functor_sequence(engine: Homology, report: PeriodicityReport,
     spliced = iterated_sequence(report, m)
     sus = suspension(algebra, report.twist, m)
     inv_m = report.twist.power(-m)
-    # B_i = left twist of Q_{N+1-i}; differentials keep their matrices
+    # B_i = left twist of Q_{N+1-i}; differentials keep their matrices.  The
+    # spliced term Q_j of copy c = j // n is the base term left-twisted by
+    # sigma^c, so B_i is that base term left-twisted by sigma^(c - m)
     bims = [left_twist(spliced.terms[total - i], inv_m) for i in range(1, total + 1)]
+    covers = [(report.resolution.terms[j % n], report.twist.power(j // n - m))
+              for j in range(total - 1, -1, -1)]
     connecting = []
     for i in range(1, total):
         mat = spliced.differentials[total - i].matrix
@@ -188,8 +267,8 @@ def functor_sequence(engine: Homology, report: PeriodicityReport,
     twisted_end = twisted_bimodule(algebra, inv_m)
     counit_mat = spliced.differentials[0].matrix @ inv_m.matrix
     counit_map = ModuleMorphism(bims[-1], twisted_end, counit_mat)
-    return FunctorSequence(algebra, engine, sus, total, bims, connecting,
-                           unit_map, counit_map, regular, twisted_end)
+    return FunctorSequence(algebra, engine, sus, total, bims, covers, inv_m,
+                           connecting, unit_map, counit_map)
 
 
 @dataclass
@@ -486,8 +565,7 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
     iota_c = res_c.steps[0].include
     fld = algebra.field
     sum_rows = np.concatenate(
-        [np.zeros((c_mod.dim, h.source.dim), dtype=iota_c.matrix.a.dtype),
-         iota_c.matrix.a], axis=1)
+        [_empty(fld, c_mod.dim, h.source.dim), iota_c.matrix.a], axis=1)
     # the pullback's embedding into the ambient sum, as RREF rows
     incl_basis = ExactMatrix(fld, np.concatenate(
         [leg_sus.matrix.a, leg_hull.matrix.a], axis=1))
@@ -565,12 +643,17 @@ def _verify_angle_morphism(x: AngleSequence, y: AngleSequence, comps) -> None:
 
 
 def angle_functor_morphism(seq: FunctorSequence, h: ModuleMorphism):
-    """The morphism of standard angles induced by a module map."""
+    """The morphism of standard angles induced by a module map: on X_k it
+    sends the generator x (x) e_u (x) e_v to h(x) (x) e_u (x) e_v."""
+    fld = seq.algebra.field
     comps = []
-    for i in range(seq.length):
-        td_src = seq._tensor(h.source, i + 1)
-        td_dst = seq._tensor(h.target, i + 1)
-        comps.append(tensor_morphism_left(td_src, td_dst, h))
+    pairs = zip(seq.evaluate(h.source)["tensors"],
+                seq.evaluate(h.target)["tensors"])
+    for summands, (src, dst) in zip(seq._summands, pairs):
+        units = ExactMatrix.identity(fld, dst.cover.dim)
+        comps.append(src.map_out(dst.module, lambda s, gens: _tensor_rows(
+            dst.twisted, dst.cover, gens @ h.matrix,
+            units.row(summands[s][2]))))
     return comps
 
 
@@ -666,10 +749,7 @@ def mapping_cone(x: AngleSequence, y: AngleSequence, comps) -> AngleSequence:
         bot_g = y.maps[i]
         rows = shifted[i].dim + y.objects[i].dim
         cols = top_f.target.dim + bot_g.target.dim
-        big = np.zeros((rows, cols), dtype=np.int64)
-        if not fld.characteristic:
-            big = big.astype(object)
-            big[...] = __import__("fractions").Fraction(0)
+        big = _empty(fld, rows, cols)
         big[: shifted[i].dim, : top_f.target.dim] = (-top_f.matrix).a
         big[: shifted[i].dim, top_f.target.dim:] = mid_phi.matrix.a
         big[shifted[i].dim:, top_f.target.dim:] = bot_g.matrix.a
@@ -710,12 +790,7 @@ def periodic_homotopy(x: AngleSequence, y: AngleSequence, targets,
     eq_off = [0]
     for i in range(n):
         eq_off.append(eq_off[-1] + x.objects[i].dim * y.objects[i].dim)
-    blocks = np.zeros((total, eq_off[-1]), dtype=np.int64)
-    if not fld.characteristic:
-        from fractions import Fraction
-
-        blocks = blocks.astype(object)
-        blocks[...] = Fraction(0)
+    blocks = _empty(fld, total, eq_off[-1])
     for i in range(n):
         # term h_i then g_{i-1}; for i = 1 the matrix of g_0 is that of g_n
         g_prev_mat = (y.maps[-1] if i == 0 else y.maps[i - 1]).matrix

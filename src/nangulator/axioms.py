@@ -8,7 +8,7 @@ serialized with full matrices so it can be replayed offline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,13 +141,9 @@ def sample_commuting_square(eng: Homology, x: AngleSequence, y: AngleSequence,
     phi2 = zero_morphism(x.objects[1], y.objects[1])
     if space.rows == 0:
         return phi1, phi2
-    p = fld.characteristic
-    from fractions import Fraction
-
     coeff = None
     for r in range(space.rows):
-        c = rng.randrange(p) if p else Fraction(rng.randrange(-4, 5))
-        row = space.take_rows([r]).scale(c)
+        row = space.take_rows([r]).scale(fld.random(rng))
         coeff = row if coeff is None else coeff + row
     for i, h in enumerate(h1):
         c = coeff.a[0, i]
@@ -270,9 +266,4 @@ def corrupted_suspension_sequence(seq: FunctorSequence) -> FunctorSequence:
 
     bad = Suspension(seq.algebra, seq.suspension.sigma,
                      seq.suspension.copies + 1)
-    out = FunctorSequence(
-        seq.algebra, seq.engine, bad, seq.length, seq.bimodules,
-        seq.connecting, seq.unit_map, seq.counit_map, seq.regular,
-        seq.twisted_end,
-    )
-    return out
+    return replace(seq, suspension=bad)

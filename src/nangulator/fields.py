@@ -82,6 +82,12 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1, 1) / Fraction(x)
 
+    def random(self, rng):
+        """A seeded random coefficient: uniform on F_p, uniform on the
+        integers -4..4 over Q (one draw of rng either way)."""
+        p = self.characteristic
+        return rng.randrange(p) if p else Fraction(rng.randrange(-4, 5))
+
     def elements(self):
         """All field elements; only available for prime fields."""
         if not self.characteristic:
@@ -401,7 +407,3 @@ def reduce_rows_mod(space: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:
         else:
             out = out - np.outer(coeff, r.a[row_idx])
     return ExactMatrix(space.field, out)
-
-
-def member_of_row_space(space: ExactMatrix, vec: ExactMatrix) -> bool:
-    return reduce_rows_mod(space, vec).is_zero()

@@ -193,9 +193,6 @@ class Homology:
     def stable_equal(self, f: ModuleMorphism, g: ModuleMorphism) -> bool:
         return self.factors_through_injective(f - g) is not None
 
-    def stable_zero(self, f: ModuleMorphism) -> bool:
-        return self.factors_through_injective(f) is not None
-
     def stable_inverse(self, f: ModuleMorphism):
         """A module map g with fg and gf stably equal to the identities, or
         None when f is not a stable isomorphism."""

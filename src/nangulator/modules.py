@@ -273,11 +273,6 @@ def projective_module(algebra, pos: int) -> Module:
     return Module(algebra, len(rows), action, (pos,))
 
 
-def regular_module(algebra: BasicAlgebra) -> Module:
-    """The algebra as a right module over itself."""
-    return Module(algebra, algebra.dim, algebra.right_mult)
-
-
 def standard_projective(algebra: BasicAlgebra, copies: list[int]) -> Module:
     """Direct sum of indecomposable projectives in the given vertex order;
     its ``proj`` is ``tuple(copies)``."""
@@ -510,11 +505,9 @@ def random_hom(rng: random.Random, homs: list[ModuleMorphism],
     if not homs:
         return zero_morphism(m, n)
     fld = m.algebra.field
-    p = fld.characteristic
     out = None
     for h in homs:
-        c = rng.randrange(p) if p else Fraction(rng.randrange(-4, 5))
-        term = h.scale(c)
+        term = h.scale(fld.random(rng))
         out = term if out is None else out + term
     return out
 
@@ -677,8 +670,7 @@ class TensorData:
 
 
 def _tensor_side(x: Module, algebra: BasicAlgebra, left: bool):
-    """What ``tensor_module`` needs of one factor, built once per algebra
-    and factor (keyed by digest): (rows, arrows, other).
+    """What ``tensor_module`` needs of one factor: (rows, arrows, other).
 
     For the right factor B (``left``): rows[v] is the canonical basis of
     e_v B, arrows[g] for g: u -> w the coordinates of g . rows[w] in rows[u],
@@ -686,10 +678,6 @@ def _tensor_side(x: Module, algebra: BasicAlgebra, left: bool):
     factor M: rows[v] is the basis of M e_v, arrows[g] the coordinates of
     rows[u] . g in rows[w], and other[x][v] those of x . rows[v] when M is a
     bimodule (None for a plain module)."""
-    key = (left, x.digest())
-    side = algebra._tensor_sides.get(key)
-    if side is not None:
-        return side
     near, far = ((bim_left_action, bim_right_action) if left
                  else (right_action_over, bim_left_action))
     rows = [row_space(near(x, algebra, e)) for e in algebra.idempotents]
@@ -703,8 +691,7 @@ def _tensor_side(x: Module, algebra: BasicAlgebra, left: bool):
     if left or x.algebra is not algebra:
         other = {y: [_coords_in(r, r @ far(x, algebra, y)) for r in rows]
                  for y in algebra.generators}
-    side = algebra._tensor_sides[key] = (rows, arrows, other)
-    return side
+    return rows, arrows, other
 
 
 def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
@@ -777,97 +764,3 @@ def _coords_in(basis: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:
     if (coords @ basis) != vecs:
         raise LinearAlgebraError("vectors not inside the designated space")
     return coords
-
-
-def tensor_morphism_left(td_src: TensorData, td_dst: TensorData,
-                         f: ModuleMorphism) -> ModuleMorphism:
-    """Transport f: M -> M' to f (x) id_B between tensor quotients."""
-    algebra = td_src.base
-    fld = algebra.field
-    big = _empty(fld, td_src.offsets[-1], td_dst.offsets[-1])
-    for v in range(len(algebra.idempotents)):
-        rm, rb = td_src.m_rows[v].rows, td_src.b_rows[v].rows
-        if rm == 0 or rb == 0:
-            continue
-        fv = td_src.m_rows[v] @ f.matrix
-        fv_c = _coords_in(td_dst.m_rows[v], fv)
-        bv_c = _coords_in(td_dst.b_rows[v], td_src.b_rows[v])
-        block = np.kron(fv_c.a, bv_c.a)
-        big[td_src.offsets[v]: td_src.offsets[v] + rm * rb,
-            td_dst.offsets[v]: td_dst.offsets[v] + block.shape[1]] = block
-    mat = td_src.lift @ ExactMatrix(fld, big) @ td_dst.project
-    return ModuleMorphism(td_src.module, td_dst.module, mat)
-
-
-def tensor_morphism_right(td_src: TensorData, td_dst: TensorData,
-                          d: ModuleMorphism) -> ModuleMorphism:
-    """Transport a bimodule map d: B -> B' to id_M (x) d."""
-    algebra = td_src.base
-    fld = algebra.field
-    big = _empty(fld, td_src.offsets[-1], td_dst.offsets[-1])
-    for v in range(len(algebra.idempotents)):
-        rm, rb = td_src.m_rows[v].rows, td_src.b_rows[v].rows
-        if rm == 0 or rb == 0:
-            continue
-        dv = td_src.b_rows[v] @ d.matrix
-        dv_c = _coords_in(td_dst.b_rows[v], dv)
-        mv_c = _coords_in(td_dst.m_rows[v], td_src.m_rows[v])
-        block = np.kron(mv_c.a, dv_c.a)
-        big[td_src.offsets[v]: td_src.offsets[v] + rm * rb,
-            td_dst.offsets[v]: td_dst.offsets[v] + block.shape[1]] = block
-    mat = td_src.lift @ ExactMatrix(fld, big) @ td_dst.project
-    return ModuleMorphism(td_src.module, td_dst.module, mat)
-
-
-def unit_into_tensor(td: TensorData) -> ModuleMorphism:
-    """The canonical map M -> M (x)_A B for B carrying a distinguished copy
-    of the unit (B a twist model of the regular bimodule): m e_v maps to
-    (m e_v) (x) e_v."""
-    algebra = td.base
-    fld = algebra.field
-    m = td.source
-    big = _empty(fld, m.dim, td.offsets[-1])
-    for v in range(len(algebra.idempotents)):
-        rm, rb = td.m_rows[v].rows, td.b_rows[v].rows
-        if rm == 0 or rb == 0:
-            continue
-        ev = _empty(fld, 1, td.b_rows[v].cols)
-        ev[0, algebra.idempotents[v]] = 1 if fld.characteristic else Fraction(1)
-        ev_c = _coords_in(td.b_rows[v], ExactMatrix(fld, ev))
-        me = right_action_over(m, algebra, algebra.idempotents[v])
-        coords = _coords_in(td.m_rows[v], me)  # row i = coords of e_i . e_v
-        for i in range(m.dim):
-            row = np.outer(coords.a[i], ev_c.a[0]).reshape(-1)
-            big[i, td.offsets[v]: td.offsets[v] + rm * rb] = (
-                big[i, td.offsets[v]: td.offsets[v] + rm * rb] + row
-            )
-    mat = ExactMatrix(fld, big) @ td.project
-    return ModuleMorphism(m, td.module, mat)
-
-
-def multiply_out_of_tensor(td: TensorData, target: Module) -> ModuleMorphism:
-    """The multiplication map M (x)_A B -> target for B a right-twist model
-    of the regular bimodule and target the matching right twist of M: the
-    class of m (x) y maps to m . y (plain action of the element y on m),
-    the rows of M e_v walked along the word of each basis element of y."""
-    algebra = td.base
-    fld = algebra.field
-    m = td.source
-    big = _empty(fld, td.offsets[-1], m.dim)
-    for v in range(len(algebra.idempotents)):
-        rm, rb = td.m_rows[v].rows, td.b_rows[v].rows
-        if rm == 0 or rb == 0:
-            continue
-        support = np.nonzero((td.b_rows[v].a != 0).any(axis=0))[0]
-        walked = dict(zip(support, walk_words(
-            td.m_rows[v], [algebra.word(j) for j in support],
-            lambda g: right_action_over(m, algebra, g))))
-        base = td.offsets[v]
-        for ib in range(rb):
-            y = td.b_rows[v].a[ib]
-            img = _empty(fld, rm, m.dim)
-            for j in np.nonzero(y)[0]:
-                img = img + y[j] * walked[j].a
-            big[base + ib: base + rm * rb: rb] = img
-    mat = td.lift @ ExactMatrix(fld, big)
-    return ModuleMorphism(td.module, target, mat)

@@ -530,15 +530,6 @@ class SplicedSequence:
     end_inclusion: ModuleMorphism        # twisted bimodule sigma^m -> Q_{mn}
     end_module: Module                   # the literal twisted bimodule model
 
-    def euler_dimension_sum(self) -> int:
-        total = self.algebra.dim
-        sign = -1
-        for t in self.terms:
-            total += sign * t.dim
-            sign = -sign
-        total += sign * self.end_module.dim
-        return total
-
 
 def iterated_sequence(report: PeriodicityReport, m: int) -> SplicedSequence:
     """Splice m twisted copies of the length-n segment into an exact

@@ -58,27 +58,6 @@ class AlgebraDescription:
     relations: list[RelationElement]
     name: str = ""
 
-    def canonical_dump(self) -> dict:
-        """Normalized structure used by the golden parser tests."""
-        return {
-            "schema": "1",
-            "field": self.field.characteristic,
-            "vertices": list(self.quiver.vertices),
-            "arrows": [
-                {"name": a.name, "from": self.quiver.vertices[a.source],
-                 "to": self.quiver.vertices[a.target]}
-                for a in self.quiver.arrows
-            ],
-            "relations": [
-                [
-                    {"coeff": c,
-                     "path": [self.quiver.arrows[i].name for i in path]}
-                    for c, path in rel.terms
-                ]
-                for rel in self.relations
-            ],
-        }
-
 
 def _path_endpoints(quiver: Quiver, path: tuple[int, ...]):
     """Source and target of a composable arrow chain; None if not composable."""

@@ -3,10 +3,19 @@ angles, comparison isomorphisms, rotations, completions, fills, cones and
 contractibility."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import load_pipeline, load_sequence, padded
+from conftest import (
+    load_pipeline,
+    load_sequence,
+    multiply_out_of_tensor,
+    oracle_sequence,
+    padded,
+    quotient_to_direct,
+    stable_zero,
+)
 
 from nangulator.angulation import (
     AngleSequence,
@@ -73,12 +82,15 @@ def test_suspension_strictly_invertible():
     A, _, eng, rep = load_pipeline("nakayama_2_2")
     sus = suspension(A, rep.twist, 1)
     for pos in range(2):
-        assert sus.verify_invertibility(projective_module(A, pos))
+        P = projective_module(A, pos)
+        back = sus.unapply(sus.apply(P))
+        assert back.dim == P.dim
+        assert all(back.action[g] == P.action[g] for g in range(A.dim))
 
 
 def test_suspension_agrees_with_twisted_tensor():
     # the substitution model is isomorphic to - (x) (twisted bimodule)
-    from nangulator.modules import multiply_out_of_tensor, tensor_module
+    from nangulator.modules import tensor_module
 
     A, _, eng, rep = load_pipeline("nakayama_2_2")
     sus = suspension(A, rep.twist, 1)
@@ -132,6 +144,120 @@ def test_functor_sequence_bimodule_maps_intertwine():
             assert d.source.action[g] @ d.matrix == d.matrix @ d.target.action[g]
 
 
+def test_functor_values_need_no_quotient_and_no_cover(monkeypatch):
+    # every X^k(M) is a standard projective read off the bimodule data: no
+    # tensor quotient is formed and no cover is built for it
+    from nangulator import homology, modules
+
+    for name, m in (("nakayama_2_2", 4), ("preproj_a3", 1), ("loop_p3", 3)):
+        seq = replace(load_sequence(name, m))   # no value cached yet
+        A = seq.algebra
+        fresh = [simple_module(A, pos) for pos in range(len(A.idempotents))]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tensor quotient or cover on the angle path")
+
+        with monkeypatch.context() as patch:
+            for owner, attr in ((modules, "quotient"), (homology, "quotient"),
+                                (homology, "projective_cover")):
+                patch.setattr(owner, attr, forbidden)
+            for mod in fresh:
+                t = standard_angle(seq, mod)
+                assert all(o.proj is not None for o in t.objects)
+                for o in t.objects:
+                    assert seq.engine.proj_structure(o) == (o, None, None)
+
+
+def test_corrupted_suspension_changes_only_the_suspension():
+    from nangulator.axioms import corrupted_suspension_sequence
+
+    seq = load_sequence("nakayama_2_2", 4)
+    bad = corrupted_suspension_sequence(seq)
+    A = seq.algebra
+    for mod in (simple_module(A, 0), projective_module(A, 1)):
+        good_val, bad_val = seq.evaluate(mod), bad.evaluate(mod)
+        assert [t.digest() for t in bad_val["terms"]] == \
+            [t.digest() for t in good_val["terms"]]
+        for key in ("maps",):
+            assert [f.matrix for f in bad_val[key]] == \
+                [f.matrix for f in good_val[key]]
+        for key in ("unit", "counit"):
+            assert bad_val[key].matrix == good_val[key].matrix
+            assert bad_val[key].source.digest() == good_val[key].source.digest()
+            assert bad_val[key].target.digest() == good_val[key].target.digest()
+        assert bad_val["suspended"].digest() != good_val["suspended"].digest()
+        assert bad_val["suspended"].digest() == \
+            bad.suspension.apply(mod).digest()
+
+
+def _cli_simple(A):
+    """The module ``angulate standard`` starts from: the top of e_0 A."""
+    return simple_module(A, 0) if A.radical else projective_module(A, 0)
+
+
+@pytest.mark.parametrize("name, m, seed", [
+    ("loop_p3", 3, None),        # the three golden angle dumps
+    ("nakayama_2_3", 2, None),
+    ("preproj_a3", 1, None),
+    ("preproj_a3", 1, 1),        # random modules, where the bases differ
+    ("nakayama_3_3", 2, 1),
+    ("nakayama_3_4", 2, 1),      # a twist of order 3
+])
+def test_standard_angles_are_the_oracle_angles_transported(name, m, seed):
+    # the tensor-quotient angle, mapped by the canonical isomorphisms
+    # phi_k: M (x)_A B_k -> X^k(M), is the direct angle, and both certify
+    # alike: same verdict and kernel dimension, and comparison isomorphisms
+    # that agree stably once the kernels are identified
+    from nangulator.axioms import random_module
+
+    seq = load_sequence(name, m)
+    old_seq = oracle_sequence(seq)
+    eng = seq.engine
+    n = seq.length
+    if seed is None:
+        mods = [_cli_simple(seq.algebra)]
+    else:
+        rng = random.Random(seed)
+        mods = [random_module(seq.algebra, eng, rng) for _ in range(3)]
+    moved = 0
+    for mod in mods:
+        new, old = standard_angle(seq, mod), standard_angle(old_seq, mod)
+        phis = []
+        for (q, tau), td, term in zip(seq.covers,
+                                      old_seq.evaluate(mod)["tensors"],
+                                      new.objects):
+            phi, _ = quotient_to_direct(td, q, tau, term)
+            assert phi.source is old.objects[len(phis)]
+            assert phi.is_iso()
+            phi.verify()
+            phis.append(phi)
+            moved += phi.matrix != ExactMatrix.identity(seq.algebra.field,
+                                                        term.dim)
+        for k in range(n):
+            assert old.maps[k].matrix @ phis[(k + 1) % n].matrix == \
+                phis[k].matrix @ new.maps[k].matrix
+        c_new, c_old = certify_angle(seq, new), certify_angle(old_seq, old)
+        assert (c_new.exact, c_new.verdict) == (c_old.exact, c_old.verdict)
+        assert c_new.kernel.dim == c_old.kernel.dim
+        k_old, incl_old = kernel_of(old.maps[0])
+        k_new, incl_new = kernel_of(new.maps[0])
+        psi = ModuleMorphism(k_old, k_new, incl_new.matrix.solve_left(
+            incl_old.matrix @ phis[0].matrix))
+        psi.verify()
+        om_psi = cosyzygy_morphism(eng, psi, n)
+        sus_psi = seq.suspension.apply_morphism(psi)
+        for iso_old, iso_new in ((c_old.canonical, c_new.canonical),
+                                 (c_old.induced, c_new.induced)):
+            lhs = ModuleMorphism(sus_psi.source, om_psi.target,
+                                 iso_old.matrix @ om_psi.matrix)
+            rhs = ModuleMorphism(sus_psi.source, om_psi.target,
+                                 sus_psi.matrix @ iso_new.matrix)
+            assert eng.stable_equal(lhs, rhs)
+    if seed is not None:
+        assert moved     # some phi_k is not the identity
+
+
+# -- standard angles and certification -------------------------------------------
 # -- standard angles and certification -------------------------------------------
 
 
@@ -217,7 +343,7 @@ def test_alpha_on_injective_module_is_stably_zero():
     seq = load_sequence("nakayama_2_2", 4)
     P = projective_module(seq.algebra, 0)
     alpha = canonical_comparison(seq, P)
-    assert seq.engine.stable_zero(alpha)
+    assert stable_zero(seq.engine, alpha)
 
 
 def test_alpha_naturality():

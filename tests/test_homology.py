@@ -2,9 +2,16 @@
 
 import random
 
-from conftest import load_fixture, load_pipeline, padded, resolution_chain
+from conftest import (
+    load_fixture,
+    load_pipeline,
+    member_of_row_space,
+    padded,
+    resolution_chain,
+    stable_zero,
+)
 
-from nangulator.fields import ExactMatrix, member_of_row_space, row_space, stack_rows
+from nangulator.fields import ExactMatrix, row_space, stack_rows
 from nangulator.homology import (
     Homology,
     cosyzygy_morphism,
@@ -190,15 +197,15 @@ def test_factors_through_injective_examples():
     A = eng.algebra
     S = simple_module(A, 0)
     P = projective_module(A, 0)
-    assert eng.stable_zero(zero_morphism(S, S))
+    assert stable_zero(eng, zero_morphism(S, S))
     # a map through the hull is stably zero by construction
     I, iota = eng.injective_hull(S)
     for h in hom_space(I, S):
-        assert eng.stable_zero(iota.then(h))
+        assert stable_zero(eng, iota.then(h))
     # the identity of a non-injective simple is not stably zero
-    assert not eng.stable_zero(identity_morphism(S))
+    assert not stable_zero(eng, identity_morphism(S))
     # everything through a projective-injective is stably zero
-    assert eng.stable_zero(identity_morphism(P))
+    assert stable_zero(eng, identity_morphism(P))
 
 
 def test_stable_equality_is_compatible_with_composition():

@@ -9,11 +9,17 @@ import pytest
 
 from conftest import (
     FIXTURES,
+    evaluate_oracle,
     load_fixture,
+    multiply_out_of_tensor,
     nakayama_text,
     quotient_oracle,
+    quotient_to_direct,
+    regular_module,
     search_iso,
     tensor_module_oracle,
+    tensor_morphism_left,
+    unit_into_tensor,
     verify_module_axioms,
 )
 
@@ -32,17 +38,13 @@ from nangulator.modules import (
     identity_morphism,
     iso_test,
     kernel_of,
-    multiply_out_of_tensor,
     projective_module,
     pullback,
     quotient,
     random_hom,
-    regular_module,
     right_twist,
     tensor_module,
-    tensor_morphism_left,
     twisted_bimodule,
-    unit_into_tensor,
     zero_module,
     zero_morphism,
 )
@@ -506,6 +508,34 @@ def _assert_same_tensor_data(td, ref):
     assert td.module.action == ref.module.action
 
 
+def assert_direct_model_matches_oracle(seq, m, val):
+    """The direct value of the functor sequence at m against the tensor
+    quotients of ``evaluate_oracle``: for each k the canonical map
+    phi_k: M (x)_A B_k -> X^k(M), the class of m (x) (x (x) y) to
+    (m . x) (x) y, is a well-defined module isomorphism, and it carries
+    every map, the unit and the counit of the oracle to the direct ones.
+    Each (Q_k, tau_k) of the sequence must give back B_k, so the twist of
+    M' is the one the bimodule carries."""
+    from nangulator.modules import left_twist
+
+    ref = evaluate_oracle(seq, m)
+    phis = []
+    for (q, tau), b, td, term in zip(seq.covers, seq.bimodules,
+                                     ref["tensors"], val["terms"]):
+        assert q.proj is not None and term.proj is not None
+        assert left_twist(q, tau).digest() == b.digest()
+        phi, big = quotient_to_direct(td, q, tau, term)
+        assert td.project @ phi.matrix == big   # kills the relations
+        assert phi.is_iso()
+        phi.verify()
+        phis.append(phi)
+    for k, f in enumerate(val["maps"]):
+        assert ref["maps"][k].matrix @ phis[k + 1].matrix == \
+            phis[k].matrix @ f.matrix
+    assert ref["unit"].matrix @ phis[0].matrix == val["unit"].matrix
+    assert ref["counit"].matrix == phis[-1].matrix @ val["counit"].matrix
+
+
 @pytest.mark.parametrize("name, m", [
     ("nakayama_2_2", None),
     ("nakayama_2_3", 2),
@@ -516,17 +546,18 @@ def _assert_same_tensor_data(td, ref):
 ])
 def test_tensor_module_matches_oracle_on_every_verify_call(
         name, m, monkeypatch, capsys, tmp_path):
-    from nangulator import angulation
+    from nangulator.angulation import FunctorSequence
     from nangulator.cli import run_cli
 
     calls = []
+    real = FunctorSequence.evaluate
 
-    def recording(m, b, algebra):
-        td = tensor_module(m, b, algebra)
-        calls.append((m, b, algebra, td))
-        return td
+    def recording(seq, x):
+        val = real(seq, x)
+        calls.append((seq, x, val))
+        return val
 
-    monkeypatch.setattr(angulation, "tensor_module", recording)
+    monkeypatch.setattr(FunctorSequence, "evaluate", recording)
     path = FIXTURES / f"{name}.json"
     if name == "kq2_i2_q":
         path = tmp_path / f"{name}.json"
@@ -534,8 +565,29 @@ def test_tensor_module_matches_oracle_on_every_verify_call(
     argv = ["verify", str(path), "--samples", "2", "--seed", "5"]
     assert run_cli(argv + (["--m", str(m)] if m else [])) == 0
     assert len(calls) > 4
-    for x, b, algebra, td in calls:
-        _assert_same_tensor_data(td, tensor_module_oracle(x, b, algebra))
+    seen = set()
+    for seq, x, val in calls:
+        if (id(seq), x.digest()) not in seen:
+            seen.add((id(seq), x.digest()))
+            assert_direct_model_matches_oracle(seq, x, val)
+
+
+def test_direct_model_fixes_the_twist_convention():
+    # every fixture above has a twist of order at most 2, where tau and its
+    # inverse agree; kQ_3/I_4 has one of order 3, so M' = right_twist(M,
+    # tau^-1) would give other maps (often of the same dimensions)
+    from conftest import load_sequence
+
+    from nangulator.axioms import random_module
+
+    seq = load_sequence("nakayama_3_4", 2)
+    assert any(tau.matrix != tau.inverse().matrix for _, tau in seq.covers)
+    A = seq.algebra
+    rng = random.Random(2)
+    mods = [simple_module(A, pos) for pos in range(len(A.idempotents))]
+    mods += [random_module(A, seq.engine, rng) for _ in range(4)]
+    for m in mods:
+        assert_direct_model_matches_oracle(seq, m, seq.evaluate(m))
 
 
 @pytest.mark.parametrize("name", ["nakayama_2_2", "preproj_a2"])

@@ -11,6 +11,7 @@ from conftest import (
     disjoint_loops_text,
     load_fixture,
     load_pipeline,
+    member_of_row_space,
     nakayama_text,
     padded,
     search_iso,
@@ -19,7 +20,6 @@ from conftest import (
 from nangulator.algebra import compute_basis, identity_automorphism
 from nangulator.fields import (
     ExactMatrix,
-    member_of_row_space,
     row_space,
     stack_rows,
 )
@@ -194,6 +194,13 @@ def spliced_chain(seq):
     return padded([seq.end_inclusion] + seq.differentials[::-1])
 
 
+def euler_dimension_sum(seq):
+    """dim A - dim Q_1 + dim Q_2 - ... +- dim of the end term: zero for an
+    exact spliced sequence."""
+    dims = [seq.algebra.dim] + [t.dim for t in seq.terms] + [seq.end_module.dim]
+    return sum((-1) ** k * d for k, d in enumerate(dims))
+
+
 def test_iterated_sequence_single_copy_is_base_resolution():
     A, _, _, rep = load_pipeline("loop_p3")
     seq = iterated_sequence(rep, 1)
@@ -206,7 +213,7 @@ def test_iterated_sequence_loop_m2_ends_in_regular_bimodule():
     A, _, _, rep = load_pipeline("loop_p3")
     seq = iterated_sequence(rep, 2)
     assert len(seq.terms) == 2
-    assert seq.euler_dimension_sum() == 0
+    assert euler_dimension_sum(seq) == 0
     assert rank_exactness(spliced_chain(seq))
     reg = twisted_bimodule(A, identity_automorphism(A))
     assert search_iso(seq.end_module, reg) is not None
@@ -216,7 +223,7 @@ def test_iterated_sequence_length_eight_euler_bookkeeping():
     A, _, _, rep = load_pipeline("nakayama_2_2")
     seq = iterated_sequence(rep, 8)
     assert len(seq.terms) == 8
-    assert seq.euler_dimension_sum() == 0
+    assert euler_dimension_sum(seq) == 0
     assert rank_exactness(spliced_chain(seq))
 
 
