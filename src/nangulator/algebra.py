@@ -69,6 +69,11 @@ class BasicAlgebra:
     _left_mult: list | None = dc_field(default=None, repr=False)
     _opposite: object = dc_field(default=None, repr=False)
     _enveloping: object = dc_field(default=None, repr=False)
+    _projective_rows: list | None = dc_field(default=None, init=False,
+                                             repr=False, compare=False)
+    # vertex lists -> standard projectives, kept by modules.standard_projective
+    standard_projectives: dict = dc_field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -96,8 +101,13 @@ class BasicAlgebra:
         return self.words[k]
 
     def projective_rows(self, pos: int) -> list[int]:
-        """The basis elements that span e A for the idempotent at pos."""
-        return [k for k in range(self.dim) if self.left_unit_of[k] == pos]
+        """The basis elements that span e A for the idempotent at pos,
+        listed once per algebra; callers must not change the list."""
+        if self._projective_rows is None:
+            self._projective_rows = [
+                [k for k in range(self.dim) if self.left_unit_of[k] == v]
+                for v in range(len(self.idempotents))]
+        return self._projective_rows[pos]
 
     def multiply(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """Product of elements given as coordinate row vectors."""
@@ -210,6 +220,8 @@ class EnvelopingAlgebra:
             [a * d + e for a in arrows for e in idem]
             + [e * d + a for e in idem for a in arrows])
         self.generators = self.idempotents + self.radical_right_generators
+        self._factors: dict[int, tuple[list[int], list[int]]] = {}
+        self._rows: dict[int, list[int]] = {}
 
     def word(self, k: int) -> tuple[int, ...]:
         """b_k (x) b_l = (b_k (x) e_v)(e_u (x) b_l) with e_u b_k = b_k and
@@ -228,16 +240,26 @@ class EnvelopingAlgebra:
 
     def projective_factors(self, pos: int) -> tuple[list[int], list[int]]:
         """The bases of A e_u and e_v A in A, for e = e_u (x) e_v at
-        position pos = u * #vertices + v."""
-        A = self.base
-        u, v = divmod(pos, len(A.idempotents))
-        return ([k for k in range(A.dim) if A.right_unit_of[k] == u],
+        position pos = u * #vertices + v, listed once; callers must not
+        change the lists."""
+        hit = self._factors.get(pos)
+        if hit is None:
+            A = self.base
+            u, v = divmod(pos, len(A.idempotents))
+            hit = self._factors[pos] = (
+                [k for k in range(A.dim) if A.right_unit_of[k] == u],
                 A.projective_rows(v))
+        return hit
 
     def projective_rows(self, pos: int) -> list[int]:
-        """The basis of e A^e = A e_u (x) e_v A, in index order."""
-        left, right = self.projective_factors(pos)
-        return [k * self.base.dim + l for k in left for l in right]
+        """The basis of e A^e = A e_u (x) e_v A, in index order, listed once;
+        callers must not change the list."""
+        hit = self._rows.get(pos)
+        if hit is None:
+            left, right = self.projective_factors(pos)
+            hit = self._rows[pos] = [k * self.base.dim + l
+                                     for k in left for l in right]
+        return hit
 
 
 @dataclass(frozen=True)

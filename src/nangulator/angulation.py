@@ -37,6 +37,7 @@ from .modules import (
     kernel_of,
     cokernel_of,
     map_from_generators,
+    on_generators,
     pullback,
     right_twist,
     left_twist,
@@ -339,22 +340,31 @@ def descend_through_epi(epi: ExactMatrix, rhs: ExactMatrix):
     return None if sol is None else sol.T
 
 
-def _ladder(eng: Homology, first, sources, source_maps, targets, target_maps,
-            fail) -> list[ModuleMorphism]:
+def _ladder(eng: Homology, origin: Module, first, sources, source_maps,
+            targets, target_maps, fail) -> list[ModuleMorphism]:
     """Lift a map onto a complex of projectives one rung at a time.
 
     phi_0: sources[0] -> targets[0] solves C0 @ phi_0 = D0 for the pair
-    ``first`` = (C0, D0); each later phi_j solves
-    f_{j-1} @ phi_j = phi_{j-1} @ g_{j-1}, with f the source maps and g the
-    target maps.  Raises ``fail(j)`` when rung j has no solution.
+    ``first`` = (C0, D0) of module maps out of ``origin``; each later phi_j
+    solves f_{j-1} @ phi_j = phi_{j-1} @ g_{j-1}, with f the source maps and
+    g the target maps.  Raises ``fail(j)`` when rung j has no solution.
+
+    Each rung keeps only the equations at a generating set G of its source
+    X (``on_generators``): G C phi = G D.  When C and D are module maps out
+    of X, the equations at x . a are those at x carried by the action of a,
+    so the augmented system has the same row space, hence the same RREF and
+    the same solution.  A D that is not a module map can pass a rung it
+    would fail on all rows; the callers' final checks catch it.
     """
     phis = []
-    constraint = first
+    src_mod, (c_mat, d_mat) = origin, first
     for j, (src, dst) in enumerate(zip(sources, targets)):
         if j:
-            constraint = (source_maps[j - 1].matrix,
-                          phis[-1].matrix @ target_maps[j - 1].matrix)
-        phi = eng.solve_from_projective(src, dst, [constraint])
+            src_mod = sources[j - 1]
+            c_mat = source_maps[j - 1].matrix
+            d_mat = phis[-1].matrix @ target_maps[j - 1].matrix
+        phi = eng.solve_from_projective(src, dst, [(
+            on_generators(src_mod, c_mat), on_generators(src_mod, d_mat))])
         if phi is None:
             raise fail(j)
         phis.append(phi)
@@ -374,7 +384,7 @@ def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
     val = seq.evaluate(m)
     res = eng.resolution(m, n)
     phis = _ladder(
-        eng, (val["unit"].matrix, res.steps[0].include.matrix),
+        eng, m, (val["unit"].matrix, res.steps[0].include.matrix),
         val["terms"], val["maps"],
         [res.term(k) for k in range(n)],
         [res.map_between(k) for k in range(n - 1)],
@@ -409,7 +419,7 @@ def angle_comparison(seq: FunctorSequence, x: AngleSequence,
         raise LinearAlgebraError("last map does not factor through the kernel")
     pi = ModuleMorphism(x.objects[-1], sus_m, pi_mat)
     phis = _ladder(
-        eng, (incl.matrix, res.steps[0].include.matrix), x.objects, x.maps,
+        eng, m, (incl.matrix, res.steps[0].include.matrix), x.objects, x.maps,
         [res.term(k) for k in range(n)],
         [res.map_between(k) for k in range(n - 1)],
         lambda k: LinearAlgebraError(f"angle comparison failed at step {k}" if k
@@ -539,7 +549,8 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
 
     # ladder to the resolution of the kernel
     phis = _ladder(
-        eng, (l.matrix, res_a.steps[0].include.matrix), top_terms, top_maps,
+        eng, a_ker, (l.matrix, res_a.steps[0].include.matrix), top_terms,
+        top_maps,
         [res_a.term(k) for k in range(n - 1)],
         [res_a.map_between(k) for k in range(n - 2)],
         lambda k: LinearAlgebraError(f"completion ladder failed at step {k}" if k
@@ -594,7 +605,7 @@ def fill_morphism(seq: FunctorSequence, x: AngleSequence, y: AngleSequence,
     if (x.maps[0].matrix @ phi2.matrix) != (phi1.matrix @ y.maps[0].matrix):
         raise FillError("the given square does not commute")
     comps = [phi1, phi2] + _ladder(
-        eng, (x.maps[1].matrix, phi2.matrix @ y.maps[1].matrix),
+        eng, x.objects[1], (x.maps[1].matrix, phi2.matrix @ y.maps[1].matrix),
         x.objects[2:], x.maps[2:], y.objects[2:], y.maps[2:],
         lambda j: FillError(f"no fill at position {j + 2}"))
     m, l_m = kernel_of(x.maps[0])
@@ -681,13 +692,13 @@ def good_fill_and_cone(seq: FunctorSequence, x: AngleSequence,
     val_n = seq.evaluate(nn)
     # homotopy equivalence a: X -> T_M extending the kernel identity
     a1, a2 = _ladder(
-        eng, (l_m.matrix, val_m["unit"].matrix),
+        eng, m, (l_m.matrix, val_m["unit"].matrix),
         x.objects[:2], x.maps, t_m.objects[:2], t_m.maps,
         lambda _: FillError("comparison to the standard angle failed"))
     a_fill = fill_morphism(seq, x, t_m, a1, a2)
     # homotopy equivalence b: T_N -> Y extending the kernel identity
     b1, b2 = _ladder(
-        eng, (val_n["unit"].matrix, l_n.matrix),
+        eng, nn, (val_n["unit"].matrix, l_n.matrix),
         t_n.objects[:2], t_n.maps, y.objects[:2], y.maps,
         lambda _: FillError("comparison from the standard angle failed"))
     b_fill = fill_morphism(seq, t_n, y, b1, b2)

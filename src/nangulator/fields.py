@@ -103,6 +103,12 @@ def _empty(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
     return a
 
 
+def canonical(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """An array of products and sums of canonical entries, of any shape, in
+    canonical form: residues mod p over F_p; over Q it already is."""
+    return a % field.characteristic if field.characteristic else a
+
+
 class ExactMatrix:
     """Immutable dense matrix with exact entries over a FieldSpec.
 

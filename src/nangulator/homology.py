@@ -8,6 +8,13 @@ caches are keyed by module contents and hold values computed from the
 contents alone: maps out of a module with a ``proj`` decomposition come from
 its generators and are not cached, and every other projective goes through
 its projective cover.
+
+A map phi out of P = e_{c_1}A (+) ... (+) e_{c_r}A is fixed by the images of
+the summand generators, so ``solve_from_projective`` solves for the
+coordinates c of phi = sum c_i H_i in the basis H of Hom(P, N) that
+``hom_array`` builds as one array (H transported to pi^-1 . H along the
+cover pi when P has no ``proj``).  Each constraint contributes one product
+over the whole basis, C . H or H . R, and the answer is sum c_i H_i.
 """
 
 from __future__ import annotations
@@ -20,12 +27,14 @@ from .algebra import BasicAlgebra, NakayamaData
 from .fields import (
     ExactMatrix,
     LinearAlgebraError,
+    canonical,
 )
 from .modules import (
     Module,
     ModuleMorphism,
     cover_from_tops,
     dual_module,
+    hom_array,
     hom_space,
     iso_test,
     kernel_of,
@@ -252,62 +261,50 @@ class Homology:
             self._proj_structure[key] = (P, pi, pi.matrix.inv())
         return self._proj_structure[key]
 
-    def hom_from_projective(self, p: Module, n: Module):
-        """Basis of Hom(P, N): generator images when P has a ``proj``
-        decomposition, else transported along its projective cover."""
+    def hom_array_from_projective(self, p: Module, n: Module) -> np.ndarray:
+        """Basis of Hom(P, N) as one array (basis size, dim P, dim N):
+        generator images when P has a ``proj`` decomposition, else
+        transported along its projective cover as pi^-1 . h."""
         P, pi, pi_inv = self.proj_structure(p)
-        homs = hom_space(P, n)
-        if pi is None:
+        homs = hom_array(P, n)
+        if pi is None or not len(homs):
             return homs
-        return [ModuleMorphism(p, n, pi_inv @ h.matrix) for h in homs]
+        return canonical(self.algebra.field, pi_inv.a @ homs)
+
+    def hom_from_projective(self, p: Module, n: Module):
+        """Basis of Hom(P, N) as morphisms: the slices of
+        ``hom_array_from_projective``."""
+        fld = self.algebra.field
+        return [ModuleMorphism(p, n, ExactMatrix._wrap(fld, h))
+                for h in self.hom_array_from_projective(p, n)]
 
     def solve_from_projective(self, p: Module, n: Module, constraints):
         """Deterministic phi: P -> N satisfying the given constraints, or
         None when infeasible.  P must be projective.  Constraints are pairs
         (C, D) meaning C @ phi = D, or triples ("right", R, D) meaning
-        phi @ R = D."""
-        homs = self.hom_from_projective(p, n)
-        return _solve_in_span(self.algebra.field, homs, p, n, constraints)
+        phi @ R = D.
 
-
-def _solve_in_span(fld, homs, src: Module, dst: Module, constraints):
-    """Solve for an element of span(homs) subject to left/right composition
-    constraints; returns the morphism or None."""
-
-    def expand(h_mat, constraint):
-        if len(constraint) == 2:
-            c_mat, _ = constraint
-            return (c_mat @ h_mat).a.reshape(-1)
-        _, r_mat, _ = constraint
-        return (h_mat @ r_mat).a.reshape(-1)
-
-    def rhs_of(constraint):
-        return constraint[-1].a.reshape(-1)
-
-    if not homs:
-        for constraint in constraints:
-            if not constraint[-1].is_zero():
+        The unknowns are the coordinates c of phi = sum c_i H_i in the basis
+        H of ``hom_array_from_projective``; each constraint adds the columns
+        of C . H_i or H_i . R, flattened, one product per constraint over
+        the whole basis.
+        """
+        fld = self.algebra.field
+        homs = self.hom_array_from_projective(p, n)
+        if not len(homs):
+            if any(not c[-1].is_zero() for c in constraints):
                 return None
-        return zero_morphism(src, dst)
-    rows = []
-    rhs_parts = []
-    for constraint in constraints:
-        rhs_parts.append(rhs_of(constraint))
-        rows.append(np.stack([expand(h.matrix, constraint) for h in homs]))
-    big = ExactMatrix(fld, np.concatenate(rows, axis=1))
-    rhs = ExactMatrix(fld, np.concatenate(rhs_parts)[None, :])
-    sol = big.solve_left(rhs)
-    if sol is None:
-        return None
-    out = None
-    for i, h in enumerate(homs):
-        c = sol.a[0, i]
-        if c != 0:
-            term = h.scale(c)
-            out = term if out is None else out + term
-    if out is None:
-        out = zero_morphism(src, dst)
-    return out
+            return zero_morphism(p, n)
+        cols = [(c[0].a @ homs if len(c) == 2 else homs @ c[1].a)
+                .reshape(len(homs), -1) for c in constraints]
+        big = ExactMatrix(fld, np.concatenate(cols, axis=1))
+        rhs = ExactMatrix(fld, np.concatenate(
+            [c[-1].a.reshape(-1) for c in constraints])[None, :])
+        sol = big.solve_left(rhs)
+        if sol is None:
+            return None
+        return ModuleMorphism(p, n, ExactMatrix(fld, np.tensordot(
+            sol.a[0], homs, axes=1)))
 
 
 def cosyzygy_morphism(engine: Homology, f: ModuleMorphism, k: int) -> ModuleMorphism:

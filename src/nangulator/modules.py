@@ -275,9 +275,17 @@ def projective_module(algebra, pos: int) -> Module:
 
 def standard_projective(algebra: BasicAlgebra, copies: list[int]) -> Module:
     """Direct sum of indecomposable projectives in the given vertex order;
-    its ``proj`` is ``tuple(copies)``."""
-    parts = [projective_module(algebra, pos) for pos in copies]
-    return direct_sum(algebra, parts)[0]
+    its ``proj`` is ``tuple(copies)``.  Over A each vertex list is built
+    once and kept on the algebra, so repeat calls share one module and its
+    caches; bimodule covers over A^e are built afresh."""
+    key = tuple(copies)
+    kept = algebra.standard_projectives if isinstance(algebra, BasicAlgebra) \
+        else {}
+    hit = kept.get(key)
+    if hit is None:
+        parts = [projective_module(algebra, pos) for pos in copies]
+        hit = kept[key] = direct_sum(algebra, parts)[0]
+    return hit
 
 
 def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
@@ -445,38 +453,70 @@ def pullback(f: ModuleMorphism, g: ModuleMorphism):
 
 
 def hom_space(m: Module, n: Module) -> list[ModuleMorphism]:
-    """Deterministic basis of Hom(M, N).  For a ``proj`` module this is
-    Hom(e_{c_1}A (+) ... (+) e_{c_r}A, N) = N e_{c_1} (+) ... (+) N e_{c_r}:
-    summand by summand, the generator runs through the basis of N e_{c_t}
-    while the other generators go to zero."""
+    """Deterministic basis of Hom(M, N); for a ``proj`` module the slices
+    of ``hom_array``."""
     if m.dim == 0 or n.dim == 0:
         return []
     if m.proj is None:
         return _hom_generic(m, n)
-    out = []
-    for t, pos in enumerate(m.proj):
-        target_rows = n.idempotent_image(pos)
-        for r in range(target_rows.rows):
-            images = [None] * len(m.proj)
-            images[t] = target_rows.take_rows([r])
-            out.append(map_from_generators(m, n, images))
+    fld = m.algebra.field
+    return [ModuleMorphism(m, n, ExactMatrix._wrap(fld, h))
+            for h in hom_array(m, n)]
+
+
+def hom_array(p: Module, n: Module) -> np.ndarray:
+    """The basis of Hom(P, N) for a ``proj`` module P, as one array of shape
+    (basis size, dim P, dim N).  Hom(e_{c_1}A (+) ... (+) e_{c_r}A, N) is
+    N e_{c_1} (+) ... (+) N e_{c_r}: summand by summand, the generator runs
+    through the basis rows of N e_{c_t} while the other generators go to
+    zero.  The whole block N e_{c_t} is walked along the words of e_{c_t}A
+    once per vertex (``_walked``), and summands at one vertex share it."""
+    A = p.algebra
+    if p.dim == 0 or n.dim == 0:
+        return _empty(A.field, 0, 0).reshape(0, p.dim, n.dim)
+    blocks = [n.idempotent_image(pos) for pos in p.proj]
+    size = sum(y.rows for y in blocks)
+    out = _empty(A.field, size, p.dim * n.dim).reshape(size, p.dim, n.dim)
+    walked = {}
+    row = off = 0
+    for pos, y in zip(p.proj, blocks):
+        width = len(A.projective_rows(pos))
+        if y.rows:
+            if pos not in walked:
+                walked[pos] = _walked(A, pos, y, n)
+            out[row: row + y.rows, off: off + width] = walked[pos]
+        row += y.rows
+        off += width
     return out
+
+
+def _walked(A, pos: int, ys: ExactMatrix, n: Module) -> np.ndarray:
+    """ys . b for the basis b of e_{c}A (c at pos) and each row of ys, as an
+    array (rows of ys, dim e_cA, dim N): one walk along the words."""
+    words = [A.word(k) for k in A.projective_rows(pos)]
+    imgs = walk_words(ys, words, n.action.__getitem__)
+    return np.stack([im.a for im in imgs], axis=1)
 
 
 def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
     """The map out of a ``proj`` module P that sends the generator e_{c_t} of
     summand t to ``images[t]``, a row of N e_{c_t} (None stands for zero):
-    the basis element b of e_{c_t}A goes to images[t] . b, walked along the
-    word of b."""
+    the basis element b of e_{c_t}A goes to images[t] . b.  The images of
+    the summands at one vertex are stacked and walked along the words of
+    e_cA together."""
     A = p.algebra
     mat = _empty(A.field, p.dim, n.dim)
-    off = 0
-    for pos, y in zip(p.proj, images):
-        rows = A.projective_rows(pos)
+    starts, groups, off = [], {}, 0
+    for t, (pos, y) in enumerate(zip(p.proj, images)):
+        starts.append(off)
+        off += len(A.projective_rows(pos))
         if y is not None:
-            imgs = walk_words(y, [A.word(k) for k in rows], n.action.__getitem__)
-            mat[off: off + len(rows)] = np.concatenate([im.a for im in imgs])
-        off += len(rows)
+            groups.setdefault(pos, []).append(t)
+    for pos, ts in groups.items():
+        width = len(A.projective_rows(pos))
+        block = _walked(A, pos, stack_rows(A.field, [images[t] for t in ts]), n)
+        for i, t in enumerate(ts):
+            mat[starts[t]: starts[t] + width] = block[i]
     return ModuleMorphism(p, n, ExactMatrix(A.field, mat))
 
 
@@ -545,12 +585,18 @@ def _tops(m: Module):
     if m.dim == 0:
         return []
     # a path of positive length ends in an arrow, so rad A is the sum of the
-    # A.g over the non-idempotent generators g and M.rad A that of the M.g
-    arrows = [g for g in A.generators if g not in A.idempotents]
-    if arrows:
-        rad = row_space(stack_rows(fld, [m.action[g] for g in arrows]))
+    # A.g over the arrows g and M.rad A that of the M.g; over A^e,
+    # rad A^e = sum of A^e(a (x) 1) + A^e(1 (x) a), so the 2.#arrows
+    # one-sided actions span M.rad A^e
+    base = getattr(A, "base", None)
+    if base is None:
+        gens = [m.action[g] for g in A.generators if g not in A.idempotents]
     else:
-        rad = ExactMatrix.zeros(fld, 0, m.dim)
+        gens = [_one_sided(m, base, g, left)
+                for g in base.generators if g not in base.idempotents
+                for left in (True, False)]
+    rad = row_space(stack_rows(fld, gens)) if gens \
+        else ExactMatrix.zeros(fld, 0, m.dim)
     out = []
     for pos in range(len(A.idempotents)):
         comp = m.idempotent_image(pos)
@@ -564,6 +610,24 @@ def _tops(m: Module):
         for r in range(lifts.rows):
             out.append((pos, lifts.take_rows([r])))
     return out
+
+
+def on_generators(m: Module, mat: ExactMatrix) -> ExactMatrix:
+    """The rows of a map out of m at a generating set of m: the summand
+    generators of a ``proj`` module, else the lifted top rows of
+    ``top_multiplicities``.  Maps out of m agree iff they agree there."""
+    A = m.algebra
+    if m.proj is not None:
+        gens, off = [], 0
+        for pos in m.proj:
+            rows = A.projective_rows(pos)
+            gens.append(off + rows.index(A.idempotents[pos]))
+            off += len(rows)
+        return mat.take_rows(gens)
+    tops = top_multiplicities(m)
+    if not tops:
+        return mat.take_rows([])
+    return stack_rows(A.field, [row for _, row in tops]) @ mat
 
 
 def cover_from_tops(m: Module, tops) -> ModuleMorphism:

@@ -592,3 +592,97 @@ def verify_module_axioms(m, exhaustive=True):
         for j in idx:
             if m.action[i] @ m.action[j] != acting(dense.right_mult[j].a[i]):
                 raise LinearAlgebraError(f"action violates product at ({i}, {j})")
+
+
+def hom_space_oracle(p, n):
+    """The basis of Hom(P, N) for a ``proj`` module P, one basis element at
+    a time: the generator of summand t goes to row r of N e_{c_t}, the other
+    generators to zero, each map by its own ``map_from_generators`` walk.
+    The loop ``hom_space`` ran before ``hom_array``, kept as an oracle."""
+    from nangulator.modules import map_from_generators
+
+    if p.dim == 0 or n.dim == 0:
+        return []
+    out = []
+    for t, pos in enumerate(p.proj):
+        target_rows = n.idempotent_image(pos)
+        for r in range(target_rows.rows):
+            images = [None] * len(p.proj)
+            images[t] = target_rows.take_rows([r])
+            out.append(map_from_generators(p, n, images))
+    return out
+
+
+def solve_in_span_oracle(fld, homs, src, dst, constraints):
+    """An element of span(homs) subject to left/right composition
+    constraints, or None: one expanded row per basis morphism and per
+    constraint, solved by ``solve_left``, summed back term by term.  The
+    body of ``Homology.solve_from_projective`` before it worked on one
+    array, kept as an oracle."""
+    from nangulator.fields import ExactMatrix
+    from nangulator.modules import zero_morphism
+
+    def expand(h_mat, constraint):
+        if len(constraint) == 2:
+            return (constraint[0] @ h_mat).a.reshape(-1)
+        return (h_mat @ constraint[1]).a.reshape(-1)
+
+    if not homs:
+        if any(not c[-1].is_zero() for c in constraints):
+            return None
+        return zero_morphism(src, dst)
+    rows = [np.stack([expand(h.matrix, c) for h in homs]) for c in constraints]
+    big = ExactMatrix(fld, np.concatenate(rows, axis=1))
+    rhs = ExactMatrix(fld, np.concatenate(
+        [c[-1].a.reshape(-1) for c in constraints])[None, :])
+    sol = big.solve_left(rhs)
+    if sol is None:
+        return None
+    out = None
+    for i, h in enumerate(homs):
+        c = sol.a[0, i]
+        if c != 0:
+            term = h.scale(c)
+            out = term if out is None else out + term
+    return zero_morphism(src, dst) if out is None else out
+
+
+def solve_from_projective_oracle(engine, p, n, constraints):
+    """``Homology.solve_from_projective`` through ``hom_space_oracle`` and
+    ``solve_in_span_oracle``, transported along the cover when p has no
+    ``proj``."""
+    from nangulator.modules import ModuleMorphism
+
+    P, pi, pi_inv = engine.proj_structure(p)
+    homs = hom_space_oracle(P, n)
+    if pi is not None:
+        homs = [ModuleMorphism(p, n, pi_inv @ h.matrix) for h in homs]
+    return solve_in_span_oracle(engine.algebra.field, homs, p, n, constraints)
+
+
+def tops_oracle(m):
+    """``modules.top_multiplicities`` with M.rad spanned by every
+    non-idempotent generator action: a (x) e_j and e_i (x) a over A^e.
+    The radical ``_tops`` stacked before it used the one-sided actions,
+    kept as an oracle."""
+    from nangulator.fields import (
+        ExactMatrix, reduce_rows_mod, row_space, stack_rows)
+
+    A = m.algebra
+    fld = A.field
+    if m.dim == 0:
+        return []
+    arrows = [g for g in A.generators if g not in A.idempotents]
+    rad = (row_space(stack_rows(fld, [m.action[g] for g in arrows]))
+           if arrows else ExactMatrix.zeros(fld, 0, m.dim))
+    out = []
+    for pos in range(len(A.idempotents)):
+        comp = row_space(m.action[A.idempotents[pos]])
+        if comp.rows == 0:
+            continue
+        rad_comp = (row_space(rad @ m.action[A.idempotents[pos]]) if rad.rows
+                    else ExactMatrix.zeros(fld, 0, m.dim))
+        reduced = reduce_rows_mod(rad_comp, comp) if rad_comp.rows else comp
+        lifts = row_space(reduced)
+        out.extend((pos, lifts.take_rows([r])) for r in range(lifts.rows))
+    return out

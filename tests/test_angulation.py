@@ -597,3 +597,37 @@ def test_preproj_a2_identity_suspension_six_angulation():
     assert seq.suspension.is_identity()
     report = verify_axioms(seq.engine, seq, samples=4, seed=3)
     assert report.all_pass
+
+
+def test_fill_rejects_a_non_module_map_that_passes_the_generator_rungs():
+    # the ladder solves each rung on the generator rows of its source only,
+    # which is exact for module maps; phi2 below vanishes on the generators
+    # of X_2 and kills the image of f_1 (so the first square commutes) but
+    # is no module map, so the first rung passes on the generators although
+    # it has no solution on all rows; the final square check still refuses
+    from nangulator.angulation import FillError
+    from nangulator.fields import LinearAlgebraError
+    from nangulator.modules import on_generators
+
+    seq = load_sequence("preproj_a3", 1)
+    eng, fld = seq.engine, seq.algebra.field
+    x = standard_angle(seq, simple_module(seq.algebra, 0))
+    x2, y2 = x.objects[1], x.objects[1]
+    gens = on_generators(x2, ExactMatrix.identity(fld, x2.dim))
+    ker = x.maps[0].matrix.T.left_kernel()          # rows v with f_1 v^T = 0
+    v = next(ker.row(r) for r in range(ker.rows)
+             if (gens @ ker.row(r).T).is_zero() and not ker.row(r).is_zero())
+    unit = ExactMatrix.identity(fld, y2.dim)
+    w = next(unit.row(j) for j in range(y2.dim)
+             if not (unit.row(j) @ x.maps[1].matrix).is_zero())
+    phi1 = zero_morphism(x.objects[0], x.objects[0])
+    phi2 = ModuleMorphism(x2, y2, v.T @ w)
+    with pytest.raises(LinearAlgebraError):
+        phi2.verify()
+    c, d = x.maps[1].matrix, phi2.matrix @ x.maps[1].matrix
+    x3 = x.objects[2]
+    assert eng.solve_from_projective(x3, x3, [(c, d)]) is None
+    assert eng.solve_from_projective(x3, x3, [(
+        on_generators(x2, c), on_generators(x2, d))]) is not None
+    with pytest.raises(FillError, match="does not commute"):
+        fill_morphism(seq, x, x, phi1, phi2)

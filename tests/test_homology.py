@@ -2,12 +2,17 @@
 
 import random
 
+import pytest
 from conftest import (
+    FIXTURES,
+    hom_space_oracle,
     load_fixture,
     load_pipeline,
     member_of_row_space,
+    nakayama_text,
     padded,
     resolution_chain,
+    solve_from_projective_oracle,
     stable_zero,
 )
 
@@ -21,6 +26,7 @@ from nangulator.homology import (
 )
 from nangulator.modules import (
     cokernel_of,
+    hom_array,
     hom_space,
     identity_morphism,
     iso_test,
@@ -259,3 +265,43 @@ def test_cosyzygy_method_matches_resolution():
     om = eng.cosyzygy(S)
     assert om.dim == 1
     assert iso_test(om, eng.resolution(S, 1).cosyzygy(1)) is not None
+
+
+@pytest.mark.parametrize("name, m", [
+    ("preproj_a3", None),
+    ("nakayama_3_3", 2),
+    ("nakayama_2_3", 2),
+    ("kq2_i2_q", 3),     # kQ_2/I_2 over Q
+])
+def test_solve_from_projective_matches_oracle_on_every_verify_call(
+        name, m, monkeypatch, capsys, tmp_path):
+    # every call, with the arguments the ladder, fills and stable checks
+    # pass, against the per-element hom basis and the row-by-row system
+    from nangulator.cli import run_cli
+
+    calls, mismatches = [], []
+    real = Homology.solve_from_projective
+
+    def checking(engine, p, n, constraints):
+        got = real(engine, p, n, constraints)
+        want = solve_from_projective_oracle(engine, p, n, constraints)
+        if (got is None) != (want is None) or (
+                got is not None and got.matrix != want.matrix):
+            mismatches.append(("solve", len(calls)))
+        P = engine.proj_structure(p)[0]
+        fld = engine.algebra.field
+        arr = [ExactMatrix(fld, h) for h in hom_array(P, n)]
+        if arr != [h.matrix for h in hom_space_oracle(P, n)]:
+            mismatches.append(("hom_array", len(calls)))
+        calls.append(got is not None)
+        return got
+
+    monkeypatch.setattr(Homology, "solve_from_projective", checking)
+    path = FIXTURES / f"{name}.json"
+    if name == "kq2_i2_q":
+        path = tmp_path / f"{name}.json"
+        path.write_text(nakayama_text(2, 2, 0))
+    argv = ["verify", str(path), "--samples", "3", "--seed", "5"]
+    assert run_cli(argv + (["--m", str(m)] if m else [])) == 0
+    assert len(calls) > 20
+    assert mismatches == []

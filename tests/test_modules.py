@@ -19,6 +19,7 @@ from conftest import (
     search_iso,
     tensor_module_oracle,
     tensor_morphism_left,
+    tops_oracle,
     unit_into_tensor,
     verify_module_axioms,
 )
@@ -633,3 +634,27 @@ def test_quotient_closed_form_matches_oracle(p):
             assert (lift @ proj.matrix) == ExactMatrix.identity(fld, q.dim)
             cases += 1
     assert cases == 2 * 15
+
+
+@pytest.mark.parametrize("name", ["nakayama_5_3", "nakayama_5_4"])
+def test_bimodule_top_from_one_sided_actions_matches_all_generators(name):
+    A = load_golden(name)
+    bims = [twisted_bimodule(A, identity_automorphism(A))]
+    bims += periodicity.bimodule_syzygies(A, 2)
+    for m in bims:
+        got = modules.top_multiplicities(m)
+        want = tops_oracle(m)
+        assert [pos for pos, _ in got] == [pos for pos, _ in want]
+        assert [row for _, row in got] == [row for _, row in want]
+
+
+def test_standard_projectives_are_kept_over_the_algebra_only():
+    A, _ = load_fixture("nakayama_2_3")
+    P = modules.standard_projective(A, [1, 0, 1])
+    assert modules.standard_projective(A, (1, 0, 1)) is P
+    assert modules.standard_projective(A, [0, 1, 1]) is not P
+    assert A.projective_rows(1) is A.projective_rows(1)
+    env = A.enveloping()
+    Q = modules.standard_projective(env, [0, 3])
+    assert modules.standard_projective(env, [0, 3]) is not Q
+    assert env.projective_factors(3) is env.projective_factors(3)
