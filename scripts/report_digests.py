@@ -14,8 +14,9 @@ nakayama_2_3 also ``verify --samples 3 --seed 5 --m 2`` and
 the Nakayama algebras kQ_n/I_s over F101, F65521 and F2 that
 ``test_period_scan_over_large_prime_fields`` scans, and ``period`` and
 ``angulate standard --m 3, 2, 3`` on kQ_2/I_2, kQ_2/I_3 and kQ_3/I_2 over Q,
-with ``verify --m 3 --samples 2 --seed 5`` on kQ_2/I_2 over Q (labelled
-``kQ<n>/I<s>/F<p>``, F0 for Q, written to a temporary directory): 117 lines.
+with ``verify --m 3 --samples 2 --seed 5`` on kQ_2/I_2 over Q, and
+``period`` on kQ_3/I_3 and kQ_4/I_3 over Q (labelled ``kQ<n>/I<s>/F<p>``, F0
+for Q, written to a temporary directory): 119 lines.
 Diff the output of two checkouts to see which reports changed.
 """
 
@@ -40,6 +41,8 @@ NAKAYAMA = [(3, 2, 101), (3, 3, 101), (2, 2, 65521), (2, 2, 2), (3, 2, 2),
             (4, 2, 2), (5, 2, 2), (3, 3, 2), (4, 3, 2)]
 # (n, s, multiplier of angulate standard) over Q
 RATIONAL = [(2, 2, 3), (2, 3, 2), (3, 2, 3)]
+# (n, s) over Q, period only
+RATIONAL_PERIOD = [(3, 3), (4, 3)]
 
 
 def nakayama_text(n, s, p):
@@ -79,6 +82,10 @@ def commands(tmp):
         if (n, s) == (2, 2):
             yield f"kQ{n}/I{s}/F0", path, ["verify", "--m", "3", "--samples",
                                            "2", "--seed", "5"]
+    for n, s in RATIONAL_PERIOD:
+        path = tmp / f"kq{n}_i{s}_f0.json"
+        path.write_text(nakayama_text(n, s, 0))
+        yield f"kQ{n}/I{s}/F0", path, ["period"]
 
 
 def main() -> None:

@@ -71,6 +71,8 @@ class BasicAlgebra:
     _enveloping: object = dc_field(default=None, repr=False)
     _projective_rows: list | None = dc_field(default=None, init=False,
                                              repr=False, compare=False)
+    _tables: tuple | None = dc_field(default=None, init=False, repr=False,
+                                     compare=False)
     # vertex lists -> standard projectives, kept by modules.standard_projective
     standard_projectives: dict = dc_field(default_factory=dict, init=False,
                                           repr=False, compare=False)
@@ -86,14 +88,26 @@ class BasicAlgebra:
             u[0, i] = one
         return ExactMatrix(self.field, u)
 
+    def mult_tables(self) -> tuple[ExactMatrix, ExactMatrix]:
+        """(V, H), built once: row t of V is the right multiplication matrix
+        of b_t and row i of H the left multiplication matrix of b_i, each
+        flattened.  For an element x, x @ V and x @ H are its right and
+        left multiplication matrices, flattened."""
+        if self._tables is None:
+            d = self.dim
+            stack = np.stack([m.a for m in self.right_mult])  # [j, i] = b_i b_j
+            self._tables = (
+                ExactMatrix._wrap(self.field, stack.reshape(d, d * d)),
+                ExactMatrix._wrap(self.field,
+                                  stack.transpose(1, 0, 2).reshape(d, d * d)))
+        return self._tables
+
     def left_mult(self, i: int) -> ExactMatrix:
         """Matrix of left multiplication by basis element i (row j = b_i b_j)."""
         if self._left_mult is None:
-            stack = np.stack([m.a for m in self.right_mult])  # [j, i, :] = b_i b_j
-            self._left_mult = [
-                ExactMatrix(self.field, stack[:, i, :].copy())
-                for i in range(self.dim)
-            ]
+            left = self.mult_tables()[1]
+            self._left_mult = [left.row(i).reshape(self.dim, self.dim)
+                               for i in range(self.dim)]
         return self._left_mult[i]
 
     def word(self, k: int) -> tuple[int, ...]:
@@ -111,47 +125,30 @@ class BasicAlgebra:
 
     def multiply(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """Product of elements given as coordinate row vectors."""
-        acc = _empty(self.field, x.rows, self.dim)
-        for j in range(self.dim):
-            c = y.a[0, j]
-            if c != 0:
-                acc = acc + c * (x.a @ self.right_mult[j].a)
-        return ExactMatrix(self.field, acc)
+        return x @ self.element_right_matrix(y)
 
     def element_right_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """Right multiplication matrix of an arbitrary element x (row vector)."""
-        acc = _empty(self.field, self.dim, self.dim)
-        for j in range(self.dim):
-            c = x.a[0, j]
-            if c != 0:
-                acc = acc + c * self.right_mult[j].a
-        return ExactMatrix(self.field, acc)
+        """Right multiplication matrix of an arbitrary element x (row vector):
+        row i is b_i . x = sum_j x_j b_i b_j."""
+        return (x @ self.mult_tables()[0]).reshape(self.dim, self.dim)
 
     def element_left_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """Left multiplication matrix of x: u @ L(x) = x . u."""
-        acc = _empty(self.field, self.dim, self.dim)
-        for j in range(self.dim):
-            c = x.a[0, j]
-            if c != 0:
-                acc = acc + c * self.left_mult(j).a
-        return ExactMatrix(self.field, acc)
+        """Left multiplication matrix of x: u @ L(x) = x . u; row j is
+        x . b_j = sum_i x_i b_i b_j."""
+        return (x @ self.mult_tables()[1]).reshape(self.dim, self.dim)
 
     def verify_associativity(self) -> None:
-        """Exhaustive check of associativity on all basis triples."""
+        """Exhaustive check of associativity on all basis triples: for each
+        j and every k at once, (x b_j) b_k has matrix R_j R_k, read off
+        R_j @ H, and x (b_j b_k) has matrix sum_t (b_j b_k)_t R_t, read off
+        L_j @ V (see ``mult_tables``)."""
         d = self.dim
-        stack = np.stack([m.a for m in self.right_mult])
-        p = self.field.characteristic
+        right, left = self.mult_tables()
         for j in range(d):
-            rj = self.right_mult[j].a
+            lhs = (self.right_mult[j] @ left).a.reshape(d, d, d)
+            rhs = (self.left_mult(j) @ right).a.reshape(d, d, d)
             for k in range(d):
-                lhs = rj @ self.right_mult[k].a        # rows: b_i (b_j b_k)? no:
-                # (x b_j) b_k has matrix R_j R_k; x (b_j b_k) has matrix
-                # sum_t coords(b_j b_k)[t] R_t
-                coeffs = self.right_mult[k].a[j]
-                rhs = np.tensordot(coeffs, stack, axes=(0, 0))
-                if p:
-                    lhs, rhs = lhs % p, rhs % p
-                if not np.array_equal(lhs, rhs):
+                if lhs[:, k].tolist() != rhs[k].tolist():
                     raise SemanticError(f"associativity fails at pair ({j}, {k})")
 
     def verify_idempotents(self) -> None:
@@ -351,13 +348,13 @@ def verify_automorphism(algebra: BasicAlgebra, matrix: ExactMatrix) -> Automorph
     unit = algebra.unit()
     if unit @ matrix != unit:
         raise AutomorphismError("not-unital: sigma(1) != 1")
-    d = algebra.dim
-    for i in range(d):
-        si = matrix.row(i)
-        for j in range(d):
-            lhs = algebra.right_mult[j].row(i) @ matrix  # sigma(b_i b_j)
-            rhs = algebra.multiply(si, matrix.row(j))
-            if lhs != rhs:
+    # for each i and every j at once: row j of lhs is sigma(b_i b_j), row j
+    # of rhs is sigma(b_j) under left multiplication by sigma(b_i)
+    for i in range(algebra.dim):
+        lhs = (algebra.left_mult(i) @ matrix).a.tolist()
+        rhs = (matrix @ algebra.element_left_matrix(matrix.row(i))).a.tolist()
+        for j in range(algebra.dim):
+            if lhs[j] != rhs[j]:
                 raise AutomorphismError(
                     f"not-multiplicative on basis pair ({i}, {j})"
                 )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Automorphism, BasicAlgebra
-from .fields import ExactMatrix, LinearAlgebraError, _empty
+from .fields import ExactMatrix, LinearAlgebraError, _empty, linear_combination
 from .homology import Homology, cosyzygy_morphism, rank_exactness
 from .modules import (
     Module,
@@ -819,15 +819,9 @@ def periodic_homotopy(x: AngleSequence, y: AngleSequence, targets,
     sol = big.solve_left(rhs)
     if sol is None:
         return None
-    out = []
-    for i in range(n):
-        acc = ExactMatrix.zeros(fld, *shapes[i])
-        for t, h in enumerate(hom_bases[i]):
-            c = sol.a[0, offsets[i] + t]
-            if c != 0:
-                acc = acc + h.matrix.scale(c)
-        out.append(acc)
-    return out
+    return [linear_combination(fld, sol.a[0, offsets[i]: offsets[i + 1]],
+                               [h.matrix for h in hom_bases[i]], shapes[i])
+            for i in range(n)]
 
 
 def contractible_test(x: AngleSequence, engine: Homology | None = None):

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import BasicAlgebra
-from .fields import ExactMatrix, LinearAlgebraError
+from .fields import ExactMatrix, LinearAlgebraError, linear_combination
 from .homology import Homology
 from .modules import (
     Module,
+    ModuleMorphism,
     cokernel_of,
     kernel_of,
     projective_module,
@@ -137,23 +138,15 @@ def sample_commuting_square(eng: Homology, x: AngleSequence, y: AngleSequence,
         blocks.append((-(x.maps[0].matrix @ h.matrix)).a.reshape(-1))
     big = ExactMatrix(fld, np.stack(blocks))
     space = big.left_kernel()
-    phi1 = zero_morphism(x.objects[0], y.objects[0])
-    phi2 = zero_morphism(x.objects[1], y.objects[1])
-    if space.rows == 0:
-        return phi1, phi2
-    coeff = None
-    for r in range(space.rows):
-        row = space.take_rows([r]).scale(fld.random(rng))
-        coeff = row if coeff is None else coeff + row
-    for i, h in enumerate(h1):
-        c = coeff.a[0, i]
-        if c != 0:
-            phi1 = phi1 + h.scale(c)
-    for j, h in enumerate(h2):
-        c = coeff.a[0, len(h1) + j]
-        if c != 0:
-            phi2 = phi2 + h.scale(c)
-    return phi1, phi2
+    scalars = [fld.random(rng) for _ in range(space.rows)]
+    coeff = (ExactMatrix(fld, [scalars]) @ space).a[0]
+
+    def combine(homs, cs, src, dst):
+        return ModuleMorphism(src, dst, linear_combination(
+            fld, cs, [h.matrix for h in homs], (src.dim, dst.dim)))
+
+    return (combine(h1, coeff[: len(h1)], x.objects[0], y.objects[0]),
+            combine(h2, coeff[len(h1):], x.objects[1], y.objects[1]))
 
 
 def _witness(angle, cert):

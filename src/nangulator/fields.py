@@ -5,6 +5,13 @@ int64 numpy arrays, rational entries are ``fractions.Fraction`` in object
 arrays.  Pivoting is pinned (leftmost nonzero column, topmost nonzero row) so
 every downstream construction is reproducible bit for bit.
 
+Over Q the arithmetic runs on Python-int numerators, not on ``Fraction``
+objects: a product multiplies the integer numerators of its operands, each
+taken over one common denominator (``dot``), and elimination is
+fraction-free Gauss-Jordan on integer rows, dividing by the pivots once at
+the end.  The RREF is unique, so the stored ``Fraction`` results are the
+same as with fraction arithmetic.
+
 A matrix knows when it is reduced: the R that ``rref()`` returns and the
 basis that ``row_space`` returns carry their pivot columns, and ``rref()`` on
 such a matrix returns it at once, with no elimination.  Every other matrix,
@@ -14,7 +21,9 @@ sums, the constructor), starts unreduced.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +55,8 @@ class FieldSpec:
 
     The bound keeps int64 arithmetic exact: (p - 1)^2 < 2^32, so an int64
     matmul could only overflow with an inner dimension above 2^31, which no
-    matrix in memory reaches.
+    matrix in memory reaches.  Rationals are stored as ``Fraction`` entries
+    and computed on their integer numerators (see the module docstring).
     """
 
     characteristic: int = 0
@@ -103,10 +113,84 @@ def _empty(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
     return a
 
 
-def canonical(field: FieldSpec, a: np.ndarray) -> np.ndarray:
-    """An array of products and sums of canonical entries, of any shape, in
-    canonical form: residues mod p over F_p; over Q it already is."""
-    return a % field.characteristic if field.characteristic else a
+def _objects(values, shape) -> np.ndarray:
+    """An object array of the given shape holding ``values`` in C order."""
+    return np.fromiter(values, dtype=object, count=len(values)).reshape(shape)
+
+
+def _numerators(a: np.ndarray):
+    """(N, d) with a = N / d: N an object array of Python ints and d the lcm
+    of the denominators of the rational (or integer) entries of a."""
+    flat = a.ravel().tolist()
+    d = math.lcm(*{x.denominator for x in flat})
+    if d == 1:
+        return _objects([x.numerator for x in flat], a.shape), 1
+    return _objects([x.numerator * (d // x.denominator) for x in flat],
+                    a.shape), d
+
+
+def _fractions(n: np.ndarray, d: int) -> np.ndarray:
+    """The ``Fraction`` array n / d for an array n of Python ints, with one
+    ``Fraction`` built per distinct numerator."""
+    flat = n.ravel().tolist()
+    made = {x: _fraction(x, d) for x in set(flat)}
+    return _objects([made[x] for x in flat], n.shape)
+
+
+@functools.lru_cache(maxsize=4096)
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d), shared: the values a matrix holds repeat across
+    matrices, and a Fraction is immutable."""
+    return Fraction(n, d)
+
+
+def _lowest(n: np.ndarray, d: int):
+    """n / d with d the least common denominator: (n / g, d / g) for the
+    gcd g of d and every entry of n."""
+    if d > 1:
+        g = math.gcd(d, np.gcd.reduce(n, axis=None))
+        if g > 1:
+            return n // g, d // g
+    return n, d
+
+
+def _int64(n: np.ndarray):
+    """n as int64 with the largest absolute entry, or None when some entry
+    does not fit."""
+    try:
+        n64 = n.astype(np.int64)
+    except OverflowError:
+        return None
+    if not n64.size:
+        return n64, 0
+    return n64, max(int(n64.max()), -int(n64.min()))
+
+
+def _product(x, y, axes=None):
+    """(N, d) of the product of x = (N_x, d_x) and y = (N_y, d_y): N_x @ N_y
+    (or their tensordot over axes) over d_x d_y, in lowest terms.  It runs
+    on int64 when max|N_x| max|N_y| k < 2^63 for the inner length k, which
+    is at most the size of either operand; else on Python ints."""
+    nx, ny = x[0], y[0]
+    mul = np.matmul if axes is None else (lambda a, b: np.tensordot(a, b, axes))
+    bx, by = _int64(nx), _int64(ny)
+    if bx and by and bx[1] * by[1] * min(nx.size, ny.size) < 1 << 63:
+        n = mul(bx[0], by[0]).astype(object)
+    else:
+        n = mul(nx, ny)
+    return _lowest(n, x[1] * y[1])
+
+
+def dot(field: FieldSpec, a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
+    """The product a @ b, or ``np.tensordot(a, b, axes)`` when axes is
+    given, of arrays with canonical entries, in canonical form.  Over F_p it
+    is the int64 product reduced mod p; over Q the integer numerators are
+    multiplied and the result is divided by the product of the two
+    denominators."""
+    p = field.characteristic
+    if p:
+        return (a @ b if axes is None else np.tensordot(a, b, axes)) % p
+    return _fractions(*_product(_numerators(a), _numerators(b), axes))
 
 
 class ExactMatrix:
@@ -116,7 +200,7 @@ class ExactMatrix:
     maps act on the right (x @ M), and the left kernel is {x : x M = 0}.
     """
 
-    __slots__ = ("field", "a", "_digest", "_pivots")
+    __slots__ = ("field", "a", "_digest", "_pivots", "_num")
 
     def __init__(self, field: FieldSpec, data):
         self.field = field
@@ -126,15 +210,18 @@ class ExactMatrix:
             a = np.asarray(data, dtype=np.int64) % field.characteristic
         else:
             src = np.asarray(data, dtype=object)
-            a = np.empty(src.shape, dtype=object)
-            for idx in np.ndindex(src.shape):
-                a[idx] = Fraction(src[idx])
+            flat = src.ravel().tolist()
+            if all(type(x) is Fraction for x in flat):
+                a = src.copy()
+            else:
+                a = _objects([Fraction(x) for x in flat], src.shape)
         if a.ndim != 2:
             raise LinearAlgebraError(f"expected 2-d data, got shape {a.shape}")
         a.flags.writeable = False
         self.a = a
         self._digest = None
         self._pivots = None
+        self._num = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -143,11 +230,18 @@ class ExactMatrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "ExactMatrix":
-        a = _empty(field, n, n)
-        one = 1 if field.characteristic else Fraction(1)
-        for i in range(n):
-            a[i, i] = one
-        return ExactMatrix._wrap(field, a)
+        if not field.characteristic:
+            return ExactMatrix._from_numerators(
+                field, np.identity(n, dtype=object), 1)
+        return ExactMatrix._wrap(field, np.identity(n, dtype=np.int64))
+
+    @staticmethod
+    def _from_numerators(field: FieldSpec, n: np.ndarray, d: int):
+        """The rational matrix n / d, keeping (n, d) as its numerators."""
+        m = ExactMatrix._wrap(field, _fractions(n, d))
+        n.flags.writeable = False
+        m._num = (n, d)
+        return m
 
     @staticmethod
     def _wrap(field: FieldSpec, a: np.ndarray) -> "ExactMatrix":
@@ -157,6 +251,7 @@ class ExactMatrix:
         m.a = a
         m._digest = None
         m._pivots = None
+        m._num = None
         return m
 
     def _new(self, a: np.ndarray) -> "ExactMatrix":
@@ -178,54 +273,105 @@ class ExactMatrix:
         return self.a.shape
 
     # -- arithmetic --------------------------------------------------------
+    def numerators(self):
+        """Over Q, (N, d) with self.a = N / d: read-only Python-int
+        numerators over a common denominator (the least one unless the
+        matrix was cut from a larger one), kept."""
+        if self._num is None:
+            n, d = _numerators(self.a)
+            n.flags.writeable = False
+            self._num = (n, d)
+        return self._num
+
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise LinearAlgebraError(
                 f"shape mismatch for product: {self.shape} @ {other.shape}"
             )
-        if self.rows == 0 or other.cols == 0:
-            return ExactMatrix.zeros(self.field, self.rows, other.cols)
-        return self._new(self.a @ other.a)
+        if self.field.characteristic:
+            return self._new(self.a @ other.a)
+        return ExactMatrix._from_numerators(
+            self.field, *_product(self.numerators(), other.numerators()))
+
+    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The Kronecker product: entry (i q + k, j r + l) is
+        self[i, j] other[k, l], for other of shape (q, r)."""
+        if self.field.characteristic:
+            return self._new(np.kron(self.a, other.a))
+        (na, da), (nb, db) = self.numerators(), other.numerators()
+        return ExactMatrix._from_numerators(
+            self.field, *_lowest(np.kron(na, nb), da * db))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._new(self.a + other.a)
+        if self.field.characteristic:
+            return self._new(self.a + other.a)
+        (na, nb), d = _common([self, other])
+        return ExactMatrix._from_numerators(self.field, *_lowest(na + nb, d))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._new(self.a - other.a)
+        if self.field.characteristic:
+            return self._new(self.a - other.a)
+        return self + (-other)
 
     def __neg__(self) -> "ExactMatrix":
-        return self._new(-self.a)
+        if self.field.characteristic:
+            return self._new(-self.a)
+        n, d = self.numerators()
+        return ExactMatrix._from_numerators(self.field, -n, d)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.canon(c)
-        return self._new(self.a * c)
+        if self.field.characteristic:
+            return self._new(self.a * c)
+        n, d = self.numerators()
+        return ExactMatrix._from_numerators(
+            self.field, *_lowest(n * c.numerator, d * c.denominator))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.shape == other.shape
-            and bool(np.all(self.a == other.a))
-        )
+        if not (isinstance(other, ExactMatrix) and self.field == other.field
+                and self.shape == other.shape):
+            return False
+        if self.field.characteristic:
+            return bool(np.all(self.a == other.a))
+        (na, da), (nb, db) = self.numerators(), other.numerators()
+        if da != db:
+            na, nb = na * db, nb * da
+        return bool(np.all(na == nb))
 
     def __hash__(self):
         return hash((self.field, self.digest()))
 
+    def _select(self, part) -> "ExactMatrix":
+        """The matrix part(a) for a copy, view or rearrangement ``part`` of
+        the entries; kept numerators are carried along as part(N)."""
+        out = ExactMatrix._wrap(self.field, part(self.a))
+        if self._num is not None:
+            n = part(self._num[0])
+            n.flags.writeable = False
+            out._num = (n, self._num[1])
+        return out
+
+    def reshape(self, rows: int, cols: int) -> "ExactMatrix":
+        """The same entries in C order as a rows x cols matrix."""
+        return self._select(lambda a: a.reshape(rows, cols))
+
     @property
     def T(self) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.field, self.a.T.copy())
+        return self._select(lambda a: a.T.copy())
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.a == 0))
+        return not self.a.any()
 
     def row(self, i: int) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.field, self.a[i : i + 1].copy())
+        return self._select(lambda a: a[i : i + 1].copy())
 
     def take_rows(self, idx) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.field, self.a[list(idx)].copy())
+        idx = list(idx)
+        return self._select(lambda a: a[idx].copy())
 
     def take_cols(self, idx) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.field, self.a[:, list(idx)].copy())
+        idx = list(idx)
+        return self._select(lambda a: a[:, idx].copy())
 
     def digest(self) -> bytes:
         if self._digest is None:
@@ -257,7 +403,8 @@ class ExactMatrix:
         """
         if self._pivots is not None:
             return self, self._pivots
-        a, pivots = _eliminate(self.field.characteristic, self.a)
+        p = self.field.characteristic
+        a, pivots = _eliminate(p, self.a if p else self.numerators()[0])
         r = self._new(a)
         r._pivots = pivots
         return r, pivots
@@ -268,18 +415,15 @@ class ExactMatrix:
     def left_kernel(self) -> "ExactMatrix":
         """Canonical basis (rows, in RREF) of {x : x @ self = 0}."""
         r, piv = self.T.rref()
-        piv = set(piv)
-        free = [j for j in range(self.rows) if j not in piv]
+        free = [j for j in range(self.rows) if j not in set(piv)]
         if not free:
             return ExactMatrix.zeros(self.field, 0, self.rows)
+        # free variable j set to 1, each pivot variable to minus its row at j
         basis = _empty(self.field, len(free), self.rows)
-        one = 1 if self.field.characteristic else Fraction(1)
-        piv_list = sorted(piv)
-        for k, j in enumerate(free):
-            basis[k, j] = one
-            for row_idx, pc in enumerate(piv_list):
-                basis[k, pc] = -r.a[row_idx, j]
-        out = ExactMatrix._wrap(self.field, basis % self.field.characteristic if self.field.characteristic else basis)
+        basis[range(len(free)), free] = 1 if self.field.characteristic \
+            else Fraction(1)
+        basis[:, list(piv)] = -r.a[: len(piv), free].T
+        out = self._new(basis)
         # canonical form: reduce the kernel basis itself
         return out.rref()[0].take_rows(range(out.rows))._strip_zero_rows()
 
@@ -305,13 +449,11 @@ class ExactMatrix:
         aug = ExactMatrix(self.field, aug_a)
         r, piv = aug.rref()
         n_unknowns = self.rows
+        if piv and piv[-1] >= n_unknowns:
+            return None  # pivot in augmented columns: inconsistent
         sol = _empty(self.field, rhs.rows, n_unknowns)
-        for row_idx, pc in enumerate(piv):
-            if pc >= n_unknowns:
-                return None  # pivot in augmented columns: inconsistent
-            for j in range(rhs.rows):
-                sol[j, pc] = r.a[row_idx, n_unknowns + j]
-        return ExactMatrix(self.field, sol)
+        sol[:, list(piv)] = r.a[: len(piv), n_unknowns:].T
+        return ExactMatrix._wrap(self.field, sol)
 
     def inv(self) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -329,6 +471,8 @@ class ExactMatrix:
 def _eliminate(p: int, a: np.ndarray):
     """Gauss-Jordan elimination of a copy of ``a`` with pinned pivoting:
     (reduced array, pivot columns)."""
+    if not p:
+        return _eliminate_rational(a)
     a = a.copy()
     a.flags.writeable = True
     rows, cols = a.shape
@@ -344,47 +488,116 @@ def _eliminate(p: int, a: np.ndarray):
         if i != r:
             a[[r, i]] = a[[i, r]]
         # rows r.. are zero left of column c, so only columns c.. change
-        if p:
-            a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
-            col = a[:, c].copy()
-            col[r] = 0
-            a[:, c:] = (a[:, c:] - np.outer(col, a[r, c:])) % p
-        else:
-            a[r, c:] = a[r, c:] * (Fraction(1) / a[r, c])
-            col = a[:, c].copy()
-            col[r] = Fraction(0)
-            a[:, c:] = a[:, c:] - np.outer(col, a[r, c:])
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a[:, c:] = (a[:, c:] - np.outer(col, a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
 
 
+def _primitive(rows: np.ndarray) -> np.ndarray:
+    """Integer rows divided by their contents (zero rows stay zero)."""
+    g = np.gcd.reduce(rows, axis=1)
+    g[g == 0] = 1
+    return rows // g[:, None]
+
+
+def _eliminate_rational(a: np.ndarray):
+    """Fraction-free Gauss-Jordan elimination of a rational array.
+
+    Each row is scaled to primitive integers.  At a pivot pv in row r and
+    column c, every other row j with m_jc != 0 becomes row_j . pv -
+    row_r . m_jc over the whole row, divided by its content; pivot rows are
+    not normalised until the end, when each is divided by its pivot.  The
+    rows stay nonzero multiples of the rows of the fraction elimination, so
+    the pivots and the reduced form are the same (Bareiss, Math. Comp. 22,
+    1968, for the integer-preserving pattern)."""
+    rows, cols = a.shape
+    m = _numerators(a)[0]
+    if rows and cols:
+        m = _primitive(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        hit = np.nonzero(m[:, c])[0]
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit] = _primitive(m[hit] * m[r, c] - np.outer(m[hit, c], m[r]))
+        pivots.append(c)
+        r += 1
+    out = np.empty((rows, cols), dtype=object)
+    out[r:] = Fraction(0)
+    for i, c in enumerate(pivots):
+        out[i] = _fractions(m[i], m[i, c])
+    return out, tuple(pivots)
+
+
 # -- module-level operations ------------------------------------------------
 
 
+def _common(mats):
+    """The numerators of rational matrices over one denominator d, the lcm
+    of theirs: ([N_1, N_2, ...], d)."""
+    nums = [m.numerators() for m in mats]
+    d = math.lcm(*(dm for _, dm in nums))
+    return [n if dm == d else n * (d // dm) for n, dm in nums], d
+
+
 def stack_rows(field: FieldSpec, mats) -> ExactMatrix:
-    mats = [m for m in mats]
+    mats = list(mats)
     if not mats:
         raise LinearAlgebraError("stack_rows of empty list")
     cols = mats[0].cols
-    arrs = [m.a for m in mats if m.rows > 0]
-    if not arrs:
+    mats = [m for m in mats if m.rows > 0]
+    if not mats:
         return ExactMatrix.zeros(field, 0, cols)
-    return ExactMatrix(field, np.concatenate(arrs, axis=0))
+    if field.characteristic:
+        return ExactMatrix._wrap(field, np.concatenate([m.a for m in mats]))
+    nums, d = _common(mats)
+    return ExactMatrix._from_numerators(field, np.concatenate(nums), d)
 
 
 def block_diag(field: FieldSpec, mats) -> ExactMatrix:
+    """The block diagonal matrix of ``mats``; over Q it is assembled on
+    numerators over the lcm of their denominators."""
     mats = list(mats)
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = _empty(field, rows, cols)
+    p = field.characteristic
+    if p:
+        blocks, d = [m.a for m in mats], 1
+    else:
+        blocks, d = _common(mats)
+    out = np.zeros((rows, cols), dtype=np.int64 if p else object)
     r = c = 0
-    for m in mats:
-        if m.rows and m.cols:
-            out[r : r + m.rows, c : c + m.cols] = m.a
+    for m, block in zip(mats, blocks):
+        out[r : r + m.rows, c : c + m.cols] = block
         r += m.rows
         c += m.cols
-    return ExactMatrix(field, out)
+    if p:
+        return ExactMatrix._wrap(field, out)
+    return ExactMatrix._from_numerators(field, out, d)
+
+
+def linear_combination(field: FieldSpec, coeffs, mats, shape) -> ExactMatrix:
+    """sum_i coeffs[i] mats[i] for matrices of the given shape (zero when
+    there are none): one product of the coefficient row with the flattened
+    matrices."""
+    rows, cols = shape
+    if not len(mats):
+        return ExactMatrix.zeros(field, rows, cols)
+    flat = stack_rows(field, [m.reshape(1, rows * cols) for m in mats])
+    return (ExactMatrix(field, [list(coeffs)]) @ flat).reshape(rows, cols)
 
 
 def row_space(m: ExactMatrix) -> ExactMatrix:
@@ -399,17 +612,10 @@ def row_space(m: ExactMatrix) -> ExactMatrix:
 
 
 def reduce_rows_mod(space: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:
-    """Reduce each row of vecs modulo the RREF row space ``space``."""
+    """Reduce each row of vecs modulo the RREF row space ``space``: subtract
+    vecs[:, piv] . R[:len(piv)], which clears every pivot column because a
+    row of R is zero at the pivots of the other rows."""
     if space.rows == 0:
         return vecs
     r, piv = space.rref()
-    out = vecs.a.copy()
-    out.flags.writeable = True
-    p = space.field.characteristic
-    for row_idx, pc in enumerate(piv):
-        coeff = out[:, pc].copy()
-        if p:
-            out = (out - np.outer(coeff, r.a[row_idx])) % p
-        else:
-            out = out - np.outer(coeff, r.a[row_idx])
-    return ExactMatrix(space.field, out)
+    return vecs - vecs.take_cols(piv) @ r.take_rows(range(len(piv)))

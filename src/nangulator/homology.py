@@ -27,7 +27,9 @@ from .algebra import BasicAlgebra, NakayamaData
 from .fields import (
     ExactMatrix,
     LinearAlgebraError,
-    canonical,
+    block_diag,
+    dot,
+    linear_combination,
 )
 from .modules import (
     Module,
@@ -117,6 +119,7 @@ class Homology:
         self._resolutions: dict[bytes, Resolution] = {}
         self._dual_proj_iso: dict[int, ModuleMorphism] = {}
         self._proj_structure: dict[bytes, tuple] = {}
+        self._hulls: dict[bytes, tuple] = {}
 
     # -- injective hulls (duality with the opposite cover) -------------------
     def _dual_projective_iso(self, pos: int) -> ModuleMorphism:
@@ -137,26 +140,28 @@ class Homology:
 
     def injective_hull(self, m: Module):
         """Minimal injective hull (I, iota: M -> I) with I a literal direct
-        sum of indecomposable projectives (projectives = injectives here)."""
+        sum of indecomposable projectives (projectives = injectives here).
+        I and the matrix of iota are kept per module contents."""
         A = self.algebra
         if m.dim == 0:
             z = zero_module(A)
             return z, zero_morphism(m, z)
-        md = dual_module(m)
-        p_op, pi_op = projective_cover(md, variant=self.choice_variant)
-        iota0 = pi_op.matrix.T  # M = D(D(M)) -> D(P_op)
-        # D(P_op) decomposes blockwise; normalize each block to a literal e A
-        I = standard_projective(A, [self.nakayama.nu_inverse(pos)
-                                    for pos in p_op.proj])
-        blocks = [self._dual_projective_iso(pos).matrix for pos in p_op.proj]
-        from .fields import block_diag
-
-        rho = block_diag(A.field, blocks)
-        iota = ExactMatrix(A.field, iota0.a) @ rho
-        hull = ModuleMorphism(m, I, iota)
-        if hull.rank() != m.dim:
-            raise LinearAlgebraError("injective hull map is not mono")
-        return I, hull
+        key = m.digest()
+        if key not in self._hulls:
+            md = dual_module(m)
+            p_op, pi_op = projective_cover(md, variant=self.choice_variant)
+            iota0 = pi_op.matrix.T  # M = D(D(M)) -> D(P_op)
+            # D(P_op) decomposes blockwise; normalize each block to a literal eA
+            I = standard_projective(A, [self.nakayama.nu_inverse(pos)
+                                        for pos in p_op.proj])
+            rho = block_diag(A.field, [self._dual_projective_iso(pos).matrix
+                                       for pos in p_op.proj])
+            iota = iota0 @ rho
+            if iota.rank() != m.dim:
+                raise LinearAlgebraError("injective hull map is not mono")
+            self._hulls[key] = (I, iota)
+        I, iota = self._hulls[key]
+        return I, ModuleMorphism(m, I, iota)
 
     def cosyzygy_step(self, m: Module):
         """One hull step: returns (I, iota, omega, proj)."""
@@ -236,15 +241,9 @@ class Homology:
         sol = big.solve_left(rhs)
         if sol is None:
             return None
-        g = None
-        for i, h in enumerate(homs):
-            c = sol.a[0, i]
-            if c != 0:
-                term = h.scale(c)
-                g = term if g is None else g + term
-        if g is None:
-            g = zero_morphism(V, U)
-        return g
+        return ModuleMorphism(V, U, linear_combination(
+            fld, sol.a[0, : len(homs)], [h.matrix for h in homs],
+            (V.dim, U.dim)))
 
     # -- maps out of projectives ----------------------------------------------
     def proj_structure(self, m: Module):
@@ -269,7 +268,7 @@ class Homology:
         homs = hom_array(P, n)
         if pi is None or not len(homs):
             return homs
-        return canonical(self.algebra.field, pi_inv.a @ homs)
+        return dot(self.algebra.field, pi_inv.a, homs)
 
     def hom_from_projective(self, p: Module, n: Module):
         """Basis of Hom(P, N) as morphisms: the slices of
@@ -295,16 +294,17 @@ class Homology:
             if any(not c[-1].is_zero() for c in constraints):
                 return None
             return zero_morphism(p, n)
-        cols = [(c[0].a @ homs if len(c) == 2 else homs @ c[1].a)
-                .reshape(len(homs), -1) for c in constraints]
+        cols = [(dot(fld, c[0].a, homs) if len(c) == 2
+                 else dot(fld, homs, c[1].a)).reshape(len(homs), -1)
+                for c in constraints]
         big = ExactMatrix(fld, np.concatenate(cols, axis=1))
         rhs = ExactMatrix(fld, np.concatenate(
             [c[-1].a.reshape(-1) for c in constraints])[None, :])
         sol = big.solve_left(rhs)
         if sol is None:
             return None
-        return ModuleMorphism(p, n, ExactMatrix(fld, np.tensordot(
-            sol.a[0], homs, axes=1)))
+        return ModuleMorphism(p, n, ExactMatrix._wrap(fld, dot(
+            fld, sol.a[0], homs, axes=1)))
 
 
 def cosyzygy_morphism(engine: Homology, f: ModuleMorphism, k: int) -> ModuleMorphism:

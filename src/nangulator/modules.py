@@ -25,6 +25,7 @@ from .fields import (
     LinearAlgebraError,
     _empty,
     block_diag,
+    linear_combination,
     reduce_rows_mod,
     row_space,
     stack_rows,
@@ -76,10 +77,10 @@ class Module:
 
     def combination(self, terms) -> ExactMatrix:
         """Action of the element sum c . b_k for (k, c) in ``terms``."""
-        acc = _empty(self.algebra.field, self.dim, self.dim)
-        for k, c in terms:
-            acc = acc + c * self.action[k].a
-        return ExactMatrix(self.algebra.field, acc)
+        terms = list(terms)
+        return linear_combination(self.algebra.field, [c for _, c in terms],
+                                  [self.action[k] for k, _ in terms],
+                                  (self.dim, self.dim))
 
     def idempotent_image(self, pos: int) -> ExactMatrix:
         """Canonical basis rows of M e for the idempotent at position pos."""
@@ -255,21 +256,18 @@ def projective_module(algebra, pos: int) -> Module:
     e A^e = A e_u (x) e_v A: the generator a (x) b acts by the Kronecker
     product of A's left multiplication by a on A e_u and its right
     multiplication by b on e_v A."""
-    fld = algebra.field
     rows = algebra.projective_rows(pos)
     base = getattr(algebra, "base", None)
     action = {}
     if base is None:
-        sel = np.ix_(rows, rows)
         for g in algebra.generators:
-            action[g] = ExactMatrix(fld, algebra.right_mult[g].a[sel].copy())
+            action[g] = algebra.right_mult[g].take_rows(rows).take_cols(rows)
         return Module(algebra, len(rows), action, (pos,))
     left, right = algebra.projective_factors(pos)
     for g in algebra.generators:
         i, j = divmod(g, base.dim)
-        action[g] = ExactMatrix(fld, np.kron(
-            base.left_mult(i).a[np.ix_(left, left)],
-            base.right_mult[j].a[np.ix_(right, right)]))
+        action[g] = (base.left_mult(i).take_rows(left).take_cols(left).kron(
+            base.right_mult[j].take_rows(right).take_cols(right)))
     return Module(algebra, len(rows), action, (pos,))
 
 

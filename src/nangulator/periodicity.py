@@ -164,8 +164,8 @@ def is_inner(algebra: BasicAlgebra, rho: Automorphism):
     blocks = []
     for g in algebra.generators:
         rho_g = rho.matrix.row(g)
-        blocks.append(algebra.element_left_matrix(rho_g).a
-                      - algebra.right_mult[g].a)
+        blocks.append((algebra.element_left_matrix(rho_g)
+                       - algebra.right_mult[g]).a)
     big = ExactMatrix(fld, np.concatenate(blocks, axis=1))
     space = big.left_kernel()
     coeffs = nowhere_zero(space.take_cols(algebra.idempotents))

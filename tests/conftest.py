@@ -686,3 +686,65 @@ def tops_oracle(m):
         lifts = row_space(reduced)
         out.extend((pos, lifts.take_rows([r])) for r in range(lifts.rows))
     return out
+
+
+def fraction_eliminate(a):
+    """Gauss-Jordan elimination on ``Fraction`` entries with pinned pivoting
+    (leftmost column, topmost row), (reduced array, pivot columns): the
+    rational branch of ``fields._eliminate`` before elimination moved to
+    integer numerators, kept as an oracle."""
+    from fractions import Fraction
+
+    a = np.array(a, dtype=object)
+    a.flags.writeable = True
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, c:] = a[r, c:] * (Fraction(1) / a[r, c])
+        col = a[:, c].copy()
+        col[r] = Fraction(0)
+        a[:, c:] = a[:, c:] - np.outer(col, a[r, c:])
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+def fraction_matmul(a, b):
+    """The product of two ``Fraction`` arrays as an object-array ``@``, with
+    ``Fraction(0)`` entries when the inner dimension is 0: the rational
+    product of ``ExactMatrix.__matmul__`` before products moved to integer
+    numerators, kept as an oracle."""
+    from fractions import Fraction
+
+    if a.shape[1] == 0:
+        out = np.empty((a.shape[0], b.shape[1]), dtype=object)
+        out[...] = Fraction(0)
+        return out
+    return a @ b
+
+
+def reduce_rows_mod_loop(space, vecs):
+    """``fields.reduce_rows_mod`` as one subtraction per pivot row, the form
+    it had before it became one product, kept as an oracle."""
+    from nangulator.fields import ExactMatrix
+
+    if space.rows == 0:
+        return vecs
+    r, piv = space.rref()
+    out = vecs.a.copy()
+    p = space.field.characteristic
+    for row_idx, pc in enumerate(piv):
+        coeff = out[:, pc].copy()
+        out = out - np.outer(coeff, r.a[row_idx])
+        if p:
+            out = out % p
+    return ExactMatrix(space.field, out)

@@ -1,14 +1,23 @@
 """Exact linear algebra: pinned-pivot elimination, kernels, solving."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from conftest import fraction_eliminate, fraction_matmul, reduce_rows_mod_loop
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nangulator.fields import ExactMatrix, FieldSpec, LinearAlgebraError
+from nangulator.fields import (
+    ExactMatrix,
+    FieldSpec,
+    LinearAlgebraError,
+    dot,
+    reduce_rows_mod,
+    row_space,
+)
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -264,3 +273,188 @@ def test_rref_matches_full_width_elimination(p):
         r, piv = x.rref()
         assert piv == want_piv
         assert r == ExactMatrix(field, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
+def test_reduce_rows_mod_matches_one_subtraction_per_pivot(p):
+    field = FieldSpec(p)
+    rng = random.Random(200 + p)
+    mats = _random_matrices(field, rng)
+    for space, vecs in zip(mats, mats[1:]):
+        if space.cols != vecs.cols:
+            vecs = ExactMatrix(field, [[rng.randrange(p or 9) for _ in range(space.cols)]
+                                       for _ in range(3)])
+        basis = row_space(space)
+        got = reduce_rows_mod(basis, vecs)
+        assert got == reduce_rows_mod_loop(basis, vecs)
+        assert got.take_cols(basis.rref()[1]).is_zero()
+
+
+# -- rationals on integer numerators ------------------------------------------
+
+_BIG = 1 << 70
+q_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 1 << 66)),
+)
+
+
+@st.composite
+def q_matrix(draw, rows=None, cols=None, max_dim=4):
+    """A rational matrix: small fractions with non-unit denominators,
+    numerators and denominators above 2^63, zero entries, a repeated row;
+    sometimes the zero matrix, and 0 x n or n x 0 when drawn so."""
+    rows = draw(st.integers(0, max_dim)) if rows is None else rows
+    cols = draw(st.integers(0, max_dim)) if cols is None else cols
+    if rows == 0 or cols == 0 or draw(st.integers(0, 7)) == 0:
+        return ExactMatrix.zeros(QQ, rows, cols)
+    a = draw(st.lists(st.lists(q_entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        a[-1] = [x * 3 for x in a[0]]
+    return mat(QQ, a)
+
+
+def _same_fractions(got: ExactMatrix, want):
+    """got holds Fraction entries equal to want's, with the same digest."""
+    want = np.asarray(want, dtype=object).reshape(got.shape)
+    assert all(type(x) is Fraction for x in got.a.flat)
+    assert got.a.tolist() == want.tolist()
+    assert got.digest() == ExactMatrix(QQ, want).digest()
+
+
+def _oracle_solve_left(m, rhs):
+    """The back-substitution solution of X m = rhs from the Fraction
+    elimination of the augmented matrix, or None if inconsistent."""
+    n = m.shape[0]
+    aug = np.concatenate([m.T, rhs.T], axis=1)
+    r, piv = fraction_eliminate(aug)
+    if piv and piv[-1] >= n:
+        return None
+    sol = np.empty((rhs.shape[0], n), dtype=object)
+    sol[...] = Fraction(0)
+    for row_idx, pc in enumerate(piv):
+        sol[:, pc] = r[row_idx, n:]
+    return sol
+
+
+@given(q_matrix())
+def test_rational_rref_matches_fraction_elimination(m):
+    want, want_piv = fraction_eliminate(m.a)
+    r, piv = ExactMatrix(QQ, m.a).rref()
+    assert piv == want_piv
+    _same_fractions(r, want)
+
+
+@given(st.data())
+def test_rational_product_matches_object_product(data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(q_matrix(r, k)), data.draw(q_matrix(k, c))
+    _same_fractions(a @ b, fraction_matmul(a.a, b.a))
+    # a second product reuses the numerators the first one kept
+    _same_fractions((a @ b) @ b.T, fraction_matmul(fraction_matmul(a.a, b.a), b.a.T))
+
+
+@given(st.data())
+def test_dot_matches_numpy_products(data):
+    r, k, c = (data.draw(st.integers(0, 3)) for _ in range(3))
+    a, b, b2 = (data.draw(q_matrix(*shape))
+                for shape in ((r, k), (k, c), (k, c)))
+    stack = np.stack([b.a, b2.a])                        # (2, k, c)
+    vec = data.draw(q_matrix(1, k)).a[0]
+    cases = [
+        (dot(QQ, a.a, b.a), fraction_matmul(a.a, b.a)),
+        (dot(QQ, a.a, stack),
+         np.stack([fraction_matmul(a.a, x) for x in stack])),
+        (dot(QQ, vec, stack.transpose(1, 0, 2), axes=1),
+         np.tensordot(vec, stack.transpose(1, 0, 2), axes=1)),
+        (dot(QQ, vec, stack, axes=(0, 1)),
+         np.tensordot(vec, stack, axes=(0, 1))),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert all(type(x) is Fraction for x in got.flat)
+        assert got.tolist() == want.tolist()
+    # over F_p, dot is the int64 product reduced mod p
+    f7 = FieldSpec(7)
+    f = np.arange(r * k, dtype=np.int64).reshape(r, k) * 5 % 7
+    g = np.arange(2 * k * c, dtype=np.int64).reshape(2, k, c) * 3 % 7
+    assert np.array_equal(dot(f7, f, g), (f @ g) % 7)
+    assert np.array_equal(dot(f7, f, g, axes=(1, 1)),
+                          np.tensordot(f, g, (1, 1)) % 7)
+
+
+@given(st.data())
+def test_rational_solve_left_and_inv_match_the_fraction_oracle(data):
+    m = data.draw(q_matrix())
+    rhs = data.draw(q_matrix(data.draw(st.integers(0, 3)), m.cols))
+    want = _oracle_solve_left(m.a, rhs.a)
+    got = m.solve_left(rhs)
+    if want is None:
+        assert got is None
+    else:
+        _same_fractions(got, want)
+        assert got @ m == rhs
+    if m.rows == m.cols:
+        want_inv = _oracle_solve_left(m.a, ExactMatrix.identity(QQ, m.rows).a)
+        if want_inv is None:
+            with pytest.raises(LinearAlgebraError):
+                m.inv()
+        else:
+            _same_fractions(m.inv(), want_inv)
+
+
+def test_rational_products_past_the_int64_bound_stay_exact():
+    # entries that fit int64 whose products or sums do not
+    for x in (1 << 31, 1 << 32, 3037000500, (1 << 62) + 1):
+        a = mat(QQ, [[x, x], [x, -x]])
+        b = mat(QQ, [[x, 1], [x, Fraction(1, 3)]])
+        _same_fractions(a @ b, fraction_matmul(a.a, b.a))
+        _same_fractions(a.kron(b), np.kron(a.a, b.a))
+        want, _ = fraction_eliminate(np.concatenate([a.a, b.a], axis=1))
+        _same_fractions(ExactMatrix(QQ, np.concatenate([a.a, b.a], axis=1))
+                        .rref()[0], want)
+
+
+def test_integer_valued_rationals_need_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(13)
+    rows = [[rng.randrange(-3, 4) for _ in range(6)] for _ in range(5)]
+    rows[4] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    a = mat(QQ, rows)
+    b = mat(QQ, [[rng.randrange(-3, 4) for _ in range(4)] for _ in range(6)])
+    want_product = fraction_matmul(a.a, b.a)
+    want_rref, want_piv = fraction_eliminate(a.a)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__mul__", refuse)
+        patched.setattr(Fraction, "__add__", refuse)
+        with pytest.raises(AssertionError):
+            Fraction(1, 2) * Fraction(2, 3)
+        product_ = ExactMatrix(QQ, a.a) @ ExactMatrix(QQ, b.a)
+        r, piv = ExactMatrix(QQ, a.a).rref()
+    _same_fractions(product_, want_product)
+    assert piv == want_piv
+    _same_fractions(r, want_rref)
+
+
+def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
+    # a cut keeps the numerators over the parent's denominator, which need
+    # not be the least one for the cut
+    m = mat(QQ, [[Fraction(1, 2), Fraction(1, 3)], [1, -1]])
+    assert m.numerators()[1] == 6
+    cuts = [m.take_rows([1]), m.row(1), m.T.T.take_rows([1]),
+            m.T.take_cols([1]).T, m.reshape(1, 4).take_cols([2, 3])]
+    fresh = mat(QQ, [[1, -1]])
+    for cut in cuts:
+        assert cut.numerators()[1] == 6
+        assert cut == fresh and fresh == cut
+        assert cut != mat(QQ, [[1, 1]])
+        _same_fractions(cut @ m, fraction_matmul(fresh.a, m.a))
+        _same_fractions(cut - fresh, np.zeros((1, 2), dtype=int) + Fraction(0))
+        _same_fractions(cut.scale(Fraction(3, 4)) + m.row(0),
+                        [[Fraction(3, 4) + Fraction(1, 2),
+                          Fraction(-3, 4) + Fraction(1, 3)]])

@@ -128,6 +128,32 @@ def test_hom_from_projective_does_not_depend_on_call_order():
         assert basis
 
 
+def test_hull_is_kept_per_module_contents(monkeypatch):
+    # a second module with the same contents gets the kept hull: no dual
+    # module is built again, and the map starts at the caller's module
+    from nangulator import homology
+    from nangulator.modules import Module
+
+    A, nakayama = load_fixture("preproj_a3")
+    eng = Homology(A, nakayama)
+    S = simple_module(A, 1)
+    I, iota = eng.injective_hull(S)
+    twin = Module(A, S.dim, {g: S.action[g] for g in A.generators})
+    assert twin is not S and twin.digest() == S.digest()
+
+    def refuse(m):
+        raise AssertionError("dual_module called again")
+
+    monkeypatch.setattr(homology, "dual_module", refuse)
+    I2, iota2 = eng.injective_hull(twin)
+    assert I2 is I and iota2.source is twin and iota2.target is I
+    assert iota2.matrix == iota.matrix
+    iota2.verify(exhaustive=True)
+    # a module with other contents is not answered from the kept hull
+    with pytest.raises(AssertionError, match="dual_module"):
+        eng.injective_hull(simple_module(A, 0))
+
+
 def test_hull_of_zero():
     eng = engine("loop_p3")
     I, iota = eng.injective_hull(zero_module(eng.algebra))

@@ -387,26 +387,34 @@ def test_candidate_stream_is_a_prefix_of_the_brute_force_list(A, perm):
 @pytest.mark.parametrize("n, s, p", [
     (3, 2, 101), (3, 3, 101), (2, 2, 65521),
     (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2), (3, 3, 2), (4, 3, 2),
+    (3, 3, 0), (4, 3, 0),
 ])
 def test_period_scan_over_large_prime_fields(n, s, p, tmp_path, capsys):
     # over F2 the s = 2 twist a_k -> -a_{k+1} loses its sign (-1 = 1), so its
-    # n-th power is inner for every n and the period is n, not 2n/gcd(n, 2)
+    # n-th power is inner for every n and the period is n, not 2n/gcd(n, 2).
+    # p = 0 runs over Q, and the F5 twin must agree with it
     import json
 
     from nangulator.algebra import verify_automorphism
     from nangulator.cli import run_cli
     from nangulator.fields import ExactMatrix
 
-    text = nakayama_text(n, s, p)
-    path = tmp_path / "algebra.json"
-    path.write_text(text)
-    assert run_cli(["period", str(path)]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    def period(p):
+        path = tmp_path / f"algebra_{p}.json"
+        path.write_text(nakayama_text(n, s, p))
+        assert run_cli(["period", str(path)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    payload = period(p)
     expected = n if (p, s) == (2, 2) else 2 * n // math.gcd(n, s)
     assert payload["period"] == expected
     assert payload["quasi_period"] == (1 if s == 2 else 2)
-    A = compute_basis(parse_algebra(text))
+    A = compute_basis(parse_algebra(nakayama_text(n, s, p)))
     verify_automorphism(A, ExactMatrix(A.field, payload["twist_matrix"]))
+    if p == 0:
+        twin = period(5)
+        for key in ("period", "quasi_period", "twist_order"):
+            assert payload[key] == twin[key], key
 
 
 def test_is_inner_refuses_scaling_with_cycle_holonomy_over_f101():
