@@ -8,9 +8,9 @@ every downstream construction is reproducible bit for bit.
 Over Q the arithmetic runs on Python-int numerators, not on ``Fraction``
 objects: a product multiplies the integer numerators of its operands, each
 taken over one common denominator (``dot``), and elimination is
-fraction-free Gauss-Jordan on integer rows, dividing by the pivots once at
-the end.  The RREF is unique, so the stored ``Fraction`` results are the
-same as with fraction arithmetic.
+fraction-free Gauss-Jordan on integer rows, each divided by its content,
+dividing by the pivots once at the end.  The RREF is unique, so the stored
+``Fraction`` results are the same as with fraction arithmetic.
 
 A matrix knows when it is reduced: the R that ``rref()`` returns and the
 basis that ``row_space`` returns carry their pivot columns, and ``rref()`` on
@@ -154,30 +154,12 @@ def _lowest(n: np.ndarray, d: int):
     return n, d
 
 
-def _int64(n: np.ndarray):
-    """n as int64 with the largest absolute entry, or None when some entry
-    does not fit."""
-    try:
-        n64 = n.astype(np.int64)
-    except OverflowError:
-        return None
-    if not n64.size:
-        return n64, 0
-    return n64, max(int(n64.max()), -int(n64.min()))
-
-
 def _product(x, y, axes=None):
     """(N, d) of the product of x = (N_x, d_x) and y = (N_y, d_y): N_x @ N_y
-    (or their tensordot over axes) over d_x d_y, in lowest terms.  It runs
-    on int64 when max|N_x| max|N_y| k < 2^63 for the inner length k, which
-    is at most the size of either operand; else on Python ints."""
+    (or their tensordot over axes) on Python ints over d_x d_y, in lowest
+    terms."""
     nx, ny = x[0], y[0]
-    mul = np.matmul if axes is None else (lambda a, b: np.tensordot(a, b, axes))
-    bx, by = _int64(nx), _int64(ny)
-    if bx and by and bx[1] * by[1] * min(nx.size, ny.size) < 1 << 63:
-        n = mul(bx[0], by[0]).astype(object)
-    else:
-        n = mul(nx, ny)
+    n = nx @ ny if axes is None else np.tensordot(nx, ny, axes)
     return _lowest(n, x[1] * y[1])
 
 
@@ -237,7 +219,8 @@ class ExactMatrix:
 
     @staticmethod
     def _from_numerators(field: FieldSpec, n: np.ndarray, d: int):
-        """The rational matrix n / d, keeping (n, d) as its numerators."""
+        """The rational matrix n / d, keeping (n, d) as its numerators; d
+        must be the least common denominator of the entries."""
         m = ExactMatrix._wrap(field, _fractions(n, d))
         n.flags.writeable = False
         m._num = (n, d)
@@ -275,8 +258,7 @@ class ExactMatrix:
     # -- arithmetic --------------------------------------------------------
     def numerators(self):
         """Over Q, (N, d) with self.a = N / d: read-only Python-int
-        numerators over a common denominator (the least one unless the
-        matrix was cut from a larger one), kept."""
+        numerators over the least common denominator, kept."""
         if self._num is None:
             n, d = _numerators(self.a)
             n.flags.writeable = False
@@ -333,22 +315,23 @@ class ExactMatrix:
             return False
         if self.field.characteristic:
             return bool(np.all(self.a == other.a))
+        # numerators over the least common denominator are unique
         (na, da), (nb, db) = self.numerators(), other.numerators()
-        if da != db:
-            na, nb = na * db, nb * da
-        return bool(np.all(na == nb))
+        return da == db and bool(np.all(na == nb))
 
     def __hash__(self):
         return hash((self.field, self.digest()))
 
     def _select(self, part) -> "ExactMatrix":
         """The matrix part(a) for a copy, view or rearrangement ``part`` of
-        the entries; kept numerators are carried along as part(N)."""
+        the entries.  Kept integer numerators (denominator 1) are carried
+        along as part(N); other numerators are read again when needed, as a
+        cut may have a smaller least common denominator."""
         out = ExactMatrix._wrap(self.field, part(self.a))
-        if self._num is not None:
+        if self._num is not None and self._num[1] == 1:
             n = part(self._num[0])
             n.flags.writeable = False
-            out._num = (n, self._num[1])
+            out._num = (n, 1)
         return out
 
     def reshape(self, rows: int, cols: int) -> "ExactMatrix":
@@ -415,7 +398,8 @@ class ExactMatrix:
     def left_kernel(self) -> "ExactMatrix":
         """Canonical basis (rows, in RREF) of {x : x @ self = 0}."""
         r, piv = self.T.rref()
-        free = [j for j in range(self.rows) if j not in set(piv)]
+        piv_set = set(piv)
+        free = [j for j in range(self.rows) if j not in piv_set]
         if not free:
             return ExactMatrix.zeros(self.field, 0, self.rows)
         # free variable j set to 1, each pivot variable to minus its row at j
@@ -470,7 +454,9 @@ class ExactMatrix:
 
 def _eliminate(p: int, a: np.ndarray):
     """Gauss-Jordan elimination of a copy of ``a`` with pinned pivoting:
-    (reduced array, pivot columns)."""
+    (reduced array, pivot columns).  Over Q (p = 0) ``a`` holds the integer
+    numerators of the matrix over a common denominator, which the reduced
+    form does not depend on, and the result holds ``Fraction`` entries."""
     if not p:
         return _eliminate_rational(a)
     a = a.copy()
@@ -504,20 +490,18 @@ def _primitive(rows: np.ndarray) -> np.ndarray:
     return rows // g[:, None]
 
 
-def _eliminate_rational(a: np.ndarray):
-    """Fraction-free Gauss-Jordan elimination of a rational array.
+def _eliminate_rational(n: np.ndarray):
+    """Fraction-free Gauss-Jordan elimination with primitive rows of an
+    array n of Python ints; the reduced form has ``Fraction`` entries.
 
-    Each row is scaled to primitive integers.  At a pivot pv in row r and
-    column c, every other row j with m_jc != 0 becomes row_j . pv -
-    row_r . m_jc over the whole row, divided by its content; pivot rows are
-    not normalised until the end, when each is divided by its pivot.  The
-    rows stay nonzero multiples of the rows of the fraction elimination, so
-    the pivots and the reduced form are the same (Bareiss, Math. Comp. 22,
-    1968, for the integer-preserving pattern)."""
-    rows, cols = a.shape
-    m = _numerators(a)[0]
-    if rows and cols:
-        m = _primitive(m)
+    Each row is divided by its content.  At a pivot pv in row r and column
+    c, every other row j with m_jc != 0 becomes row_j . pv - row_r . m_jc
+    over the whole row, divided by its content; pivot rows are not
+    normalised until the end, when each is divided by its pivot.  The rows
+    stay nonzero multiples of the rows of the fraction elimination, so the
+    pivots and the reduced form are the same."""
+    rows, cols = n.shape
+    m = _primitive(n)
     pivots = []
     r = 0
     for c in range(cols):

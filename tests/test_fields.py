@@ -357,6 +357,27 @@ def test_rational_product_matches_object_product(data):
 
 
 @given(st.data())
+def test_kept_numerators_are_over_the_least_common_denominator(data):
+    # equality compares kept numerators, so every operation must keep them
+    # in their one lowest form
+    from nangulator.fields import _numerators, block_diag, stack_rows
+
+    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a, b = data.draw(q_matrix(r, c)), data.draw(q_matrix(r, c))
+    c_ = data.draw(q_entries)
+    results = [a @ b.T, a + b, a - b, -a, a.scale(c_), a.kron(b), a.T,
+               a.reshape(c, r), a.row(0), a.take_rows([r - 1]),
+               a.take_cols([0]), (a @ b.T).take_cols([0]),
+               stack_rows(QQ, [a, b]), block_diag(QQ, [a, b]),
+               ExactMatrix.identity(QQ, r)]
+    for m in results:
+        n, d = m.numerators()
+        fresh_n, fresh_d = _numerators(m.a)
+        assert d == fresh_d and n.tolist() == fresh_n.tolist()
+        assert m == ExactMatrix(QQ, m.a)
+
+
+@given(st.data())
 def test_dot_matches_numpy_products(data):
     r, k, c = (data.draw(st.integers(0, 3)) for _ in range(3))
     a, b, b2 = (data.draw(q_matrix(*shape))
@@ -442,15 +463,15 @@ def test_integer_valued_rationals_need_no_fraction_arithmetic(monkeypatch):
 
 
 def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
-    # a cut keeps the numerators over the parent's denominator, which need
-    # not be the least one for the cut
+    # kept numerators are over the least common denominator, also on a cut
+    # that needs a smaller one than the matrix it is cut from
     m = mat(QQ, [[Fraction(1, 2), Fraction(1, 3)], [1, -1]])
     assert m.numerators()[1] == 6
     cuts = [m.take_rows([1]), m.row(1), m.T.T.take_rows([1]),
             m.T.take_cols([1]).T, m.reshape(1, 4).take_cols([2, 3])]
     fresh = mat(QQ, [[1, -1]])
     for cut in cuts:
-        assert cut.numerators()[1] == 6
+        assert cut.numerators()[1] == 1
         assert cut == fresh and fresh == cut
         assert cut != mat(QQ, [[1, 1]])
         _same_fractions(cut @ m, fraction_matmul(fresh.a, m.a))
@@ -458,3 +479,8 @@ def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
         _same_fractions(cut.scale(Fraction(3, 4)) + m.row(0),
                         [[Fraction(3, 4) + Fraction(1, 2),
                           Fraction(-3, 4) + Fraction(1, 3)]])
+    # integer numerators are carried into cuts
+    z = mat(QQ, [[1, 2], [3, -4]])
+    assert z.numerators()[1] == 1
+    assert z.T.take_cols([1]).numerators()[0].tolist() == [[3], [-4]]
+    assert z.reshape(4, 1).row(3).numerators()[0].tolist() == [[-4]]
