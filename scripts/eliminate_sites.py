@@ -10,12 +10,16 @@ the Gauss-Jordan elimination behind ``ExactMatrix.rref``.  Calls are grouped
 by their nearest four callers inside the package, leaving out
 ``ExactMatrix.rref`` itself and comprehensions.  One line per group gives
 the calls, the seconds and the mean number of cells (rows x columns)
-eliminated, largest time first.  The wrapper's own cost is not in the
-seconds, but the command runs slower than without it.
+eliminated, largest time first.  A second table gives the calls and
+seconds per power-of-two bucket of cells, (2^(k-1), 2^k], with the share
+above ``fields.ROW_LOOP_CELLS``, the cut between the row loop and the numpy
+elimination over F_p.  The wrapper's own cost is not in the seconds, but
+the command runs slower than without it.
 """
 
 import contextlib
 import io
+import os
 import pathlib
 import sys
 import time
@@ -54,16 +58,21 @@ def main(argv) -> int:
         return 2
     path, cmd, *options = argv
     stats = defaultdict(lambda: [0, 0.0, 0])     # calls, seconds, cells
+    buckets = defaultdict(lambda: [0, 0.0])      # calls, seconds
     real = fields._eliminate
 
     def timed(p, a):
         site = callers(sys._getframe(1))
         t0 = time.perf_counter()
         out = real(p, a)
+        seconds = time.perf_counter() - t0
         entry = stats[site]
         entry[0] += 1
-        entry[1] += time.perf_counter() - t0
+        entry[1] += seconds
         entry[2] += a.size
+        bucket = buckets[max(a.size - 1, 0).bit_length()]
+        bucket[0] += 1
+        bucket[1] += seconds
         return out
 
     fields._eliminate = timed
@@ -83,8 +92,23 @@ def main(argv) -> int:
           "callers, nearest first")
     for site, (n, s, cells) in rows:
         print(f"{n:>8} {s:>8.3f} {cells / n:>11.0f}  {' < '.join(site)}")
+    cut = fields.ROW_LOOP_CELLS
+    print()
+    print(f"{'cells <=':>10} {'calls':>8} {'seconds':>8}  "
+          f"(ROW_LOOP_CELLS = {cut})")
+    for k, (n, s) in sorted(buckets.items()):
+        print(f"{2 ** k:>10} {n:>8} {s:>8.3f}")
+    above = [v for k, v in buckets.items() if 2 ** (k - 1) >= cut]
+    print(f"{'above cut':>10} {sum(n for n, _ in above):>8} "
+          f"{sum(s for _, s in above):>8.3f}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # interpreter's final flush is quiet, and stop
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

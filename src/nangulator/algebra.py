@@ -76,6 +76,9 @@ class BasicAlgebra:
     # vertex lists -> standard projectives, kept by modules.standard_projective
     standard_projectives: dict = dc_field(default_factory=dict, init=False,
                                           repr=False, compare=False)
+    # Module.digest() -> tops, kept by modules.top_multiplicities
+    tops: dict = dc_field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def dim(self) -> int:
@@ -219,6 +222,8 @@ class EnvelopingAlgebra:
         self.generators = self.idempotents + self.radical_right_generators
         self._factors: dict[int, tuple[list[int], list[int]]] = {}
         self._rows: dict[int, list[int]] = {}
+        # Module.digest() -> tops, kept by modules.top_multiplicities
+        self.tops: dict[bytes, list] = {}
 
     def word(self, k: int) -> tuple[int, ...]:
         """b_k (x) b_l = (b_k (x) e_v)(e_u (x) b_l) with e_u b_k = b_k and

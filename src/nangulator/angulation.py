@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Automorphism, BasicAlgebra
-from .fields import ExactMatrix, LinearAlgebraError, _empty, linear_combination
+from .fields import (
+    ExactMatrix,
+    LinearAlgebraError,
+    _empty,
+    kron,
+    linear_combination,
+)
 from .homology import Homology, cosyzygy_morphism, rank_exactness
 from .modules import (
     Module,
@@ -130,7 +136,7 @@ def _tensor_rows(twisted: Module, q: Module, rows: ExactMatrix,
         block = _empty(fld, rows.rows, basis.rows * len(right))
         for a in np.nonzero((coeffs != 0).any(axis=1))[0]:
             moved = (rows @ twisted.action[left[a]]).take_cols(piv)
-            block = block + np.kron(moved.a, coeffs[a: a + 1])
+            block = block + kron(moved.a, coeffs[a: a + 1])
         blocks.append(block)
         off += len(left) * len(right)
     return ExactMatrix(fld, np.concatenate(blocks, axis=1))

@@ -12,6 +12,13 @@ fraction-free Gauss-Jordan on integer rows, each divided by its content,
 dividing by the pivots once at the end.  The RREF is unique, so the stored
 ``Fraction`` results are the same as with fraction arithmetic.
 
+Elimination is sized to the matrices the program makes, most of them a few
+hundred cells.  Those of at most ``ROW_LOOP_CELLS`` cells, and every
+matrix over Q, are reduced as Python-int rows in one loop that serves both
+fields; larger F_p matrices are reduced in numpy.  Both paths update only
+the rows with a nonzero entry in the pivot column.  The RREF and its pivot
+columns are unique, so the two paths give the same bytes.
+
 A matrix knows when it is reduced: the R that ``rref()`` returns and the
 basis that ``row_space`` returns carry their pivot columns, and ``rref()`` on
 such a matrix returns it at once, with no elimination.  Every other matrix,
@@ -175,6 +182,14 @@ def dot(field: FieldSpec, a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray
     return _fractions(*_product(_numerators(a), _numerators(b), axes))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two 2-d arrays, as ``np.kron``: entry
+    (i q + k, j r + l) is a[i, j] b[k, l] for b of shape (q, r).  One
+    broadcast product, without ``np.kron``'s overhead on small blocks."""
+    (m, n), (q, r) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * q, n * r)
+
+
 class ExactMatrix:
     """Immutable dense matrix with exact entries over a FieldSpec.
 
@@ -279,10 +294,10 @@ class ExactMatrix:
         """The Kronecker product: entry (i q + k, j r + l) is
         self[i, j] other[k, l], for other of shape (q, r)."""
         if self.field.characteristic:
-            return self._new(np.kron(self.a, other.a))
+            return self._new(kron(self.a, other.a))
         (na, da), (nb, db) = self.numerators(), other.numerators()
         return ExactMatrix._from_numerators(
-            self.field, *_lowest(np.kron(na, nb), da * db))
+            self.field, *_lowest(kron(na, nb), da * db))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field.characteristic:
@@ -427,11 +442,9 @@ class ExactMatrix:
             raise LinearAlgebraError(
                 f"solve_left shape mismatch: {self.shape} vs rhs {rhs.shape}"
             )
-        # Solve self.T @ X.T = rhs.T by eliminating the augmented matrix.
-        at = self.T
-        aug_a = np.concatenate([at.a, rhs.T.a], axis=1)
-        aug = ExactMatrix(self.field, aug_a)
-        r, piv = aug.rref()
+        # Solve self.T @ X.T = rhs.T by eliminating the augmented matrix
+        # [self.T | rhs.T].
+        r, piv = stack_rows(self.field, [self, rhs]).T.rref()
         n_unknowns = self.rows
         if piv and piv[-1] >= n_unknowns:
             return None  # pivot in augmented columns: inconsistent
@@ -452,78 +465,122 @@ class ExactMatrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+# Eliminations of at most this many cells run on Python-int rows; larger
+# ones over F_p run on numpy arrays.  Most matrices the pipeline reduces
+# have a few hundred cells, where a numpy call costs more than the
+# arithmetic it does; a cut anywhere from 2048 to 8192 cells measured the
+# same (scripts/eliminate_sites.py prints the calls per cell bucket).
+ROW_LOOP_CELLS = 4096
+
+
 def _eliminate(p: int, a: np.ndarray):
     """Gauss-Jordan elimination of a copy of ``a`` with pinned pivoting:
     (reduced array, pivot columns).  Over Q (p = 0) ``a`` holds the integer
     numerators of the matrix over a common denominator, which the reduced
-    form does not depend on, and the result holds ``Fraction`` entries."""
+    form does not depend on, and the result holds ``Fraction`` entries.
+
+    Over Q, and over F_p up to ``ROW_LOOP_CELLS`` cells, the rows are
+    reduced as Python lists (``_eliminate_rows``); larger F_p matrices are
+    reduced in numpy (``_eliminate_array``).  The reduced form and its
+    pivots are unique, so both give the same result."""
+    rows, cols = a.shape
+    if p and a.size > ROW_LOOP_CELLS:
+        return _eliminate_array(p, a)
+    m, pivots = _eliminate_rows(p, a.tolist(), cols)
+    if p:
+        return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
+    # primitive pivot rows: divide each by its pivot
+    zero = Fraction(0)
+    flat = [_fraction(x, m[i][c]) if x else zero
+            for i, c in enumerate(pivots) for x in m[i]]
+    flat += [zero] * ((rows - len(pivots)) * cols)
+    return _objects(flat, (rows, cols)), pivots
+
+
+def _eliminate_rows(p: int, m: list, cols: int):
+    """Gauss-Jordan elimination of the rows ``m`` (lists of Python ints) in
+    place with pinned pivoting: (rows, pivot columns).
+
+    At a pivot in row r and column c, only the rows j with m_jc != 0 change.
+    Over F_p the pivot row is scaled to pivot 1 and row_j becomes
+    row_j - m_jc . row_r mod p; row r is zero left of c, so only columns c..
+    are computed.  Over Q (p = 0) the elimination is fraction-free: every
+    row is kept primitive (divided by its content), row_j becomes
+    row_j . pv - row_r . m_jc for the pivot pv, divided by its content, and
+    the pivot rows are left for the caller to divide by their pivots.  The
+    rows stay nonzero multiples of those of the fraction elimination, so
+    the pivots and the reduced form are the same."""
+    rows = len(m)
     if not p:
-        return _eliminate_rational(a)
+        m = [_primitive(row) for row in m]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+        pivot = m[r]
+        pv = pivot[c]
+        if p:
+            if pv != 1:
+                inv = pow(pv, p - 2, p)
+                pivot[c:] = [x * inv % p for x in pivot[c:]]
+            tail = pivot[c:]
+        for j in range(rows):
+            row = m[j]
+            f = row[c]
+            if not f or j == r:
+                continue
+            if p:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+            else:
+                m[j] = _primitive([x * pv - f * y for x, y in zip(row, pivot)])
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by its content (a zero row stays zero)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate_array(p: int, a: np.ndarray):
+    """``_eliminate`` over F_p on a copy of the int64 array ``a``: each step
+    jumps to the next column with a nonzero entry at or below row r, and
+    only the rows with a nonzero entry in the pivot column are updated,
+    from the pivot column on."""
     a = a.copy()
     a.flags.writeable = True
     rows, cols = a.shape
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    r = c = 0
+    while r < rows and c < cols:
+        live = a[r:, c:] != 0
+        hit_cols = live.any(axis=0)
+        k = int(hit_cols.argmax())
+        if not hit_cols[k]:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
+        c += k
+        i = r + int(live[:, k].argmax())
         if i != r:
             a[[r, i]] = a[[i, r]]
-        # rows r.. are zero left of column c, so only columns c.. change
         a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a[:, c:] = (a[:, c:] - np.outer(col, a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
-
-
-def _primitive(rows: np.ndarray) -> np.ndarray:
-    """Integer rows divided by their contents (zero rows stay zero)."""
-    g = np.gcd.reduce(rows, axis=1)
-    g[g == 0] = 1
-    return rows // g[:, None]
-
-
-def _eliminate_rational(n: np.ndarray):
-    """Fraction-free Gauss-Jordan elimination with primitive rows of an
-    array n of Python ints; the reduced form has ``Fraction`` entries.
-
-    Each row is divided by its content.  At a pivot pv in row r and column
-    c, every other row j with m_jc != 0 becomes row_j . pv - row_r . m_jc
-    over the whole row, divided by its content; pivot rows are not
-    normalised until the end, when each is divided by its pivot.  The rows
-    stay nonzero multiples of the rows of the fraction elimination, so the
-    pivots and the reduced form are the same."""
-    rows, cols = n.shape
-    m = _primitive(n)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        hit = np.nonzero(m[:, c])[0]
+        hit = np.flatnonzero(a[:, c])
         hit = hit[hit != r]
         if hit.size:
-            m[hit] = _primitive(m[hit] * m[r, c] - np.outer(m[hit, c], m[r]))
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    out = np.empty((rows, cols), dtype=object)
-    out[r:] = Fraction(0)
-    for i, c in enumerate(pivots):
-        out[i] = _fractions(m[i], m[i, c])
-    return out, tuple(pivots)
+        c += 1
+    return a, tuple(pivots)
 
 
 # -- module-level operations ------------------------------------------------

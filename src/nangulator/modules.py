@@ -25,6 +25,7 @@ from .fields import (
     LinearAlgebraError,
     _empty,
     block_diag,
+    kron,
     linear_combination,
     reduce_rows_mod,
     row_space,
@@ -38,8 +39,9 @@ class Module:
     ``action`` is read at the generators only (a list by basis index or a
     dict).  ``action[k]`` gives the matrix of any basis element k: the
     product of generator actions along the word of k, derived once and
-    kept.  Idempotent images, the top and a bimodule's one-sided generator
-    actions are kept too, one entry per idempotent or generator.
+    kept.  Idempotent images and a bimodule's one-sided generator actions
+    are kept too, one entry per idempotent or generator; the top is kept on
+    the algebra, per ``digest`` (``top_multiplicities``).
 
     ``proj`` lists c_1..c_r when the module is literally
     e_{c_1}A (+) ... (+) e_{c_r}A in path bases, block by block; only
@@ -56,7 +58,6 @@ class Module:
         self._actions = {g: action[g] for g in algebra.generators}
         self._images: dict[int, ExactMatrix] = {}
         self._sides: dict[tuple, ExactMatrix] = {}
-        self._tops = None
         self._digest = None
 
     @property
@@ -527,7 +528,7 @@ def _hom_generic(m: Module, n: Module) -> list[ModuleMorphism]:
     for g in A.generators:
         a = m.action[g].a
         b = n.action[g].a
-        blocks.append(np.kron(a, eye_n) - np.kron(eye_m, b.T))
+        blocks.append(kron(a, eye_n) - kron(eye_m, b.T))
     big = ExactMatrix(fld, np.concatenate(blocks, axis=0))
     null = big.T.left_kernel()
     out = []
@@ -570,11 +571,14 @@ def top_multiplicities(m: Module):
     """Multiplicity of each simple in M / M.rad, with lifted generator rows.
 
     Returns a list of (idempotent position, row vector in M) in a fixed
-    deterministic order.
+    deterministic order.  It is kept on the algebra per module contents
+    (``Module.digest``), so modules with equal contents share it.
     """
-    if m._tops is None:
-        m._tops = _tops(m)
-    return list(m._tops)
+    kept = m.algebra.tops
+    key = m.digest()
+    if key not in kept:
+        kept[key] = _tops(m)
+    return list(kept[key])
 
 
 def _tops(m: Module):
@@ -781,9 +785,9 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
         if rm_u == 0 or rb_w == 0:
             continue
         blk = _empty(fld, rm_u * rb_w, big_dim)
-        blk[:, offsets[w]: offsets[w + 1]] = np.kron(mg_c.a, _eye_arr(fld, rb_w))
-        blk[:, offsets[u]: offsets[u + 1]] -= np.kron(_eye_arr(fld, rm_u),
-                                                       b_arrows[g].a)
+        blk[:, offsets[w]: offsets[w + 1]] = kron(mg_c.a, _eye_arr(fld, rb_w))
+        blk[:, offsets[u]: offsets[u + 1]] -= kron(_eye_arr(fld, rm_u),
+                                                    b_arrows[g].a)
         rel_blocks.append(blk)
 
     live = [v for v, (rm, rb) in enumerate(dims) if rm and rb]
@@ -800,12 +804,12 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
         for k in m.algebra.generators:
             i, j = divmod(k, algebra.dim)
             big_action[k] = big_matrix(
-                lambda v: np.kron(m_other[i][v].a, b_other[j][v].a))
+                lambda v: kron(m_other[i][v].a, b_other[j][v].a))
     else:
         eyes = [_eye_arr(fld, rm) for rm, _ in dims]
         for g in algebra.generators:
             big_action[g] = big_matrix(
-                lambda v: np.kron(eyes[v], b_other[g][v].a))
+                lambda v: kron(eyes[v], b_other[g][v].a))
     big_module = Module(m.algebra if m_other is not None else algebra,
                         big_dim, big_action)
 

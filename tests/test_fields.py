@@ -10,11 +10,13 @@ from conftest import fraction_eliminate, fraction_matmul, reduce_rows_mod_loop
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nangulator import fields
 from nangulator.fields import (
     ExactMatrix,
     FieldSpec,
     LinearAlgebraError,
     dot,
+    kron,
     reduce_rows_mod,
     row_space,
 )
@@ -273,6 +275,89 @@ def test_rref_matches_full_width_elimination(p):
         r, piv = x.rref()
         assert piv == want_piv
         assert r == ExactMatrix(field, want)
+
+
+def _sized_array(p, rows, cols, kind, rng):
+    """A seeded rows x cols array over F_p (int64) or Q (p = 0, Fraction
+    objects).  "dense": entries near p - 1 over F_p, numerators above 2^63
+    over Q; "sparse": 3 % of the entries nonzero and a third of the columns
+    zero; "low rank": a product through 3 columns."""
+    def entry():
+        if p:
+            return rng.choice((p - 1, p - 2, rng.randrange(p)))
+        return Fraction(rng.randrange(-(1 << 70), 1 << 70),
+                        rng.choice((1, 3, 1 << 65)))
+
+    zero = 0 if p else Fraction(0)
+    if kind == "low rank":
+        left = _sized_array(p, rows, 3, "dense", rng)
+        right = _sized_array(p, 3, cols, "dense", rng)
+        return (left @ right) % p if p else left @ right
+    if kind == "dense":
+        a = [[entry() for _ in range(cols)] for _ in range(rows)]
+    else:
+        dead = set(rng.sample(range(cols), cols // 3))
+        a = [[entry() if j not in dead and rng.random() < 0.03 else zero
+              for j in range(cols)] for _ in range(rows)]
+    return np.array(a, dtype=np.int64 if p else object).reshape(rows, cols)
+
+
+# two shapes at most ROW_LOOP_CELLS cells and two above it
+_SIZED = [(3, 1000), (40, 40), (3, 2000), (70, 70)]
+
+
+def test_sized_shapes_lie_on_both_sides_of_the_cut():
+    cells = sorted(r * c for r, c in _SIZED)
+    assert cells[1] <= fields.ROW_LOOP_CELLS < cells[2]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "low rank"])
+@pytest.mark.parametrize("shape", _SIZED)
+@pytest.mark.parametrize("p", [2, 65521])
+def test_both_prime_field_paths_match_full_width_elimination(p, shape, kind,
+                                                             monkeypatch):
+    # every matrix goes through the numpy path (cut 0), the row loop (cut
+    # at its size) and the module's own cut; each must give the oracle's
+    # reduced form and pivots and leave its input alone
+    a = _sized_array(p, *shape, kind, random.Random(f"{p}{shape}{kind}"))
+    before = a.copy()
+    want, want_piv = _full_width_eliminate(p, a)
+    assert kind != "low rank" or len(want_piv) <= 3
+    for cut in (0, a.size, fields.ROW_LOOP_CELLS):
+        monkeypatch.setattr(fields, "ROW_LOOP_CELLS", cut)
+        got, piv = fields._eliminate(p, a)
+        assert piv == want_piv
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(a, before)
+    r, piv = ExactMatrix(FieldSpec(p), a).rref()
+    assert piv == want_piv and np.array_equal(r.a, want)
+
+
+@pytest.mark.parametrize("shape, kind", [
+    ((3, 1000), "dense"), ((3, 2000), "dense"), ((40, 40), "sparse"),
+    ((70, 70), "sparse"), ((70, 70), "low rank")])
+def test_rational_elimination_of_large_matrices_matches_the_fraction_oracle(
+        shape, kind):
+    a = _sized_array(0, *shape, kind, random.Random(f"{shape}{kind}"))
+    want, want_piv = fraction_eliminate(a)
+    r, piv = ExactMatrix(QQ, a).rref()
+    assert piv == want_piv
+    _same_fractions(r, want)
+
+
+@pytest.mark.parametrize("p", [7, 0])
+def test_kron_matches_numpy_kron(p):
+    rng = random.Random(300 + p)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 4), (2, 3), (3, 3), (10, 10)]
+    field = FieldSpec(p)
+    for sa, sb in product(shapes, repeat=2):
+        a, b = (_sized_array(p, *s, "dense", rng) for s in (sa, sb))
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+        m = ExactMatrix(field, a).kron(ExactMatrix(field, b))
+        assert m == ExactMatrix(field, want)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 0])

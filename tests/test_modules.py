@@ -658,3 +658,33 @@ def test_standard_projectives_are_kept_over_the_algebra_only():
     Q = modules.standard_projective(env, [0, 3])
     assert modules.standard_projective(env, [0, 3]) is not Q
     assert env.projective_factors(3) is env.projective_factors(3)
+
+
+@pytest.mark.parametrize("over_envelope", [False, True])
+def test_tops_are_kept_per_module_contents(over_envelope, monkeypatch):
+    # a second module with the same contents gets the kept tops, over A and
+    # over A^e: _tops does not run again, and other contents are not
+    # answered from the kept tops; the algebra is built afresh, so no other
+    # test has kept tops on it
+    from nangulator.quiver import load_algebra_file
+
+    A = compute_basis(load_algebra_file(FIXTURES / "preproj_a3.json"))
+    if over_envelope:
+        m = twisted_bimodule(A, identity_automorphism(A))
+        other = modules.standard_projective(A.enveloping(), [0])
+    else:
+        m = regular_module(A)
+        other = modules.projective_module(A, 0)
+    tops = modules.top_multiplicities(m)
+    gens = m.algebra.generators
+    twin = Module(m.algebra, m.dim, {g: m.action[g] for g in gens})
+    assert twin is not m and twin.digest() == m.digest()
+
+    def refuse(module):
+        raise AssertionError("_tops called again")
+
+    monkeypatch.setattr(modules, "_tops", refuse)
+    assert modules.top_multiplicities(twin) == tops
+    assert modules.top_multiplicities(m) == tops
+    with pytest.raises(AssertionError, match="_tops"):
+        modules.top_multiplicities(other)
