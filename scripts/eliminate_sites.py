@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Where the eliminations of one CLI command come from.
+"""Where the eliminations, or the products, of one CLI command come from.
 
-    python scripts/eliminate_sites.py FILE CMD [OPTION ...]
+    python scripts/eliminate_sites.py [--products] FILE CMD [OPTION ...]
     python scripts/eliminate_sites.py fixtures/preproj_a3.json verify --seed 1
 
 Runs ``CMD FILE OPTION ...`` in-process through ``nangulator.cli.run_cli``
@@ -13,8 +13,18 @@ the calls, the seconds and the mean number of cells (rows x columns)
 eliminated, largest time first.  A second table gives the calls and
 seconds per power-of-two bucket of cells, (2^(k-1), 2^k], with the share
 above ``fields.ROW_LOOP_CELLS``, the cut between the row loop and the numpy
-elimination over F_p.  The wrapper's own cost is not in the seconds, but
-the command runs slower than without it.
+elimination over F_p.
+
+With ``--products`` it times the products instead: every call of
+``ExactMatrix.__matmul__`` (``@``), of ``fields.dot``, the batched and
+tensordot product on arrays, and of ``fields.left_products`` (``left``),
+the blockwise product over a module's stacked generator actions, grouped
+the same way and labelled by kind; the mean cells are those of the
+result.  The benchmark's ``fields.matmul_calls`` counts ``@`` only, so
+this table also shows the products that moved into batched ones.
+
+The wrapper's own cost is not in the seconds, but the command runs slower
+than without it.
 """
 
 import contextlib
@@ -23,11 +33,13 @@ import os
 import pathlib
 import sys
 import time
+import types
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import nangulator  # noqa: E402
 from nangulator import fields  # noqa: E402
 from nangulator.cli import run_cli  # noqa: E402
 
@@ -52,46 +64,85 @@ def callers(frame) -> tuple:
     return tuple(out)
 
 
+def patch(owners, name, make) -> list:
+    """Replace attribute ``name`` of each owner that holds the same object
+    as the first owner by ``make(original)``; the (owner, name, original)
+    triples to restore."""
+    real = getattr(owners[0], name)
+    wrapper = make(real)
+    done = []
+    for owner in owners:
+        if getattr(owner, name, None) is real:
+            setattr(owner, name, wrapper)
+            done.append((owner, name, real))
+    return done
+
+
 def main(argv) -> int:
+    products = argv[:1] == ["--products"]
+    if products:
+        argv = argv[1:]
     if len(argv) < 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     path, cmd, *options = argv
     stats = defaultdict(lambda: [0, 0.0, 0])     # calls, seconds, cells
     buckets = defaultdict(lambda: [0, 0.0])      # calls, seconds
-    real = fields._eliminate
 
-    def timed(p, a):
-        site = callers(sys._getframe(1))
-        t0 = time.perf_counter()
-        out = real(p, a)
-        seconds = time.perf_counter() - t0
-        entry = stats[site]
-        entry[0] += 1
-        entry[1] += seconds
-        entry[2] += a.size
-        bucket = buckets[max(a.size - 1, 0).bit_length()]
-        bucket[0] += 1
-        bucket[1] += seconds
-        return out
+    def timing(kind, cells_of):
+        def make(real):
+            def timed(*args, **kwargs):
+                site = callers(sys._getframe(1))
+                t0 = time.perf_counter()
+                out = real(*args, **kwargs)
+                seconds = time.perf_counter() - t0
+                cells = cells_of(args, out)
+                entry = stats[(kind,) + site if kind else site]
+                entry[0] += 1
+                entry[1] += seconds
+                entry[2] += cells
+                bucket = buckets[max(cells - 1, 0).bit_length()]
+                bucket[0] += 1
+                bucket[1] += seconds
+                return out
+            return timed
+        return make
 
-    fields._eliminate = timed
+    if products:
+        package = [m for m in vars(nangulator).values()
+                   if isinstance(m, types.ModuleType)]
+        restore = patch([fields.ExactMatrix], "__matmul__",
+                        timing("@", lambda args, out: out.a.size))
+        restore += patch([fields] + package, "dot",
+                         timing("dot", lambda args, out: out.size))
+        restore += patch([fields] + package, "left_products",
+                         timing("left", lambda args, out: out.a.size))
+        what = "products"
+    else:
+        restore = patch([fields], "_eliminate",
+                        timing(None, lambda args, out: args[1].size))
+        what = "eliminations"
     t0 = time.perf_counter()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = run_cli([cmd, path, *options])
     finally:
-        fields._eliminate = real
+        for owner, name, real in restore:
+            setattr(owner, name, real)
     wall = time.perf_counter() - t0
     rows = sorted(stats.items(), key=lambda kv: -kv[1][1])
     calls = sum(v[0] for v in stats.values())
     seconds = sum(v[1] for v in stats.values())
     print(f"{cmd} {path} {' '.join(options)}: exit {code}, {wall:.2f} s; "
-          f"{calls} eliminations, {seconds:.2f} s")
+          f"{calls} {what}, {seconds:.2f} s")
     print(f"{'calls':>8} {'seconds':>8} {'mean cells':>11}  "
-          "callers, nearest first")
-    for site, (n, s, cells) in rows:
-        print(f"{n:>8} {s:>8.3f} {cells / n:>11.0f}  {' < '.join(site)}")
+          + ("kind: " if products else "") + "callers, nearest first")
+    for site, (n, s, c) in rows:
+        label = (f"{site[0]}: {' < '.join(site[1:])}" if products
+                 else ' < '.join(site))
+        print(f"{n:>8} {s:>8.3f} {c / n:>11.0f}  {label}")
+    if products:
+        return 0
     cut = fields.ROW_LOOP_CELLS
     print()
     print(f"{'cells <=':>10} {'calls':>8} {'seconds':>8}  "

@@ -73,6 +73,10 @@ class BasicAlgebra:
                                              repr=False, compare=False)
     _tables: tuple | None = dc_field(default=None, init=False, repr=False,
                                      compare=False)
+    # vertex position -> indecomposable projective, kept by
+    # modules.projective_module
+    projectives: dict = dc_field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
     # vertex lists -> standard projectives, kept by modules.standard_projective
     standard_projectives: dict = dc_field(default_factory=dict, init=False,
                                           repr=False, compare=False)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,6 +181,10 @@ def dot(field: FieldSpec, a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray
     if p:
         return (a @ b if axes is None else np.tensordot(a, b, axes)) % p
     return _fractions(*_product(_numerators(a), _numerators(b), axes))
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    return a.T.copy()
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,39 +342,44 @@ class ExactMatrix:
     def __hash__(self):
         return hash((self.field, self.digest()))
 
-    def _select(self, part) -> "ExactMatrix":
-        """The matrix part(a) for a copy, view or rearrangement ``part`` of
-        the entries.  Kept integer numerators (denominator 1) are carried
-        along as part(N); other numerators are read again when needed, as a
-        cut may have a smaller least common denominator."""
-        out = ExactMatrix._wrap(self.field, part(self.a))
+    def _select(self, part, *args) -> "ExactMatrix":
+        """The matrix part(a, *args) for a copy, view or rearrangement
+        ``part`` of the entries.  Kept integer numerators (denominator 1)
+        are carried along as part(N, *args); other numerators are read again
+        when needed, as a cut may have a smaller least common denominator."""
+        out = ExactMatrix._wrap(self.field, part(self.a, *args))
         if self._num is not None and self._num[1] == 1:
-            n = part(self._num[0])
+            n = part(self._num[0], *args)
             n.flags.writeable = False
             out._num = (n, 1)
         return out
 
     def reshape(self, rows: int, cols: int) -> "ExactMatrix":
         """The same entries in C order as a rows x cols matrix."""
-        return self._select(lambda a: a.reshape(rows, cols))
+        return self._select(np.ndarray.reshape, (rows, cols))
 
     @property
     def T(self) -> "ExactMatrix":
-        return self._select(lambda a: a.T.copy())
+        return self._select(_transposed)
 
     def is_zero(self) -> bool:
         return not self.a.any()
 
     def row(self, i: int) -> "ExactMatrix":
-        return self._select(lambda a: a[i : i + 1].copy())
+        return self._select(operator.getitem, slice(i, i + 1))
 
     def take_rows(self, idx) -> "ExactMatrix":
-        idx = list(idx)
-        return self._select(lambda a: a[idx].copy())
+        return self._select(operator.getitem, list(idx))
 
     def take_cols(self, idx) -> "ExactMatrix":
-        idx = list(idx)
-        return self._select(lambda a: a[:, idx].copy())
+        return self._select(operator.getitem, (slice(None), list(idx)))
+
+    def split_rows(self, parts: int) -> list["ExactMatrix"]:
+        """The matrix as ``parts`` blocks of equal height, top to bottom:
+        views of its rows, sharing its entries."""
+        size = self.rows // parts
+        return [self._select(operator.getitem, slice(i * size, (i + 1) * size))
+                for i in range(parts)]
 
     def digest(self) -> bytes:
         if self._digest is None:
@@ -403,7 +413,7 @@ class ExactMatrix:
             return self, self._pivots
         p = self.field.characteristic
         a, pivots = _eliminate(p, self.a if p else self.numerators()[0])
-        r = self._new(a)
+        r = ExactMatrix._wrap(self.field, a)  # the RREF is canonical
         r._pivots = pivots
         return r, pivots
 
@@ -606,6 +616,49 @@ def stack_rows(field: FieldSpec, mats) -> ExactMatrix:
         return ExactMatrix._wrap(field, np.concatenate([m.a for m in mats]))
     nums, d = _common(mats)
     return ExactMatrix._from_numerators(field, np.concatenate(nums), d)
+
+
+# Column cuts of a stack are taken for groups of blocks of at most this many
+# cells (512 KB over F_p), each multiplied into its slice of the result, so
+# a submodule of a large bimodule never holds a cut of its whole stack.
+# Such a cut, a few MB freed next to the live result, fragments the heap:
+# whole cuts raised the peak RSS of the scan benchmark by about 5 % over one
+# product per generator, and groups by nothing measurable.
+CUT_CELLS = 1 << 16
+
+
+def left_products(x: ExactMatrix, stack: ExactMatrix, blocks: int,
+                  cols=None) -> ExactMatrix:
+    """x @ S_i for each of the ``blocks`` row blocks S_i of ``stack`` (each
+    of x.cols rows), cut to the columns ``cols`` when given, stacked in the
+    same order: a batched product, over Q on the kept numerators of x and
+    stack.  Over F_p the result is allocated first and the cut is taken
+    for groups of blocks of at most ``CUT_CELLS`` cells, each multiplied
+    into its slice of the result."""
+    (k, n), c = x.shape, stack.cols
+    if stack.rows != blocks * n:
+        raise LinearAlgebraError(
+            f"shape mismatch for blockwise product: {x.shape} @ {blocks} "
+            f"blocks of {stack.shape}")
+    field, p = x.field, x.field.characteristic
+    if cols is not None:
+        cols, c = list(cols), len(cols)
+    if p:
+        out = np.empty((blocks, k, c), dtype=np.int64)
+        s = stack.a.reshape(blocks, n, stack.cols)
+        if cols is None:
+            np.matmul(x.a, s, out=out)
+        else:
+            step = max(1, CUT_CELLS // max(n * c, 1))
+            for lo in range(0, blocks, step):
+                np.matmul(x.a, s[lo: lo + step][:, :, cols],
+                          out=out[lo: lo + step])
+        out %= p
+        return ExactMatrix._wrap(field, out.reshape(blocks * k, c))
+    (nx, dx), (ns, ds) = x.numerators(), stack.numerators()
+    ns = ns.reshape(blocks, n, stack.cols)
+    num, d = _product((nx, dx), (ns if cols is None else ns[:, :, cols], ds))
+    return ExactMatrix._from_numerators(field, num.reshape(blocks * k, c), d)
 
 
 def block_diag(field: FieldSpec, mats) -> ExactMatrix:

@@ -3,12 +3,17 @@ pullbacks and isomorphism testing.
 
 A module stores one action matrix per algebra generator: per idempotent and
 arrow for a module over A, and per e_i (x) e_j, a (x) e_j and e_i (x) a for
-a bimodule, a right module over the enveloping algebra A^e.  The action of
-any other basis element is the product of generator actions along its word
-(``BasicAlgebra.word``), derived on demand.  Constructions work on the
-generators; images of a vector under many basis elements are walked along
-the words on row vectors.  Elements are row vectors; a morphism matrix F
-sends x to x @ F, so composition "f then g" is the matrix product F @ G.
+a bimodule, a right module over the enveloping algebra A^e.  The matrices
+are stored once, stacked in generator order as one (#generators, dim, dim)
+array (``Module.stack`` holds it as a row stack), and the action of a
+generator is a view of its slice.  The action of any other basis element is
+the product of generator actions along its word (``BasicAlgebra.word``),
+derived on demand.  Constructions (submodules, quotients, direct sums,
+twists, duals) and ``ModuleMorphism.verify`` act on the whole stack with
+one product, the same code over F_p and Q; images of a vector under many
+basis elements are walked along the words on row vectors.  Elements are row
+vectors; a morphism matrix F sends x to x @ F, so composition "f then g" is
+the matrix product F @ G.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from .fields import (
     ExactMatrix,
     LinearAlgebraError,
     _empty,
-    block_diag,
     kron,
+    left_products,
     linear_combination,
     reduce_rows_mod,
     row_space,
@@ -36,12 +41,18 @@ from .fields import (
 class Module:
     """A right module, stored by the action of each algebra generator.
 
-    ``action`` is read at the generators only (a list by basis index or a
-    dict).  ``action[k]`` gives the matrix of any basis element k: the
-    product of generator actions along the word of k, derived once and
-    kept.  Idempotent images and a bimodule's one-sided generator actions
-    are kept too, one entry per idempotent or generator; the top is kept on
-    the algebra, per ``digest`` (``top_multiplicities``).
+    ``stack`` holds the generator actions once: the row stack, of shape
+    (#generators . dim, dim), of the (#generators, dim, dim) array whose
+    slices are the generator actions in ``algebra.generators`` order.
+    ``action[k]`` gives the matrix of any basis element k: for a generator
+    a view of its slice of the stack, for any other element the product of
+    generator actions along the word of k, derived once and kept.
+    Idempotent images and a bimodule's one-sided generator actions are kept
+    too, one entry per idempotent or generator; the top is kept on the
+    algebra, per ``digest`` (``top_multiplicities``).
+
+    ``action`` is given either as that row stack or as the generator
+    actions, a list by basis index or a dict read at the generators only.
 
     ``proj`` lists c_1..c_r when the module is literally
     e_{c_1}A (+) ... (+) e_{c_r}A in path bases, block by block; only
@@ -55,7 +66,16 @@ class Module:
         self.algebra = algebra
         self.dim = dim
         self.proj = proj
-        self._actions = {g: action[g] for g in algebra.generators}
+        gens = algebra.generators
+        if not isinstance(action, ExactMatrix):
+            action = ExactMatrix._wrap(algebra.field, np.concatenate(
+                [action[g].a for g in gens]))
+        if action.shape != (len(gens) * dim, dim):
+            raise LinearAlgebraError(
+                f"generator actions of shape {action.shape} for "
+                f"{len(gens)} generators on dimension {dim}")
+        self.stack = action
+        self._actions: dict[int, ExactMatrix] | None = None
         self._images: dict[int, ExactMatrix] = {}
         self._sides: dict[tuple, ExactMatrix] = {}
         self._digest = None
@@ -64,6 +84,12 @@ class Module:
     def action(self) -> "_Actions":
         return _Actions(self)
 
+    def blocks(self) -> np.ndarray:
+        """The generator actions as one (#generators, dim, dim) array, a
+        view of ``stack``."""
+        return self.stack.a.reshape(len(self.algebra.generators), self.dim,
+                                    self.dim)
+
     def digest(self) -> bytes:
         if self._digest is None:
             import hashlib
@@ -71,8 +97,9 @@ class Module:
             h = hashlib.blake2b(digest_size=16)
             h.update(id(self.algebra).to_bytes(8, "little", signed=False))
             h.update(self.dim.to_bytes(4, "little"))
+            acts = self.action
             for g in self.algebra.generators:
-                h.update(self._actions[g].digest())
+                h.update(acts[g].digest())
             self._digest = h.digest()
         return self._digest
 
@@ -107,12 +134,16 @@ class _Actions:
         return self.module.algebra.dim
 
     def __getitem__(self, k: int) -> ExactMatrix:
-        acts = self.module._actions
+        m = self.module
+        acts = m._actions
+        if acts is None:
+            gens = m.algebra.generators
+            acts = m._actions = dict(zip(gens, m.stack.split_rows(len(gens))))
         hit = acts.get(k)
         if hit is None:
             if not 0 <= k < len(self):
                 raise IndexError(f"basis index {k} out of range")
-            word = self.module.algebra.word(k)
+            word = m.algebra.word(k)
             hit = acts[word[0]]
             for g in word[1:]:
                 hit = hit @ acts[g]
@@ -169,13 +200,27 @@ class ModuleMorphism:
         return self.matrix.is_zero()
 
     def verify(self, exhaustive: bool = False) -> None:
-        A = self.source.algebra
-        idx = range(A.dim) if exhaustive else A.generators
-        for g in idx:
-            lhs = self.source.action[g] @ self.matrix
-            rhs = self.matrix @ self.target.action[g]
-            if lhs != rhs:
-                raise LinearAlgebraError(f"morphism does not intertwine element {g}")
+        """Check that the matrix intertwines the actions of the generators,
+        or of every basis element when ``exhaustive``: one product of the
+        source's action stack with the matrix, one blockwise product of the
+        matrix with the target's, compared block by block.  The error names
+        the first element, in index order, that fails."""
+        src, dst, f = self.source, self.target, self.matrix
+        A = src.algebra
+        if exhaustive:
+            idx = range(A.dim)
+            fld = A.field
+            lhs = stack_rows(fld, [src.action[k] for k in idx])
+            rhs = stack_rows(fld, [dst.action[k] for k in idx])
+        else:
+            idx = A.generators
+            lhs, rhs = src.stack, dst.stack
+        lhs = lhs @ f
+        rhs = left_products(f, rhs, len(idx))
+        bad = (lhs.a != rhs.a).reshape(len(idx), f.rows * f.cols).any(axis=1)
+        if bad.any():
+            raise LinearAlgebraError(
+                f"morphism does not intertwine element {idx[int(bad.argmax())]}")
 
     def rank(self) -> int:
         return self.matrix.rank()
@@ -199,8 +244,7 @@ def zero_morphism(m: Module, n: Module) -> ModuleMorphism:
 
 
 def zero_module(algebra: BasicAlgebra) -> Module:
-    zero = ExactMatrix.zeros(algebra.field, 0, 0)
-    return Module(algebra, 0, dict.fromkeys(algebra.generators, zero))
+    return Module(algebra, 0, ExactMatrix.zeros(algebra.field, 0, 0))
 
 
 # -- bimodule action helpers ---------------------------------------------------
@@ -253,18 +297,25 @@ def projective_module(algebra, pos: int) -> Module:
     """The indecomposable projective e A for the idempotent at position pos.
 
     Its basis is ``algebra.projective_rows(pos)``, so generator actions are
-    restrictions of right multiplication.  Over A^e, e = e_u (x) e_v and
-    e A^e = A e_u (x) e_v A: the generator a (x) b acts by the Kronecker
+    restrictions of right multiplication.  Over A it is built once per
+    vertex and kept on the algebra (``BasicAlgebra.projectives``), so
+    repeat calls share one module and its caches.  Over A^e, e = e_u (x) e_v
+    and e A^e = A e_u (x) e_v A: the generator a (x) b acts by the Kronecker
     product of A's left multiplication by a on A e_u and its right
-    multiplication by b on e_v A."""
+    multiplication by b on e_v A.  It is built afresh on every call, as
+    keeping all of them would hold every e A^e at once."""
     rows = algebra.projective_rows(pos)
     base = getattr(algebra, "base", None)
-    action = {}
     if base is None:
-        for g in algebra.generators:
-            action[g] = algebra.right_mult[g].take_rows(rows).take_cols(rows)
-        return Module(algebra, len(rows), action, (pos,))
+        hit = algebra.projectives.get(pos)
+        if hit is None:
+            action = {g: algebra.right_mult[g].take_rows(rows).take_cols(rows)
+                      for g in algebra.generators}
+            hit = algebra.projectives[pos] = Module(algebra, len(rows), action,
+                                                    (pos,))
+        return hit
     left, right = algebra.projective_factors(pos)
+    action = {}
     for g in algebra.generators:
         i, j = divmod(g, base.dim)
         action[g] = (base.left_mult(i).take_rows(left).take_cols(left).kron(
@@ -295,17 +346,30 @@ def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
     d = algebra.dim
     right = {g: algebra.element_right_matrix(sigma.matrix.row(g))
              for g in algebra.generators}
-    action = {}
-    for k in env.generators:
+    stack = _empty(algebra.field, len(env.generators) * d, d)
+    for block, k in zip(stack.reshape(-1, d, d), env.generators):
         i, j = divmod(k, d)
-        action[k] = algebra.left_mult(i) @ right[j]
-    return Module(env, d, action)
+        block[...] = (algebra.left_mult(i) @ right[j]).a
+    return Module(env, d, ExactMatrix._wrap(algebra.field, stack))
 
 
 def _substituted(m: Module, terms_of) -> Module:
-    """m with each generator g acting as the combination ``terms_of(g)``."""
-    return Module(m.algebra, m.dim,
-                  {g: m.combination(terms_of(g)) for g in m.algebra.generators})
+    """m with each generator g acting as the combination ``terms_of(g)``:
+    one product of the coefficient matrix (generators x basis elements
+    used) with the flattened actions of those elements."""
+    A, fld, n = m.algebra, m.algebra.field, m.dim
+    terms = [terms_of(g) for g in A.generators]
+    used = sorted({k for ts in terms for k, _ in ts})
+    if not used:
+        return Module(A, n, ExactMatrix.zeros(fld, len(terms) * n, n))
+    column = {k: i for i, k in enumerate(used)}
+    coeffs = _empty(fld, len(terms), len(used))
+    for row, ts in zip(coeffs, terms):
+        for k, c in ts:
+            row[column[k]] += c
+    flat = stack_rows(fld, [m.action[k].reshape(1, n * n) for k in used])
+    return Module(A, n, (ExactMatrix(fld, coeffs) @ flat).reshape(
+        len(terms) * n, n))
 
 
 def _terms(row) -> list:
@@ -351,23 +415,26 @@ def opposite_regular(algebra: BasicAlgebra) -> Module:
 
 
 def dual_module(m: Module) -> Module:
-    """k-linear dual, a right module over the opposite algebra (transposes)."""
+    """k-linear dual, a right module over the opposite algebra (transposes).
+    The opposite algebra lists the same generators in the same order."""
     op = m.algebra.opposite()
-    return Module(op, m.dim, {g: m.action[g].T for g in op.generators})
+    dual = m.blocks().transpose(0, 2, 1).reshape(m.stack.shape)
+    return Module(op, m.dim, ExactMatrix._wrap(op.field, dual))
 
 
 def submodule(m: Module, rows: ExactMatrix):
     """Canonical submodule on the row space of ``rows`` (must be stable).
 
-    Returns (S, include: S -> M).
+    Returns (S, include: S -> M).  With R the RREF basis and pivots pc,
+    generator g acts on S by R M_g restricted to the columns pc: one
+    blockwise product of R with the columns pc of the stacked M_g.
     """
     basis = row_space(rows)
     if basis.rows == 0:
         s = zero_module(m.algebra)
         return s, ModuleMorphism(s, m, ExactMatrix.zeros(m.algebra.field, 0, m.dim))
     piv = basis.rref()[1]
-    action = {g: (basis @ m.action[g]).take_cols(piv)
-              for g in m.algebra.generators}
+    action = left_products(basis, m.stack, len(m.algebra.generators), piv)
     s = Module(m.algebra, basis.rows, action)
     return s, ModuleMorphism(s, m, basis)
 
@@ -378,13 +445,15 @@ def quotient(m: Module, rows: ExactMatrix):
     Returns (Q, project: M -> Q, lift: Q -> M coordinate section).  With
     RREF basis rows R_i and pivots pc_i of the space, e_j reduced modulo it
     is e_j off the pivots and e_{pc_i} - R_i at pc_i; ``project`` is its
-    non-pivot columns and ``lift`` picks the non-pivot rows.
+    non-pivot columns and ``lift`` picks the non-pivot rows.  Generator g
+    acts on Q by the non-pivot rows of M_g times ``project``: one product
+    of the stacked rows with it.
     """
     space = row_space(rows)
     fld = m.algebra.field
     eye = ExactMatrix.identity(fld, m.dim)
     if space.rows == 0:
-        q = Module(m.algebra, m.dim, m.action)
+        q = Module(m.algebra, m.dim, m.stack)
         return q, ModuleMorphism(m, q, eye), eye
     piv = space.rref()[1]
     pivots = set(piv)
@@ -393,9 +462,9 @@ def quotient(m: Module, rows: ExactMatrix):
     proj[keep, list(range(len(keep)))] = 1 if fld.characteristic else Fraction(1)
     proj[list(piv)] = -space.a[:, keep]
     proj = ExactMatrix(fld, proj)
-    action = {g: m.action[g].take_rows(keep) @ proj
-              for g in m.algebra.generators}
-    q = Module(m.algebra, len(keep), action)
+    rows_kept = (np.arange(len(m.algebra.generators))[:, None] * m.dim
+                 + keep).ravel()
+    q = Module(m.algebra, len(keep), m.stack.take_rows(rows_kept) @ proj)
     return q, ModuleMorphism(m, q, proj), eye.take_rows(keep)
 
 
@@ -410,27 +479,30 @@ def cokernel_of(f: ModuleMorphism):
 
 def direct_sum(algebra: BasicAlgebra, parts: list[Module]):
     """Direct sum with canonical inclusions and projections; the sum keeps
-    the ``proj`` decomposition when every part has one."""
+    the ``proj`` decomposition when every part has one.  Each part's action
+    stack is copied into its diagonal block of the sum's stack, and the
+    inclusions and projections are row and column slices of one
+    identity."""
     fld = algebra.field
     total = sum(p.dim for p in parts)
-    action = {g: block_diag(fld, [p.action[g] for p in parts])
-              for g in algebra.generators}
+    gens = len(algebra.generators)
+    stack = _empty(fld, gens * total, total)
+    blocks = stack.reshape(gens, total, total)
+    eye = ExactMatrix.identity(fld, total)
+    cuts = []
+    off = 0
+    for p in parts:
+        blocks[:, off: off + p.dim, off: off + p.dim] = p.blocks()
+        cuts.append(range(off, off + p.dim))
+        off += p.dim
     proj = None
     if all(p.proj is not None for p in parts):
         proj = tuple(c for p in parts for c in p.proj)
-    m = Module(algebra, total, action, proj)
-    incs, projs = [], []
-    off = 0
-    one = 1 if fld.characteristic else Fraction(1)
-    for p in parts:
-        inc = _empty(fld, p.dim, total)
-        prj = _empty(fld, total, p.dim)
-        for i in range(p.dim):
-            inc[i, off + i] = one
-            prj[off + i, i] = one
-        incs.append(ModuleMorphism(p, m, ExactMatrix(fld, inc)))
-        projs.append(ModuleMorphism(m, p, ExactMatrix(fld, prj)))
-        off += p.dim
+    m = Module(algebra, total, ExactMatrix._wrap(fld, stack), proj)
+    incs = [ModuleMorphism(p, m, eye.take_rows(cut))
+            for p, cut in zip(parts, cuts)]
+    projs = [ModuleMorphism(m, p, eye.take_cols(cut))
+             for p, cut in zip(parts, cuts)]
     return m, incs, projs
 
 

@@ -748,3 +748,103 @@ def reduce_rows_mod_loop(space, vecs):
         if p:
             out = out % p
     return ExactMatrix(space.field, out)
+
+
+# -- per-generator constructions ---------------------------------------------
+# The module constructions as one product per generator, the form they had
+# before modules stored their generator actions as one stack; kept as
+# oracles for the stacked products.
+
+
+def submodule_loop(m, rows):
+    """``modules.submodule``, one product per generator."""
+    from nangulator.fields import ExactMatrix, row_space
+    from nangulator.modules import Module, ModuleMorphism, zero_module
+
+    basis = row_space(rows)
+    if basis.rows == 0:
+        s = zero_module(m.algebra)
+        return s, ModuleMorphism(s, m, ExactMatrix.zeros(m.algebra.field, 0,
+                                                         m.dim))
+    piv = basis.rref()[1]
+    action = {g: (basis @ m.action[g]).take_cols(piv)
+              for g in m.algebra.generators}
+    s = Module(m.algebra, basis.rows, action)
+    return s, ModuleMorphism(s, m, basis)
+
+
+def quotient_loop(m, rows):
+    """``modules.quotient`` (the closed form), one product per generator."""
+    from fractions import Fraction
+
+    from nangulator.fields import ExactMatrix, _empty, row_space
+    from nangulator.modules import Module, ModuleMorphism
+
+    space = row_space(rows)
+    fld = m.algebra.field
+    eye = ExactMatrix.identity(fld, m.dim)
+    if space.rows == 0:
+        q = Module(m.algebra, m.dim, m.action)
+        return q, ModuleMorphism(m, q, eye), eye
+    piv = space.rref()[1]
+    keep = [j for j in range(m.dim) if j not in set(piv)]
+    proj = _empty(fld, m.dim, len(keep))
+    proj[keep, list(range(len(keep)))] = 1 if fld.characteristic else Fraction(1)
+    proj[list(piv)] = -space.a[:, keep]
+    proj = ExactMatrix(fld, proj)
+    action = {g: m.action[g].take_rows(keep) @ proj
+              for g in m.algebra.generators}
+    q = Module(m.algebra, len(keep), action)
+    return q, ModuleMorphism(m, q, proj), eye.take_rows(keep)
+
+
+def direct_sum_loop(algebra, parts):
+    """``modules.direct_sum``: one block-diagonal matrix per generator and
+    the inclusions and projections filled entry by entry."""
+    from fractions import Fraction
+
+    from nangulator.fields import ExactMatrix, _empty, block_diag
+    from nangulator.modules import Module, ModuleMorphism
+
+    fld = algebra.field
+    total = sum(p.dim for p in parts)
+    action = {g: block_diag(fld, [p.action[g] for p in parts])
+              for g in algebra.generators}
+    proj = None
+    if all(p.proj is not None for p in parts):
+        proj = tuple(c for p in parts for c in p.proj)
+    m = Module(algebra, total, action, proj)
+    incs, projs = [], []
+    off = 0
+    one = 1 if fld.characteristic else Fraction(1)
+    for p in parts:
+        inc = _empty(fld, p.dim, total)
+        prj = _empty(fld, total, p.dim)
+        for i in range(p.dim):
+            inc[i, off + i] = one
+            prj[off + i, i] = one
+        incs.append(ModuleMorphism(p, m, ExactMatrix(fld, inc)))
+        projs.append(ModuleMorphism(m, p, ExactMatrix(fld, prj)))
+        off += p.dim
+    return m, incs, projs
+
+
+def substituted_loop(m, terms_of):
+    """``modules._substituted``: one linear combination per generator."""
+    from nangulator.modules import Module
+
+    return Module(m.algebra, m.dim,
+                  {g: m.combination(terms_of(g)) for g in m.algebra.generators})
+
+
+def verify_loop(f, exhaustive=False):
+    """``ModuleMorphism.verify``: two products and a comparison per element,
+    in index order."""
+    from nangulator.fields import LinearAlgebraError
+
+    A = f.source.algebra
+    for g in (range(A.dim) if exhaustive else A.generators):
+        lhs = f.source.action[g] @ f.matrix
+        rhs = f.matrix @ f.target.action[g]
+        if lhs != rhs:
+            raise LinearAlgebraError(f"morphism does not intertwine element {g}")

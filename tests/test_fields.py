@@ -17,8 +17,10 @@ from nangulator.fields import (
     LinearAlgebraError,
     dot,
     kron,
+    left_products,
     reduce_rows_mod,
     row_space,
+    stack_rows,
 )
 
 F3 = FieldSpec(3)
@@ -569,3 +571,38 @@ def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
     assert z.numerators()[1] == 1
     assert z.T.take_cols([1]).numerators()[0].tolist() == [[3], [-4]]
     assert z.reshape(4, 1).row(3).numerators()[0].tolist() == [[-4]]
+
+
+@pytest.mark.parametrize("cut", [1, 17, fields.CUT_CELLS])
+@pytest.mark.parametrize("p", [5, 65521, 0])
+def test_left_products_match_one_product_per_block(p, cut, monkeypatch):
+    # the batched product, with or without a column cut and in groups of
+    # one block, of two and three (a short last group) or all, against one
+    # product per block, cut afterwards; blocks are views of the stack
+    monkeypatch.setattr(fields, "CUT_CELLS", cut)
+    field = FieldSpec(p)
+    rng = random.Random(p + cut)
+
+    def entry():
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+
+    def random_matrix(rows, cols):
+        entries = [entry() for _ in range(rows * cols)]
+        return ExactMatrix(field, np.array(entries, dtype=object).reshape(
+            rows, cols))
+
+    for k, n, c, blocks in [(3, 4, 6, 5), (1, 2, 2, 7), (0, 3, 2, 2),
+                            (2, 0, 3, 4)]:
+        x, stack = random_matrix(k, n), random_matrix(blocks * n, c)
+        parts = stack.split_rows(blocks)
+        assert all(b.a.base is not None for b in parts if b.a.size)
+        cols = [c - 1, 0] if c > 1 else []
+        want = stack_rows(field, [x @ b for b in parts])
+        assert left_products(x, stack, blocks) == want
+        want = stack_rows(field, [(x @ b).take_cols(cols) for b in parts])
+        got = left_products(x, stack, blocks, cols)
+        assert got == want and got.shape == (blocks * k, len(cols))
+    with pytest.raises(LinearAlgebraError, match="blockwise"):
+        left_products(random_matrix(2, 3), random_matrix(7, 2), 2)

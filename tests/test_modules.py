@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     FIXTURES,
+    direct_sum_loop,
     evaluate_oracle,
     load_fixture,
     multiply_out_of_tensor,
@@ -17,13 +18,18 @@ from conftest import (
     quotient_to_direct,
     regular_module,
     search_iso,
+    submodule_loop,
+    substituted_loop,
+    quotient_loop,
     tensor_module_oracle,
     tensor_morphism_left,
     tops_oracle,
     unit_into_tensor,
+    verify_loop,
     verify_module_axioms,
 )
 
+import nangulator
 from nangulator import homology, modules, periodicity
 
 from nangulator.algebra import (
@@ -688,3 +694,141 @@ def test_tops_are_kept_per_module_contents(over_envelope, monkeypatch):
     assert modules.top_multiplicities(m) == tops
     with pytest.raises(AssertionError, match="_tops"):
         modules.top_multiplicities(other)
+
+
+def _same_results(got, want) -> bool:
+    """Whether two construction results agree: modules by ``digest`` and
+    ``proj``, morphisms by matrix, tuples and lists entry by entry."""
+    if isinstance(got, (tuple, list)):
+        return len(got) == len(want) and all(
+            _same_results(a, b) for a, b in zip(got, want))
+    if isinstance(got, Module):
+        return (got.digest(), got.proj) == (want.digest(), want.proj)
+    if isinstance(got, modules.ModuleMorphism):
+        return got.matrix == want.matrix
+    return got == want
+
+
+@pytest.mark.parametrize("name, m", [
+    ("preproj_a3", None),
+    ("nakayama_3_3", 2),
+    ("kq2_i2_q", 3),     # kQ_2/I_2 over Q
+])
+def test_stacked_constructions_match_loops_on_every_verify_call(
+        name, m, monkeypatch, tmp_path):
+    # every call the axiom suite makes, against the per-generator loops:
+    # the same generator actions (digest), the same maps, and verify fails
+    # exactly when the loop does, naming the same element
+    from nangulator.cli import run_cli
+
+    oracles = {"submodule": submodule_loop, "quotient": quotient_loop,
+               "direct_sum": direct_sum_loop, "_substituted": substituted_loop}
+    calls = dict.fromkeys(list(oracles) + ["verify"], 0)
+    mismatches = []
+
+    def checking(attr, real):
+        def run(*args):
+            got = real(*args)
+            calls[attr] += 1
+            if not _same_results(got, oracles[attr](*args)):
+                mismatches.append((attr, calls[attr]))
+            return got
+        return run
+
+    packages = [mod for key, mod in vars(nangulator).items()
+                if key in ("algebra", "angulation", "axioms", "cli",
+                           "homology", "modules", "periodicity")]
+    for attr in oracles:
+        real = getattr(modules, attr)
+        for mod in packages:
+            if getattr(mod, attr, None) is real:
+                monkeypatch.setattr(mod, attr, checking(attr, real))
+
+    real_verify = modules.ModuleMorphism.verify
+
+    def outcome(run, f, exhaustive):
+        try:
+            run(f, exhaustive)
+        except LinearAlgebraError as e:
+            return str(e)
+        return None
+
+    def verify(f, exhaustive=False):
+        calls["verify"] += 1
+        got = outcome(real_verify, f, exhaustive)
+        if got != outcome(verify_loop, f, exhaustive):
+            mismatches.append(("verify", calls["verify"]))
+        if got is not None:
+            raise LinearAlgebraError(got)
+
+    monkeypatch.setattr(modules.ModuleMorphism, "verify", verify)
+    path = FIXTURES / f"{name}.json"
+    if name == "kq2_i2_q":
+        path = tmp_path / f"{name}.json"
+        path.write_text(nakayama_text(2, 2, 0))
+    argv = ["verify", str(path), "--samples", "3", "--seed", "5"]
+    assert run_cli(argv + (["--m", str(m)] if m else [])) == 0
+    assert mismatches == []
+    assert all(calls.values()), calls
+
+
+def _verify_outcome(run, f, exhaustive=False):
+    try:
+        run(f, exhaustive)
+    except LinearAlgebraError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("p", [5, 0])
+def test_verify_names_the_first_failing_element_as_the_loop_does(p):
+    # I + (action of e_1) commutes with every idempotent action but not with
+    # the arrows at vertex 1: the first failure is an arrow, not the first
+    # generator, and the batched check names the one the loop names
+    A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
+    M = regular_module(A)
+    e = A.idempotents[0]
+    f = modules.ModuleMorphism(
+        M, M, ExactMatrix.identity(A.field, M.dim) + M.action[e])
+    for exhaustive in (False, True):
+        got = _verify_outcome(modules.ModuleMorphism.verify, f, exhaustive)
+        assert got is not None
+        assert got == _verify_outcome(verify_loop, f, exhaustive)
+    first = int(got.rsplit(" ", 1)[1])
+    assert first not in A.idempotents
+
+
+@pytest.mark.parametrize("p", [5, 0])
+def test_exhaustive_verify_checks_every_basis_element(p):
+    # a source whose kept action of one path disagrees with its target's:
+    # the generators intertwine, only the exhaustive check sees the path
+    A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
+    N = regular_module(A)
+    M = Module(A, N.dim, N.stack)
+    k = next(k for k in range(A.dim) if len(A.word(k)) > 1)
+    M.action[k]
+    M._actions[k] = M.action[k] + ExactMatrix.identity(A.field, M.dim)
+    f = modules.ModuleMorphism(M, N, ExactMatrix.identity(A.field, M.dim))
+    f.verify()
+    with pytest.raises(LinearAlgebraError, match=f"element {k}$"):
+        f.verify(exhaustive=True)
+    assert _verify_outcome(verify_loop, f, True).endswith(f"element {k}")
+
+
+@pytest.mark.parametrize("p", [5, 0])
+def test_verify_passes_for_zero_dimensional_ends(p):
+    A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
+    M, Z = regular_module(A), zero_module(A)
+    for f in (zero_morphism(Z, M), zero_morphism(M, Z), identity_morphism(Z)):
+        f.verify()
+        f.verify(exhaustive=True)
+
+
+def test_indecomposable_projectives_are_kept_over_the_algebra_only():
+    A, _ = load_fixture("nakayama_2_3")
+    assert projective_module(A, 1) is projective_module(A, 1)
+    assert projective_module(A, 0) is not projective_module(A, 1)
+    env = A.enveloping()
+    P = projective_module(env, 3)
+    assert projective_module(env, 3) is not P
+    assert projective_module(env, 3).digest() == P.digest()
