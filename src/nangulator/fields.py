@@ -661,6 +661,18 @@ def left_products(x: ExactMatrix, stack: ExactMatrix, blocks: int,
     return ExactMatrix._from_numerators(field, num.reshape(blocks * k, c), d)
 
 
+def unequal_entries(x: ExactMatrix, y: ExactMatrix) -> np.ndarray:
+    """The boolean array x != y, entry by entry, for matrices of one shape;
+    over Q on their kept numerators, cross-multiplied by the
+    denominators."""
+    if x.field.characteristic:
+        return x.a != y.a
+    (nx, dx), (ny, dy) = x.numerators(), y.numerators()
+    if dx == dy:
+        return nx != ny
+    return nx * dy != ny * dx
+
+
 def block_diag(field: FieldSpec, mats) -> ExactMatrix:
     """The block diagonal matrix of ``mats``; over Q it is assembled on
     numerators over the lcm of their denominators."""

@@ -35,6 +35,7 @@ from .fields import (
     reduce_rows_mod,
     row_space,
     stack_rows,
+    unequal_entries,
 )
 
 
@@ -217,7 +218,8 @@ class ModuleMorphism:
             lhs, rhs = src.stack, dst.stack
         lhs = lhs @ f
         rhs = left_products(f, rhs, len(idx))
-        bad = (lhs.a != rhs.a).reshape(len(idx), f.rows * f.cols).any(axis=1)
+        bad = unequal_entries(lhs, rhs).reshape(len(idx), f.rows * f.cols)
+        bad = bad.any(axis=1)
         if bad.any():
             raise LinearAlgebraError(
                 f"morphism does not intertwine element {idx[int(bad.argmax())]}")

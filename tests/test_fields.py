@@ -21,6 +21,7 @@ from nangulator.fields import (
     reduce_rows_mod,
     row_space,
     stack_rows,
+    unequal_entries,
 )
 
 F3 = FieldSpec(3)
@@ -606,3 +607,18 @@ def test_left_products_match_one_product_per_block(p, cut, monkeypatch):
         assert got == want and got.shape == (blocks * k, len(cols))
     with pytest.raises(LinearAlgebraError, match="blockwise"):
         left_products(random_matrix(2, 3), random_matrix(7, 2), 2)
+
+
+@pytest.mark.parametrize("p", [7, 0])
+def test_unequal_entries_match_entrywise_comparison(p):
+    # over Q also on numerators over different least common denominators
+    field = FieldSpec(p)
+    for x in _random_matrices(field, random.Random(p)):
+        bump = np.zeros(x.shape, dtype=int)
+        bump[:1, :1] = 1
+        for y in (x, x.scale(2), x.scale(Fraction(1, 3) if not p else 3),
+                  x + ExactMatrix(field, bump)):
+            want = np.array([a != b for a, b in zip(x.a.ravel().tolist(),
+                                                    y.a.ravel().tolist())],
+                            dtype=bool).reshape(x.shape)
+            assert np.array_equal(unequal_entries(x, y), want)
