@@ -362,8 +362,6 @@ def _substituted(m: Module, terms_of) -> Module:
     A, fld, n = m.algebra, m.algebra.field, m.dim
     terms = [terms_of(g) for g in A.generators]
     used = sorted({k for ts in terms for k, _ in ts})
-    if not used:
-        return Module(A, n, ExactMatrix.zeros(fld, len(terms) * n, n))
     column = {k: i for i, k in enumerate(used)}
     coeffs = _empty(fld, len(terms), len(used))
     for row, ts in zip(coeffs, terms):
