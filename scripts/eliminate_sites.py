@@ -16,9 +16,9 @@ above ``fields.ROW_LOOP_CELLS``, the cut between the row loop and the numpy
 elimination over F_p.
 
 With ``--products`` it times the products instead: every call of
-``ExactMatrix.__matmul__`` (``@``), of ``fields.dot``, the batched and
-tensordot product on arrays, and of ``fields.left_products`` (``left``),
-the blockwise product over a module's stacked generator actions, grouped
+``ExactMatrix.__matmul__`` (``@``) and of ``fields.left_products``
+(``left``), the blockwise product over a module's stacked generator
+actions and over the vertex blocks of a hom basis, grouped
 the same way and labelled by kind; the mean cells are those of the
 result.  The benchmark's ``fields.matmul_calls`` counts ``@`` only, so
 this table also shows the products that moved into batched ones.
@@ -113,8 +113,6 @@ def main(argv) -> int:
                    if isinstance(m, types.ModuleType)]
         restore = patch([fields.ExactMatrix], "__matmul__",
                         timing("@", lambda args, out: out.a.size))
-        restore += patch([fields] + package, "dot",
-                         timing("dot", lambda args, out: out.size))
         restore += patch([fields] + package, "left_products",
                          timing("left", lambda args, out: out.a.size))
         what = "products"

@@ -16,7 +16,9 @@ the Nakayama algebras kQ_n/I_s over F101, F65521 and F2 that
 ``angulate standard --m 3, 2, 3`` on kQ_2/I_2, kQ_2/I_3 and kQ_3/I_2 over Q,
 with ``verify --m 3 --samples 2 --seed 5`` on kQ_2/I_2 over Q, and
 ``period`` on kQ_3/I_3 and kQ_4/I_3 over Q (labelled ``kQ<n>/I<s>/F<p>``, F0
-for Q, written to a temporary directory): 119 lines.
+for Q, written to a temporary directory), then ``verify --samples 1 --seed
+7`` on the preprojective algebra Pi(A4) and ``period`` on Pi(D4) over F5
+(labelled ``Pi(A4)/F5`` and ``Pi(D4)/F5``): 121 lines.
 Diff the output of two checkouts to see which reports changed.
 """
 
@@ -43,6 +45,9 @@ NAKAYAMA = [(3, 2, 101), (3, 3, 101), (2, 2, 65521), (2, 2, 2), (3, 2, 2),
 RATIONAL = [(2, 2, 3), (2, 3, 2), (3, 2, 3)]
 # (n, s) over Q, period only
 RATIONAL_PERIOD = [(3, 3), (4, 3)]
+# (Dynkin type, rank, command) over F5
+PREPROJECTIVE = [("A", 4, ["verify", "--samples", "1", "--seed", "7"]),
+                 ("D", 4, ["period"])]
 
 
 def nakayama_text(n, s, p):
@@ -53,6 +58,28 @@ def nakayama_text(n, s, p):
                    "path": [f"a{(k + t) % n + 1}" for t in range(s)]}]
                  for k in range(n)]
     return json.dumps({"field": p, "vertices": [str(k + 1) for k in range(n)],
+                       "arrows": arrows, "relations": relations})
+
+
+def preprojective_text(kind, n, p):
+    """The preprojective algebra of A_n or D_n over F_p: the double of a
+    tree with edges i -> j, arrow a_k along edge k and a_ks back, and at each
+    vertex v the sum of a a* over the edges leaving v minus a* a over those
+    entering it."""
+    edges = [(k, k + 1) for k in range(1, n - 1 if kind == "D" else n)]
+    if kind == "D":
+        edges.append((n - 2, n))
+    arrows, relations = [], []
+    for k, (i, j) in enumerate(edges, 1):
+        arrows += [{"name": f"a{k}", "from": str(i), "to": str(j)},
+                   {"name": f"a{k}s", "from": str(j), "to": str(i)}]
+    for v in range(1, n + 1):
+        relations.append(
+            [{"coeff": 1, "path": [f"a{k}", f"a{k}s"]}
+             for k, (i, _) in enumerate(edges, 1) if i == v]
+            + [{"coeff": -1, "path": [f"a{k}s", f"a{k}"]}
+               for k, (_, j) in enumerate(edges, 1) if j == v])
+    return json.dumps({"field": p, "vertices": [str(v) for v in range(1, n + 1)],
                        "arrows": arrows, "relations": relations})
 
 
@@ -86,6 +113,10 @@ def commands(tmp):
         path = tmp / f"kq{n}_i{s}_f0.json"
         path.write_text(nakayama_text(n, s, 0))
         yield f"kQ{n}/I{s}/F0", path, ["period"]
+    for kind, n, args in PREPROJECTIVE:
+        path = tmp / f"preproj_{kind.lower()}{n}_f5.json"
+        path.write_text(preprojective_text(kind, n, 5))
+        yield f"Pi({kind}{n})/F5", path, args
 
 
 def main() -> None:

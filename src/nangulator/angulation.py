@@ -29,7 +29,6 @@ from .fields import (
     LinearAlgebraError,
     _empty,
     kron,
-    linear_combination,
 )
 from .homology import Homology, cosyzygy_morphism, rank_exactness
 from .modules import (
@@ -38,12 +37,10 @@ from .modules import (
     _coords_in,
     _terms,
     direct_sum,
-    hom_space,
     identity_morphism,
     kernel_of,
     cokernel_of,
     map_from_generators,
-    on_generators,
     pullback,
     right_twist,
     left_twist,
@@ -355,12 +352,10 @@ def _ladder(eng: Homology, origin: Module, first, sources, source_maps,
     solves f_{j-1} @ phi_j = phi_{j-1} @ g_{j-1}, with f the source maps and
     g the target maps.  Raises ``fail(j)`` when rung j has no solution.
 
-    Each rung keeps only the equations at a generating set G of its source
-    X (``on_generators``): G C phi = G D.  When C and D are module maps out
-    of X, the equations at x . a are those at x carried by the action of a,
-    so the augmented system has the same row space, hence the same RREF and
-    the same solution.  A D that is not a module map can pass a rung it
-    would fail on all rows; the callers' final checks catch it.
+    C and D are module maps out of the rung's source X, so each rung is
+    compared at a generating set of X (``modules.hom_system``).  A D that is
+    not a module map can pass a rung it would fail on all rows; the callers'
+    final checks catch it.
     """
     phis = []
     src_mod, (c_mat, d_mat) = origin, first
@@ -369,8 +364,8 @@ def _ladder(eng: Homology, origin: Module, first, sources, source_maps,
             src_mod = sources[j - 1]
             c_mat = source_maps[j - 1].matrix
             d_mat = phis[-1].matrix @ target_maps[j - 1].matrix
-        phi = eng.solve_from_projective(src, dst, [(
-            on_generators(src_mod, c_mat), on_generators(src_mod, d_mat))])
+        phi = eng.solve_from_projective(src, dst,
+                                        [(c_mat, None, d_mat, src_mod)])
         if phi is None:
             raise fail(j)
         phis.append(phi)
@@ -636,7 +631,7 @@ def fill_morphism(seq: FunctorSequence, x: AngleSequence, y: AngleSequence,
         raise FillError("kernels disagree stably (inputs not distinguished?)")
     hull, iota = eng.injective_hull(sus_m)
     c = eng.solve_from_projective(hull, y.objects[-1],
-                                  [("right", pi2.matrix, witness.matrix)])
+                                  [(None, pi2.matrix, witness.matrix, hull)])
     if c is None:
         raise FillError("hull correction does not lift along the epimorphism")
     corrected = comps[-1] - ModuleMorphism(
@@ -716,17 +711,18 @@ def good_fill_and_cone(seq: FunctorSequence, x: AngleSequence,
         )
         for i in range(n)
     ]
-    # correct the first components to match (phi1, phi2)
+    # correct the first components to match (phi1, phi2); both sides of
+    # each correction are module maps out of X_1, then X_2
     h2 = eng.solve_from_projective(
         x.objects[1], y.objects[0],
-        [(x.maps[0].matrix, phi1.matrix - base[0].matrix)],
-    )
+        [(x.maps[0].matrix, None, phi1.matrix - base[0].matrix,
+          x.objects[0])])
     if h2 is None:
         raise FillError("first correction failed")
     rho = phi2.matrix - base[1].matrix - h2.matrix @ y.maps[0].matrix
     h3 = eng.solve_from_projective(
-        x.objects[2], y.objects[1], [(x.maps[1].matrix, rho)]
-    )
+        x.objects[2], y.objects[1],
+        [(x.maps[1].matrix, None, rho, x.objects[1])])
     if h3 is None:
         raise FillError("second correction failed")
     comps = list(base)
@@ -773,65 +769,3 @@ def mapping_cone(x: AngleSequence, y: AngleSequence, comps) -> AngleSequence:
         tgt = objects[(i + 1) % n] if i < n - 1 else sus.apply(objects[0])
         maps.append(ModuleMorphism(objects[i], tgt, ExactMatrix(fld, big)))
     return AngleSequence(objects, maps, sus)
-
-
-def periodic_homotopy(x: AngleSequence, y: AngleSequence, targets,
-                      engine: Homology | None = None):
-    """Solve the periodic homotopy equations h_i g_{i-1} + f_i h_{i+1} =
-    target_i, where h_1: X_1 -> de-suspended Y_n, h_i: X_i -> Y_{i-1} for
-    i >= 2, and h_{n+1} is the suspension of h_1 (same matrix).
-
-    ``targets`` are matrices of maps X_i -> Y_i.  Returns the list of
-    homotopy component matrices, or None if no periodic homotopy exists.
-    The optional engine routes hom computations through cover structures.
-    """
-    fld = x.objects[0].algebra.field
-    n = x.length
-    sus = x.suspension
-    hom_bases = []
-    shapes = []
-    for i in range(n):
-        src = x.objects[i]
-        dst = sus.unapply(y.objects[-1]) if i == 0 else y.objects[i - 1]
-        if engine is not None and src.dim:
-            hom_bases.append(engine.hom_from_projective(src, dst))
-        else:
-            hom_bases.append(hom_space(src, dst))
-        shapes.append((src.dim, dst.dim))
-    offsets = [0]
-    for basis in hom_bases:
-        offsets.append(offsets[-1] + len(basis))
-    total = offsets[-1]
-    if total == 0:
-        return [] if all(t.is_zero() for t in targets) else None
-    eq_off = [0]
-    for i in range(n):
-        eq_off.append(eq_off[-1] + x.objects[i].dim * y.objects[i].dim)
-    blocks = _empty(fld, total, eq_off[-1])
-    for i in range(n):
-        # term h_i then g_{i-1}; for i = 1 the matrix of g_0 is that of g_n
-        g_prev_mat = (y.maps[-1] if i == 0 else y.maps[i - 1]).matrix
-        for t, h in enumerate(hom_bases[i]):
-            contrib = (h.matrix @ g_prev_mat).a.reshape(-1)
-            blocks[offsets[i] + t, eq_off[i]: eq_off[i + 1]] += contrib
-        # term f_i then h_{i+1}; wrapping reuses the matrix of h_1
-        nxt = (i + 1) % n
-        for t, h in enumerate(hom_bases[nxt]):
-            contrib = (x.maps[i].matrix @ h.matrix).a.reshape(-1)
-            blocks[offsets[nxt] + t, eq_off[i]: eq_off[i + 1]] += contrib
-    big = ExactMatrix(fld, blocks)
-    rhs = ExactMatrix(fld, np.concatenate(
-        [t.a.reshape(-1) for t in targets])[None, :])
-    sol = big.solve_left(rhs)
-    if sol is None:
-        return None
-    return [linear_combination(fld, sol.a[0, offsets[i]: offsets[i + 1]],
-                               [h.matrix for h in hom_bases[i]], shapes[i])
-            for i in range(n)]
-
-
-def contractible_test(x: AngleSequence, engine: Homology | None = None):
-    """A periodic homotopy between the identity and zero, or None."""
-    targets = [ExactMatrix.identity(x.objects[0].algebra.field, o.dim)
-               for o in x.objects]
-    return periodic_homotopy(x, x, targets, engine)

@@ -10,20 +10,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .algebra import BasicAlgebra
-from .fields import ExactMatrix, LinearAlgebraError, linear_combination
+from .fields import ExactMatrix, LinearAlgebraError
 from .homology import Homology
 from .modules import (
     Module,
-    ModuleMorphism,
     cokernel_of,
+    combine_all,
+    hom_system,
     kernel_of,
     projective_module,
     random_hom,
     standard_projective,
-    zero_morphism,
 )
 from .angulation import (
     AngleSequence,
@@ -108,8 +106,7 @@ def random_module(algebra: BasicAlgebra, eng: Homology,
     map between random projectives (kept small)."""
     p = random_projective(algebra, rng)
     q = random_projective(algebra, rng)
-    homs = eng.hom_from_projective(p, q)
-    f = random_hom(rng, homs, p, q)
+    f = random_hom(rng, eng.hom_from_projective(p, q))
     if rng.random() < 0.5:
         m, _ = cokernel_of(f)
     else:
@@ -123,30 +120,18 @@ def random_module(algebra: BasicAlgebra, eng: Homology,
 def sample_commuting_square(eng: Homology, x: AngleSequence, y: AngleSequence,
                             rng: random.Random):
     """A seeded random point of the linear space of commuting squares
-    (phi1, phi2) with f_1 phi2 = phi1 g_1."""
-    algebra = x.objects[0].algebra
-    fld = algebra.field
-    h1 = eng.hom_from_projective(x.objects[0], y.objects[0])
-    h2 = eng.hom_from_projective(x.objects[1], y.objects[1])
-    if not h1 and not h2:
-        return (zero_morphism(x.objects[0], y.objects[0]),
-                zero_morphism(x.objects[1], y.objects[1]))
-    blocks = []
-    for h in h1:
-        blocks.append((h.matrix @ y.maps[0].matrix).a.reshape(-1))
-    for h in h2:
-        blocks.append((-(x.maps[0].matrix @ h.matrix)).a.reshape(-1))
-    big = ExactMatrix(fld, np.stack(blocks))
+    (phi1, phi2) with f_1 phi2 = phi1 g_1, both sides maps out of X_1."""
+    bases = [eng.hom_from_projective(x.objects[0], y.objects[0]),
+             eng.hom_from_projective(x.objects[1], y.objects[1])]
+    fld = x.objects[0].algebra.field
+    big, _ = hom_system(bases, [(
+        [(0, None, y.maps[0].matrix), (1, -x.maps[0].matrix, None)],
+        ExactMatrix.zeros(fld, x.objects[0].dim, y.objects[1].dim),
+        x.objects[0])])
     space = big.left_kernel()
     scalars = [fld.random(rng) for _ in range(space.rows)]
     coeff = (ExactMatrix(fld, [scalars]) @ space).a[0]
-
-    def combine(homs, cs, src, dst):
-        return ModuleMorphism(src, dst, linear_combination(
-            fld, cs, [h.matrix for h in homs], (src.dim, dst.dim)))
-
-    return (combine(h1, coeff[: len(h1)], x.objects[0], y.objects[0]),
-            combine(h2, coeff[len(h1):], x.objects[1], y.objects[1]))
+    return tuple(combine_all(bases, coeff))
 
 
 def _witness(angle, cert):
@@ -194,7 +179,7 @@ def verify_axioms(eng: Homology, seq: FunctorSequence, samples: int,
 
         # N1c: every morphism of projectives starts a distinguished angle
         q = random_projective(algebra, rng)
-        f1 = random_hom(rng, eng.hom_from_projective(p, q), p, q)
+        f1 = random_hom(rng, eng.hom_from_projective(p, q))
         try:
             comp = complete_morphism(seq, f1)
             cc = certify_angle(seq, comp)

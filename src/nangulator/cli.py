@@ -164,7 +164,7 @@ def cmd_angulate(args) -> int:
     else:
         src = random_projective(algebra, rng)
         dst = random_projective(algebra, rng)
-        f1 = random_hom(rng, engine.hom_from_projective(src, dst), src, dst)
+        f1 = random_hom(rng, engine.hom_from_projective(src, dst))
         angle = complete_morphism(seq, f1)
     cert = certify_angle(seq, angle)
     out = to_json(angle_dump(angle, cert))

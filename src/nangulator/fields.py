@@ -7,7 +7,7 @@ every downstream construction is reproducible bit for bit.
 
 Over Q the arithmetic runs on Python-int numerators, not on ``Fraction``
 objects: a product multiplies the integer numerators of its operands, each
-taken over one common denominator (``dot``), and elimination is
+taken over one common denominator (``_product``), and elimination is
 fraction-free Gauss-Jordan on integer rows, each divided by its content,
 dividing by the pivots once at the end.  The RREF is unique, so the stored
 ``Fraction`` results are the same as with fraction arithmetic.
@@ -40,6 +40,24 @@ import numpy as np
 
 class LinearAlgebraError(ValueError):
     pass
+
+
+class ResourceBoundExceeded(RuntimeError):
+    pass
+
+
+MEMORY_BOUND = 1 << 30     # bytes one dense array of the pipeline may take
+FRACTION_BYTES = 112       # 8-byte pointer, 48-byte Fraction, two 28-byte ints
+
+
+def check_memory(field: FieldSpec, entries: int, what: str) -> None:
+    """Refuse ``entries`` field entries, named by ``what``, above MEMORY_BOUND
+    bytes: 8 per int64 entry, FRACTION_BYTES per rational entry."""
+    estimate = entries * (8 if field.characteristic else FRACTION_BYTES)
+    if estimate > MEMORY_BOUND:
+        raise ResourceBoundExceeded(
+            f"{what} need an estimated {estimate} bytes, above the bound of "
+            f"{MEMORY_BOUND} bytes")
 
 
 def _is_prime(p: int) -> bool:
@@ -162,25 +180,10 @@ def _lowest(n: np.ndarray, d: int):
     return n, d
 
 
-def _product(x, y, axes=None):
+def _product(x, y):
     """(N, d) of the product of x = (N_x, d_x) and y = (N_y, d_y): N_x @ N_y
-    (or their tensordot over axes) on Python ints over d_x d_y, in lowest
-    terms."""
-    nx, ny = x[0], y[0]
-    n = nx @ ny if axes is None else np.tensordot(nx, ny, axes)
-    return _lowest(n, x[1] * y[1])
-
-
-def dot(field: FieldSpec, a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
-    """The product a @ b, or ``np.tensordot(a, b, axes)`` when axes is
-    given, of arrays with canonical entries, in canonical form.  Over F_p it
-    is the int64 product reduced mod p; over Q the integer numerators are
-    multiplied and the result is divided by the product of the two
-    denominators."""
-    p = field.characteristic
-    if p:
-        return (a @ b if axes is None else np.tensordot(a, b, axes)) % p
-    return _fractions(*_product(_numerators(a), _numerators(b), axes))
+    on Python ints over d_x d_y, in lowest terms."""
+    return _lowest(x[0] @ y[0], x[1] * y[1])
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:

@@ -9,38 +9,33 @@ contents alone: maps out of a module with a ``proj`` decomposition come from
 its generators and are not cached, and every other projective goes through
 its projective cover.
 
-A map phi out of P = e_{c_1}A (+) ... (+) e_{c_r}A is fixed by the images of
-the summand generators, so ``solve_from_projective`` solves for the
-coordinates c of phi = sum c_i H_i in the basis H of Hom(P, N) that
-``hom_array`` builds as one array (H transported to pi^-1 . H along the
-cover pi when P has no ``proj``).  Each constraint contributes one product
-over the whole basis, C . H or H . R, and the answer is sum c_i H_i.
+Every map solved for is a point of a hom space, posed by one builder
+(``modules.hom_system``) on its coordinates in a ``HomBasis``.  Out of
+P = e_{c_1}A (+) ... (+) e_{c_r}A a map is fixed by the images of the
+summand generators, so the basis is kept in vertex blocks: element i of
+summand t is a row of the walk of N e_{c_t} along e_{c_t}A on the rows of t.
+A projective without ``proj`` carries pi^-1 of its cover as a left factor.
+An equation between module maps out of X is compared at the generators of
+X only, an equivalent system; the solution is combined block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import BasicAlgebra, NakayamaData
-from .fields import (
-    ExactMatrix,
-    LinearAlgebraError,
-    block_diag,
-    dot,
-    linear_combination,
-)
+from .fields import ExactMatrix, LinearAlgebraError, block_diag
 from .modules import (
+    HomBasis,
     Module,
     ModuleMorphism,
     cover_from_tops,
     dual_module,
-    hom_array,
     hom_space,
     iso_test,
     kernel_of,
     quotient,
+    solve_homs,
     standard_projective,
     top_multiplicities,
     zero_module,
@@ -191,59 +186,30 @@ class Homology:
     # -- stable category ------------------------------------------------------
     def factors_through_injective(self, f: ModuleMorphism):
         """Witness (g: I_M -> N with iota g = f) iff f is stably zero."""
-        if f.source.dim == 0 or f.matrix.is_zero():
-            I, iota = self.injective_hull(f.source)
-            return ModuleMorphism(I, f.target,
-                                  ExactMatrix.zeros(self.algebra.field, I.dim,
-                                                    f.target.dim))
         I, iota = self.injective_hull(f.source)
-        sol = self.solve_from_projective(
-            I, f.target, [(iota.matrix, f.matrix)]
-        )
-        if sol is None:
-            return None
-        return sol
+        if f.matrix.is_zero():
+            return zero_morphism(I, f.target)
+        return self.solve_from_projective(
+            I, f.target, [(iota.matrix, None, f.matrix, None)])
 
     def stable_equal(self, f: ModuleMorphism, g: ModuleMorphism) -> bool:
         return self.factors_through_injective(f - g) is not None
 
     def stable_inverse(self, f: ModuleMorphism):
-        """A module map g with fg and gf stably equal to the identities, or
-        None when f is not a stable isomorphism."""
+        """A module map g: V -> U with f g - iota_U s_U = 1_U and
+        g f - iota_V s_V = 1_V for some s_U, s_V out of the hulls, or None
+        when f: U -> V is not a stable isomorphism."""
         U, V = f.source, f.target
         fld = self.algebra.field
-        homs = hom_space(V, U)
         IU, iota_u = self.injective_hull(U)
         IV, iota_v = self.injective_hull(V)
-        hU = hom_space(IU, U)
-        hV = hom_space(IV, V)
-        cols_u = U.dim * U.dim
-        cols_v = V.dim * V.dim
-        z_u = np.zeros(cols_u, dtype=np.int64)
-        z_v = np.zeros(cols_v, dtype=np.int64)
-        rows = []
-        for h in homs:
-            fg = (f.matrix @ h.matrix).a.reshape(-1)
-            gf = (h.matrix @ f.matrix).a.reshape(-1)
-            rows.append(np.concatenate([fg, gf]))
-        for s in hU:
-            term = (iota_u.matrix @ s.matrix).a.reshape(-1)
-            rows.append(np.concatenate([-term, z_v]))
-        for s in hV:
-            term = (iota_v.matrix @ s.matrix).a.reshape(-1)
-            rows.append(np.concatenate([z_u, -term]))
-        rhs_u = ExactMatrix.identity(fld, U.dim).a.reshape(-1)
-        rhs_v = ExactMatrix.identity(fld, V.dim).a.reshape(-1)
-        rhs = ExactMatrix(fld, np.concatenate([rhs_u, rhs_v])[None, :])
-        if not rows:
-            return zero_morphism(V, U) if rhs.is_zero() else None
-        big = ExactMatrix(fld, np.stack(rows))
-        sol = big.solve_left(rhs)
-        if sol is None:
-            return None
-        return ModuleMorphism(V, U, linear_combination(
-            fld, sol.a[0, : len(homs)], [h.matrix for h in homs],
-            (V.dim, U.dim)))
+        bases = [hom_space(V, U), hom_space(IU, U), hom_space(IV, V)]
+        sol = solve_homs(bases, [
+            ([(0, f.matrix, None), (1, -iota_u.matrix, None)],
+             ExactMatrix.identity(fld, U.dim), U),
+            ([(0, None, f.matrix), (2, -iota_v.matrix, None)],
+             ExactMatrix.identity(fld, V.dim), V)])
+        return None if sol is None else sol[0]
 
     # -- maps out of projectives ----------------------------------------------
     def proj_structure(self, m: Module):
@@ -260,51 +226,23 @@ class Homology:
             self._proj_structure[key] = (P, pi, pi.matrix.inv())
         return self._proj_structure[key]
 
-    def hom_array_from_projective(self, p: Module, n: Module) -> np.ndarray:
-        """Basis of Hom(P, N) as one array (basis size, dim P, dim N):
-        generator images when P has a ``proj`` decomposition, else
-        transported along its projective cover as pi^-1 . h."""
+    def hom_from_projective(self, p: Module, n: Module) -> HomBasis:
+        """Basis of Hom(P, N) for a projective P: the vertex blocks of
+        ``hom_space`` when P has a ``proj`` decomposition, else those of its
+        projective cover with the left factor pi^-1."""
         P, pi, pi_inv = self.proj_structure(p)
-        homs = hom_array(P, n)
-        if pi is None or not len(homs):
-            return homs
-        return dot(self.algebra.field, pi_inv.a, homs)
-
-    def hom_from_projective(self, p: Module, n: Module):
-        """Basis of Hom(P, N) as morphisms: the slices of
-        ``hom_array_from_projective``."""
-        fld = self.algebra.field
-        return [ModuleMorphism(p, n, ExactMatrix._wrap(fld, h))
-                for h in self.hom_array_from_projective(p, n)]
+        homs = hom_space(P, n)
+        return homs if pi is None else HomBasis(p, n, homs.blocks, pi_inv)
 
     def solve_from_projective(self, p: Module, n: Module, constraints):
-        """Deterministic phi: P -> N satisfying the given constraints, or
-        None when infeasible.  P must be projective.  Constraints are pairs
-        (C, D) meaning C @ phi = D, or triples ("right", R, D) meaning
-        phi @ R = D.
-
-        The unknowns are the coordinates c of phi = sum c_i H_i in the basis
-        H of ``hom_array_from_projective``; each constraint adds the columns
-        of C . H_i or H_i . R, flattened, one product per constraint over
-        the whole basis.
-        """
-        fld = self.algebra.field
-        homs = self.hom_array_from_projective(p, n)
-        if not len(homs):
-            if any(not c[-1].is_zero() for c in constraints):
-                return None
-            return zero_morphism(p, n)
-        cols = [(dot(fld, c[0].a, homs) if len(c) == 2
-                 else dot(fld, homs, c[1].a)).reshape(len(homs), -1)
-                for c in constraints]
-        big = ExactMatrix(fld, np.concatenate(cols, axis=1))
-        rhs = ExactMatrix(fld, np.concatenate(
-            [c[-1].a.reshape(-1) for c in constraints])[None, :])
-        sol = big.solve_left(rhs)
-        if sol is None:
-            return None
-        return ModuleMorphism(p, n, ExactMatrix._wrap(fld, dot(
-            fld, sol.a[0], homs, axes=1)))
+        """Deterministic phi: P -> N, P projective, satisfying constraints
+        (L, R, D, X): L @ phi @ R = D, L or R None for an identity, compared
+        at the generators of X when X is a module (``modules.hom_system``);
+        None when infeasible."""
+        sol = solve_homs([self.hom_from_projective(p, n)],
+                         [([(0, lft, rgt)], rhs, src)
+                          for lft, rgt, rhs, src in constraints])
+        return None if sol is None else sol[0]
 
 
 def cosyzygy_morphism(engine: Homology, f: ModuleMorphism, k: int) -> ModuleMorphism:
@@ -320,8 +258,7 @@ def cosyzygy_morphism(engine: Homology, f: ModuleMorphism, k: int) -> ModuleMorp
         proj_m = res_m.steps[step].project
         proj_n = res_n.steps[step].project
         u = engine.solve_from_projective(
-            I_m, I_n, [(iota_m.matrix, (cur.matrix @ iota_n.matrix))]
-        )
+            I_m, I_n, [(iota_m.matrix, None, cur.matrix @ iota_n.matrix, None)])
         if u is None:
             raise LinearAlgebraError("comparison lift failed (hull not injective?)")
         # induced map on cokernels: lift, push through u, project

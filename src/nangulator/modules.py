@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .fields import (
     ExactMatrix,
     LinearAlgebraError,
     _empty,
+    check_memory,
     kron,
     left_products,
     linear_combination,
@@ -226,15 +228,6 @@ class ModuleMorphism:
 
     def rank(self) -> int:
         return self.matrix.rank()
-
-    def is_mono(self) -> bool:
-        return self.rank() == self.source.dim
-
-    def is_epi(self) -> bool:
-        return self.rank() == self.target.dim
-
-    def is_iso(self) -> bool:
-        return self.source.dim == self.target.dim and self.matrix.is_invertible()
 
 
 def identity_morphism(m: Module) -> ModuleMorphism:
@@ -523,50 +516,86 @@ def pullback(f: ModuleMorphism, g: ModuleMorphism):
 # -- hom spaces ---------------------------------------------------------------
 
 
-def hom_space(m: Module, n: Module) -> list[ModuleMorphism]:
-    """Deterministic basis of Hom(M, N); for a ``proj`` module the slices
-    of ``hom_array``."""
-    if m.dim == 0 or n.dim == 0:
-        return []
+@dataclass
+class HomBasis:
+    """A basis of Hom(M, N) in blocks (off, W), in basis order: row i of W
+    is basis element i of the block, the map that sends the w rows of M
+    from ``off`` on to W[i] read as a w x dim N matrix and the other rows to
+    zero.  A ``proj`` module has one block per summand, W the walk of N e_c
+    along e_cA shared by the summands at vertex c (``hom_space``); any other
+    source has one block at offset 0 (``_hom_generic``).  With ``left`` set
+    every basis map is left . H, as pi^-1 . H along a cover.  The basis reads
+    as a sequence of morphisms."""
+
+    source: Module
+    target: Module
+    blocks: list
+    left: ExactMatrix | None = None
+
+    def __post_init__(self):
+        # the blocks by walked array: W with [(first basis row, off), ...]
+        groups, self.size = {}, 0
+        for off, w in self.blocks:
+            groups.setdefault(id(w), (w, []))[1].append((self.size, off))
+            self.size += w.rows
+        self.groups = list(groups.values())
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> ModuleMorphism:
+        for off, w in self.blocks:
+            if 0 <= i < w.rows:
+                return self._embed([(off, w.a[i])])
+            i -= w.rows
+        raise IndexError("hom basis index out of range")
+
+    def combine(self, coeffs) -> ModuleMorphism:
+        """sum c_i H_i, one product per walked array."""
+        fld, parts = self.source.algebra.field, []
+        for w, places in self.groups:
+            c = ExactMatrix(fld, [list(coeffs[row: row + w.rows])
+                                  for row, _ in places])
+            parts += zip([off for _, off in places], (c @ w).a)
+        return self._embed(parts)
+
+    def _embed(self, parts) -> ModuleMorphism:
+        fld, cols = self.source.algebra.field, self.target.dim
+        mat = _empty(fld, self.source.dim, cols)
+        for off, row in parts:
+            block = row.reshape(-1, cols)
+            mat[off: off + len(block)] = block
+        out = ExactMatrix._wrap(fld, mat)
+        return ModuleMorphism(self.source, self.target,
+                              out if self.left is None else self.left @ out)
+
+
+def hom_space(m: Module, n: Module) -> HomBasis:
+    """Deterministic basis of Hom(M, N).  Hom(e_{c_1}A (+) ... (+)
+    e_{c_r}A, N) is N e_{c_1} (+) ... (+) N e_{c_r}: the generator of summand
+    t runs through the basis rows of N e_{c_t}, the others go to zero, in one
+    block per summand; any other M goes through ``_hom_generic``."""
     if m.proj is None:
         return _hom_generic(m, n)
-    fld = m.algebra.field
-    return [ModuleMorphism(m, n, ExactMatrix._wrap(fld, h))
-            for h in hom_array(m, n)]
-
-
-def hom_array(p: Module, n: Module) -> np.ndarray:
-    """The basis of Hom(P, N) for a ``proj`` module P, as one array of shape
-    (basis size, dim P, dim N).  Hom(e_{c_1}A (+) ... (+) e_{c_r}A, N) is
-    N e_{c_1} (+) ... (+) N e_{c_r}: summand by summand, the generator runs
-    through the basis rows of N e_{c_t} while the other generators go to
-    zero.  The whole block N e_{c_t} is walked along the words of e_{c_t}A
-    once per vertex (``_walked``), and summands at one vertex share it."""
-    A = p.algebra
-    if p.dim == 0 or n.dim == 0:
-        return _empty(A.field, 0, 0).reshape(0, p.dim, n.dim)
-    blocks = [n.idempotent_image(pos) for pos in p.proj]
-    size = sum(y.rows for y in blocks)
-    out = _empty(A.field, size, p.dim * n.dim).reshape(size, p.dim, n.dim)
-    walked = {}
-    row = off = 0
-    for pos, y in zip(p.proj, blocks):
-        width = len(A.projective_rows(pos))
+    A = m.algebra
+    blocks, walked, off = [], {}, 0
+    for pos in m.proj:
+        y = n.idempotent_image(pos)
         if y.rows:
             if pos not in walked:
                 walked[pos] = _walked(A, pos, y, n)
-            out[row: row + y.rows, off: off + width] = walked[pos]
-        row += y.rows
-        off += width
-    return out
+            blocks.append((off, walked[pos]))
+        off += len(A.projective_rows(pos))
+    return HomBasis(m, n, blocks)
 
 
-def _walked(A, pos: int, ys: ExactMatrix, n: Module) -> np.ndarray:
-    """ys . b for the basis b of e_{c}A (c at pos) and each row of ys, as an
-    array (rows of ys, dim e_cA, dim N): one walk along the words."""
+def _walked(A, pos: int, ys: ExactMatrix, n: Module) -> ExactMatrix:
+    """ys . b for each row of ys and the basis b of e_cA (c at pos), one walk
+    along the words: row i holds the images of row i of ys side by side."""
     words = [A.word(k) for k in A.projective_rows(pos)]
     imgs = walk_words(ys, words, n.action.__getitem__)
-    return np.stack([im.a for im in imgs], axis=1)
+    return ExactMatrix._wrap(A.field, np.stack(
+        [im.a for im in imgs], axis=1).reshape(ys.rows, -1))
 
 
 def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
@@ -587,50 +616,94 @@ def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
         width = len(A.projective_rows(pos))
         block = _walked(A, pos, stack_rows(A.field, [images[t] for t in ts]), n)
         for i, t in enumerate(ts):
-            mat[starts[t]: starts[t] + width] = block[i]
+            mat[starts[t]: starts[t] + width] = block.a[i].reshape(width, n.dim)
     return ModuleMorphism(p, n, ExactMatrix(A.field, mat))
 
 
-def _hom_generic(m: Module, n: Module) -> list[ModuleMorphism]:
-    A = m.algebra
-    fld = A.field
-    eye_m = _eye_arr(fld, m.dim)
-    eye_n = _eye_arr(fld, n.dim)
-    blocks = []
-    for g in A.generators:
-        a = m.action[g].a
-        b = n.action[g].a
-        blocks.append(kron(a, eye_n) - kron(eye_m, b.T))
-    big = ExactMatrix(fld, np.concatenate(blocks, axis=0))
-    null = big.T.left_kernel()
-    out = []
-    for i in range(null.rows):
-        mat = ExactMatrix(fld, null.a[i].reshape(m.dim, n.dim).copy())
-        out.append(ModuleMorphism(m, n, mat))
-    return out
+def _hom_generic(m: Module, n: Module) -> HomBasis:
+    """Hom(M, N) as the null space of the Kronecker system X a_M = a_N X
+    over the generators: the canonical RREF basis of the flattened maps,
+    one block at offset 0."""
+    A, fld = m.algebra, m.algebra.field
+    if m.dim == 0 or n.dim == 0:
+        return HomBasis(m, n, [])
+    size = m.dim * n.dim
+    check_memory(fld, len(A.generators) * size * size,
+                 f"the {len(A.generators) * size} x {size} entries of the "
+                 f"Kronecker system of a hom space")
+    eye_m, eye_n = (ExactMatrix.identity(fld, d).a for d in (m.dim, n.dim))
+    blocks = [kron(m.action[g].a, eye_n) - kron(eye_m, n.action[g].a.T)
+              for g in A.generators]
+    null = ExactMatrix(fld, np.concatenate(blocks, axis=0)).T.left_kernel()
+    return HomBasis(m, n, [(0, null)] if null.rows else [])
 
 
-def random_hom(rng: random.Random, homs: list[ModuleMorphism],
-               m: Module, n: Module) -> ModuleMorphism:
-    """Seeded random element of a hom space."""
-    if not homs:
-        return zero_morphism(m, n)
-    fld = m.algebra.field
-    out = None
-    for h in homs:
-        term = h.scale(fld.random(rng))
-        out = term if out is None else out + term
-    return out
+def hom_system(bases, equations):
+    """(matrix, rhs row) of the unknown maps X_j = sum_i c_{j,i} H_{j,i},
+    H_j = bases[j], under ``equations`` (terms, rhs, source): sum L X_j R =
+    rhs over the terms (j, L, R), L or R None for an identity, each unknown
+    in at most one term.  Rows follow the basis elements, columns the
+    entries of each equation: x @ matrix = rhs row iff x is a solution.
+
+    With a ``source`` module all terms are module maps out of it, compared
+    at its generators (``on_generators``): the equations at x . a are those
+    at x carried by a, so the augmented system keeps its row space, hence
+    its RREF, ``solve_left`` solution and ``left_kernel``.  For a block
+    (off, W), L H_i R is L[:, off:off+w] W_i R: W R once per vertex, then one
+    batched product with the cuts of L at the summands sharing W."""
+    fld = bases[0].source.algebra.field
+
+    def at(src, mat):
+        return mat if src is None else on_generators(src, mat)
+
+    eqs = [([(j, at(src, ExactMatrix.identity(fld, bases[j].source.dim)
+                    if lft is None else lft), rgt) for j, lft, rgt in terms],
+            at(src, rhs)) for terms, rhs, src in equations]
+    starts = list(accumulate([len(b) for b in bases], initial=0))
+    cols = list(accumulate([rhs.rows * rhs.cols for _, rhs in eqs], initial=0))
+    check_memory(fld, starts[-1] * cols[-1], f"the {starts[-1]} x {cols[-1]} "
+                 f"entries of a hom system's coefficient matrix")
+    big = _empty(fld, starts[-1], cols[-1])
+    for (terms, _), col in zip(eqs, cols):
+        for j, lft, rgt in terms:
+            basis = bases[j]
+            if basis.left is not None:
+                lft = lft @ basis.left
+            for w, places in basis.groups:
+                width = w.cols // basis.target.dim
+                walked = w.reshape(w.rows * width, basis.target.dim)
+                cuts = ExactMatrix._wrap(fld, np.concatenate(
+                    [lft.a[:, off: off + width] for _, off in places]))
+                prod = left_products(cuts, walked if rgt is None else
+                                     walked @ rgt, w.rows).a
+                prod = prod.reshape(w.rows, len(places), -1)
+                for s, (row, _) in enumerate(places):
+                    row += starts[j]
+                    big[row: row + w.rows, col: col + prod.shape[2]] = prod[:, s]
+    rhs = np.concatenate([rhs.a.reshape(-1) for _, rhs in eqs])
+    return ExactMatrix._wrap(fld, big), ExactMatrix._wrap(fld, rhs[None, :])
 
 
-def _eye_arr(fld, n):
-    e = np.eye(n, dtype=np.int64)
-    if not fld.characteristic:
-        e = e.astype(object)
-        for i in range(n):
-            e[i, i] = Fraction(1)
-        e[e == 0] = Fraction(0)
-    return e
+def solve_homs(bases, equations):
+    """The X_j of the pinned solution of ``hom_system``, or None."""
+    big, rhs = hom_system(bases, equations)
+    if not big.rows:
+        return combine_all(bases, []) if rhs.is_zero() else None
+    sol = big.solve_left(rhs)
+    return None if sol is None else combine_all(bases, sol.a[0])
+
+
+def combine_all(bases, coeffs) -> list[ModuleMorphism]:
+    """The maps sum_i c_{j,i} H_{j,i} for coefficients of its rows."""
+    ends = list(accumulate([len(b) for b in bases], initial=0))
+    return [b.combine(coeffs[lo:hi]) for b, lo, hi in zip(bases, ends, ends[1:])]
+
+
+def random_hom(rng: random.Random, basis: HomBasis) -> ModuleMorphism:
+    """Seeded random element of a hom space: one draw per basis element, in
+    basis order."""
+    fld = basis.source.algebra.field
+    return basis.combine([fld.random(rng) for _ in range(len(basis))])
 
 
 # -- isomorphism testing -------------------------------------------------------
@@ -719,23 +792,22 @@ def _is_projective(m: Module, tops) -> bool:
 
 def _hom_through_cover(m: Module, n: Module, cover: ModuleMorphism):
     """Basis of Hom(M, N) for a projective M with cover isomorphism
-    cover: P -> M.  A ``proj`` module keeps the generator-image basis of
-    ``hom_space``; otherwise Hom(P, N) is transported to cover^-1 . h and
-    brought to the canonical RREF basis of the flattened matrices, the basis
-    ``_hom_generic(m, n)`` returns."""
+    cover: P -> M.  A ``proj`` module keeps the basis of ``hom_space``;
+    otherwise Hom(P, N) is transported to cover^-1 . h and brought to the
+    canonical RREF basis of ``_hom_generic(m, n)``: the row space of the
+    hom system of X = 0, whose rows are the flattened maps."""
     if m.proj is not None:
         return hom_space(m, n)
-    fld = m.algebra.field
-    inv = cover.matrix.inv()
-    flat = [(inv @ h.matrix).a.reshape(-1) for h in hom_space(cover.source, n)]
-    if not flat:
-        return []
-    basis = row_space(ExactMatrix(fld, np.stack(flat)))
-    return [ModuleMorphism(m, n, ExactMatrix(fld, row.reshape(m.dim, n.dim).copy()))
-            for row in basis.a]
+    moved = HomBasis(m, n, hom_space(cover.source, n).blocks,
+                     cover.matrix.inv())
+    if not len(moved):
+        return moved
+    zero = ExactMatrix.zeros(m.algebra.field, m.dim, n.dim)
+    flat, _ = hom_system([moved], [([(0, None, None)], zero, None)])
+    return HomBasis(m, n, [(0, row_space(flat))])
 
 
-def _first_invertible(homs, m: Module, n: Module, seed: int):
+def _first_invertible(homs: HomBasis, seed: int):
     """The first invertible element of the hom basis, else of ``ISO_DRAWS``
     seeded random combinations, else None."""
     for h in homs:
@@ -743,7 +815,7 @@ def _first_invertible(homs, m: Module, n: Module, seed: int):
             return h
     rng = random.Random(seed)
     for _ in range(ISO_DRAWS):
-        cand = random_hom(rng, homs, m, n)
+        cand = random_hom(rng, homs)
         if cand.matrix.is_invertible():
             return cand
     return None
@@ -777,7 +849,7 @@ def iso_test(m: Module, n: Module, seed: int = 0xC0FFEE):
         # same top and dimension: both covers are isomorphisms from one P
         cover_m = cover_from_tops(m, tops_m)
         homs = _hom_through_cover(m, n, cover_m)
-        found = _first_invertible(homs, m, n, seed)
+        found = _first_invertible(homs, seed)
         if found is not None:
             return found
         cover_n = cover_from_tops(n, tops_n)
@@ -857,9 +929,9 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
         if rm_u == 0 or rb_w == 0:
             continue
         blk = _empty(fld, rm_u * rb_w, big_dim)
-        blk[:, offsets[w]: offsets[w + 1]] = kron(mg_c.a, _eye_arr(fld, rb_w))
-        blk[:, offsets[u]: offsets[u + 1]] -= kron(_eye_arr(fld, rm_u),
-                                                    b_arrows[g].a)
+        eye_b, eye_m = (ExactMatrix.identity(fld, k).a for k in (rb_w, rm_u))
+        blk[:, offsets[w]: offsets[w + 1]] = kron(mg_c.a, eye_b)
+        blk[:, offsets[u]: offsets[u + 1]] -= kron(eye_m, b_arrows[g].a)
         rel_blocks.append(blk)
 
     live = [v for v, (rm, rb) in enumerate(dims) if rm and rb]
@@ -878,7 +950,7 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
             big_action[k] = big_matrix(
                 lambda v: kron(m_other[i][v].a, b_other[j][v].a))
     else:
-        eyes = [_eye_arr(fld, rm) for rm, _ in dims]
+        eyes = [ExactMatrix.identity(fld, rm).a for rm, _ in dims]
         for g in algebra.generators:
             big_action[g] = big_matrix(
                 lambda v: kron(eyes[v], b_other[g][v].a))

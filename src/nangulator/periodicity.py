@@ -23,7 +23,8 @@ from .algebra import (
     identity_automorphism,
     verify_automorphism,
 )
-from .fields import ExactMatrix
+from .fields import ExactMatrix, check_memory
+from .fields import MEMORY_BOUND, ResourceBoundExceeded  # noqa: F401 re-exported
 from .modules import (
     Module,
     ModuleMorphism,
@@ -39,17 +40,11 @@ from .modules import (
 from .homology import syzygy
 
 
-class ResourceBoundExceeded(RuntimeError):
-    pass
-
-
 class UndecidedIsomorphismError(RuntimeError):
     """``is_inner`` over F_p with 2 <= p < #vertices would have to enumerate
     more than ENUMERATION_BOUND vectors to decide whether a twist is inner."""
 
 
-MEMORY_BOUND = 1 << 30     # bytes the next cover's generator actions may take
-FRACTION_BYTES = 112       # 8-byte pointer, 48-byte Fraction, two 28-byte ints
 ORDER_BOUND = 64           # twist orders (and period multiples) scanned
 MAX_INNER_TESTS = 40       # monomial candidates tested by normalize_twist
 ENUMERATION_BOUND = 1 << 16  # vectors is_inner may enumerate for small p
@@ -85,32 +80,18 @@ class BimoduleResolution:
 
 
 def _check_cover_memory(m: Module) -> None:
-    """Refuse to build the projective cover of m when its generator actions
-    alone, #generators(A^e) dense matrices of size dim P x dim P, would take
-    more than MEMORY_BOUND bytes (8 per int64 entry, FRACTION_BYTES per
-    rational entry)."""
+    """Refuse the projective cover of m when its generator actions alone,
+    #generators(A^e) dense dim P x dim P matrices, exceed MEMORY_BOUND."""
     env = m.algebra
     size = sum(len(env.projective_rows(pos)) for pos, _ in top_multiplicities(m))
-    per_entry = 8 if env.field.characteristic else FRACTION_BYTES
-    estimate = len(env.generators) * size * size * per_entry
-    if estimate > MEMORY_BOUND:
-        raise ResourceBoundExceeded(
-            f"the next bimodule cover has dimension {size}; its "
-            f"{len(env.generators)} generator actions need an estimated "
-            f"{estimate} bytes, above the bound of {MEMORY_BOUND} bytes")
+    check_memory(env.field, len(env.generators) * size * size,
+                 f"the next bimodule cover has dimension {size}; its "
+                 f"{len(env.generators)} generator actions")
 
 
 def bimodule_resolution(algebra: BasicAlgebra) -> BimoduleResolution:
     regular = twisted_bimodule(algebra, identity_automorphism(algebra))
     return BimoduleResolution(algebra, regular, [], [], [], [])
-
-
-def bimodule_syzygies(algebra: BasicAlgebra, max_n: int) -> list[Module]:
-    """Minimal syzygies Omega^1 .. Omega^max_n of A over its enveloping
-    algebra (each projective-free by minimality of the covers)."""
-    res = bimodule_resolution(algebra)
-    res.extend(max_n)
-    return list(res.syzygies)
 
 
 @dataclass
@@ -479,13 +460,6 @@ class PeriodicityReport:
     period: int | None             # minimal p with Omega^p(A) = A as bimodules
     witness: ModuleMorphism        # twisted bimodule -> Omega^{quasi_period}
     resolution: BimoduleResolution
-
-    def summary(self) -> dict:
-        return {
-            "quasi_period": self.quasi_period,
-            "twist_order": self.twist_order,
-            "period": self.period,
-        }
 
 
 def quasi_period_scan(algebra: BasicAlgebra,

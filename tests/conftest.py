@@ -64,6 +64,15 @@ def load_sequence(name, m):
     return _sequence_cache[key]
 
 
+def syzygies_up_to(algebra, n):
+    """The minimal bimodule syzygies Omega^1 .. Omega^n of the algebra."""
+    from nangulator.periodicity import bimodule_resolution
+
+    res = bimodule_resolution(algebra)
+    res.extend(n)
+    return list(res.syzygies)
+
+
 def padded(maps):
     """The chain 0 -> ... -> 0 around ``maps``: with these zero maps,
     rank_exactness also checks that the first map is mono and the last epi."""
@@ -184,7 +193,8 @@ def search_iso(m, n, seed=0xC0FFEE, draws=1000, exhaustive_bound=1 << 16):
         return None
     if m.dim == 0:
         return identity_morphism(m)
-    homs = hom_space(m, n)
+    basis = hom_space(m, n)
+    homs = list(basis)
     if not homs or len(homs) != len(hom_space(n, m)):
         return None
     for h in homs:
@@ -192,7 +202,7 @@ def search_iso(m, n, seed=0xC0FFEE, draws=1000, exhaustive_bound=1 << 16):
             return h
     rng = random.Random(seed)
     for _ in range(draws):
-        cand = random_hom(rng, homs, m, n)
+        cand = random_hom(rng, basis)
         if cand.matrix.is_invertible():
             return cand
     if fingerprint(m) != fingerprint(n):
@@ -242,7 +252,7 @@ def tensor_module_oracle(m, b, algebra):
     from fractions import Fraction
 
     from nangulator.fields import ExactMatrix, _empty, row_space, stack_rows
-    from nangulator.modules import (Module, TensorData, _coords_in, _eye_arr,
+    from nangulator.modules import (Module, TensorData, _coords_in,
                                     bim_left_action, bim_right_action,
                                     right_action_over)
 
@@ -310,7 +320,7 @@ def tensor_module_oracle(m, b, algebra):
     else:
         for g in algebra.generators:
             big_action[g] = big_matrix([(v, np.kron(
-                _eye_arr(fld, m_rows[v].rows),
+                ExactMatrix.identity(fld, m_rows[v].rows).a,
                 _coords_in(b_rows[v], b_rows[v] @ bim_right_action(b, algebra, g)).a))
                 for v in live])
     big_module = Module(m.algebra if m_is_bim else algebra, big_dim, big_action)
@@ -522,6 +532,31 @@ def nakayama_text(n, s, p):
                        "arrows": arrows, "relations": relations})
 
 
+def preprojective_text(kind, n, p):
+    """The preprojective algebra of the Dynkin quiver A_n or D_n (``kind``
+    "A" or "D") over F_p: the double of a tree with edges i -> j, with arrow
+    a_k along edge k and a_ks back, and at each vertex v the relation
+    sum a a* over the edges leaving v minus sum a* a over those entering.
+    Pi(A3) is ``fixtures/preproj_a3.json``; dim Pi(A4) = 20, Pi(D4) = 28."""
+    import json
+
+    edges = [(k, k + 1) for k in range(1, n - 1 if kind == "D" else n)]
+    if kind == "D":
+        edges.append((n - 2, n))
+    arrows, relations = [], []
+    for k, (i, j) in enumerate(edges, 1):
+        arrows += [{"name": f"a{k}", "from": str(i), "to": str(j)},
+                   {"name": f"a{k}s", "from": str(j), "to": str(i)}]
+    for v in range(1, n + 1):
+        relations.append(
+            [{"coeff": 1, "path": [f"a{k}", f"a{k}s"]}
+             for k, (i, _) in enumerate(edges, 1) if i == v]
+            + [{"coeff": -1, "path": [f"a{k}s", f"a{k}"]}
+               for k, (_, j) in enumerate(edges, 1) if j == v])
+    return json.dumps({"field": p, "vertices": [str(v) for v in range(1, n + 1)],
+                       "arrows": arrows, "relations": relations})
+
+
 def dense_enveloping(A):
     """A^e = A^op (x) A as a dense BasicAlgebra: one d^2 x d^2 right
     multiplication matrix kron(L_k, R_l) per basis pair (k, l), with
@@ -598,7 +633,8 @@ def hom_space_oracle(p, n):
     """The basis of Hom(P, N) for a ``proj`` module P, one basis element at
     a time: the generator of summand t goes to row r of N e_{c_t}, the other
     generators to zero, each map by its own ``map_from_generators`` walk.
-    The loop ``hom_space`` ran before ``hom_array``, kept as an oracle."""
+    The loop ``hom_space`` ran before it kept vertex blocks, kept as an
+    oracle."""
     from nangulator.modules import map_from_generators
 
     if p.dim == 0 or n.dim == 0:
@@ -613,51 +649,197 @@ def hom_space_oracle(p, n):
     return out
 
 
-def solve_in_span_oracle(fld, homs, src, dst, constraints):
-    """An element of span(homs) subject to left/right composition
-    constraints, or None: one expanded row per basis morphism and per
-    constraint, solved by ``solve_left``, summed back term by term.  The
-    body of ``Homology.solve_from_projective`` before it worked on one
-    array, kept as an oracle."""
+def hom_generic_oracle(m, n):
+    """The canonical RREF basis of Hom(M, N) for any M: the maps X with
+    a_M X = X a_N for every generator a, read off the images of the unit
+    matrices E_ij one at a time rather than a Kronecker system."""
     from nangulator.fields import ExactMatrix
-    from nangulator.modules import zero_morphism
+    from nangulator.modules import ModuleMorphism
 
-    def expand(h_mat, constraint):
-        if len(constraint) == 2:
-            return (constraint[0] @ h_mat).a.reshape(-1)
-        return (h_mat @ constraint[1]).a.reshape(-1)
+    A = m.algebra
+    if m.dim == 0 or n.dim == 0:
+        return []
+    acts = [(m.action[g].a, n.action[g].a) for g in A.generators]
+    unit_m, unit_n = np.eye(m.dim, dtype=np.int64), np.eye(n.dim, dtype=np.int64)
+    rows = [np.concatenate([(np.outer(am[:, i], unit_n[j])
+                             - np.outer(unit_m[i], an[j])).reshape(-1)
+                            for am, an in acts])
+            for i in range(m.dim) for j in range(n.dim)]
+    null = ExactMatrix(A.field, np.stack(rows)).left_kernel()
+    return [ModuleMorphism(m, n, ExactMatrix(A.field, row.reshape(m.dim, n.dim)))
+            for row in null.a]
 
-    if not homs:
-        if any(not c[-1].is_zero() for c in constraints):
-            return None
-        return zero_morphism(src, dst)
-    rows = [np.stack([expand(h.matrix, c) for h in homs]) for c in constraints]
-    big = ExactMatrix(fld, np.concatenate(rows, axis=1))
+
+def hom_oracle(engine, p, n):
+    """A basis of Hom(P, N) for a projective P without ``modules``' hom
+    code: the generator images of a ``proj`` module, transported to
+    pi^-1 . h along the cover for any other projective."""
+    from nangulator.modules import ModuleMorphism
+
+    if p.dim == 0 or n.dim == 0:
+        return []
+    P, pi, pi_inv = engine.proj_structure(p)
+    homs = hom_space_oracle(P, n)
+    if pi is None:
+        return homs
+    return [ModuleMorphism(p, n, pi_inv @ h.matrix) for h in homs]
+
+
+def span_system_oracle(fld, bases, equations):
+    """The system of maps X_j in the spans of ``bases`` (lists of
+    morphisms) under ``equations`` (terms, D), sum L . X_j . R = D over the
+    terms (j, L, R), L or R None for an identity: one expanded row per basis
+    morphism, with the entries of its own terms summed, every equation
+    flattened on all rows; returned with the row of the D.  The body of
+    ``Homology.stable_inverse`` before it used one builder, kept as an
+    oracle."""
+    from nangulator.fields import ExactMatrix
+
+    def side(mat, lft, rgt):
+        mat = mat if lft is None else lft @ mat
+        return mat if rgt is None else mat @ rgt
+
+    rows = []
+    for j, basis in enumerate(bases):
+        for h in basis:
+            parts = []
+            for terms, rhs in equations:
+                acc = ExactMatrix.zeros(fld, rhs.rows, rhs.cols)
+                for jj, lft, rgt in terms:
+                    if jj == j:
+                        acc = acc + side(h.matrix, lft, rgt)
+                parts.append(acc.a.reshape(-1))
+            rows.append(np.concatenate(parts))
+    width = sum(rhs.rows * rhs.cols for _, rhs in equations)
+    big = ExactMatrix(fld, np.stack(rows)) if rows \
+        else ExactMatrix.zeros(fld, 0, width)
     rhs = ExactMatrix(fld, np.concatenate(
-        [c[-1].a.reshape(-1) for c in constraints])[None, :])
+        [rhs.a.reshape(-1) for _, rhs in equations])[None, :])
+    return big, rhs
+
+
+def combine_oracle(fld, bases, shapes, coeffs):
+    """sum c_i h_i per basis, summed term by term (zero for no terms)."""
+    from nangulator.fields import ExactMatrix
+
+    out, i = [], 0
+    for basis, (rows, cols) in zip(bases, shapes):
+        acc = ExactMatrix.zeros(fld, rows, cols)
+        for h in basis:
+            if coeffs[i] != 0:
+                acc = acc + h.matrix.scale(coeffs[i])
+            i += 1
+        out.append(acc)
+    return out
+
+
+def solve_in_spans_oracle(fld, bases, shapes, equations):
+    """Matrices of maps in the spans of ``bases`` that solve ``equations``
+    (``span_system_oracle``), or None: the ``solve_left`` solution of the
+    expanded system, summed back term by term."""
+    big, rhs = span_system_oracle(fld, bases, equations)
+    if not big.rows:
+        return None if not rhs.is_zero() else combine_oracle(
+            fld, bases, shapes, [])
     sol = big.solve_left(rhs)
-    if sol is None:
-        return None
-    out = None
-    for i, h in enumerate(homs):
-        c = sol.a[0, i]
-        if c != 0:
-            term = h.scale(c)
-            out = term if out is None else out + term
-    return zero_morphism(src, dst) if out is None else out
+    return None if sol is None else combine_oracle(fld, bases, shapes, sol.a[0])
+
+
+def solve_in_span_oracle(fld, homs, src, dst, constraints):
+    """An element of span(homs) subject to constraints (L, R, D, X),
+    L . h . R = D, or None, solved on all rows (X unused)."""
+    from nangulator.modules import ModuleMorphism
+
+    sol = solve_in_spans_oracle(
+        fld, [homs], [(src.dim, dst.dim)],
+        [([(0, lft, rgt)], rhs) for lft, rgt, rhs, _ in constraints])
+    return None if sol is None else ModuleMorphism(src, dst, sol[0])
 
 
 def solve_from_projective_oracle(engine, p, n, constraints):
-    """``Homology.solve_from_projective`` through ``hom_space_oracle`` and
-    ``solve_in_span_oracle``, transported along the cover when p has no
-    ``proj``."""
+    """``Homology.solve_from_projective`` through ``hom_oracle`` and
+    ``solve_in_span_oracle``."""
+    return solve_in_span_oracle(engine.algebra.field, hom_oracle(engine, p, n),
+                                p, n, constraints)
+
+
+def stable_inverse_oracle(engine, f):
+    """``Homology.stable_inverse`` on all rows, on the oracle hom bases: g
+    with f g - iota_U s_U = 1_U and g f - iota_V s_V = 1_V."""
+    from nangulator.fields import ExactMatrix
     from nangulator.modules import ModuleMorphism
 
-    P, pi, pi_inv = engine.proj_structure(p)
-    homs = hom_space_oracle(P, n)
-    if pi is not None:
-        homs = [ModuleMorphism(p, n, pi_inv @ h.matrix) for h in homs]
-    return solve_in_span_oracle(engine.algebra.field, homs, p, n, constraints)
+    fld = engine.algebra.field
+    U, V = f.source, f.target
+    IU, iota_u = engine.injective_hull(U)
+    IV, iota_v = engine.injective_hull(V)
+    sol = solve_in_spans_oracle(
+        fld, [hom_space_oracle(V, U) if V.proj is not None
+              else hom_generic_oracle(V, U), hom_oracle(engine, IU, U),
+              hom_oracle(engine, IV, V)],
+        [(V.dim, U.dim), (IU.dim, U.dim), (IV.dim, V.dim)],
+        [([(0, f.matrix, None), (1, -iota_u.matrix, None)],
+          ExactMatrix.identity(fld, U.dim)),
+         ([(0, None, f.matrix), (2, -iota_v.matrix, None)],
+          ExactMatrix.identity(fld, V.dim))])
+    return None if sol is None else ModuleMorphism(V, U, sol[0])
+
+
+def commuting_square_oracle(engine, x, y, rng):
+    """``axioms.sample_commuting_square`` on all rows, through
+    ``hom_oracle``: the same draws from rng on the canonical basis of the
+    left kernel of the expanded system f_1 phi2 - phi1 g_1 = 0."""
+    from nangulator.fields import ExactMatrix
+
+    fld = x.objects[0].algebra.field
+    x0, x1, y0, y1 = x.objects[0], x.objects[1], y.objects[0], y.objects[1]
+    bases = [hom_oracle(engine, x0, y0), hom_oracle(engine, x1, y1)]
+    shapes = [(x0.dim, y0.dim), (x1.dim, y1.dim)]
+    if not bases[0] and not bases[1]:
+        return combine_oracle(fld, bases, shapes, [])
+    big, _ = span_system_oracle(fld, bases, [(
+        [(0, None, y.maps[0].matrix), (1, -x.maps[0].matrix, None)],
+        ExactMatrix.zeros(fld, x0.dim, y1.dim))])
+    space = big.left_kernel()
+    scalars = [fld.random(rng) for _ in range(space.rows)]
+    coeff = (ExactMatrix(fld, [scalars]) @ space).a[0]
+    return combine_oracle(fld, bases, shapes, coeff)
+
+
+def periodic_homotopy(x, y, targets, engine):
+    """Solve the periodic homotopy equations h_i g_{i-1} + f_i h_{i+1} =
+    target_i, where h_1: X_1 -> de-suspended Y_n, h_i: X_i -> Y_{i-1} for
+    i >= 2, and h_{n+1} is the suspension of h_1 (same matrix).
+
+    ``targets`` are matrices of maps X_i -> Y_i.  Returns the list of
+    homotopy component matrices, or None if no periodic homotopy exists.
+    Built on ``hom_oracle`` and the per-element expansion of
+    ``span_system_oracle``, so it shares no code with the hom builder of
+    the program."""
+    fld = x.objects[0].algebra.field
+    n = x.length
+    bases, shapes, equations = [], [], []
+    for i in range(n):
+        src = x.objects[i]
+        dst = x.suspension.unapply(y.objects[-1]) if i == 0 else y.objects[i - 1]
+        bases.append(hom_oracle(engine, src, dst))
+        shapes.append((src.dim, dst.dim))
+    for i in range(n):
+        # h_i then g_{i-1} (for i = 1 the matrix of g_n), and f_i then
+        # h_{i+1}, wrapping around to the matrix of h_1
+        g_prev = (y.maps[-1] if i == 0 else y.maps[i - 1]).matrix
+        equations.append(([(i, None, g_prev), ((i + 1) % n, x.maps[i].matrix,
+                                               None)], targets[i]))
+    return solve_in_spans_oracle(fld, bases, shapes, equations)
+
+
+def contractible_test(x, engine):
+    """A periodic homotopy between the identity and zero, or None."""
+    from nangulator.fields import ExactMatrix
+
+    targets = [ExactMatrix.identity(x.objects[0].algebra.field, o.dim)
+               for o in x.objects]
+    return periodic_homotopy(x, x, targets, engine)
 
 
 def tops_oracle(m):

@@ -7,7 +7,7 @@ import sys
 import pathlib
 
 import pytest
-from conftest import disjoint_loops_text
+from conftest import disjoint_loops_text, preprojective_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -229,17 +229,45 @@ def test_internal_fault_exits_70_from_main(monkeypatch, capsys):
 
 
 def test_memory_guard_exits_one_naming_the_estimate(monkeypatch, capsys):
-    from nangulator import periodicity
+    from nangulator import fields
     from nangulator.cli import run_cli
 
     path = str(FIXTURES / "nakayama_2_2.json")
     assert run_cli(["period", path]) == 0
-    monkeypatch.setattr(periodicity, "MEMORY_BOUND", 1000)
+    monkeypatch.setattr(fields, "MEMORY_BOUND", 1000)
     assert run_cli(["period", path]) == 1
     err = capsys.readouterr().err
     # the first cover, A e_1 (x) e_1 A (+) A e_2 (x) e_2 A, has dimension
     # 2 * 2 * 2 = 8; A^e has 4 + 2 * 2 * 2 = 12 generators; 8 bytes an entry
     assert err.startswith("error: ") and "6144 bytes" in err
+
+
+def test_hom_system_guard_exits_one_naming_the_estimate(monkeypatch, capsys):
+    from nangulator import fields
+    from nangulator.cli import run_cli
+
+    path = str(FIXTURES / "loop_p3.json")
+    argv = ["verify", path, "--samples", "1", "--seed", "5"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    # the bimodule covers of loop_p3 take at most 384 bytes, so the scan
+    # passes and the first hom system above the bound stops the run
+    monkeypatch.setattr(fields, "MEMORY_BOUND", 500)
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hom system" in err
+    assert "12 x 8 entries" in err and "768 bytes" in err
+
+
+def test_preprojective_a4_verify_matches_golden(tmp_path):
+    # Pi(A4), dim 20: the hom systems of its angles have thousands of
+    # unknowns, kept in vertex blocks
+    path = tmp_path / "preproj_a4.json"
+    path.write_text(preprojective_text("A", 4, 5))
+    r = run("verify", str(path), "--samples", "1", "--seed", "7")
+    assert r.returncode == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "preproj_a4.verify.json"
+    assert r.stdout == golden.read_text()
 
 
 def test_period_on_dimension_20_stays_small_in_memory(capsys):

@@ -15,7 +15,6 @@ from nangulator.fields import (
     ExactMatrix,
     FieldSpec,
     LinearAlgebraError,
-    dot,
     kron,
     left_products,
     reduce_rows_mod,
@@ -463,35 +462,6 @@ def test_kept_numerators_are_over_the_least_common_denominator(data):
         fresh_n, fresh_d = _numerators(m.a)
         assert d == fresh_d and n.tolist() == fresh_n.tolist()
         assert m == ExactMatrix(QQ, m.a)
-
-
-@given(st.data())
-def test_dot_matches_numpy_products(data):
-    r, k, c = (data.draw(st.integers(0, 3)) for _ in range(3))
-    a, b, b2 = (data.draw(q_matrix(*shape))
-                for shape in ((r, k), (k, c), (k, c)))
-    stack = np.stack([b.a, b2.a])                        # (2, k, c)
-    vec = data.draw(q_matrix(1, k)).a[0]
-    cases = [
-        (dot(QQ, a.a, b.a), fraction_matmul(a.a, b.a)),
-        (dot(QQ, a.a, stack),
-         np.stack([fraction_matmul(a.a, x) for x in stack])),
-        (dot(QQ, vec, stack.transpose(1, 0, 2), axes=1),
-         np.tensordot(vec, stack.transpose(1, 0, 2), axes=1)),
-        (dot(QQ, vec, stack, axes=(0, 1)),
-         np.tensordot(vec, stack, axes=(0, 1))),
-    ]
-    for got, want in cases:
-        assert got.shape == want.shape
-        assert all(type(x) is Fraction for x in got.flat)
-        assert got.tolist() == want.tolist()
-    # over F_p, dot is the int64 product reduced mod p
-    f7 = FieldSpec(7)
-    f = np.arange(r * k, dtype=np.int64).reshape(r, k) * 5 % 7
-    g = np.arange(2 * k * c, dtype=np.int64).reshape(2, k, c) * 3 % 7
-    assert np.array_equal(dot(f7, f, g), (f @ g) % 7)
-    assert np.array_equal(dot(f7, f, g, axes=(1, 1)),
-                          np.tensordot(f, g, (1, 1)) % 7)
 
 
 @given(st.data())

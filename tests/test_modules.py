@@ -27,6 +27,7 @@ from conftest import (
     unit_into_tensor,
     verify_loop,
     verify_module_axioms,
+    syzygies_up_to,
 )
 
 import nangulator
@@ -131,7 +132,7 @@ def test_hom_space_dimensions():
     A, _ = load_fixture("nakayama_2_2")
     S = simple_module(A, 0)
     assert len(hom_space(S, S)) == 1          # Schur
-    assert hom_space(S, zero_module(A)) == []
+    assert len(hom_space(S, zero_module(A))) == 0
     P1, P2 = projective_module(A, 0), projective_module(A, 1)
     h = hom_space(P1, P2)
     assert len(h) == 1
@@ -158,7 +159,7 @@ def test_tensor_with_regular_bimodule_is_identity():
             td = tensor_module(m, reg, A)
             unit = unit_into_tensor(td)
             assert td.module.dim == m.dim
-            assert unit.is_iso()
+            assert unit.matrix.is_invertible()
             unit.verify(exhaustive=True)
 
 
@@ -221,7 +222,7 @@ def test_right_twist_models_tensor_by_twisted_bimodule():
         td = tensor_module(m, B, A)
         tw = right_twist(m, sigma)
         kappa = multiply_out_of_tensor(td, tw)
-        assert kappa.is_iso()
+        assert kappa.matrix.is_invertible()
         kappa.verify(exhaustive=True)
 
 
@@ -232,7 +233,7 @@ def test_pullback_along_identity_is_isomorphism():
     f = hom_space(P, S)[0]
     p, p_x, p_y = pullback(f, identity_morphism(S))
     assert p.dim == P.dim
-    assert p_x.is_iso()
+    assert p_x.matrix.is_invertible()
 
 
 def test_pullback_of_zero_maps_is_direct_sum():
@@ -248,13 +249,13 @@ def test_pullback_square_commutes_and_preserves_epis():
     rng = random.Random(3)
     P, Q = projective_module(A, 0), projective_module(A, 1)
     S = simple_module(A, 1)
-    f = random_hom(rng, hom_space(P, S), P, S)
-    g = random_hom(rng, hom_space(Q, S), Q, S)
+    f = random_hom(rng, hom_space(P, S))
+    g = random_hom(rng, hom_space(Q, S))
     while g.rank() < S.dim:  # make g epi for the second assertion
-        g = random_hom(rng, hom_space(Q, S), Q, S)
+        g = random_hom(rng, hom_space(Q, S))
     p, p_x, p_y = pullback(f, g)
     assert (p_x.matrix @ f.matrix) == (p_y.matrix @ g.matrix)
-    assert p_x.is_epi()  # pullback of an epi along any map is epi
+    assert p_x.rank() == p_x.target.dim  # pullback of an epi along any map is epi
 
 
 def test_iso_test_accepts_identity_and_rejects_dimension_mismatch():
@@ -328,7 +329,7 @@ def search_witness(m, n, seed=0xC0FFEE, draws=1000):
             return h
     rng = random.Random(seed)
     for _ in range(draws):
-        cand = random_hom(rng, homs, m, n)
+        cand = random_hom(rng, homs)
         if cand.matrix.is_invertible():
             return cand
     return None
@@ -394,7 +395,7 @@ def test_projective_pairs_match_the_search_oracle(monkeypatch, run):
         if old is not None:
             assert out is not None and out.matrix == old.matrix
         elif out is not None:  # every draw missed: the cover isomorphism
-            assert out.is_iso()
+            assert out.matrix.is_invertible()
             out.verify(exhaustive=True)
 
 
@@ -425,10 +426,10 @@ def test_projective_pairs_are_decided_without_search(monkeypatch):
 
     monkeypatch.setattr(modules, "_hom_generic", forbidden)
     A = load_golden("nakayama_5_3")               # quasi-period 2
-    omega = periodicity.bimodule_syzygies(A, 2)[-1]
+    omega = syzygies_up_to(A, 2)[-1]
     left = modules.restrict_to_left_factor(omega, A)
     phi = iso_test(modules.opposite_regular(A), left)
-    assert phi is not None and phi.is_iso()
+    assert phi is not None and phi.matrix.is_invertible()
     phi.verify(exhaustive=True)
     B, _ = load_fixture("nakayama_2_2")
     P00 = modules.standard_projective(B, [0, 0])
@@ -439,7 +440,7 @@ def test_projective_pairs_are_decided_without_search(monkeypatch):
 
 def test_detect_twist_builds_no_dense_hom_system(monkeypatch):
     A = load_golden("nakayama_5_3")
-    omega = periodicity.bimodule_syzygies(A, 2)[-1]
+    omega = syzygies_up_to(A, 2)[-1]
     calls = []
     real = modules._hom_generic
 
@@ -492,7 +493,7 @@ def test_semisimple_pairs_match_the_search_oracle(name):
             got, want = iso_test(m, n), search_iso(m, n)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got.is_iso()
+                assert got.matrix.is_invertible()
                 got.verify(exhaustive=True)
                 pairs += 1
     assert pairs > len(simples)
@@ -533,7 +534,7 @@ def assert_direct_model_matches_oracle(seq, m, val):
         assert left_twist(q, tau).digest() == b.digest()
         phi, big = quotient_to_direct(td, q, tau, term)
         assert td.project @ phi.matrix == big   # kills the relations
-        assert phi.is_iso()
+        assert phi.matrix.is_invertible()
         phi.verify()
         phis.append(phi)
     for k, f in enumerate(val["maps"]):
@@ -602,7 +603,7 @@ def test_tensor_of_bimodules_matches_oracle(name):
     # M a bimodule: the result is a bimodule built from both sides' actions
     A, _ = load_fixture(name)
     reg = twisted_bimodule(A, identity_automorphism(A))
-    om = periodicity.bimodule_syzygies(A, 1)[0]
+    om = syzygies_up_to(A, 1)[0]
     for m, b in ((reg, reg), (om, reg), (reg, om), (om, om)):
         td = tensor_module(m, b, A)
         assert td.module.algebra is A.enveloping()
@@ -646,7 +647,7 @@ def test_quotient_closed_form_matches_oracle(p):
 def test_bimodule_top_from_one_sided_actions_matches_all_generators(name):
     A = load_golden(name)
     bims = [twisted_bimodule(A, identity_automorphism(A))]
-    bims += periodicity.bimodule_syzygies(A, 2)
+    bims += syzygies_up_to(A, 2)
     for m in bims:
         got = modules.top_multiplicities(m)
         want = tops_oracle(m)

@@ -15,6 +15,7 @@ from conftest import (
     nakayama_text,
     padded,
     search_iso,
+    syzygies_up_to,
 )
 
 from nangulator.algebra import compute_basis, identity_automorphism
@@ -33,7 +34,6 @@ from nangulator.modules import (
 from nangulator import periodicity
 from nangulator.periodicity import (
     UndecidedIsomorphismError,
-    bimodule_syzygies,
     detect_twist,
     is_inner,
     iterated_sequence,
@@ -45,13 +45,13 @@ from nangulator.quiver import parse_algebra
 def test_semisimple_algebra_has_zero_first_syzygy():
     A = compute_basis(parse_algebra(
         '{"field": 5, "vertices": ["1"], "arrows": [], "relations": []}'))
-    assert bimodule_syzygies(A, 1)[0].dim == 0
+    assert syzygies_up_to(A, 1)[0].dim == 0
 
 
 def test_loop_first_syzygy_is_multiplication_kernel():
     # oracle: the kernel of the multiplication map A (x) A -> A directly
     A, _ = load_fixture("loop_p3")
-    om1 = bimodule_syzygies(A, 1)[0]
+    om1 = syzygies_up_to(A, 1)[0]
     assert om1.dim == 2  # dims 4 -> 2
     # generator x(x)1 - 1(x)x satisfies g . x = -x . g
     rep = load_pipeline("loop_p3")[3]
@@ -69,8 +69,8 @@ def test_detect_twist_on_regular_bimodule_is_identity():
 
 def test_detect_twist_rejects_wrong_dimension():
     A, _ = load_fixture("nakayama_2_2")
-    om = bimodule_syzygies(A, 1)[0]
-    padded = bimodule_syzygies(A, 2)[1]
+    om = syzygies_up_to(A, 1)[0]
+    padded = syzygies_up_to(A, 2)[1]
     if padded.dim != A.dim:
         assert detect_twist(A, padded) is None
 
@@ -84,7 +84,7 @@ def test_loop_p2_twist_is_identity():
 
 def test_nakayama_2_2_fourth_syzygy_dimension():
     A, _ = load_fixture("nakayama_2_2")
-    oms = bimodule_syzygies(A, 4)
+    oms = syzygies_up_to(A, 4)
     assert oms[3].dim == A.dim == 4
 
 
