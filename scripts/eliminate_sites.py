@@ -112,9 +112,9 @@ def main(argv) -> int:
         package = [m for m in vars(nangulator).values()
                    if isinstance(m, types.ModuleType)]
         restore = patch([fields.ExactMatrix], "__matmul__",
-                        timing("@", lambda args, out: out.a.size))
+                        timing("@", lambda args, out: out.rows * out.cols))
         restore += patch([fields] + package, "left_products",
-                         timing("left", lambda args, out: out.a.size))
+                         timing("left", lambda args, out: out.rows * out.cols))
         what = "products"
     else:
         restore = patch([fields], "_eliminate",

@@ -19,11 +19,14 @@ followed by that of b_l over A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
-import numpy as np
-
-from .fields import ExactMatrix, FieldSpec, _empty
+from .fields import (
+    ExactMatrix,
+    FieldSpec,
+    stack_cols,
+    stack_rows,
+    unequal_entries,
+)
 from .quiver import AlgebraDescription, Quiver, SemanticError
 
 
@@ -89,11 +92,9 @@ class BasicAlgebra:
         return len(self.labels)
 
     def unit(self) -> ExactMatrix:
-        u = _empty(self.field, 1, self.dim)
-        one = 1 if self.field.characteristic else Fraction(1)
-        for i in self.idempotents:
-            u[0, i] = one
-        return ExactMatrix(self.field, u)
+        idempotents = set(self.idempotents)
+        return ExactMatrix(self.field, [[int(k in idempotents)
+                                         for k in range(self.dim)]])
 
     def mult_tables(self) -> tuple[ExactMatrix, ExactMatrix]:
         """(V, H), built once: row t of V is the right multiplication matrix
@@ -102,11 +103,9 @@ class BasicAlgebra:
         left multiplication matrices, flattened."""
         if self._tables is None:
             d = self.dim
-            stack = np.stack([m.a for m in self.right_mult])  # [j, i] = b_i b_j
-            self._tables = (
-                ExactMatrix._wrap(self.field, stack.reshape(d, d * d)),
-                ExactMatrix._wrap(self.field,
-                                  stack.transpose(1, 0, 2).reshape(d, d * d)))
+            right = stack_rows(self.field, [m.reshape(1, d * d)
+                                            for m in self.right_mult])
+            self._tables = (right, _swap_blocks(right, d))
         return self._tables
 
     def left_mult(self, i: int) -> ExactMatrix:
@@ -152,22 +151,19 @@ class BasicAlgebra:
         d = self.dim
         right, left = self.mult_tables()
         for j in range(d):
-            lhs = (self.right_mult[j] @ left).a.reshape(d, d, d)
-            rhs = (self.left_mult(j) @ right).a.reshape(d, d, d)
-            for k in range(d):
-                if lhs[:, k].tolist() != rhs[k].tolist():
-                    raise SemanticError(f"associativity fails at pair ({j}, {k})")
+            lhs = _swap_blocks(self.right_mult[j] @ left, d)
+            bad = unequal_entries(lhs, self.left_mult(j) @ right).any(axis=1)
+            if bad.any():
+                raise SemanticError(
+                    f"associativity fails at pair ({j}, {int(bad.argmax())})")
 
     def verify_idempotents(self) -> None:
-        for pos, i in enumerate(self.idempotents):
-            for pos2, j in enumerate(self.idempotents):
-                prod = self.right_mult[j].a[i].copy()
-                if self.field.characteristic:
-                    prod = prod % self.field.characteristic
-                expect = np.zeros_like(prod)
-                if pos == pos2:
-                    expect[i] = 1
-                if not np.array_equal(prod, expect):
+        eye = ExactMatrix.identity(self.field, self.dim)
+        zero = ExactMatrix.zeros(self.field, 1, self.dim)
+        for i in self.idempotents:
+            for j in self.idempotents:
+                expect = eye.row(i) if i == j else zero
+                if self.right_mult[j].row(i) != expect:
                     raise SemanticError("trivial idempotents are not orthogonal")
 
     # -- derived algebras ---------------------------------------------------
@@ -275,9 +271,6 @@ class NakayamaData:
     permutation: tuple[int, ...]   # vertex position -> vertex position
     socle_vectors: tuple           # one socle generator row per projective
 
-    def nu(self, i: int) -> int:
-        return self.permutation[i]
-
     def nu_inverse(self, i: int) -> int:
         return self.permutation.index(i)
 
@@ -329,9 +322,10 @@ class Automorphism:
         """The induced permutation of vertices: sigma(e_i) is a primitive
         idempotent congruent to exactly one e_j modulo the radical."""
         A = self.algebra
+        a = self.matrix.a
         out = []
         for i in A.idempotents:
-            row = self.matrix.a[i]
+            row = a[i]
             hits = [q for q, j in enumerate(A.idempotents) if row[j] != 0]
             if len(hits) != 1 or row[A.idempotents[hits[0]]] != 1:
                 return None
@@ -360,13 +354,13 @@ def verify_automorphism(algebra: BasicAlgebra, matrix: ExactMatrix) -> Automorph
     # for each i and every j at once: row j of lhs is sigma(b_i b_j), row j
     # of rhs is sigma(b_j) under left multiplication by sigma(b_i)
     for i in range(algebra.dim):
-        lhs = (algebra.left_mult(i) @ matrix).a.tolist()
-        rhs = (matrix @ algebra.element_left_matrix(matrix.row(i))).a.tolist()
-        for j in range(algebra.dim):
-            if lhs[j] != rhs[j]:
-                raise AutomorphismError(
-                    f"not-multiplicative on basis pair ({i}, {j})"
-                )
+        lhs = algebra.left_mult(i) @ matrix
+        rhs = matrix @ algebra.element_left_matrix(matrix.row(i))
+        bad = unequal_entries(lhs, rhs).any(axis=1)
+        if bad.any():
+            raise AutomorphismError(
+                f"not-multiplicative on basis pair ({i}, {int(bad.argmax())})"
+            )
     return Automorphism(algebra, matrix)
 
 
@@ -374,6 +368,13 @@ def verify_automorphism(algebra: BasicAlgebra, matrix: ExactMatrix) -> Automorph
 
 # A path is a tuple of arrow indices; the trivial path at vertex v is the
 # 1-tuple (("e", v),).  Helper predicates keep the two cases straight.
+
+
+def _swap_blocks(m: ExactMatrix, d: int) -> ExactMatrix:
+    """The d x d^2 matrix with the entry (i, k d + l) of m at (k, i d + l):
+    the first two axes of m read as a d x d x d array, swapped."""
+    order = [i * d + k for k in range(d) for i in range(d)]
+    return m.reshape(d * d, d).take_rows(order).reshape(d, d * d)
 
 
 def _is_trivial(path) -> bool:
@@ -546,18 +547,18 @@ def compute_basis(desc: AlgebraDescription, degree_bound: int = 32) -> BasicAlge
 
     right_mult = []
     for j, pj in enumerate(basis_paths):
-        mat = _empty(fld, dim, dim)
+        mat = [[0] * dim for _ in range(dim)]
         for i, pi in enumerate(basis_paths):
             if path_target(pi) != path_source(pj):
                 continue
             if _is_trivial(pi):
-                mat[i, j] = one
+                mat[i][j] = one
                 continue
             if _is_trivial(pj):
-                mat[i, i] = one
+                mat[i][i] = one
                 continue
             for pth, c in reduce_arrow_path(pi + pj).items():
-                mat[i, index[pth]] = c
+                mat[i][index[pth]] = c
         right_mult.append(ExactMatrix(fld, mat))
 
     idem = [index[(("e", v),)] for v in range(n_vert)]
@@ -607,14 +608,10 @@ def compute_basis(desc: AlgebraDescription, degree_bound: int = 32) -> BasicAlge
 def _verify_radical_nilpotent(alg: BasicAlgebra, bound: int) -> int:
     if not alg.radical:
         return 1
-    cur = _empty(alg.field, len(alg.radical), alg.dim)
-    one = alg.field.canon(1)
-    for r, j in enumerate(alg.radical):
-        cur[r, j] = one
-    cur = ExactMatrix(alg.field, cur)
-    from .fields import row_space, stack_rows
+    from .fields import row_space
 
-    cur = row_space(cur)
+    cur = row_space(ExactMatrix.identity(alg.field, alg.dim).take_rows(
+        alg.radical))
     for k in range(1, bound + 2):
         if cur.rows == 0:
             return k
@@ -640,10 +637,9 @@ def check_self_injective(algebra: BasicAlgebra) -> NakayamaData:
     socle_vectors = []
     for pos in range(n):
         P = projective_module(algebra, pos)
-        stacked = [P.action[g].a for g in algebra.radical_right_generators]
+        stacked = [P.action[g] for g in algebra.radical_right_generators]
         if stacked:
-            m = ExactMatrix(algebra.field, np.concatenate(stacked, axis=1))
-            soc = m.left_kernel()
+            soc = stack_cols(algebra.field, stacked).left_kernel()
         else:
             soc = ExactMatrix.identity(algebra.field, P.dim)
         if soc.rows != 1:

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Automorphism, BasicAlgebra
-from .fields import (
-    ExactMatrix,
-    LinearAlgebraError,
-    _empty,
-    kron,
-)
+from .fields import ExactMatrix, LinearAlgebraError, place, stack_cols
 from .homology import Homology, cosyzygy_morphism, rank_exactness
 from .modules import (
     Module,
@@ -123,20 +118,22 @@ def _tensor_rows(twisted: Module, q: Module, rows: ExactMatrix,
     (the action of M') is written in the basis of M'e_{u_t}."""
     env = q.algebra
     fld = env.field
+    nonzero = elem.a[0] != 0
     blocks, off = [], 0
     for pos in q.proj:
         left, right = env.projective_factors(pos)
         basis = twisted.idempotent_image(pos // len(env.base.idempotents))
         piv = basis.rref()[1]
-        coeffs = elem.a[0, off: off + len(left) * len(right)].reshape(
-            len(left), len(right))
-        block = _empty(fld, rows.rows, basis.rows * len(right))
-        for a in np.nonzero((coeffs != 0).any(axis=1))[0]:
-            moved = (rows @ twisted.action[left[a]]).take_cols(piv)
-            block = block + kron(moved.a, coeffs[a: a + 1])
-        blocks.append(block)
-        off += len(left) * len(right)
-    return ExactMatrix(fld, np.concatenate(blocks, axis=1))
+        # the coefficients of x_a (x) y_b, b in right, are the a-th w of elem
+        w = len(right)
+        hit = nonzero[off: off + len(left) * w].reshape(len(left), w)
+        terms = [(rows @ twisted.action[left[a]]).take_cols(piv).kron(
+                     elem.take_cols(range(off + a * w, off + (a + 1) * w)))
+                 for a in np.flatnonzero(hit.any(axis=1))]
+        blocks.append(sum(terms[1:], terms[0]) if terms else
+                      ExactMatrix.zeros(fld, rows.rows, basis.rows * w))
+        off += len(left) * w
+    return stack_cols(fld, blocks)
 
 
 @dataclass
@@ -223,7 +220,7 @@ class FunctorSequence:
                           self.end_twist)
         last_rows = [row for _, _, row in self._summands[-1]]
         counit = tensors[-1].map_out(end, lambda s, gens: gens @ m.combination(
-            _terms(self.counit_map.matrix.a[last_rows[s]])))
+            _terms(self.counit_map.matrix.row(last_rows[s]).a[0])))
         val = {"terms": [t.module for t in tensors], "maps": maps,
                "unit": unit, "counit": counit,
                "suspended": self.suspension.apply(m), "module": m,
@@ -330,12 +327,6 @@ def standard_angle(seq: FunctorSequence, m: Module) -> AngleSequence:
     return AngleSequence(list(val["terms"]), maps, seq.suspension)
 
 
-def factor_through_mono(mono: ExactMatrix, rhs: ExactMatrix):
-    """Solve phi @ mono = rhs: corestrict a map landing inside the image of
-    a monomorphism.  Returns the matrix of phi or None."""
-    return mono.solve_left(rhs)
-
-
 def descend_through_epi(epi: ExactMatrix, rhs: ExactMatrix):
     """Solve epi @ phi = rhs: the map induced on the target of a surjection.
     Unique when it exists.  Returns the matrix of phi or None."""
@@ -372,6 +363,30 @@ def _ladder(eng: Homology, origin: Module, first, sources, source_maps,
     return phis
 
 
+def _compare_with_resolution(eng: Homology, m: Module, start: ExactMatrix,
+                             sources, source_maps, steps: int, epi, name: str,
+                             inconsistent: str) -> ModuleMorphism:
+    """The map out of the target of ``epi`` = (matrix, target) induced by
+    the ladder from the complex (sources, source_maps) onto the first
+    ``steps`` terms of the pinned injective resolution of m, starting from
+    the pair (start, inclusion of m): the last rung followed by the final
+    projection, descended through the epimorphism.  The ladder's errors
+    are named ``name``; ``inconsistent`` is the error of the last square."""
+    res = eng.resolution(m, steps)
+    phis = _ladder(
+        eng, m, (start, res.steps[0].include.matrix), sources, source_maps,
+        [res.term(k) for k in range(steps)],
+        [res.map_between(k) for k in range(steps - 1)],
+        lambda k: LinearAlgebraError(f"{name} failed at step {k}" if k
+                                     else f"{name} start failed"))
+    epi_mat, target = epi
+    mat = descend_through_epi(
+        epi_mat, phis[-1].matrix @ res.final_projection(steps).matrix)
+    if mat is None:
+        raise LinearAlgebraError(inconsistent)
+    return ModuleMorphism(target, res.cosyzygy(steps), mat)
+
+
 def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
     """The comparison isomorphism Suspension(M) -> Omega^{-N} M built by the
     ladder between the functor sequence at M and the pinned standard
@@ -380,23 +395,11 @@ def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
     hit = seq._alpha_cache.get(key)
     if hit is not None:
         return hit
-    eng = seq.engine
-    n = seq.length
     val = seq.evaluate(m)
-    res = eng.resolution(m, n)
-    phis = _ladder(
-        eng, m, (val["unit"].matrix, res.steps[0].include.matrix),
-        val["terms"], val["maps"],
-        [res.term(k) for k in range(n)],
-        [res.map_between(k) for k in range(n - 1)],
-        lambda k: LinearAlgebraError(f"comparison ladder failed at step {k}" if k
-                                     else "comparison ladder start failed"))
-    q = res.final_projection(n)
-    rhs = phis[-1].matrix @ q.matrix
-    alpha_mat = descend_through_epi(val["counit"].matrix, rhs)
-    if alpha_mat is None:
-        raise LinearAlgebraError("final comparison square is inconsistent")
-    alpha = ModuleMorphism(val["suspended"], res.cosyzygy(n), alpha_mat)
+    alpha = _compare_with_resolution(
+        seq.engine, m, val["unit"].matrix, val["terms"], val["maps"],
+        seq.length, (val["counit"].matrix, val["suspended"]),
+        "comparison ladder", "final comparison square is inconsistent")
     seq._alpha_cache[key] = alpha
     return alpha
 
@@ -406,31 +409,18 @@ def angle_comparison(seq: FunctorSequence, x: AngleSequence,
     """Read an exact angle as the start of an injective resolution of the
     kernel of its first map; returns (kernel module, inclusion, beta) where
     beta: Suspension(kernel) -> Omega^{-N} kernel is the induced comparison."""
-    eng = seq.engine
-    n = seq.length
     if kernel is None:
         m, incl = kernel_of(x.maps[0])
     else:
         m, incl = kernel
-    res = eng.resolution(m, n)
-    sus_m = seq.suspension.apply(m)
     # factor the last map through the suspension of the kernel
-    pi_mat = factor_through_mono(incl.matrix, x.maps[-1].matrix)
+    pi_mat = incl.matrix.solve_left(x.maps[-1].matrix)
     if pi_mat is None:
         raise LinearAlgebraError("last map does not factor through the kernel")
-    pi = ModuleMorphism(x.objects[-1], sus_m, pi_mat)
-    phis = _ladder(
-        eng, m, (incl.matrix, res.steps[0].include.matrix), x.objects, x.maps,
-        [res.term(k) for k in range(n)],
-        [res.map_between(k) for k in range(n - 1)],
-        lambda k: LinearAlgebraError(f"angle comparison failed at step {k}" if k
-                                     else "angle comparison start failed"))
-    q = res.final_projection(n)
-    rhs = phis[-1].matrix @ q.matrix
-    beta_mat = descend_through_epi(pi.matrix, rhs)
-    if beta_mat is None:
-        raise LinearAlgebraError("angle comparison final square inconsistent")
-    beta = ModuleMorphism(sus_m, res.cosyzygy(n), beta_mat)
+    beta = _compare_with_resolution(
+        seq.engine, m, incl.matrix, x.objects, x.maps, seq.length,
+        (pi_mat, seq.suspension.apply(m)), "angle comparison",
+        "angle comparison final square inconsistent")
     return m, incl, beta
 
 
@@ -531,7 +521,6 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
     algebra = seq.algebra
     a_ker, l = kernel_of(f1)
     b_cok, c = cokernel_of(f1)
-    res_a = eng.resolution(a_ker, n)
 
     val_b = seq.evaluate(b_cok)
     # top row after X_2: the functor terms of the cokernel
@@ -549,19 +538,10 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
         c_mod, pi_c = cokernel_of(top_maps[-1])
 
     # ladder to the resolution of the kernel
-    phis = _ladder(
-        eng, a_ker, (l.matrix, res_a.steps[0].include.matrix), top_terms,
-        top_maps,
-        [res_a.term(k) for k in range(n - 1)],
-        [res_a.map_between(k) for k in range(n - 2)],
-        lambda k: LinearAlgebraError(f"completion ladder failed at step {k}" if k
-                                     else "completion ladder start failed"))
-    q = res_a.final_projection(n - 1)
-    rhs = phis[-1].matrix @ q.matrix
-    g_mat = descend_through_epi(pi_c.matrix, rhs)
-    if g_mat is None:
-        raise LinearAlgebraError("completion comparison is inconsistent")
-    g = ModuleMorphism(c_mod, res_a.cosyzygy(n - 1), g_mat)
+    g = _compare_with_resolution(
+        eng, a_ker, l.matrix, top_terms, top_maps, n - 1,
+        (pi_c.matrix, c_mod), "completion ladder",
+        "completion comparison is inconsistent")
 
     om_g = cosyzygy_morphism(eng, g, 1)
     inv = eng.stable_inverse(om_g)
@@ -576,12 +556,11 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
     # include C -> X_n as (0, hull inclusion)
     iota_c = res_c.steps[0].include
     fld = algebra.field
-    sum_rows = np.concatenate(
-        [_empty(fld, c_mod.dim, h.source.dim), iota_c.matrix.a], axis=1)
+    sum_rows = stack_cols(fld, [
+        ExactMatrix.zeros(fld, c_mod.dim, h.source.dim), iota_c.matrix])
     # the pullback's embedding into the ambient sum, as RREF rows
-    incl_basis = ExactMatrix(fld, np.concatenate(
-        [leg_sus.matrix.a, leg_hull.matrix.a], axis=1))
-    coords = _coords_in(incl_basis, ExactMatrix(fld, sum_rows))
+    incl_basis = stack_cols(fld, [leg_sus.matrix, leg_hull.matrix])
+    coords = _coords_in(incl_basis, sum_rows)
     l_leg = ModuleMorphism(c_mod, x_n, coords)
 
     theta = pi_c.then(l_leg)  # last included top term -> X_n
@@ -609,15 +588,11 @@ def fill_morphism(seq: FunctorSequence, x: AngleSequence, y: AngleSequence,
         eng, x.objects[1], (x.maps[1].matrix, phi2.matrix @ y.maps[1].matrix),
         x.objects[2:], x.maps[2:], y.objects[2:], y.maps[2:],
         lambda j: FillError(f"no fill at position {j + 2}"))
-    m, l_m = kernel_of(x.maps[0])
-    nn, l_n = kernel_of(y.maps[0])
-    h_mat = factor_through_mono(l_n.matrix, l_m.matrix @ phi1.matrix)
-    if h_mat is None:
-        raise FillError("the square does not restrict to the kernels")
+    (m, l_m), (nn, l_n), h_mat = _kernel_restriction(x, y, phi1)
     sus = seq.suspension
     sus_m, sus_n = sus.apply(m), sus.apply(nn)
-    pi_mat = factor_through_mono(l_m.matrix, x.maps[-1].matrix)
-    pi2_mat = factor_through_mono(l_n.matrix, y.maps[-1].matrix)
+    pi_mat = l_m.matrix.solve_left(x.maps[-1].matrix)
+    pi2_mat = l_n.matrix.solve_left(y.maps[-1].matrix)
     if pi_mat is None or pi2_mat is None:
         raise FillError("angles are not exact at the boundary")
     pi = ModuleMorphism(x.objects[-1], sus_m, pi_mat)
@@ -641,6 +616,17 @@ def fill_morphism(seq: FunctorSequence, x: AngleSequence, y: AngleSequence,
     comps[-1] = corrected
     _verify_angle_morphism(x, y, comps)
     return comps
+
+
+def _kernel_restriction(x: AngleSequence, y: AngleSequence,
+                        phi1: ModuleMorphism):
+    """(kernel of f_1 with its inclusion, the same for g_1, the matrix of
+    the map between them that phi1 restricts to)."""
+    ker_x, ker_y = kernel_of(x.maps[0]), kernel_of(y.maps[0])
+    h_mat = ker_y[1].matrix.solve_left(ker_x[1].matrix @ phi1.matrix)
+    if h_mat is None:
+        raise FillError("the square does not restrict to the kernels")
+    return ker_x, ker_y, h_mat
 
 
 def _verify_angle_morphism(x: AngleSequence, y: AngleSequence, comps) -> None:
@@ -681,11 +667,7 @@ def good_fill_and_cone(seq: FunctorSequence, x: AngleSequence,
     n = x.length
     if (x.maps[0].matrix @ phi2.matrix) != (phi1.matrix @ y.maps[0].matrix):
         raise FillError("the given square does not commute")
-    m, l_m = kernel_of(x.maps[0])
-    nn, l_n = kernel_of(y.maps[0])
-    h_mat = factor_through_mono(l_n.matrix, l_m.matrix @ phi1.matrix)
-    if h_mat is None:
-        raise FillError("the square does not restrict to the kernels")
+    (m, l_m), (nn, l_n), h_mat = _kernel_restriction(x, y, phi1)
     h = ModuleMorphism(m, nn, h_mat)
     t_m = standard_angle(seq, m)
     t_n = standard_angle(seq, nn)
@@ -760,12 +742,10 @@ def mapping_cone(x: AngleSequence, y: AngleSequence, comps) -> AngleSequence:
         top_f = shifted_maps[i]
         mid_phi = shifted_comps[i]
         bot_g = y.maps[i]
-        rows = shifted[i].dim + y.objects[i].dim
-        cols = top_f.target.dim + bot_g.target.dim
-        big = _empty(fld, rows, cols)
-        big[: shifted[i].dim, : top_f.target.dim] = (-top_f.matrix).a
-        big[: shifted[i].dim, top_f.target.dim:] = mid_phi.matrix.a
-        big[shifted[i].dim:, top_f.target.dim:] = bot_g.matrix.a
+        r, c = shifted[i].dim, top_f.target.dim
+        big = place(fld, (r + y.objects[i].dim, c + bot_g.target.dim), [
+            (0, 0, -top_f.matrix), (0, c, mid_phi.matrix),
+            (r, c, bot_g.matrix)])
         tgt = objects[(i + 1) % n] if i < n - 1 else sus.apply(objects[0])
-        maps.append(ModuleMorphism(objects[i], tgt, ExactMatrix(fld, big)))
+        maps.append(ModuleMorphism(objects[i], tgt, big))
     return AngleSequence(objects, maps, sus)

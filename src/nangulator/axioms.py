@@ -130,8 +130,7 @@ def sample_commuting_square(eng: Homology, x: AngleSequence, y: AngleSequence,
         x.objects[0])])
     space = big.left_kernel()
     scalars = [fld.random(rng) for _ in range(space.rows)]
-    coeff = (ExactMatrix(fld, [scalars]) @ space).a[0]
-    return tuple(combine_all(bases, coeff))
+    return tuple(combine_all(bases, ExactMatrix(fld, [scalars]) @ space))
 
 
 def _witness(angle, cert):

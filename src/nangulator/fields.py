@@ -1,16 +1,23 @@
 """Exact dense linear algebra over prime fields F_p and the rationals.
 
-All arithmetic is exact: prime-field entries are canonical residues stored in
-int64 numpy arrays, rational entries are ``fractions.Fraction`` in object
-arrays.  Pivoting is pinned (leftmost nonzero column, topmost nonzero row) so
-every downstream construction is reproducible bit for bit.
+A matrix stores one integer array ``n`` over one positive denominator ``d``.
+Over F_p, ``n`` holds the canonical residues in an int64 array and d = 1;
+over Q, ``n`` holds Python-int numerators in an object array and d is their
+least common denominator, so (n, d) is in lowest terms and unique.  Every
+operation runs one code path on (n, d) followed by one normalisation step,
+reducing mod p or dividing out the gcd of d and the entries (``_new``);
+a cut of the entries (rows, columns, views, reshapes) only divides out the
+gcd (``_lowest``).  ``Fraction`` appears only at input (the constructor
+and scalars) and output (``.a`` and ``tolist``).  Matrices are built from
+other matrices by one placement primitive (``place``), of which
+``stack_rows``, ``stack_cols`` and ``block_diag`` are cases.  Pivoting is
+pinned (leftmost nonzero column, topmost nonzero row) so every downstream
+construction is reproducible bit for bit.
 
-Over Q the arithmetic runs on Python-int numerators, not on ``Fraction``
-objects: a product multiplies the integer numerators of its operands, each
-taken over one common denominator (``_product``), and elimination is
-fraction-free Gauss-Jordan on integer rows, each divided by its content,
-dividing by the pivots once at the end.  The RREF is unique, so the stored
-``Fraction`` results are the same as with fraction arithmetic.
+Over Q a product multiplies the integer numerators over the product of the
+denominators, and elimination is fraction-free Gauss-Jordan on integer
+rows, each divided by its content, dividing by the pivots once at the end.
+The RREF is unique, so the results are those of fraction arithmetic.
 
 Elimination is sized to the matrices the program makes, most of them a few
 hundred cells.  Those of at most ``ROW_LOOP_CELLS`` cells, and every
@@ -28,12 +35,11 @@ sums, the constructor), starts unreduced.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,8 +87,8 @@ class FieldSpec:
 
     The bound keeps int64 arithmetic exact: (p - 1)^2 < 2^32, so an int64
     matmul could only overflow with an inner dimension above 2^31, which no
-    matrix in memory reaches.  Rationals are stored as ``Fraction`` entries
-    and computed on their integer numerators (see the module docstring).
+    matrix in memory reaches.  Rationals are stored as integer numerators
+    over one denominator (see the module docstring).
     """
 
     characteristic: int = 0
@@ -124,70 +130,33 @@ class FieldSpec:
         p = self.characteristic
         return rng.randrange(p) if p else Fraction(rng.randrange(-4, 5))
 
-    def elements(self):
-        """All field elements; only available for prime fields."""
-        if not self.characteristic:
-            raise LinearAlgebraError("cannot enumerate the rationals")
-        return range(self.characteristic)
-
-
-def _empty(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
-    if field.characteristic:
-        return np.zeros((rows, cols), dtype=np.int64)
-    a = np.empty((rows, cols), dtype=object)
-    a[...] = Fraction(0)
-    return a
-
 
 def _objects(values, shape) -> np.ndarray:
     """An object array of the given shape holding ``values`` in C order."""
     return np.fromiter(values, dtype=object, count=len(values)).reshape(shape)
 
 
-def _numerators(a: np.ndarray):
-    """(N, d) with a = N / d: N an object array of Python ints and d the lcm
-    of the denominators of the rational (or integer) entries of a."""
-    flat = a.ravel().tolist()
+def _rationals(data):
+    """(n, d) of rational input data: Python-int numerators over the least
+    common denominator of the entries, which may be ints, ``Fraction``s or
+    anything ``Fraction`` reads."""
+    src = np.asarray(data, dtype=object)
+    flat = [x if type(x) in (int, Fraction) else Fraction(x)
+            for x in src.ravel().tolist()]
     d = math.lcm(*{x.denominator for x in flat})
-    if d == 1:
-        return _objects([x.numerator for x in flat], a.shape), 1
     return _objects([x.numerator * (d // x.denominator) for x in flat],
-                    a.shape), d
-
-
-def _fractions(n: np.ndarray, d: int) -> np.ndarray:
-    """The ``Fraction`` array n / d for an array n of Python ints, with one
-    ``Fraction`` built per distinct numerator."""
-    flat = n.ravel().tolist()
-    made = {x: _fraction(x, d) for x in set(flat)}
-    return _objects([made[x] for x in flat], n.shape)
-
-
-@functools.lru_cache(maxsize=4096)
-def _fraction(n: int, d: int) -> Fraction:
-    """Fraction(n, d), shared: the values a matrix holds repeat across
-    matrices, and a Fraction is immutable."""
-    return Fraction(n, d)
+                    src.shape), d
 
 
 def _lowest(n: np.ndarray, d: int):
     """n / d with d the least common denominator: (n / g, d / g) for the
-    gcd g of d and every entry of n."""
+    gcd g of d and every entry of n.  Nothing to do when d = 1, as always
+    over F_p."""
     if d > 1:
-        g = math.gcd(d, np.gcd.reduce(n, axis=None))
+        g = math.gcd(d, *n.ravel().tolist())
         if g > 1:
             return n // g, d // g
     return n, d
-
-
-def _product(x, y):
-    """(N, d) of the product of x = (N_x, d_x) and y = (N_y, d_y): N_x @ N_y
-    on Python ints over d_x d_y, in lowest terms."""
-    return _lowest(x[0] @ y[0], x[1] * y[1])
-
-
-def _transposed(a: np.ndarray) -> np.ndarray:
-    return a.T.copy()
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,207 +168,188 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact entries over a FieldSpec.
+    """Immutable dense matrix with exact entries over a FieldSpec, stored as
+    integers ``n`` over one denominator ``d`` (see the module docstring).
 
     Row-vector conventions are used throughout the package: vectors are rows,
     maps act on the right (x @ M), and the left kernel is {x : x M = 0}.
     """
 
-    __slots__ = ("field", "a", "_digest", "_pivots", "_num")
+    __slots__ = ("field", "n", "d", "_digest", "_pivots")
 
     def __init__(self, field: FieldSpec, data):
-        self.field = field
         if isinstance(data, ExactMatrix):
-            data = data.a
-        if field.characteristic:
-            a = np.asarray(data, dtype=np.int64) % field.characteristic
+            n, d = data.n, data.d
+        elif field.characteristic:
+            n, d = np.asarray(data, dtype=np.int64) % field.characteristic, 1
         else:
-            src = np.asarray(data, dtype=object)
-            flat = src.ravel().tolist()
-            if all(type(x) is Fraction for x in flat):
-                a = src.copy()
-            else:
-                a = _objects([Fraction(x) for x in flat], src.shape)
-        if a.ndim != 2:
-            raise LinearAlgebraError(f"expected 2-d data, got shape {a.shape}")
-        a.flags.writeable = False
-        self.a = a
+            n, d = _rationals(data)
+        if n.ndim != 2:
+            raise LinearAlgebraError(f"expected 2-d data, got shape {n.shape}")
+        n.setflags(write=False)
+        self.field = field
+        self.n = n
+        self.d = d
         self._digest = None
         self._pivots = None
-        self._num = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
+    def _wrap(field: FieldSpec, n: np.ndarray, d: int = 1) -> "ExactMatrix":
+        """The matrix n / d for (n, d) already in normal form."""
+        m = object.__new__(ExactMatrix)
+        n.setflags(write=False)
+        m.field = field
+        m.n = n
+        m.d = d
+        m._digest = None
+        m._pivots = None
+        return m
+
+    @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix._wrap(field, _empty(field, rows, cols))
+        return ExactMatrix._wrap(field, np.zeros((rows, cols), _dtype(field)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "ExactMatrix":
-        if not field.characteristic:
-            return ExactMatrix._from_numerators(
-                field, np.identity(n, dtype=object), 1)
-        return ExactMatrix._wrap(field, np.identity(n, dtype=np.int64))
+        return ExactMatrix._wrap(field, np.identity(n, _dtype(field)))
 
-    @staticmethod
-    def _from_numerators(field: FieldSpec, n: np.ndarray, d: int):
-        """The rational matrix n / d, keeping (n, d) as its numerators; d
-        must be the least common denominator of the entries."""
-        m = ExactMatrix._wrap(field, _fractions(n, d))
-        n.flags.writeable = False
-        m._num = (n, d)
-        return m
+    def _new(self, n: np.ndarray, d: int = 1) -> "ExactMatrix":
+        """The result n / d of arithmetic on a fresh array n, normalised:
+        over F_p the residues mod p, reduced in place, over Q in lowest
+        terms."""
+        p = self.field.characteristic
+        if p:
+            n %= p
+        elif d > 1:
+            n, d = _lowest(n, d)
+        return ExactMatrix._wrap(self.field, n, d)
 
-    @staticmethod
-    def _wrap(field: FieldSpec, a: np.ndarray) -> "ExactMatrix":
-        m = object.__new__(ExactMatrix)
-        m.field = field
-        a.flags.writeable = False
-        m.a = a
-        m._digest = None
-        m._pivots = None
-        m._num = None
-        return m
+    def _cut(self, n: np.ndarray) -> "ExactMatrix":
+        """A copy, view or rearrangement n of some of the entries, over the
+        least common denominator of those entries."""
+        d = self.d
+        if d > 1:
+            n, d = _lowest(n, d)
+        return ExactMatrix._wrap(self.field, n, d)
 
-    def _new(self, a: np.ndarray) -> "ExactMatrix":
-        if self.field.characteristic:
-            a = a % self.field.characteristic
-        return ExactMatrix._wrap(self.field, a)
-
-    # -- shape ------------------------------------------------------------
+    # -- shape and values -------------------------------------------------
     @property
     def rows(self) -> int:
-        return self.a.shape[0]
+        return self.n.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.a.shape[1]
+        return self.n.shape[1]
 
     @property
     def shape(self):
-        return self.a.shape
+        return self.n.shape
+
+    @property
+    def a(self) -> np.ndarray:
+        """The entries as field values, read-only: the residues themselves
+        over F_p; over Q a ``Fraction`` array, built on each call."""
+        if self.field.characteristic:
+            return self.n
+        d = self.d
+        a = _objects([Fraction(x, d) for x in self.n.ravel().tolist()],
+                     self.shape)
+        a.flags.writeable = False
+        return a
 
     # -- arithmetic --------------------------------------------------------
-    def numerators(self):
-        """Over Q, (N, d) with self.a = N / d: read-only Python-int
-        numerators over the least common denominator, kept."""
-        if self._num is None:
-            n, d = _numerators(self.a)
-            n.flags.writeable = False
-            self._num = (n, d)
-        return self._num
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
+        if self.n.shape[1] != other.n.shape[0]:
             raise LinearAlgebraError(
                 f"shape mismatch for product: {self.shape} @ {other.shape}"
             )
-        if self.field.characteristic:
-            return self._new(self.a @ other.a)
-        return ExactMatrix._from_numerators(
-            self.field, *_product(self.numerators(), other.numerators()))
+        return self._new(self.n @ other.n, self.d * other.d)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """The Kronecker product: entry (i q + k, j r + l) is
         self[i, j] other[k, l], for other of shape (q, r)."""
-        if self.field.characteristic:
-            return self._new(kron(self.a, other.a))
-        (na, da), (nb, db) = self.numerators(), other.numerators()
-        return ExactMatrix._from_numerators(
-            self.field, *_lowest(kron(na, nb), da * db))
+        return self._new(kron(self.n, other.n), self.d * other.d)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field.characteristic:
-            return self._new(self.a + other.a)
+        if self.d == other.d:
+            return self._new(self.n + other.n, self.d)
         (na, nb), d = _common([self, other])
-        return ExactMatrix._from_numerators(self.field, *_lowest(na + nb, d))
+        return self._new(na + nb, d)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field.characteristic:
-            return self._new(self.a - other.a)
-        return self + (-other)
+        if self.d == other.d:
+            return self._new(self.n - other.n, self.d)
+        (na, nb), d = _common([self, other])
+        return self._new(na - nb, d)
 
     def __neg__(self) -> "ExactMatrix":
-        if self.field.characteristic:
-            return self._new(-self.a)
-        n, d = self.numerators()
-        return ExactMatrix._from_numerators(self.field, -n, d)
+        return self._new(-self.n, self.d)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.canon(c)
-        if self.field.characteristic:
-            return self._new(self.a * c)
-        n, d = self.numerators()
-        return ExactMatrix._from_numerators(
-            self.field, *_lowest(n * c.numerator, d * c.denominator))
+        return self._new(self.n * c.numerator, self.d * c.denominator)
 
     def __eq__(self, other) -> bool:
-        if not (isinstance(other, ExactMatrix) and self.field == other.field
-                and self.shape == other.shape):
-            return False
-        if self.field.characteristic:
-            return bool(np.all(self.a == other.a))
-        # numerators over the least common denominator are unique
-        (na, da), (nb, db) = self.numerators(), other.numerators()
-        return da == db and bool(np.all(na == nb))
+        # (n, d) is unique for the entries
+        return (isinstance(other, ExactMatrix) and self.field == other.field
+                and self.shape == other.shape and self.d == other.d
+                and bool(np.array_equal(self.n, other.n)))
 
     def __hash__(self):
         return hash((self.field, self.digest()))
 
-    def _select(self, part, *args) -> "ExactMatrix":
-        """The matrix part(a, *args) for a copy, view or rearrangement
-        ``part`` of the entries.  Kept integer numerators (denominator 1)
-        are carried along as part(N, *args); other numerators are read again
-        when needed, as a cut may have a smaller least common denominator."""
-        out = ExactMatrix._wrap(self.field, part(self.a, *args))
-        if self._num is not None and self._num[1] == 1:
-            n = part(self._num[0], *args)
-            n.flags.writeable = False
-            out._num = (n, 1)
-        return out
-
     def reshape(self, rows: int, cols: int) -> "ExactMatrix":
         """The same entries in C order as a rows x cols matrix."""
-        return self._select(np.ndarray.reshape, (rows, cols))
+        return self._cut(self.n.reshape(rows, cols))
 
     @property
     def T(self) -> "ExactMatrix":
-        return self._select(_transposed)
+        return self._cut(self.n.T.copy())
 
     def is_zero(self) -> bool:
-        return not self.a.any()
+        return not self.n.any()
 
     def row(self, i: int) -> "ExactMatrix":
-        return self._select(operator.getitem, slice(i, i + 1))
+        return self._cut(self.n[i: i + 1])
 
     def take_rows(self, idx) -> "ExactMatrix":
-        return self._select(operator.getitem, list(idx))
+        """The rows idx, in that order; a view for a contiguous range."""
+        if type(idx) is range and idx.step == 1:
+            return self._cut(self.n[idx.start: idx.stop])
+        return self._cut(self.n[list(idx)])
 
     def take_cols(self, idx) -> "ExactMatrix":
-        return self._select(operator.getitem, (slice(None), list(idx)))
+        """The columns idx, in that order; a view for a contiguous range."""
+        if type(idx) is range and idx.step == 1:
+            return self._cut(self.n[:, idx.start: idx.stop])
+        return self._cut(self.n[:, list(idx)])
 
     def split_rows(self, parts: int) -> list["ExactMatrix"]:
         """The matrix as ``parts`` blocks of equal height, top to bottom:
-        views of its rows, sharing its entries."""
+        views of its rows, unless a block over Q has a smaller least common
+        denominator."""
         size = self.rows // parts
-        return [self._select(operator.getitem, slice(i * size, (i + 1) * size))
+        return [self._cut(self.n[i * size: (i + 1) * size])
                 for i in range(parts)]
 
     def digest(self) -> bytes:
+        """A content key: the blake2b digest of (n, d), shape and field."""
         if self._digest is None:
             h = hashlib.blake2b(digest_size=16)
             h.update(str(self.field.characteristic).encode())
             h.update(str(self.shape).encode())
             if self.field.characteristic:
-                h.update(self.a.tobytes())
+                h.update(self.n.tobytes())
             else:
-                h.update(repr(self.a.tolist()).encode())
+                h.update(f"{self.d}:{self.n.tolist()!r}".encode())
             self._digest = h.digest()
         return self._digest
 
     def tolist(self):
         if self.field.characteristic:
-            return [[int(x) for x in row] for row in self.a]
-        return [[str(x) for x in row] for row in self.a]
+            return self.n.tolist()
+        return [[str(x) for x in row] for row in self.a.tolist()]
 
     def __repr__(self):
         return f"ExactMatrix({self.shape} over {self.field.kind})\n{self.a}"
@@ -414,9 +364,8 @@ class ExactMatrix:
         """
         if self._pivots is not None:
             return self, self._pivots
-        p = self.field.characteristic
-        a, pivots = _eliminate(p, self.a if p else self.numerators()[0])
-        r = ExactMatrix._wrap(self.field, a)  # the RREF is canonical
+        n, d, pivots = _eliminate(self.field.characteristic, self.n)
+        r = ExactMatrix._wrap(self.field, n, d)  # the RREF is canonical
         r._pivots = pivots
         return r, pivots
 
@@ -430,17 +379,17 @@ class ExactMatrix:
         free = [j for j in range(self.rows) if j not in piv_set]
         if not free:
             return ExactMatrix.zeros(self.field, 0, self.rows)
-        # free variable j set to 1, each pivot variable to minus its row at j
-        basis = _empty(self.field, len(free), self.rows)
-        basis[range(len(free)), free] = 1 if self.field.characteristic \
-            else Fraction(1)
-        basis[:, list(piv)] = -r.a[: len(piv), free].T
-        out = self._new(basis)
+        # free variable j set to 1, each pivot variable to minus its row at
+        # j, over the denominator of R
+        n = np.zeros((len(free), self.rows), _dtype(self.field))
+        n[range(len(free)), free] = r.d
+        n[:, list(piv)] = -r.n[: len(piv), free].T
+        basis = self._new(n, r.d)
         # canonical form: reduce the kernel basis itself
-        return out.rref()[0].take_rows(range(out.rows))._strip_zero_rows()
+        return basis.rref()[0].take_rows(range(basis.rows))._strip_zero_rows()
 
     def _strip_zero_rows(self) -> "ExactMatrix":
-        nz = [i for i in range(self.rows) if np.any(self.a[i] != 0)]
+        nz = np.flatnonzero(self.n.any(axis=1))
         if len(nz) == self.rows:
             return self
         return self.take_rows(nz)
@@ -461,9 +410,9 @@ class ExactMatrix:
         n_unknowns = self.rows
         if piv and piv[-1] >= n_unknowns:
             return None  # pivot in augmented columns: inconsistent
-        sol = _empty(self.field, rhs.rows, n_unknowns)
-        sol[:, list(piv)] = r.a[: len(piv), n_unknowns:].T
-        return ExactMatrix._wrap(self.field, sol)
+        sol = np.zeros((rhs.rows, n_unknowns), _dtype(self.field))
+        sol[:, list(piv)] = r.n[: len(piv), n_unknowns:].T
+        return r._cut(sol)
 
     def inv(self) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -478,6 +427,11 @@ class ExactMatrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+def _dtype(field: FieldSpec):
+    """int64 residues over F_p, Python-int numerators over Q."""
+    return np.int64 if field.characteristic else object
+
+
 # Eliminations of at most this many cells run on Python-int rows; larger
 # ones over F_p run on numpy arrays.  Most matrices the pipeline reduces
 # have a few hundred cells, where a numpy call costs more than the
@@ -487,10 +441,10 @@ ROW_LOOP_CELLS = 4096
 
 
 def _eliminate(p: int, a: np.ndarray):
-    """Gauss-Jordan elimination of a copy of ``a`` with pinned pivoting:
-    (reduced array, pivot columns).  Over Q (p = 0) ``a`` holds the integer
-    numerators of the matrix over a common denominator, which the reduced
-    form does not depend on, and the result holds ``Fraction`` entries.
+    """Gauss-Jordan elimination of a copy of the integer array ``a`` with
+    pinned pivoting: (reduced n, its denominator d, pivot columns).  Over Q
+    (p = 0) ``a`` holds numerators over a common denominator, which the
+    reduced form does not depend on.
 
     Over Q, and over F_p up to ``ROW_LOOP_CELLS`` cells, the rows are
     reduced as Python lists (``_eliminate_rows``); larger F_p matrices are
@@ -501,13 +455,13 @@ def _eliminate(p: int, a: np.ndarray):
         return _eliminate_array(p, a)
     m, pivots = _eliminate_rows(p, a.tolist(), cols)
     if p:
-        return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
-    # primitive pivot rows: divide each by its pivot
-    zero = Fraction(0)
-    flat = [_fraction(x, m[i][c]) if x else zero
-            for i, c in enumerate(pivots) for x in m[i]]
-    flat += [zero] * ((rows - len(pivots)) * cols)
-    return _objects(flat, (rows, cols)), pivots
+        return np.array(m, dtype=np.int64).reshape(rows, cols), 1, pivots
+    # primitive pivot rows, each divided by its pivot: over the lcm of the
+    # pivots, then in lowest terms
+    d = math.lcm(*(m[i][c] for i, c in enumerate(pivots)))
+    flat = [x * (d // m[i][c]) for i, c in enumerate(pivots) for x in m[i]]
+    flat += [0] * ((rows - len(pivots)) * cols)
+    return (*_lowest(_objects(flat, (rows, cols)), d), pivots)
 
 
 def _eliminate_rows(p: int, m: list, cols: int):
@@ -571,7 +525,6 @@ def _eliminate_array(p: int, a: np.ndarray):
     only the rows with a nonzero entry in the pivot column are updated,
     from the pivot column on."""
     a = a.copy()
-    a.flags.writeable = True
     rows, cols = a.shape
     pivots = []
     r = c = 0
@@ -593,32 +546,90 @@ def _eliminate_array(p: int, a: np.ndarray):
         pivots.append(c)
         r += 1
         c += 1
-    return a, tuple(pivots)
+    return a, 1, tuple(pivots)
 
 
 # -- module-level operations ------------------------------------------------
 
 
 def _common(mats):
-    """The numerators of rational matrices over one denominator d, the lcm
-    of theirs: ([N_1, N_2, ...], d)."""
-    nums = [m.numerators() for m in mats]
-    d = math.lcm(*(dm for _, dm in nums))
-    return [n if dm == d else n * (d // dm) for n, dm in nums], d
+    """The numerators of matrices over one denominator d, the lcm of
+    theirs: ([n_1, n_2, ...], d); over F_p d = 1 and the n_i themselves."""
+    ds = {m.d for m in mats}
+    if len(ds) == 1:
+        return [m.n for m in mats], ds.pop()
+    d = math.lcm(*ds)
+    return [m.n if m.d == d else m.n * (d // m.d) for m in mats], d
+
+
+def place(field: FieldSpec, shape, parts, depth: int = 1) -> ExactMatrix:
+    """The stack of ``depth`` matrices of the given (rows, cols) shape that
+    holds each part (rows, cols, m) at those rows and columns and is zero
+    elsewhere, as one (depth . rows) x cols matrix.  m is a row stack of
+    ``depth`` blocks; rows and cols are each a first index (an int: the
+    block's extent from there on) or a sequence of indices.  Parts do not
+    overlap.  ``parts`` is read once, so a part can be made just before it
+    is placed.  Over Q the parts are placed over the lcm of their
+    denominators, the entries placed so far rescaled when it grows, which
+    keeps the result in lowest terms."""
+    rows, cols = shape
+    out = np.zeros((depth * rows, cols), _dtype(field))
+    grid = out.reshape(depth, rows, cols) if depth > 1 else out
+    d = 1
+    for r, c, m in parts:
+        if d % m.d:
+            grow = math.lcm(d, m.d) // d
+            out *= grow
+            d *= grow
+        n = m.n if m.d == d else m.n * (d // m.d)
+        if depth > 1:
+            n = n.reshape(depth, m.rows // depth, m.cols)
+        if type(r) is int:
+            r = slice(r, r + n.shape[-2])
+        elif type(c) is not int:
+            r = np.asarray(r)[:, None]  # rows by columns, not pairs
+        if type(c) is int:
+            c = slice(c, c + m.cols)
+        grid[..., r, c] = n
+    return ExactMatrix._wrap(field, out, d)
 
 
 def stack_rows(field: FieldSpec, mats) -> ExactMatrix:
+    """The matrices one below the other, of the width of the first one
+    with rows: ``place`` at consecutive row offsets, done as one
+    concatenation of the numerators over the lcm of the denominators."""
+    return _stack(field, mats, 0)
+
+
+def stack_cols(field: FieldSpec, mats) -> ExactMatrix:
+    """The matrices side by side, of the height of the first one with
+    columns: ``place`` at consecutive column offsets, done as one
+    concatenation."""
+    return _stack(field, mats, 1)
+
+
+def _stack(field: FieldSpec, mats, axis: int) -> ExactMatrix:
+    """The matrices that have entries along ``axis`` concatenated along it.
+    A Python placement per part costs about four times one concatenation
+    on the few small blocks the program stacks."""
     mats = list(mats)
     if not mats:
-        raise LinearAlgebraError("stack_rows of empty list")
-    cols = mats[0].cols
-    mats = [m for m in mats if m.rows > 0]
-    if not mats:
-        return ExactMatrix.zeros(field, 0, cols)
-    if field.characteristic:
-        return ExactMatrix._wrap(field, np.concatenate([m.a for m in mats]))
-    nums, d = _common(mats)
-    return ExactMatrix._from_numerators(field, np.concatenate(nums), d)
+        raise LinearAlgebraError("stacking an empty list")
+    kept = [m for m in mats if m.n.shape[axis]]
+    if len(kept) < 2:
+        return kept[0] if kept else ExactMatrix.zeros(
+            field, *((0, mats[0].cols) if axis == 0 else (mats[0].rows, 0)))
+    nums, d = _common(kept)
+    return ExactMatrix._wrap(field, np.concatenate(nums, axis=axis), d)
+
+
+def block_diag(field: FieldSpec, mats) -> ExactMatrix:
+    """The block diagonal matrix of ``mats``."""
+    mats = list(mats)
+    rows = list(accumulate([m.rows for m in mats], initial=0))
+    cols = list(accumulate([m.cols for m in mats], initial=0))
+    return place(field, (rows[-1], cols[-1]),
+                 [(r, c, m) for r, c, m in zip(rows, cols, mats)])
 
 
 # Column cuts of a stack are taken for groups of blocks of at most this many
@@ -630,72 +641,44 @@ def stack_rows(field: FieldSpec, mats) -> ExactMatrix:
 CUT_CELLS = 1 << 16
 
 
+def cell_groups(count: int, cells: int) -> list[range]:
+    """range(count) as consecutive groups of items of ``cells`` cells each,
+    each group of at most ``CUT_CELLS`` cells (at least one item)."""
+    step = max(1, CUT_CELLS // max(cells, 1))
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def left_products(x: ExactMatrix, stack: ExactMatrix, blocks: int,
                   cols=None) -> ExactMatrix:
     """x @ S_i for each of the ``blocks`` row blocks S_i of ``stack`` (each
     of x.cols rows), cut to the columns ``cols`` when given, stacked in the
-    same order: a batched product, over Q on the kept numerators of x and
-    stack.  Over F_p the result is allocated first and the cut is taken
-    for groups of blocks of at most ``CUT_CELLS`` cells, each multiplied
-    into its slice of the result."""
+    same order: a batched product.  The result is allocated first and the
+    cut is taken for groups of blocks of at most ``CUT_CELLS`` cells
+    (``cell_groups``), each multiplied into its slice of the result."""
     (k, n), c = x.shape, stack.cols
     if stack.rows != blocks * n:
         raise LinearAlgebraError(
             f"shape mismatch for blockwise product: {x.shape} @ {blocks} "
             f"blocks of {stack.shape}")
-    field, p = x.field, x.field.characteristic
     if cols is not None:
         cols, c = list(cols), len(cols)
-    if p:
-        out = np.empty((blocks, k, c), dtype=np.int64)
-        s = stack.a.reshape(blocks, n, stack.cols)
-        if cols is None:
-            np.matmul(x.a, s, out=out)
-        else:
-            step = max(1, CUT_CELLS // max(n * c, 1))
-            for lo in range(0, blocks, step):
-                np.matmul(x.a, s[lo: lo + step][:, :, cols],
-                          out=out[lo: lo + step])
-        out %= p
-        return ExactMatrix._wrap(field, out.reshape(blocks * k, c))
-    (nx, dx), (ns, ds) = x.numerators(), stack.numerators()
-    ns = ns.reshape(blocks, n, stack.cols)
-    num, d = _product((nx, dx), (ns if cols is None else ns[:, :, cols], ds))
-    return ExactMatrix._from_numerators(field, num.reshape(blocks * k, c), d)
+    out = np.empty((blocks, k, c), _dtype(x.field))
+    s = stack.n.reshape(blocks, n, stack.cols)
+    if cols is None:
+        np.matmul(x.n, s, out=out)
+    else:
+        for g in cell_groups(blocks, n * c):
+            np.matmul(x.n, s[g.start: g.stop][:, :, cols],
+                      out=out[g.start: g.stop])
+    return x._new(out.reshape(blocks * k, c), x.d * stack.d)
 
 
 def unequal_entries(x: ExactMatrix, y: ExactMatrix) -> np.ndarray:
-    """The boolean array x != y, entry by entry, for matrices of one shape;
-    over Q on their kept numerators, cross-multiplied by the
-    denominators."""
-    if x.field.characteristic:
-        return x.a != y.a
-    (nx, dx), (ny, dy) = x.numerators(), y.numerators()
-    if dx == dy:
-        return nx != ny
-    return nx * dy != ny * dx
-
-
-def block_diag(field: FieldSpec, mats) -> ExactMatrix:
-    """The block diagonal matrix of ``mats``; over Q it is assembled on
-    numerators over the lcm of their denominators."""
-    mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    p = field.characteristic
-    if p:
-        blocks, d = [m.a for m in mats], 1
-    else:
-        blocks, d = _common(mats)
-    out = np.zeros((rows, cols), dtype=np.int64 if p else object)
-    r = c = 0
-    for m, block in zip(mats, blocks):
-        out[r : r + m.rows, c : c + m.cols] = block
-        r += m.rows
-        c += m.cols
-    if p:
-        return ExactMatrix._wrap(field, out)
-    return ExactMatrix._from_numerators(field, out, d)
+    """The boolean array x != y, entry by entry, for matrices of one shape,
+    cross-multiplied by the denominators when they differ."""
+    if x.d == y.d:
+        return x.n != y.n
+    return x.n * y.d != y.n * x.d
 
 
 def linear_combination(field: FieldSpec, coeffs, mats, shape) -> ExactMatrix:

@@ -9,18 +9,19 @@ array (``Module.stack`` holds it as a row stack), and the action of a
 generator is a view of its slice.  The action of any other basis element is
 the product of generator actions along its word (``BasicAlgebra.word``),
 derived on demand.  Constructions (submodules, quotients, direct sums,
-twists, duals) and ``ModuleMorphism.verify`` act on the whole stack with
-one product, the same code over F_p and Q; images of a vector under many
-basis elements are walked along the words on row vectors.  Elements are row
-vectors; a morphism matrix F sends x to x @ F, so composition "f then g" is
-the matrix product F @ G.
+twists, duals) act on the whole stack with one product or one placement
+(``fields.place``), and ``ModuleMorphism.verify`` in groups of generators
+of bounded size; images of a vector under many basis elements are walked
+along the words on row vectors.  Every matrix is an ``ExactMatrix``, so
+the same code runs over F_p and Q, and this module never touches the
+stored integers.  Elements are row vectors; a morphism matrix F sends x to
+x @ F, so composition "f then g" is the matrix product F @ G.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -29,13 +30,14 @@ from .algebra import Automorphism, BasicAlgebra
 from .fields import (
     ExactMatrix,
     LinearAlgebraError,
-    _empty,
+    cell_groups,
     check_memory,
-    kron,
     left_products,
     linear_combination,
+    place,
     reduce_rows_mod,
     row_space,
+    stack_cols,
     stack_rows,
     unequal_entries,
 )
@@ -71,8 +73,7 @@ class Module:
         self.proj = proj
         gens = algebra.generators
         if not isinstance(action, ExactMatrix):
-            action = ExactMatrix._wrap(algebra.field, np.concatenate(
-                [action[g].a for g in gens]))
+            action = stack_rows(algebra.field, [action[g] for g in gens])
         if action.shape != (len(gens) * dim, dim):
             raise LinearAlgebraError(
                 f"generator actions of shape {action.shape} for "
@@ -86,12 +87,6 @@ class Module:
     @property
     def action(self) -> "_Actions":
         return _Actions(self)
-
-    def blocks(self) -> np.ndarray:
-        """The generator actions as one (#generators, dim, dim) array, a
-        view of ``stack``."""
-        return self.stack.a.reshape(len(self.algebra.generators), self.dim,
-                                    self.dim)
 
     def digest(self) -> bytes:
         if self._digest is None:
@@ -204,27 +199,29 @@ class ModuleMorphism:
 
     def verify(self, exhaustive: bool = False) -> None:
         """Check that the matrix intertwines the actions of the generators,
-        or of every basis element when ``exhaustive``: one product of the
-        source's action stack with the matrix, one blockwise product of the
-        matrix with the target's, compared block by block.  The error names
-        the first element, in index order, that fails."""
+        or of every basis element when ``exhaustive``.  The elements are
+        taken in groups whose compared products have at most
+        ``fields.CUT_CELLS`` cells (``cell_groups``): per group one product
+        of the source's actions, stacked, with the matrix and one blockwise
+        product of the matrix with the target's, compared block by block.
+        The check stops at the first failing group, and the error names the
+        first element, in index order, that fails."""
         src, dst, f = self.source, self.target, self.matrix
-        A = src.algebra
-        if exhaustive:
-            idx = range(A.dim)
-            fld = A.field
-            lhs = stack_rows(fld, [src.action[k] for k in idx])
-            rhs = stack_rows(fld, [dst.action[k] for k in idx])
-        else:
-            idx = A.generators
-            lhs, rhs = src.stack, dst.stack
-        lhs = lhs @ f
-        rhs = left_products(f, rhs, len(idx))
-        bad = unequal_entries(lhs, rhs).reshape(len(idx), f.rows * f.cols)
-        bad = bad.any(axis=1)
-        if bad.any():
-            raise LinearAlgebraError(
-                f"morphism does not intertwine element {idx[int(bad.argmax())]}")
+        A, cells = src.algebra, f.rows * f.cols
+        idx = range(A.dim) if exhaustive else A.generators
+        for g in cell_groups(len(idx), cells):
+            lo, hi, group = g.start, g.stop, idx[g.start: g.stop]
+            if exhaustive:
+                lhs = stack_rows(A.field, [src.action[k] for k in group])
+                rhs = stack_rows(A.field, [dst.action[k] for k in group])
+            else:
+                lhs = src.stack.take_rows(range(lo * src.dim, hi * src.dim))
+                rhs = dst.stack.take_rows(range(lo * dst.dim, hi * dst.dim))
+            bad = unequal_entries(lhs @ f, left_products(f, rhs, len(group)))
+            bad = bad.reshape(len(group), cells).any(axis=1)
+            if bad.any():
+                raise LinearAlgebraError("morphism does not intertwine "
+                                         f"element {group[int(bad.argmax())]}")
 
     def rank(self) -> int:
         return self.matrix.rank()
@@ -341,11 +338,8 @@ def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
     d = algebra.dim
     right = {g: algebra.element_right_matrix(sigma.matrix.row(g))
              for g in algebra.generators}
-    stack = _empty(algebra.field, len(env.generators) * d, d)
-    for block, k in zip(stack.reshape(-1, d, d), env.generators):
-        i, j = divmod(k, d)
-        block[...] = (algebra.left_mult(i) @ right[j]).a
-    return Module(env, d, ExactMatrix._wrap(algebra.field, stack))
+    return Module(env, d, stack_rows(algebra.field, [
+        algebra.left_mult(k // d) @ right[k % d] for k in env.generators]))
 
 
 def _substituted(m: Module, terms_of) -> Module:
@@ -356,7 +350,7 @@ def _substituted(m: Module, terms_of) -> Module:
     terms = [terms_of(g) for g in A.generators]
     used = sorted({k for ts in terms for k, _ in ts})
     column = {k: i for i, k in enumerate(used)}
-    coeffs = _empty(fld, len(terms), len(used))
+    coeffs = [[0] * len(used) for _ in terms]
     for row, ts in zip(coeffs, terms):
         for k, c in ts:
             row[column[k]] += c
@@ -375,7 +369,8 @@ def right_twist(m: Module, tau: Automorphism) -> Module:
     unchanged under this identification, so the construction is a strict,
     strictly invertible functor."""
     assert m.algebra is tau.algebra
-    return _substituted(m, lambda g: _terms(tau.matrix.a[g]))
+    a = tau.matrix.a
+    return _substituted(m, lambda g: _terms(a[g]))
 
 
 def left_twist(m: Module, tau: Automorphism) -> Module:
@@ -411,8 +406,7 @@ def dual_module(m: Module) -> Module:
     """k-linear dual, a right module over the opposite algebra (transposes).
     The opposite algebra lists the same generators in the same order."""
     op = m.algebra.opposite()
-    dual = m.blocks().transpose(0, 2, 1).reshape(m.stack.shape)
-    return Module(op, m.dim, ExactMatrix._wrap(op.field, dual))
+    return Module(op, m.dim, {g: m.action[g].T for g in op.generators})
 
 
 def submodule(m: Module, rows: ExactMatrix):
@@ -451,10 +445,9 @@ def quotient(m: Module, rows: ExactMatrix):
     piv = space.rref()[1]
     pivots = set(piv)
     keep = [j for j in range(m.dim) if j not in pivots]
-    proj = _empty(fld, m.dim, len(keep))
-    proj[keep, list(range(len(keep)))] = 1 if fld.characteristic else Fraction(1)
-    proj[list(piv)] = -space.a[:, keep]
-    proj = ExactMatrix(fld, proj)
+    proj = place(fld, (m.dim, len(keep)), [
+        (keep, 0, ExactMatrix.identity(fld, len(keep))),
+        (list(piv), 0, -space.take_cols(keep))])
     rows_kept = (np.arange(len(m.algebra.generators))[:, None] * m.dim
                  + keep).ravel()
     q = Module(m.algebra, len(keep), m.stack.take_rows(rows_kept) @ proj)
@@ -477,21 +470,17 @@ def direct_sum(algebra: BasicAlgebra, parts: list[Module]):
     inclusions and projections are row and column slices of one
     identity."""
     fld = algebra.field
-    total = sum(p.dim for p in parts)
-    gens = len(algebra.generators)
-    stack = _empty(fld, gens * total, total)
-    blocks = stack.reshape(gens, total, total)
+    starts = list(accumulate([p.dim for p in parts], initial=0))
+    total = starts[-1]
+    stack = place(fld, (total, total),
+                  [(off, off, p.stack) for off, p in zip(starts, parts)],
+                  depth=len(algebra.generators))
     eye = ExactMatrix.identity(fld, total)
-    cuts = []
-    off = 0
-    for p in parts:
-        blocks[:, off: off + p.dim, off: off + p.dim] = p.blocks()
-        cuts.append(range(off, off + p.dim))
-        off += p.dim
+    cuts = [range(off, off + p.dim) for off, p in zip(starts, parts)]
     proj = None
     if all(p.proj is not None for p in parts):
         proj = tuple(c for p in parts for c in p.proj)
-    m = Module(algebra, total, ExactMatrix._wrap(fld, stack), proj)
+    m = Module(algebra, total, stack, proj)
     incs = [ModuleMorphism(p, m, eye.take_rows(cut))
             for p, cut in zip(parts, cuts)]
     projs = [ModuleMorphism(m, p, eye.take_cols(cut))
@@ -546,26 +535,32 @@ class HomBasis:
     def __getitem__(self, i: int) -> ModuleMorphism:
         for off, w in self.blocks:
             if 0 <= i < w.rows:
-                return self._embed([(off, w.a[i])])
+                return self._embed([([off], w.row(i))])
             i -= w.rows
         raise IndexError("hom basis index out of range")
 
-    def combine(self, coeffs) -> ModuleMorphism:
-        """sum c_i H_i, one product per walked array."""
-        fld, parts = self.source.algebra.field, []
+    def combine(self, coeffs: ExactMatrix) -> ModuleMorphism:
+        """sum c_i H_i for the coefficient row ``coeffs``, one product per
+        walked array."""
+        parts = []
         for w, places in self.groups:
-            c = ExactMatrix(fld, [list(coeffs[row: row + w.rows])
-                                  for row, _ in places])
-            parts += zip([off for _, off in places], (c @ w).a)
+            c = coeffs.take_cols([row + i for row, _ in places
+                                  for i in range(w.rows)])
+            parts.append(([off for _, off in places],
+                          c.reshape(len(places), w.rows) @ w))
         return self._embed(parts)
 
     def _embed(self, parts) -> ModuleMorphism:
+        """The map with the rows of block s of ``flat`` from offs[s] on, for
+        (offs, flat) in parts, each row of flat a block read row by row,
+        and zero elsewhere."""
         fld, cols = self.source.algebra.field, self.target.dim
-        mat = _empty(fld, self.source.dim, cols)
-        for off, row in parts:
-            block = row.reshape(-1, cols)
-            mat[off: off + len(block)] = block
-        out = ExactMatrix._wrap(fld, mat)
+        placed = []
+        for offs, flat in parts:
+            width = flat.cols // cols
+            rows = [off + r for off in offs for r in range(width)]
+            placed.append((rows, 0, flat.reshape(len(rows), cols)))
+        out = place(fld, (self.source.dim, cols), placed)
         return ModuleMorphism(self.source, self.target,
                               out if self.left is None else self.left @ out)
 
@@ -593,9 +588,7 @@ def _walked(A, pos: int, ys: ExactMatrix, n: Module) -> ExactMatrix:
     """ys . b for each row of ys and the basis b of e_cA (c at pos), one walk
     along the words: row i holds the images of row i of ys side by side."""
     words = [A.word(k) for k in A.projective_rows(pos)]
-    imgs = walk_words(ys, words, n.action.__getitem__)
-    return ExactMatrix._wrap(A.field, np.stack(
-        [im.a for im in imgs], axis=1).reshape(ys.rows, -1))
+    return stack_cols(A.field, walk_words(ys, words, n.action.__getitem__))
 
 
 def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
@@ -605,19 +598,19 @@ def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
     the summands at one vertex are stacked and walked along the words of
     e_cA together."""
     A = p.algebra
-    mat = _empty(A.field, p.dim, n.dim)
     starts, groups, off = [], {}, 0
     for t, (pos, y) in enumerate(zip(p.proj, images)):
         starts.append(off)
         off += len(A.projective_rows(pos))
         if y is not None:
             groups.setdefault(pos, []).append(t)
+    parts = []
     for pos, ts in groups.items():
         width = len(A.projective_rows(pos))
         block = _walked(A, pos, stack_rows(A.field, [images[t] for t in ts]), n)
-        for i, t in enumerate(ts):
-            mat[starts[t]: starts[t] + width] = block.a[i].reshape(width, n.dim)
-    return ModuleMorphism(p, n, ExactMatrix(A.field, mat))
+        rows = [starts[t] + r for t in ts for r in range(width)]
+        parts.append((rows, 0, block.reshape(len(rows), n.dim)))
+    return ModuleMorphism(p, n, place(A.field, (p.dim, n.dim), parts))
 
 
 def _hom_generic(m: Module, n: Module) -> HomBasis:
@@ -631,10 +624,10 @@ def _hom_generic(m: Module, n: Module) -> HomBasis:
     check_memory(fld, len(A.generators) * size * size,
                  f"the {len(A.generators) * size} x {size} entries of the "
                  f"Kronecker system of a hom space")
-    eye_m, eye_n = (ExactMatrix.identity(fld, d).a for d in (m.dim, n.dim))
-    blocks = [kron(m.action[g].a, eye_n) - kron(eye_m, n.action[g].a.T)
-              for g in A.generators]
-    null = ExactMatrix(fld, np.concatenate(blocks, axis=0)).T.left_kernel()
+    eye_m, eye_n = (ExactMatrix.identity(fld, d) for d in (m.dim, n.dim))
+    null = stack_rows(fld, [
+        m.action[g].kron(eye_n) - eye_m.kron(n.action[g].T)
+        for g in A.generators]).T.left_kernel()
     return HomBasis(m, n, [(0, null)] if null.rows else [])
 
 
@@ -663,47 +656,58 @@ def hom_system(bases, equations):
     cols = list(accumulate([rhs.rows * rhs.cols for _, rhs in eqs], initial=0))
     check_memory(fld, starts[-1] * cols[-1], f"the {starts[-1]} x {cols[-1]} "
                  f"entries of a hom system's coefficient matrix")
-    big = _empty(fld, starts[-1], cols[-1])
-    for (terms, _), col in zip(eqs, cols):
-        for j, lft, rgt in terms:
-            basis = bases[j]
-            if basis.left is not None:
-                lft = lft @ basis.left
-            for w, places in basis.groups:
-                width = w.cols // basis.target.dim
-                walked = w.reshape(w.rows * width, basis.target.dim)
-                cuts = ExactMatrix._wrap(fld, np.concatenate(
-                    [lft.a[:, off: off + width] for _, off in places]))
-                prod = left_products(cuts, walked if rgt is None else
-                                     walked @ rgt, w.rows).a
-                prod = prod.reshape(w.rows, len(places), -1)
-                for s, (row, _) in enumerate(places):
-                    row += starts[j]
-                    big[row: row + w.rows, col: col + prod.shape[2]] = prod[:, s]
-    rhs = np.concatenate([rhs.a.reshape(-1) for _, rhs in eqs])
-    return ExactMatrix._wrap(fld, big), ExactMatrix._wrap(fld, rhs[None, :])
+
+    # made one block at a time, each placed before the next is made, so the
+    # system is held once
+    def parts():
+        for (terms, _), col in zip(eqs, cols):
+            for j, lft, rgt in terms:
+                basis = bases[j]
+                if basis.left is not None:
+                    lft = lft @ basis.left
+                for w, places in basis.groups:
+                    width = w.cols // basis.target.dim
+                    walked = w.reshape(w.rows * width, basis.target.dim)
+                    cuts = stack_rows(fld, [
+                        lft.take_cols(range(off, off + width))
+                        for _, off in places])
+                    prod = left_products(cuts, walked if rgt is None else
+                                         walked @ rgt, w.rows)
+                    # row i of block s is basis element i of the summand at s
+                    rows = [starts[j] + row + i for i in range(w.rows)
+                            for row, _ in places]
+                    yield rows, col, prod.reshape(len(rows),
+                                                  lft.rows * prod.cols)
+
+    return (place(fld, (starts[-1], cols[-1]), parts()),
+            stack_cols(fld, [rhs.reshape(1, rhs.rows * rhs.cols)
+                             for _, rhs in eqs]))
 
 
 def solve_homs(bases, equations):
     """The X_j of the pinned solution of ``hom_system``, or None."""
     big, rhs = hom_system(bases, equations)
     if not big.rows:
-        return combine_all(bases, []) if rhs.is_zero() else None
+        return (combine_all(bases, ExactMatrix.zeros(big.field, 1, 0))
+                if rhs.is_zero() else None)
     sol = big.solve_left(rhs)
-    return None if sol is None else combine_all(bases, sol.a[0])
+    return None if sol is None else combine_all(bases, sol)
 
 
-def combine_all(bases, coeffs) -> list[ModuleMorphism]:
-    """The maps sum_i c_{j,i} H_{j,i} for coefficients of its rows."""
+def combine_all(bases, coeffs: ExactMatrix) -> list[ModuleMorphism]:
+    """The maps sum_i c_{j,i} H_{j,i} for the coefficient row ``coeffs``,
+    the coefficients of each basis in turn."""
     ends = list(accumulate([len(b) for b in bases], initial=0))
-    return [b.combine(coeffs[lo:hi]) for b, lo, hi in zip(bases, ends, ends[1:])]
+    return [b.combine(coeffs.take_cols(range(lo, hi)))
+            for b, lo, hi in zip(bases, ends, ends[1:])]
 
 
 def random_hom(rng: random.Random, basis: HomBasis) -> ModuleMorphism:
     """Seeded random element of a hom space: one draw per basis element, in
     basis order."""
     fld = basis.source.algebra.field
-    return basis.combine([fld.random(rng) for _ in range(len(basis))])
+    return basis.combine(ExactMatrix(fld, [[fld.random(rng)
+                                            for _ in range(len(basis))]]))
 
 
 # -- isomorphism testing -------------------------------------------------------
@@ -928,19 +932,17 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
         (rm_u, _), (_, rb_w) = dims[u], dims[w]
         if rm_u == 0 or rb_w == 0:
             continue
-        blk = _empty(fld, rm_u * rb_w, big_dim)
-        eye_b, eye_m = (ExactMatrix.identity(fld, k).a for k in (rb_w, rm_u))
-        blk[:, offsets[w]: offsets[w + 1]] = kron(mg_c.a, eye_b)
-        blk[:, offsets[u]: offsets[u + 1]] -= kron(eye_m, b_arrows[g].a)
-        rel_blocks.append(blk)
+        eye_b, eye_m = (ExactMatrix.identity(fld, k) for k in (rb_w, rm_u))
+        shape = (rm_u * rb_w, big_dim)
+        rel_blocks.append(
+            place(fld, shape, [(0, offsets[w], mg_c.kron(eye_b))])
+            - place(fld, shape, [(0, offsets[u], eye_m.kron(b_arrows[g]))]))
 
     live = [v for v, (rm, rb) in enumerate(dims) if rm and rb]
 
     def big_matrix(block) -> ExactMatrix:
-        big = _empty(fld, big_dim, big_dim)
-        for v in live:
-            big[offsets[v]: offsets[v + 1], offsets[v]: offsets[v + 1]] = block(v)
-        return ExactMatrix(fld, big)
+        return place(fld, (big_dim, big_dim),
+                     [(offsets[v], offsets[v], block(v)) for v in live])
 
     big_action = {}
     if m_other is not None:
@@ -948,16 +950,15 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
         for k in m.algebra.generators:
             i, j = divmod(k, algebra.dim)
             big_action[k] = big_matrix(
-                lambda v: kron(m_other[i][v].a, b_other[j][v].a))
+                lambda v: m_other[i][v].kron(b_other[j][v]))
     else:
-        eyes = [ExactMatrix.identity(fld, rm).a for rm, _ in dims]
+        eyes = [ExactMatrix.identity(fld, rm) for rm, _ in dims]
         for g in algebra.generators:
-            big_action[g] = big_matrix(
-                lambda v: kron(eyes[v], b_other[g][v].a))
+            big_action[g] = big_matrix(lambda v: eyes[v].kron(b_other[g][v]))
     big_module = Module(m.algebra if m_other is not None else algebra,
                         big_dim, big_action)
 
-    rel = (ExactMatrix(fld, np.concatenate(rel_blocks)) if rel_blocks
+    rel = (stack_rows(fld, rel_blocks) if rel_blocks
            else ExactMatrix.zeros(fld, 0, big_dim))
     q, proj, lift = quotient(big_module, rel)
     return TensorData(q, algebra, m_rows, b_rows, offsets, proj.matrix, lift, m, b)

@@ -23,7 +23,13 @@ from .algebra import (
     identity_automorphism,
     verify_automorphism,
 )
-from .fields import ExactMatrix, check_memory
+from .fields import (
+    ExactMatrix,
+    LinearAlgebraError,
+    check_memory,
+    stack_cols,
+    stack_rows,
+)
 from .fields import MEMORY_BOUND, ResourceBoundExceeded  # noqa: F401 re-exported
 from .modules import (
     Module,
@@ -118,8 +124,7 @@ def detect_twist(algebra: BasicAlgebra, m: Module) -> TwistWitness | None:
     # row j: the coordinates of g . b_j in the left basis g . b_k
     images = walk_words(g, [algebra.word(j) for j in range(algebra.dim)],
                         lambda x: bim_right_action(m, algebra, x))
-    sigma_matrix = ExactMatrix(algebra.field, np.concatenate(
-        [im.a for im in images])) @ phi.matrix.inv()
+    sigma_matrix = stack_rows(algebra.field, images) @ phi.matrix.inv()
     if not sigma_matrix.is_invertible():
         # no free generator induces an invertible twist, so none does
         return None
@@ -142,13 +147,9 @@ def is_inner(algebra: BasicAlgebra, rho: Automorphism):
     coordinates decides the question.
     """
     fld = algebra.field
-    blocks = []
-    for g in algebra.generators:
-        rho_g = rho.matrix.row(g)
-        blocks.append((algebra.element_left_matrix(rho_g)
-                       - algebra.right_mult[g]).a)
-    big = ExactMatrix(fld, np.concatenate(blocks, axis=1))
-    space = big.left_kernel()
+    space = stack_cols(fld, [
+        algebra.element_left_matrix(rho.matrix.row(g)) - algebra.right_mult[g]
+        for g in algebra.generators]).left_kernel()
     coeffs = nowhere_zero(space.take_cols(algebra.idempotents))
     if coeffs is None:
         return None
@@ -363,26 +364,21 @@ def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int],
         if len(path) == 1 and not isinstance(path[0], tuple):
             arrow_basis_index[path[0]] = idx
 
+    eye = ExactMatrix.identity(fld, algebra.dim)
+
     def build(scalars) -> ExactMatrix:
         rows = []
         for path in algebra.basis_paths:
             if isinstance(path[0], tuple):
-                v = path[0][1]
-                row = ExactMatrix.zeros(fld, 1, algebra.dim).a.copy()
-                row.flags.writeable = True
-                row[0, algebra.idempotents[perm[v]]] = 1
-                rows.append(ExactMatrix(fld, row))
+                rows.append(eye.row(algebra.idempotents[perm[path[0][1]]]))
                 continue
             acc = None
             for ai in path:
                 img_idx = arrow_basis_index[arrow_map[ai]]
-                vec = ExactMatrix.zeros(fld, 1, algebra.dim).a.copy()
-                vec.flags.writeable = True
-                vec[0, img_idx] = scalars[ai]
-                vec = ExactMatrix(fld, vec)
+                vec = eye.row(img_idx).scale(scalars[ai])
                 acc = vec if acc is None else algebra.multiply(acc, vec)
             rows.append(acc)
-        return ExactMatrix(fld, np.concatenate([r.a for r in rows], axis=0))
+        return stack_rows(fld, rows)
 
     out = []
     stream = _scalings(perm, arrow_map, _Scalars(fld.characteristic),
@@ -410,18 +406,7 @@ def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
 
     Returns (sigma', witness') or the original pair.
     """
-    perm = sigma.vertex_action()
-    if perm is None:
-        # read the vertex permutation modulo the radical
-        perm = []
-        for i in algebra.idempotents:
-            row = sigma.matrix.a[i]
-            hits = [qq for qq, j in enumerate(algebra.idempotents) if row[j] != 0]
-            if len(hits) != 1:
-                return sigma, witness
-            perm.append(hits[0])
-        if sorted(perm) != list(range(len(algebra.idempotents))):
-            return sigma, witness
+    perm = sigma.vertex_action()  # a permutation for any automorphism
     base_order = sigma.matrix_order(64) or 10 ** 9
     sigma_inv = sigma.inverse()
     found = []
@@ -436,16 +421,14 @@ def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
             twisted_bimodule(algebra, cand), witness.target,
             r_u @ witness.matrix,
         )
-        env_gens = algebra.enveloping().generators
-        tw = new_witness.source
-        ok = all(
-            tw.action[g] @ new_witness.matrix
-            == new_witness.matrix @ witness.target.action[g]
-            for g in env_gens
-        ) and new_witness.matrix.is_invertible()
-        if ok:
-            found.append((cand, new_witness))
-        return ok
+        try:
+            new_witness.verify()
+        except LinearAlgebraError:
+            return False
+        if not new_witness.matrix.is_invertible():
+            return False
+        found.append((cand, new_witness))
+        return True
 
     monomial_twist_candidates(algebra, perm, base_order, MAX_INNER_TESTS,
                               inner_equivalent)

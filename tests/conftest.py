@@ -251,7 +251,7 @@ def tensor_module_oracle(m, b, algebra):
     import numpy as np
     from fractions import Fraction
 
-    from nangulator.fields import ExactMatrix, _empty, row_space, stack_rows
+    from nangulator.fields import ExactMatrix, row_space, stack_rows
     from nangulator.modules import (Module, TensorData, _coords_in,
                                     bim_left_action, bim_right_action,
                                     right_action_over)
@@ -334,7 +334,7 @@ def tensor_morphism_left(td_src, td_dst, f):
     """Transport f: M -> M' to f (x) id_B between tensor quotients (the
     program's map before X^k(M) was evaluated directly), kept as an
     oracle."""
-    from nangulator.fields import ExactMatrix, _empty
+    from nangulator.fields import ExactMatrix
     from nangulator.modules import ModuleMorphism, _coords_in
 
     algebra = td_src.base
@@ -356,7 +356,7 @@ def tensor_morphism_left(td_src, td_dst, f):
 def tensor_morphism_right(td_src, td_dst, d):
     """Transport a bimodule map d: B -> B' to id_M (x) d between tensor
     quotients, kept as an oracle."""
-    from nangulator.fields import ExactMatrix, _empty
+    from nangulator.fields import ExactMatrix
     from nangulator.modules import ModuleMorphism, _coords_in
 
     algebra = td_src.base
@@ -378,7 +378,7 @@ def tensor_morphism_right(td_src, td_dst, d):
 def unit_into_tensor(td):
     """The canonical map M -> M (x)_A B for B a twist model of the regular
     bimodule: m e_v maps to (m e_v) (x) e_v.  Kept as an oracle."""
-    from nangulator.fields import ExactMatrix, _empty
+    from nangulator.fields import ExactMatrix
     from nangulator.modules import ModuleMorphism, _coords_in, right_action_over
 
     algebra = td.base
@@ -406,7 +406,7 @@ def multiply_out_of_tensor(td, target):
     of the regular bimodule and target the matching right twist of M: the
     class of m (x) y maps to m . y (plain action of y on m).  Kept as an
     oracle."""
-    from nangulator.fields import ExactMatrix, _empty
+    from nangulator.fields import ExactMatrix
     from nangulator.modules import ModuleMorphism, right_action_over
 
     algebra = td.base
@@ -476,7 +476,7 @@ def quotient_to_direct(td, cover, tau, term):
 
     Returns (phi, big): big is the same map on the space before the
     quotient, so it is well defined iff td.project @ phi == big."""
-    from nangulator.fields import ExactMatrix, _empty
+    from nangulator.fields import ExactMatrix
     from nangulator.modules import ModuleMorphism, right_twist
 
     A = td.base
@@ -870,6 +870,32 @@ def tops_oracle(m):
     return out
 
 
+def _empty(field, rows, cols):
+    """A zero array of field values, for oracles that fill in entries:
+    int64 residues over F_p, ``Fraction(0)`` objects over Q."""
+    from fractions import Fraction
+
+    if field.characteristic:
+        return np.zeros((rows, cols), dtype=np.int64)
+    a = np.empty((rows, cols), dtype=object)
+    a[...] = Fraction(0)
+    return a
+
+
+def numerators(a):
+    """(N, d) with a = N / d: N an object array of Python ints and d the
+    lcm of the denominators of the rational (or integer) entries of a,
+    read off the ``Fraction`` values; the Q oracle for the integers over one
+    denominator that ``ExactMatrix`` stores."""
+    import math
+
+    flat = a.ravel().tolist()
+    d = math.lcm(*{x.denominator for x in flat})
+    n = np.empty(len(flat), dtype=object)
+    n[:] = [x.numerator * (d // x.denominator) for x in flat]
+    return n.reshape(a.shape), d
+
+
 def fraction_eliminate(a):
     """Gauss-Jordan elimination on ``Fraction`` entries with pinned pivoting
     (leftmost column, topmost row), (reduced array, pivot columns): the
@@ -959,7 +985,7 @@ def quotient_loop(m, rows):
     """``modules.quotient`` (the closed form), one product per generator."""
     from fractions import Fraction
 
-    from nangulator.fields import ExactMatrix, _empty, row_space
+    from nangulator.fields import ExactMatrix, row_space
     from nangulator.modules import Module, ModuleMorphism
 
     space = row_space(rows)
@@ -985,7 +1011,7 @@ def direct_sum_loop(algebra, parts):
     the inclusions and projections filled entry by entry."""
     from fractions import Fraction
 
-    from nangulator.fields import ExactMatrix, _empty, block_diag
+    from nangulator.fields import ExactMatrix, block_diag
     from nangulator.modules import Module, ModuleMorphism
 
     fld = algebra.field

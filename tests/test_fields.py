@@ -327,7 +327,8 @@ def test_both_prime_field_paths_match_full_width_elimination(p, shape, kind,
     assert kind != "low rank" or len(want_piv) <= 3
     for cut in (0, a.size, fields.ROW_LOOP_CELLS):
         monkeypatch.setattr(fields, "ROW_LOOP_CELLS", cut)
-        got, piv = fields._eliminate(p, a)
+        got, d, piv = fields._eliminate(p, a)
+        assert d == 1
         assert piv == want_piv
         assert got.dtype == np.int64 and got.shape == a.shape
         assert np.array_equal(got, want)
@@ -439,29 +440,67 @@ def test_rational_product_matches_object_product(data):
     r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
     a, b = data.draw(q_matrix(r, k)), data.draw(q_matrix(k, c))
     _same_fractions(a @ b, fraction_matmul(a.a, b.a))
-    # a second product reuses the numerators the first one kept
+    # a second product on the stored numerators of the first
     _same_fractions((a @ b) @ b.T, fraction_matmul(fraction_matmul(a.a, b.a), b.a.T))
 
 
 @given(st.data())
 def test_kept_numerators_are_over_the_least_common_denominator(data):
-    # equality compares kept numerators, so every operation must keep them
-    # in their one lowest form
-    from nangulator.fields import _numerators, block_diag, stack_rows
+    # equality and digests compare the stored (n, d), so every operation,
+    # cut and placement must store them in their one lowest form
+    from conftest import numerators
+
+    from nangulator.fields import block_diag, place, stack_cols, stack_rows
 
     r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     a, b = data.draw(q_matrix(r, c)), data.draw(q_matrix(r, c))
     c_ = data.draw(q_entries)
     results = [a @ b.T, a + b, a - b, -a, a.scale(c_), a.kron(b), a.T,
                a.reshape(c, r), a.row(0), a.take_rows([r - 1]),
-               a.take_cols([0]), (a @ b.T).take_cols([0]),
-               stack_rows(QQ, [a, b]), block_diag(QQ, [a, b]),
+               a.take_rows(range(r - 1, r)), a.take_cols([0]),
+               a.take_cols(range(c - 1)), (a @ b.T).take_cols([0]),
+               *a.split_rows(r), stack_rows(QQ, [a, b]),
+               stack_cols(QQ, [a, b]), block_diag(QQ, [a, b]),
+               place(QQ, (r + 2, 2 * c), [([r + 1, 0][:r], c, a.take_rows(
+                   range(min(r, 2)))), (0, [0][:c], b.take_cols([0][:c]))]),
+               place(QQ, (2 * r, c + 1), [(0, 1, stack_rows(QQ, [a, b]))],
+                     depth=2),
                ExactMatrix.identity(QQ, r)]
     for m in results:
-        n, d = m.numerators()
-        fresh_n, fresh_d = _numerators(m.a)
-        assert d == fresh_d and n.tolist() == fresh_n.tolist()
+        fresh_n, fresh_d = numerators(m.a)
+        assert m.d == fresh_d and m.n.tolist() == fresh_n.tolist()
         assert m == ExactMatrix(QQ, m.a)
+        assert m.digest() == ExactMatrix(QQ, m.a).digest()
+
+
+def test_module_stacks_over_q_are_in_lowest_terms():
+    # the stacks that direct_sum, dual_module and twisted_bimodule build
+    # from other stacks without arithmetic, on a module with fractions
+    from conftest import nakayama_text, numerators
+
+    from nangulator.algebra import compute_basis, verify_automorphism
+    from nangulator.modules import (
+        Module, direct_sum, dual_module, projective_module, twisted_bimodule)
+    from nangulator.quiver import parse_algebra
+
+    A = compute_basis(parse_algebra(nakayama_text(2, 2, 0)))
+    P = projective_module(A, 0)
+    halves = Module(A, P.dim, {g: P.action[g].scale(Fraction(1, 2))
+                               for g in A.generators})
+    # the automorphism that halves one arrow (kQ_2/I_2 has no longer paths)
+    arrow = A.radical_right_generators[0]
+    sigma = verify_automorphism(A, ExactMatrix(QQ, [
+        [Fraction(1, 2 if i == j == arrow else 1) if i == j else 0
+         for j in range(A.dim)] for i in range(A.dim)]))
+    twisted = twisted_bimodule(A, sigma).stack
+    stacks = [direct_sum(A, [halves, P, halves])[0].stack,
+              dual_module(halves).stack, twisted,
+              *halves.stack.split_rows(len(A.generators)),
+              *twisted.split_rows(len(A.enveloping().generators))]
+    assert halves.stack.d == twisted.d == 2
+    for m in stacks:
+        fresh_n, fresh_d = numerators(m.a)
+        assert m.d == fresh_d and m.n.tolist() == fresh_n.tolist()
 
 
 @given(st.data())
@@ -524,12 +563,12 @@ def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
     # kept numerators are over the least common denominator, also on a cut
     # that needs a smaller one than the matrix it is cut from
     m = mat(QQ, [[Fraction(1, 2), Fraction(1, 3)], [1, -1]])
-    assert m.numerators()[1] == 6
+    assert m.d == 6
     cuts = [m.take_rows([1]), m.row(1), m.T.T.take_rows([1]),
             m.T.take_cols([1]).T, m.reshape(1, 4).take_cols([2, 3])]
     fresh = mat(QQ, [[1, -1]])
     for cut in cuts:
-        assert cut.numerators()[1] == 1
+        assert cut.d == 1
         assert cut == fresh and fresh == cut
         assert cut != mat(QQ, [[1, 1]])
         _same_fractions(cut @ m, fraction_matmul(fresh.a, m.a))
@@ -539,9 +578,9 @@ def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
                           Fraction(-3, 4) + Fraction(1, 3)]])
     # integer numerators are carried into cuts
     z = mat(QQ, [[1, 2], [3, -4]])
-    assert z.numerators()[1] == 1
-    assert z.T.take_cols([1]).numerators()[0].tolist() == [[3], [-4]]
-    assert z.reshape(4, 1).row(3).numerators()[0].tolist() == [[-4]]
+    assert z.d == 1
+    assert z.T.take_cols([1]).n.tolist() == [[3], [-4]]
+    assert z.reshape(4, 1).row(3).n.tolist() == [[-4]]
 
 
 @pytest.mark.parametrize("cut", [1, 17, fields.CUT_CELLS])
@@ -568,7 +607,9 @@ def test_left_products_match_one_product_per_block(p, cut, monkeypatch):
                             (2, 0, 3, 4)]:
         x, stack = random_matrix(k, n), random_matrix(blocks * n, c)
         parts = stack.split_rows(blocks)
-        assert all(b.a.base is not None for b in parts if b.a.size)
+        # a block keeps the stack's denominator unless its own is smaller
+        assert all(b.n.base is not None for b in parts
+                   if b.n.size and b.d == stack.d)
         cols = [c - 1, 0] if c > 1 else []
         want = stack_rows(field, [x @ b for b in parts])
         assert left_products(x, stack, blocks) == want
@@ -592,3 +633,28 @@ def test_unequal_entries_match_entrywise_comparison(p):
                                                     y.a.ravel().tolist())],
                             dtype=bool).reshape(x.shape)
             assert np.array_equal(unequal_entries(x, y), want)
+
+
+def test_only_fields_knows_the_storage_of_a_matrix():
+    # the integer entries over one denominator stay behind ``fields``: no
+    # other module of the package imports ``fractions`` or an underscore
+    # name of ``fields``
+    import ast
+    import pathlib
+
+    package = pathlib.Path(fields.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                offenders += [(path.name, a.name) for a in node.names
+                              if a.name.split(".")[0] == "fractions"]
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "fractions":
+                    offenders.append((path.name, "fractions"))
+                elif node.module in ("fields", "nangulator.fields"):
+                    offenders += [(path.name, a.name) for a in node.names
+                                  if a.name.startswith("_")]
+    assert offenders == []

@@ -31,7 +31,7 @@ from conftest import (
 )
 
 import nangulator
-from nangulator import homology, modules, periodicity
+from nangulator import fields, homology, modules, periodicity
 
 from nangulator.algebra import (
     compute_basis,
@@ -797,6 +797,32 @@ def test_verify_names_the_first_failing_element_as_the_loop_does(p):
         assert got == _verify_outcome(verify_loop, f, exhaustive)
     first = int(got.rsplit(" ", 1)[1])
     assert first not in A.idempotents
+
+
+@pytest.mark.parametrize("p", [5, 0])
+def test_verify_in_groups_stops_at_the_first_failing_group(p, monkeypatch):
+    # groups of one and of two elements: the first failing group is a later
+    # one, the check names the element the loop names, and no group after
+    # it is multiplied
+    A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
+    M = regular_module(A)
+    f = modules.ModuleMorphism(M, M, ExactMatrix.identity(A.field, M.dim)
+                               + M.action[A.idempotents[0]])
+    groups = []
+    real = modules.left_products
+    monkeypatch.setattr(modules, "left_products",
+                        lambda *args: groups.append(args[2]) or real(*args))
+    for exhaustive in (False, True):
+        idx = list(range(A.dim)) if exhaustive else A.generators
+        want = _verify_outcome(verify_loop, f, exhaustive)
+        first = idx.index(int(want.rsplit(" ", 1)[1]))
+        for size in (1, 2):
+            monkeypatch.setattr(fields, "CUT_CELLS", size * M.dim * M.dim)
+            groups.clear()
+            got = _verify_outcome(modules.ModuleMorphism.verify, f, exhaustive)
+            assert got == want
+            assert len(groups) == first // size + 1 > 1
+            assert set(groups) == {size}
 
 
 @pytest.mark.parametrize("p", [5, 0])

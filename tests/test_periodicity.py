@@ -14,6 +14,7 @@ from conftest import (
     member_of_row_space,
     nakayama_text,
     padded,
+    preprojective_text,
     search_iso,
     syzygies_up_to,
 )
@@ -86,6 +87,34 @@ def test_nakayama_2_2_fourth_syzygy_dimension():
     A, _ = load_fixture("nakayama_2_2")
     oms = syzygies_up_to(A, 4)
     assert oms[3].dim == A.dim == 4
+
+
+def test_vertex_action_is_a_permutation_for_every_reported_twist(
+        monkeypatch):
+    # sigma(e_i) is a primitive idempotent, so modulo the radical it is
+    # exactly one e_j: the twist every scan extracts, the one it reports
+    # after normalisation, act on the vertices by a permutation
+    seen = []
+    real = periodicity.normalize_twist
+
+    def recording(algebra, sigma, witness):
+        out = real(algebra, sigma, witness)
+        seen.extend((sigma, out[0]))
+        return out
+
+    monkeypatch.setattr(periodicity, "normalize_twist", recording)
+    algebras = [load_fixture(path.stem)
+                for path in sorted(FIXTURES.glob("*.json"))]
+    algebras = [A for A, nakayama in algebras if nakayama is not None]
+    algebras.append(
+        compute_basis(parse_algebra(preprojective_text("A", 4, 5))))
+    reports = [periodicity.quasi_period_scan(A) for A in algebras]
+    assert sum(rep is not None for rep in reports) >= 14
+    assert len(seen) >= 28
+    seen += [rep.twist for rep in reports if rep is not None]
+    for sigma in seen:
+        perm = sigma.vertex_action()
+        assert sorted(perm) == list(range(len(sigma.algebra.idempotents)))
 
 
 def test_scan_reports_verified_witness():
