@@ -20,6 +20,8 @@ for Q, written to a temporary directory), then ``verify --samples 1 --seed
 7`` on the preprojective algebra Pi(A4) and ``period`` on Pi(D4) over F5
 (labelled ``Pi(A4)/F5`` and ``Pi(D4)/F5``): 121 lines.
 Diff the output of two checkouts to see which reports changed.
+``tests/golden/report_digests.txt`` holds the expected lines, and
+``tests/test_cli.py`` recomputes them through ``digest_lines``.
 """
 
 import contextlib
@@ -119,14 +121,20 @@ def commands(tmp):
         yield f"Pi({kind}{n})/F5", path, args
 
 
-def main() -> None:
+def digest_lines():
+    """Yield the digest line of each command, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, path, args in commands(pathlib.Path(tmp)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run_cli([args[0], str(path)] + args[1:])
             digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-            print(f"{name}:{','.join(args)} {code} {digest[:16]}", flush=True)
+            yield f"{name}:{','.join(args)} {code} {digest[:16]}"
+
+
+def main() -> None:
+    for line in digest_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

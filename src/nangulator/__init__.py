@@ -36,7 +36,6 @@ from .homology import Homology, projective_cover, syzygy
 from .periodicity import (
     PeriodicityReport,
     detect_twist,
-    iterated_sequence,
     quasi_period_scan,
 )
 from .angulation import (
@@ -87,7 +86,6 @@ __all__ = [
     "identity_automorphism",
     "is_exact",
     "iso_test",
-    "iterated_sequence",
     "load_algebra_file",
     "parse_algebra",
     "projective_cover",

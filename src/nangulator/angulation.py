@@ -14,7 +14,8 @@ a projective bimodule Q = (+) A e_u (x) e_v A whose left action is twisted by
 an automorphism tau, so M (x)_A B_k = (+) M'e_u (x) e_v A with M' the right
 twist of M by tau.  X^k(M) is the standard projective with one copy of e_vA
 per basis row of M'e_u, and every map out of it is given by the images of
-its summand generators.
+its summand generators.  No B_k is built: the sequence keeps (Q, tau) and
+the resolution's matrices, which the left twist leaves unchanged.
 """
 
 from __future__ import annotations
@@ -38,12 +39,10 @@ from .modules import (
     map_from_generators,
     pullback,
     right_twist,
-    left_twist,
     standard_projective,
-    twisted_bimodule,
     zero_morphism,
 )
-from .periodicity import PeriodicityReport, iterated_sequence
+from .periodicity import PeriodicityReport
 
 
 class FillError(ValueError):
@@ -162,25 +161,26 @@ class TensorTerm:
 @dataclass
 class FunctorSequence:
     """The exact sequence of exact endofunctors 0 -> Id -> X^1 -> ... ->
-    X^N -> suspension -> 0, realized by bimodules B_1..B_N with connecting
-    maps, a unit out of the regular bimodule and a counit into the twisted
-    bimodule model of the suspension.
+    X^N -> suspension -> 0, X^i = - (x)_A B_i.
 
-    ``covers[i]`` = (Q_i, tau_i) with Q_i a ``proj`` bimodule and
-    B_i = left_twist(Q_i, tau_i); the counit's target is
-    twisted_bimodule(A, end_twist).  Terms and maps are computed from these
-    alone; only the "suspended" entry of a value comes from ``suspension``."""
+    ``covers[i]`` = (Q_i, tau_i): Q_i is a ``proj`` term of the minimal
+    bimodule resolution and B_i is Q_i with its left action twisted by
+    tau_i.  The bimodule maps are kept as matrices, which left twists leave
+    unchanged: ``connecting[i]`` B_i -> B_{i+1}, ``unit_matrix`` from the
+    regular bimodule to B_1 and ``counit_matrix`` from B_N to the regular
+    bimodule right-twisted by ``end_twist``.  Terms and maps are computed
+    from these alone; only the "suspended" entry of a value comes from
+    ``suspension``."""
 
     algebra: BasicAlgebra
     engine: Homology
     suspension: Suspension
     length: int
-    bimodules: list[Module]
     covers: list[tuple[Module, Automorphism]]
     end_twist: Automorphism
-    connecting: list[ModuleMorphism]     # B_i -> B_{i+1}
-    unit_map: ModuleMorphism             # regular bimodule -> B_1
-    counit_map: ModuleMorphism           # B_N -> twisted model
+    connecting: list[ExactMatrix]        # B_i -> B_{i+1}
+    unit_matrix: ExactMatrix             # regular bimodule -> B_1
+    counit_matrix: ExactMatrix           # B_N -> twisted regular bimodule
 
     def __post_init__(self):
         self._summands = [_summand_generators(q) for q, _ in self.covers]
@@ -209,18 +209,18 @@ class FunctorSequence:
             src, dst = tensors[k], tensors[k + 1]
             gen_rows = [row for _, _, row in self._summands[k]]
             maps.append(src.map_out(dst.module, lambda s, gens: _tensor_rows(
-                dst.twisted, dst.cover, gens, d.matrix.row(gen_rows[s]))))
+                dst.twisted, dst.cover, gens, d.row(gen_rows[s]))))
         first = tensors[0]
-        xi = self.algebra.unit() @ self.unit_map.matrix  # the image of 1
+        xi = self.algebra.unit() @ self.unit_matrix  # the image of 1
         unit = ModuleMorphism(m, first.module, _tensor_rows(
             first.twisted, first.cover,
             ExactMatrix.identity(self.algebra.field, m.dim), xi))
-        # m (x) y in M (x)_A twisted_bimodule(end_twist) goes to m . y
+        # m (x) y in M (x)_A (A right-twisted by end_twist) goes to m . y
         end = _twist_once(twisted, self.end_twist.matrix.digest(), m,
                           self.end_twist)
         last_rows = [row for _, _, row in self._summands[-1]]
         counit = tensors[-1].map_out(end, lambda s, gens: gens @ m.combination(
-            _terms(self.counit_map.matrix.row(last_rows[s]).a[0])))
+            _terms(self.counit_matrix.row(last_rows[s]).a[0])))
         val = {"terms": [t.module for t in tensors], "maps": maps,
                "unit": unit, "counit": counit,
                "suspended": self.suspension.apply(m), "module": m,
@@ -238,8 +238,16 @@ def suspension(algebra: BasicAlgebra, sigma: Automorphism, m: int) -> Suspension
 
 def functor_sequence(engine: Homology, report: PeriodicityReport,
                      m: int) -> FunctorSequence:
-    """Build the exact endofunctor sequence of length m * quasi_period from
-    the spliced bimodule resolution, tensored with the inverse twist."""
+    """The exact endofunctor sequence of length N = m * n, n the
+    quasi-period, read off the minimal bimodule resolution P with
+    differentials d_k, the twist sigma and the inclusion iota of the
+    sigma-twisted regular bimodule onto Omega^n A in P_{n-1}.
+
+    B_i is P_{j mod n}, j = N - i, left-twisted by sigma^(j div n - m): m
+    spliced copies of the length-n segment, tensored with sigma^-m.  Left
+    twists keep every matrix, so the connecting map out of position j is
+    d_{j mod n}, or d_0 sigma iota at a junction (j mod n = 0); the unit is
+    sigma iota and the counit d_0 sigma^-m."""
     algebra = report.resolution.algebra
     n = report.quasi_period
     total = m * n
@@ -248,28 +256,17 @@ def functor_sequence(engine: Homology, report: PeriodicityReport,
             f"angulation length m*n = {total} must be at least 3; "
             f"increase the multiplier"
         )
-    spliced = iterated_sequence(report, m)
-    sus = suspension(algebra, report.twist, m)
-    inv_m = report.twist.power(-m)
-    # B_i = left twist of Q_{N+1-i}; differentials keep their matrices.  The
-    # spliced term Q_j of copy c = j // n is the base term left-twisted by
-    # sigma^c, so B_i is that base term left-twisted by sigma^(c - m)
-    bims = [left_twist(spliced.terms[total - i], inv_m) for i in range(1, total + 1)]
-    covers = [(report.resolution.terms[j % n], report.twist.power(j // n - m))
+    res, sigma = report.resolution, report.twist
+    diffs = [d.matrix for d in res.differentials[:n]]
+    unit = sigma.matrix @ report.witness.matrix @ res.inclusions[n - 1].matrix
+    inv_m = sigma.power(-m)
+    covers = [(res.terms[j % n], sigma.power(j // n - m))
               for j in range(total - 1, -1, -1)]
-    connecting = []
-    for i in range(1, total):
-        mat = spliced.differentials[total - i].matrix
-        connecting.append(ModuleMorphism(bims[i - 1], bims[i], mat))
-    regular = spliced.differentials[0].target  # the regular bimodule model
-    # unit: regular -> B_1 through the canonical twist identification
-    unit_mat = report.twist.power(m).matrix @ spliced.end_inclusion.matrix
-    unit_map = ModuleMorphism(regular, bims[0], unit_mat)
-    twisted_end = twisted_bimodule(algebra, inv_m)
-    counit_mat = spliced.differentials[0].matrix @ inv_m.matrix
-    counit_map = ModuleMorphism(bims[-1], twisted_end, counit_mat)
-    return FunctorSequence(algebra, engine, sus, total, bims, covers, inv_m,
-                           connecting, unit_map, counit_map)
+    connecting = [diffs[j % n] if j % n else diffs[0] @ unit
+                  for j in range(total - 1, 0, -1)]
+    return FunctorSequence(algebra, engine, suspension(algebra, sigma, m),
+                           total, covers, inv_m, connecting, unit,
+                           diffs[0] @ inv_m.matrix)
 
 
 @dataclass
@@ -404,15 +401,11 @@ def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
     return alpha
 
 
-def angle_comparison(seq: FunctorSequence, x: AngleSequence,
-                     kernel=None) -> tuple:
+def angle_comparison(seq: FunctorSequence, x: AngleSequence) -> tuple:
     """Read an exact angle as the start of an injective resolution of the
     kernel of its first map; returns (kernel module, inclusion, beta) where
     beta: Suspension(kernel) -> Omega^{-N} kernel is the induced comparison."""
-    if kernel is None:
-        m, incl = kernel_of(x.maps[0])
-    else:
-        m, incl = kernel
+    m, incl = kernel_of(x.maps[0])
     # factor the last map through the suspension of the kernel
     pi_mat = incl.matrix.solve_left(x.maps[-1].matrix)
     if pi_mat is None:

@@ -176,6 +176,8 @@ def cmd_angulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     try:
         algebra, nakayama, report = _scan(args)
     except NotSelfInjectiveError as e:
@@ -191,7 +193,7 @@ def cmd_verify(args) -> int:
             f"{report.quasi_period}"
         )
     seed = _seed(args)
-    samples = args.samples or 20
+    samples = 20 if args.samples is None else args.samples
     m = _pick_multiplier(args, report.quasi_period)
     engine = Homology(algebra, nakayama)
     seq = functor_sequence(engine, report, m)

@@ -81,7 +81,6 @@ class ResolutionStep:
 class Resolution:
     """A standard injective resolution M -> I_0 -> I_1 -> ... (fixed hulls)."""
 
-    kind: str
     base: Module
     steps: list[ResolutionStep]
 
@@ -164,17 +163,13 @@ class Homology:
         q, proj, _ = quotient(I, iota.matrix)
         return I, iota, q, proj
 
-    def cosyzygy(self, m: Module) -> Module:
-        """Minimal first cosyzygy: cokernel of the injective hull."""
-        return self.resolution(m, 1).cosyzygy(1)
-
     def resolution(self, m: Module, length: int) -> Resolution:
         """The pinned standard injective resolution of m, extended on demand
         and memoized by module contents."""
         key = m.digest()
         res = self._resolutions.get(key)
         if res is None:
-            res = Resolution("injective", m, [])
+            res = Resolution(m, [])
             self._resolutions[key] = res
         cur = res.base if not res.steps else res.steps[-1].cosyzygy
         while len(res.steps) < length:

@@ -373,21 +373,6 @@ def right_twist(m: Module, tau: Automorphism) -> Module:
     return _substituted(m, lambda g: _terms(a[g]))
 
 
-def left_twist(m: Module, tau: Automorphism) -> Module:
-    """Substitution model of the tau-twisted regular bimodule tensored on the
-    left of a bimodule m: the generator u (x) v acts as the original
-    tau^{-1}(u) (x) v.  Morphism matrices are unchanged."""
-    A = tau.algebra
-    assert m.algebra is A.enveloping()
-    inv = tau.inverse().matrix.a
-    d = A.dim
-
-    def terms(g):
-        i, j = divmod(g, d)
-        return [(s * d + j, c) for s, c in _terms(inv[i])]
-    return _substituted(m, terms)
-
-
 def restrict_to_left_factor(m: Module, algebra: BasicAlgebra) -> Module:
     """Restrict a bimodule to its left action, as a right A^op-module."""
     assert m.algebra is algebra.enveloping()

@@ -1,6 +1,6 @@
 """Bimodule resolutions over the enveloping algebra, quasi-periodicity
-detection, twist extraction and the spliced exact sequences used to build
-the suspension data.
+detection and twist extraction: the data the functor sequence and the
+suspension are read from.
 
 Bimodules are modules over A^e stored by their generator actions (e_i (x)
 e_j, a (x) e_j and e_i (x) a), and each projective cover is a direct sum of
@@ -36,7 +36,6 @@ from .modules import (
     ModuleMorphism,
     bim_right_action,
     iso_test,
-    left_twist,
     opposite_regular,
     restrict_to_left_factor,
     top_multiplicities,
@@ -471,62 +470,3 @@ def quasi_period_scan(algebra: BasicAlgebra,
             power = power.compose(sigma)
         return PeriodicityReport(n, sigma, order, period, witness, res)
     return None
-
-
-@dataclass
-class SplicedSequence:
-    """The exact bimodule sequence obtained by splicing m twisted copies of
-    the base resolution segment: 0 -> T_m -> Q_{mn} -> ... -> Q_1 -> A -> 0
-    where T_m is the substitution model of the (sigma^m)-twisted bimodule."""
-
-    algebra: BasicAlgebra
-    twist: Automorphism
-    copies: int
-    terms: list[Module]                 # Q_1 .. Q_{mn}
-    differentials: list[ModuleMorphism]  # Q_1 -> A, then Q_k -> Q_{k-1}
-    end_inclusion: ModuleMorphism        # twisted bimodule sigma^m -> Q_{mn}
-    end_module: Module                   # the literal twisted bimodule model
-
-
-def iterated_sequence(report: PeriodicityReport, m: int) -> SplicedSequence:
-    """Splice m twisted copies of the length-n segment into an exact
-    sequence of length m*n ending in the (sigma^m)-twisted bimodule.
-
-    Twisting on the left is realized by the action-substitution model, under
-    which all differential matrices are reused unchanged; the junction maps
-    compose the augmentation with the twist matrix and the end inclusion.
-    """
-    algebra = report.resolution.algebra
-    sigma = report.twist
-    n = report.quasi_period
-    base_terms = report.resolution.terms[:n]
-    base_diffs = report.resolution.differentials[:n]
-    incl = ModuleMorphism(
-        twisted_bimodule(algebra, sigma),
-        base_terms[-1],
-        report.witness.matrix @ report.resolution.inclusions[n - 1].matrix,
-    )
-
-    terms: list[Module] = []
-    diffs: list[ModuleMorphism] = []
-    for k in range(m):
-        tw = sigma.power(k)
-        twisted_terms = [left_twist(t, tw) if k else t for t in base_terms]
-        for i, P in enumerate(twisted_terms):
-            if k == 0 and i == 0:
-                terms.append(P)
-                diffs.append(base_diffs[0])
-                continue
-            if i == 0:
-                # junction: Q_{kn+1} -> Q_{kn} is aug . sigma . incl
-                j_mat = base_diffs[0].matrix @ sigma.matrix @ incl.matrix
-                diffs.append(ModuleMorphism(P, terms[-1], j_mat))
-                terms.append(P)
-            else:
-                diffs.append(ModuleMorphism(P, terms[-1], base_diffs[i].matrix))
-                terms.append(P)
-    end_module = twisted_bimodule(algebra, sigma.power(m))
-    end_mat = sigma.power(m - 1).inverse().matrix @ incl.matrix
-    end_inclusion = ModuleMorphism(end_module, terms[-1], end_mat)
-    return SplicedSequence(algebra, sigma, m, terms, diffs, end_inclusion,
-                           end_module)

@@ -427,22 +427,65 @@ def multiply_out_of_tensor(td, target):
     return ModuleMorphism(td.module, target, mat)
 
 
+def left_twist(m, tau):
+    """Substitution model of the tau-twisted regular bimodule tensored on the
+    left of a bimodule m: the generator u (x) v acts as the original
+    tau^{-1}(u) (x) v.  Morphism matrices are unchanged.  The program keeps
+    (Q, tau) and never builds this bimodule; kept as an oracle."""
+    from nangulator.modules import _substituted, _terms
+
+    A = tau.algebra
+    assert m.algebra is A.enveloping()
+    inv = tau.inverse().matrix.a
+    d = A.dim
+
+    def terms(g):
+        i, j = divmod(g, d)
+        return [(s * d + j, c) for s, c in _terms(inv[i])]
+    return _substituted(m, terms)
+
+
+def bimodule_chain(seq):
+    """The bimodule maps a functor sequence is read from, as module maps:
+    regular bimodule -> B_1 -> ... -> B_N -> A right-twisted by
+    ``seq.end_twist``, with B_k = left_twist(Q_k, tau_k) for (Q_k, tau_k) in
+    ``seq.covers`` and the sequence's unit, connecting and counit matrices.
+    Built once per sequence object and kept on it."""
+    from nangulator.algebra import identity_automorphism
+    from nangulator.modules import ModuleMorphism, twisted_bimodule
+
+    chain = vars(seq).get("_oracle_chain")
+    if chain is None:
+        A = seq.algebra
+        mods = ([twisted_bimodule(A, identity_automorphism(A))]
+                + [left_twist(q, tau) for q, tau in seq.covers]
+                + [twisted_bimodule(A, seq.end_twist)])
+        mats = [seq.unit_matrix] + seq.connecting + [seq.counit_matrix]
+        chain = seq._oracle_chain = [
+            ModuleMorphism(src, dst, mat)
+            for src, dst, mat in zip(mods, mods[1:], mats)]
+    return chain
+
+
 def evaluate_oracle(seq, m):
     """The functor sequence at m as tensor quotients: each X^k(M) is
     ``tensor_module_oracle(M, B_k)``, the unit goes through M (x)_A A and
-    the counit through M (x)_A (twisted end).  The program's evaluation
-    before X^k(M) was built directly, kept as an oracle; the value carries
-    the quotients under "tensors"."""
+    the counit through M (x)_A (twisted end), with the bimodule maps of
+    ``bimodule_chain``.  The program's evaluation before X^k(M) was built
+    directly, kept as an oracle; the value carries the quotients under
+    "tensors"."""
     A = seq.algebra
-    tds = [tensor_module_oracle(m, b, A) for b in seq.bimodules]
+    unit_map, *connecting, counit_map = bimodule_chain(seq)
+    tds = [tensor_module_oracle(m, f.source, A)
+           for f in connecting + [counit_map]]
     maps = [tensor_morphism_right(tds[k], tds[k + 1], d)
-            for k, d in enumerate(seq.connecting)]
-    td_reg = tensor_module_oracle(m, seq.unit_map.source, A)
+            for k, d in enumerate(connecting)]
+    td_reg = tensor_module_oracle(m, unit_map.source, A)
     unit = unit_into_tensor(td_reg).then(
-        tensor_morphism_right(td_reg, tds[0], seq.unit_map))
-    td_end = tensor_module_oracle(m, seq.counit_map.target, A)
+        tensor_morphism_right(td_reg, tds[0], unit_map))
+    td_end = tensor_module_oracle(m, counit_map.target, A)
     sus = seq.suspension.apply(m)
-    counit = tensor_morphism_right(tds[-1], td_end, seq.counit_map).then(
+    counit = tensor_morphism_right(tds[-1], td_end, counit_map).then(
         multiply_out_of_tensor(td_end, sus))
     return {"terms": [td.module for td in tds], "maps": maps, "unit": unit,
             "counit": counit, "suspended": sus, "module": m, "tensors": tds}

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
+    bimodule_chain,
     contractible_test,
     load_pipeline,
     load_sequence,
@@ -138,10 +139,31 @@ def test_functor_values_are_projective():
 def test_functor_sequence_bimodule_maps_intertwine():
     seq = load_sequence("nakayama_2_2", 4)
     env = seq.algebra.enveloping()
-    chain = [seq.unit_map] + seq.connecting + [seq.counit_map]
-    for d in chain:
+    for d in bimodule_chain(seq):
         for g in env.generators:
             assert d.source.action[g] @ d.matrix == d.matrix @ d.target.action[g]
+
+
+def test_functor_sequence_builds_no_bimodule(monkeypatch):
+    # the sequence is read off the resolution: its (Q, tau) pairs and
+    # matrices; no module over the enveloping algebra is constructed
+    from nangulator.angulation import functor_sequence
+    from nangulator.modules import Module
+
+    built = []
+    real = Module.__init__
+
+    def recording(self, algebra, *args, **kwargs):
+        built.append(algebra)
+        real(self, algebra, *args, **kwargs)
+
+    for name, m in (("loop_p3", 3), ("nakayama_3_4", 2), ("preproj_a3", 2)):
+        A, _, engine, report = load_pipeline(name)
+        with monkeypatch.context() as patch:
+            patch.setattr(Module, "__init__", recording)
+            seq = functor_sequence(engine, report, m)
+        assert seq.length == m * report.quasi_period
+        assert not any(alg is A.enveloping() for alg in built)
 
 
 def test_functor_values_need_no_quotient_and_no_cover(monkeypatch):

@@ -209,6 +209,14 @@ def test_internal_faults_are_not_reported_as_usage_errors(monkeypatch, capsys):
     assert cli.run_cli(["angulate", loop]) == 2
     err = capsys.readouterr().err
     assert "must be at least 3" in err and "invalid literal" in err
+    # --samples below 1 is refused, not replaced by the default
+    monkeypatch.delenv("NANGULATOR_SEED")
+    assert cli.run_cli(["verify", loop, "--samples", "0"]) == 2
+    assert cli.run_cli(["verify", loop, "--samples", "-2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --samples must be at least 1, got 0\n"
+                   "error: --samples must be at least 1, got -2\n")
 
 
 def test_internal_fault_exits_70_from_main(monkeypatch, capsys):
@@ -283,3 +291,16 @@ def test_period_on_dimension_20_stays_small_in_memory(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_report_digests_match_golden():
+    # byte-identical reports are the contract of every refactor: the 121
+    # lines of scripts/report_digests.py, recomputed in-process
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", ROOT / "scripts" / "report_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    golden = ROOT / "tests" / "golden" / "report_digests.txt"
+    assert list(script.digest_lines()) == golden.read_text().splitlines()

@@ -1,5 +1,5 @@
 """Bimodule syzygies, twist detection, the quasi-periodicity scan and the
-spliced exact sequences."""
+spliced exact sequences the functor sequence is read from."""
 
 import math
 
@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from conftest import (
     FIXTURES,
+    bimodule_chain,
     dense_enveloping,
     disjoint_loops_text,
+    left_twist,
     load_fixture,
     load_pipeline,
+    load_sequence,
     member_of_row_space,
     nakayama_text,
     padded,
@@ -37,7 +40,6 @@ from nangulator.periodicity import (
     UndecidedIsomorphismError,
     detect_twist,
     is_inner,
-    iterated_sequence,
     nowhere_zero,
 )
 from nangulator.quiver import parse_algebra
@@ -219,54 +221,62 @@ def test_is_inner_detects_conjugation():
 
 
 def spliced_chain(seq):
-    """0 -> twisted end -> Q_{N-1} -> ... -> Q_0 -> A -> 0 as a list of maps."""
-    return padded([seq.end_inclusion] + seq.differentials[::-1])
+    """0 -> regular -> B_1 -> ... -> B_N -> twisted end -> 0 as a list of
+    maps: the spliced resolution a functor sequence is read from."""
+    return padded(bimodule_chain(seq))
 
 
 def euler_dimension_sum(seq):
-    """dim A - dim Q_1 + dim Q_2 - ... +- dim of the end term: zero for an
+    """dim A - dim B_1 + dim B_2 - ... +- dim of the end term: zero for an
     exact spliced sequence."""
-    dims = [seq.algebra.dim] + [t.dim for t in seq.terms] + [seq.end_module.dim]
+    chain = bimodule_chain(seq)
+    dims = [chain[0].source.dim] + [f.target.dim for f in chain]
     return sum((-1) ** k * d for k, d in enumerate(dims))
 
 
 def test_iterated_sequence_single_copy_is_base_resolution():
-    A, _, _, rep = load_pipeline("loop_p3")
-    seq = iterated_sequence(rep, 1)
-    assert len(seq.terms) == rep.quasi_period
-    assert seq.terms[0].dim == rep.resolution.terms[0].dim
+    # one copy of the length-3 segment: the terms and differentials of the
+    # resolution itself, left-twisted by sigma^-1
+    A, _, _, rep = load_pipeline("preproj_a3")
+    n = rep.quasi_period
+    seq = load_sequence("preproj_a3", 1)
+    assert seq.length == n == 3
+    assert [q for q, _ in seq.covers] == rep.resolution.terms[n - 1::-1]
+    assert all(tau.matrix == rep.twist.inverse().matrix
+               for _, tau in seq.covers)
+    assert seq.connecting == [d.matrix for d in
+                              rep.resolution.differentials[n - 1:0:-1]]
     assert rank_exactness(spliced_chain(seq))
 
 
-def test_iterated_sequence_loop_m2_ends_in_regular_bimodule():
+def test_iterated_sequence_loop_m4_ends_in_regular_bimodule():
+    # the loop has quasi-period 1 and a twist of order 2, so four copies
+    # end in the regular bimodule and three do not
     A, _, _, rep = load_pipeline("loop_p3")
-    seq = iterated_sequence(rep, 2)
-    assert len(seq.terms) == 2
+    reg = twisted_bimodule(A, identity_automorphism(A))
+    seq = load_sequence("loop_p3", 4)
+    assert seq.length == 4
     assert euler_dimension_sum(seq) == 0
     assert rank_exactness(spliced_chain(seq))
-    reg = twisted_bimodule(A, identity_automorphism(A))
-    assert search_iso(seq.end_module, reg) is not None
+    assert search_iso(bimodule_chain(seq)[-1].target, reg) is not None
+    odd = bimodule_chain(load_sequence("loop_p3", 3))[-1].target
+    assert search_iso(odd, reg) is None
 
 
 def test_iterated_sequence_length_eight_euler_bookkeeping():
-    A, _, _, rep = load_pipeline("nakayama_2_2")
-    seq = iterated_sequence(rep, 8)
-    assert len(seq.terms) == 8
+    seq = load_sequence("nakayama_2_2", 8)
+    assert seq.length == 8
     assert euler_dimension_sum(seq) == 0
     assert rank_exactness(spliced_chain(seq))
 
 
 def test_spliced_maps_are_bimodule_morphisms():
-    A, _, _, rep = load_pipeline("nakayama_2_2")
-    seq = iterated_sequence(rep, 2)
-    env = A.enveloping()
-    terms = [seq.differentials[0].target] + seq.terms
-    for k, d in enumerate(seq.differentials):
+    # three copies: the junctions, unit and counit carry odd twist powers
+    seq = load_sequence("nakayama_2_2", 3)
+    env = seq.algebra.enveloping()
+    for d in bimodule_chain(seq):
         for g in env.generators:
             assert d.source.action[g] @ d.matrix == d.matrix @ d.target.action[g]
-    inc = seq.end_inclusion
-    for g in env.generators:
-        assert inc.source.action[g] @ inc.matrix == inc.matrix @ inc.target.action[g]
 
 
 def test_preproj_a3_quasi_period_three_with_nakayama_vertex_action():
@@ -275,6 +285,40 @@ def test_preproj_a3_quasi_period_three_with_nakayama_vertex_action():
     assert rep.twist_order == 2
     assert rep.period == 6
     assert rep.twist.vertex_action() == list(nk.permutation)
+
+
+@pytest.mark.parametrize("kind, n, p, nakayama", [
+    ("A", 4, 2, [3, 2, 1, 0]),
+    ("A", 4, 5, [3, 2, 1, 0]),
+    ("A", 4, 0, [3, 2, 1, 0]),    # over Q
+    ("D", 4, 5, [0, 1, 2, 3]),
+], ids=["A4-F2", "A4-F5", "A4-Q", "D4-F5"])
+def test_preprojective_period_pins(kind, n, p, nakayama):
+    # Brenner, Butler and King (Algebr. Represent. Theory 5, 2002):
+    # Omega^3 of Pi over its enveloping algebra is Pi twisted by the
+    # Nakayama automorphism, which reverses A_n and fixes the vertices of
+    # D4; its square is inner, its first power is not.  Over F2 the signs
+    # of the relations drop out, and the tree quiver gives the same answer
+    from nangulator.algebra import check_self_injective
+
+    A = compute_basis(parse_algebra(preprojective_text(kind, n, p)))
+    nk = check_self_injective(A)
+    rep = periodicity.quasi_period_scan(A)
+    assert (rep.quasi_period, rep.period) == (3, 6)
+    assert list(nk.permutation) == nakayama
+    assert rep.twist.vertex_action() == nakayama
+
+
+def test_preprojective_a4_period_is_multiple_of_simple_omega_periods():
+    # the one-sided oracle of the Nakayama test on Pi(A4) over F5: the
+    # projective resolution of S_i has length 3 and ends in S_{nu(i)}, and
+    # nu has no fixed vertex, so every simple has Omega-period 6
+    A = compute_basis(parse_algebra(preprojective_text("A", 4, 5)))
+    rep = periodicity.quasi_period_scan(A)
+    periods = [_simple_omega_period(A, pos, 2 * A.dim)
+               for pos in range(len(A.idempotents))]
+    assert periods == [6] * 4
+    assert all(rep.period % k == 0 for k in periods)
 
 
 def test_semisimple_scan_returns_none():
@@ -583,12 +627,12 @@ def test_bimodule_actions_match_the_dense_enveloping_algebra(
     # every bimodule that period and verify build, derived at every A^e
     # basis index from its generator actions, against the dense model:
     # covers as blocks of the dense A^e, syzygies through their inclusion,
-    # twisted bimodules as L(b_i) R(sigma(b_j)), left twists from the model
-    # of their input
-    from nangulator import angulation
-    from nangulator.cli import run_cli
+    # twisted bimodules as L(b_i) R(sigma(b_j)); and the oracle's left
+    # twists B_k of the verify run's functor sequence from the model of
+    # their cover
+    from nangulator import cli
 
-    builds = []
+    builds, sequences = [], []
 
     def recording(kind, original):
         def wrapper(*args):
@@ -597,19 +641,26 @@ def test_bimodule_actions_match_the_dense_enveloping_algebra(
             return out
         return wrapper
 
-    for mod in (periodicity, angulation):
-        for fn in ("twisted_bimodule", "left_twist"):
-            monkeypatch.setattr(mod, fn, recording(fn, getattr(mod, fn)))
-    monkeypatch.setattr(periodicity, "syzygy",
-                        recording("syzygy", periodicity.syzygy))
+    def sequence(*args):
+        sequences.append(real_sequence(*args))
+        return sequences[-1]
+
+    real_sequence = cli.functor_sequence
+    monkeypatch.setattr(cli, "functor_sequence", sequence)
+    for fn in ("twisted_bimodule", "syzygy"):
+        monkeypatch.setattr(periodicity, fn,
+                            recording(fn, getattr(periodicity, fn)))
     path = FIXTURES / f"{name}.json"
     if name == "kq2_i2_q":
         path = tmp_path / f"{name}.json"
         path.write_text(nakayama_text(2, 2, 0))
-    assert run_cli(["period", str(path)]) == 0
-    assert run_cli(["verify", str(path), "--m", str(m), "--samples", "1"]) == 0
-    kinds = {kind for kind, _, _ in builds}
-    assert kinds == {"twisted_bimodule", "left_twist", "syzygy"}
+    assert cli.run_cli(["period", str(path)]) == 0
+    assert cli.run_cli(["verify", str(path), "--m", str(m),
+                        "--samples", "1"]) == 0
+    assert {kind for kind, _, _ in builds} == {"twisted_bimodule", "syzygy"}
+    assert len(sequences) == 1
+    builds += [("left_twist", (q, tau), left_twist(q, tau))
+               for q, tau in sequences[0].covers]
 
     envs, dense = {}, {}
 
