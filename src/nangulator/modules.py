@@ -197,31 +197,27 @@ class ModuleMorphism:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def verify(self, exhaustive: bool = False) -> None:
-        """Check that the matrix intertwines the actions of the generators,
-        or of every basis element when ``exhaustive``.  The elements are
-        taken in groups whose compared products have at most
-        ``fields.CUT_CELLS`` cells (``cell_groups``): per group one product
-        of the source's actions, stacked, with the matrix and one blockwise
-        product of the matrix with the target's, compared block by block.
-        The check stops at the first failing group, and the error names the
-        first element, in index order, that fails."""
+    def verify(self) -> None:
+        """Check that the matrix intertwines the actions of the generators;
+        every other action is a product of theirs.  The generators are taken
+        in groups whose compared products have at most ``fields.CUT_CELLS``
+        cells (``cell_groups``): per group one product of the source's
+        stacked actions with the matrix and one blockwise product of the
+        matrix with the target's, compared block by block.  The check stops
+        at the first failing group, and the error names the first
+        generator, in index order, that fails."""
         src, dst, f = self.source, self.target, self.matrix
-        A, cells = src.algebra, f.rows * f.cols
-        idx = range(A.dim) if exhaustive else A.generators
-        for g in cell_groups(len(idx), cells):
-            lo, hi, group = g.start, g.stop, idx[g.start: g.stop]
-            if exhaustive:
-                lhs = stack_rows(A.field, [src.action[k] for k in group])
-                rhs = stack_rows(A.field, [dst.action[k] for k in group])
-            else:
-                lhs = src.stack.take_rows(range(lo * src.dim, hi * src.dim))
-                rhs = dst.stack.take_rows(range(lo * dst.dim, hi * dst.dim))
-            bad = unequal_entries(lhs @ f, left_products(f, rhs, len(group)))
-            bad = bad.reshape(len(group), cells).any(axis=1)
+        gens, cells = src.algebra.generators, f.rows * f.cols
+        for g in cell_groups(len(gens), cells):
+            lo, hi = g.start, g.stop
+            lhs = src.stack.take_rows(range(lo * src.dim, hi * src.dim))
+            rhs = dst.stack.take_rows(range(lo * dst.dim, hi * dst.dim))
+            bad = unequal_entries(lhs @ f, left_products(f, rhs, hi - lo))
+            bad = bad.reshape(hi - lo, cells).any(axis=1)
             if bad.any():
-                raise LinearAlgebraError("morphism does not intertwine "
-                                         f"element {group[int(bad.argmax())]}")
+                k = gens[lo + int(bad.argmax())]
+                raise LinearAlgebraError(
+                    f"morphism does not intertwine element {k}")
 
     def rank(self) -> int:
         return self.matrix.rank()

@@ -7,7 +7,7 @@ e_j, a (x) e_j and e_i (x) a), and each projective cover is a direct sum of
 A e_i (x) e_j A built from A's own multiplication blocks, so no dense A^e is
 ever formed.  Before a cover is built, ``BimoduleResolution.extend``
 estimates the memory of its generator actions and stops with
-``ResourceBoundExceeded`` above MEMORY_BOUND."""
+``fields.ResourceBoundExceeded`` above ``fields.MEMORY_BOUND``."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .fields import (
     stack_cols,
     stack_rows,
 )
-from .fields import MEMORY_BOUND, ResourceBoundExceeded  # noqa: F401 re-exported
 from .modules import (
     Module,
     ModuleMorphism,
@@ -86,7 +85,8 @@ class BimoduleResolution:
 
 def _check_cover_memory(m: Module) -> None:
     """Refuse the projective cover of m when its generator actions alone,
-    #generators(A^e) dense dim P x dim P matrices, exceed MEMORY_BOUND."""
+    #generators(A^e) dense dim P x dim P matrices, exceed
+    ``fields.MEMORY_BOUND``."""
     env = m.algebra
     size = sum(len(env.projective_rows(pos)) for pos, _ in top_multiplicities(m))
     check_memory(env.field, len(env.generators) * size * size,

@@ -18,6 +18,7 @@ from conftest import (
     periodic_homotopy,
     quotient_to_direct,
     stable_zero,
+    verify_loop,
 )
 
 from nangulator.angulation import (
@@ -100,7 +101,7 @@ def test_suspension_agrees_with_twisted_tensor():
         td = tensor_module(m, B, A)
         kappa = multiply_out_of_tensor(td, sus.apply(m))
         assert kappa.matrix.is_invertible()
-        kappa.verify(exhaustive=True)
+        verify_loop(kappa, exhaustive=True)
 
 
 # -- functor sequence ------------------------------------------------------------

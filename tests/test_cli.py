@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, JSON output streams, determinism, emit files."""
 
 import json
-import os
 import subprocess
 import sys
 import pathlib
@@ -13,13 +12,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
 
-def run(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run(*args):
     return subprocess.run(
         [sys.executable, "-m", "nangulator.cli", *args],
-        capture_output=True, text=True, cwd=ROOT, env=env,
+        capture_output=True, text=True, cwd=ROOT,
     )
 
 
@@ -98,12 +94,59 @@ def test_verbose_diagnostics_on_stderr():
     json.loads(r.stdout)  # stdout is pure JSON
 
 
-def test_seed_environment_override():
-    env = {"NANGULATOR_SEED": "23"}
-    r = run("verify", str(FIXTURES / "loop_p3.json"), "--m", "3",
-            "--samples", "2", env_extra=env)
-    payload = json.loads(r.stdout)
-    assert payload["seed"] == 23
+# the options each subcommand's handler reads, and nothing else
+OPTIONS = {
+    "algebra": {"--max", "--emit", "--verbose"},
+    "period": {"--max", "--emit", "--verbose"},
+    "angulate": {"--max", "--emit", "--verbose", "--m", "--n", "--seed"},
+    "verify": {"--max", "--emit", "--verbose", "--m", "--n", "--seed",
+               "--samples", "--perturb-choices"},
+}
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    import argparse
+
+    from nangulator.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OPTIONS)
+    for name, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert options - {"-h", "--help"} == OPTIONS[name], name
+        bound = "degree bound" if name == "algebra" else "syzygy bound"
+        assert bound in " ".join(parser.format_help().split()), name
+    assert sum(map(len, OPTIONS.values())) == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["period", "--samples", "-2", "--m", "-5"],
+    ["algebra", "--seed", "1"],
+    ["angulate", "--samples", "2"],
+    ["angulate", "--perturb-choices"],
+])
+def test_foreign_options_are_usage_errors(argv, capsys):
+    from nangulator.cli import run_cli
+
+    loop = str(FIXTURES / "loop_p3.json")
+    assert run_cli([argv[0], loop] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", ["algebra", "period", "verify"])
+def test_max_below_one_is_refused(command, capsys):
+    from nangulator.cli import run_cli
+
+    loop = str(FIXTURES / "loop_p3.json")
+    assert run_cli([command, loop, "--max", "0"]) == 2
+    assert run_cli([command, loop, "--max", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --max must be at least 1, got 0\n"
+                   "error: --max must be at least 1, got -3\n")
 
 
 def test_emit_writes_payload(tmp_path):
@@ -205,12 +248,10 @@ def test_internal_faults_are_not_reported_as_usage_errors(monkeypatch, capsys):
     # bad parameters still exit 2
     assert cli.run_cli(["verify", loop, "--m", "1"]) == 2
     assert cli.run_cli(["verify", loop, "--m", "0"]) == 2
-    monkeypatch.setenv("NANGULATOR_SEED", "seven")
-    assert cli.run_cli(["angulate", loop]) == 2
+    assert cli.run_cli(["angulate", loop, "--seed", "seven"]) == 2
     err = capsys.readouterr().err
-    assert "must be at least 3" in err and "invalid literal" in err
+    assert "must be at least 3" in err and "invalid int value" in err
     # --samples below 1 is refused, not replaced by the default
-    monkeypatch.delenv("NANGULATOR_SEED")
     assert cli.run_cli(["verify", loop, "--samples", "0"]) == 2
     assert cli.run_cli(["verify", loop, "--samples", "-2"]) == 2
     out, err = capsys.readouterr()

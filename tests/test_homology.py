@@ -16,6 +16,7 @@ from conftest import (
     solve_from_projective_oracle,
     stable_inverse_oracle,
     stable_zero,
+    verify_loop,
 )
 
 from nangulator.fields import ExactMatrix, row_space, stack_rows
@@ -108,7 +109,7 @@ def test_hull_of_simple_uses_nakayama_permutation():
     # soc(e_1 A) has type S_2, so the hull of S_2 is e_1 A
     assert I.proj == (0,)
     assert iota.rank() == iota.source.dim
-    iota.verify(exhaustive=True)
+    verify_loop(iota, exhaustive=True)
 
 
 def test_hom_from_projective_does_not_depend_on_call_order():
@@ -149,7 +150,7 @@ def test_hull_is_kept_per_module_contents(monkeypatch):
     I2, iota2 = eng.injective_hull(twin)
     assert I2 is I and iota2.source is twin and iota2.target is I
     assert iota2.matrix == iota.matrix
-    iota2.verify(exhaustive=True)
+    verify_loop(iota2, exhaustive=True)
     # a module with other contents is not answered from the kept hull
     with pytest.raises(AssertionError, match="dual_module"):
         eng.injective_hull(simple_module(A, 0))

@@ -139,7 +139,7 @@ def test_hom_space_dimensions():
     assert len(h) == 1
     # spanned by left multiplication by the arrow into vertex 1
     assert h[0].rank() == 1
-    h[0].verify(exhaustive=True)
+    verify_loop(h[0], exhaustive=True)
 
 
 def test_hom_space_generic_matches_projective_fast_path():
@@ -161,7 +161,7 @@ def test_tensor_with_regular_bimodule_is_identity():
             unit = unit_into_tensor(td)
             assert td.module.dim == m.dim
             assert unit.matrix.is_invertible()
-            unit.verify(exhaustive=True)
+            verify_loop(unit, exhaustive=True)
 
 
 def test_tensor_unit_is_natural():
@@ -224,7 +224,7 @@ def test_right_twist_models_tensor_by_twisted_bimodule():
         tw = right_twist(m, sigma)
         kappa = multiply_out_of_tensor(td, tw)
         assert kappa.matrix.is_invertible()
-        kappa.verify(exhaustive=True)
+        verify_loop(kappa, exhaustive=True)
 
 
 def test_pullback_along_identity_is_isomorphism():
@@ -291,7 +291,7 @@ def test_kernel_and_submodule_roundtrip():
     f = hom_space(P, S)[0]
     k, inc = kernel_of(f)
     assert k.dim == P.dim - S.dim
-    inc.verify(exhaustive=True)
+    verify_loop(inc, exhaustive=True)
     assert (inc.matrix @ f.matrix).is_zero()
 
 
@@ -397,7 +397,7 @@ def test_projective_pairs_match_the_search_oracle(monkeypatch, run):
             assert out is not None and out.matrix == old.matrix
         elif out is not None:  # every draw missed: the cover isomorphism
             assert out.matrix.is_invertible()
-            out.verify(exhaustive=True)
+            verify_loop(out, exhaustive=True)
 
 
 def test_hom_through_cover_is_the_canonical_basis():
@@ -431,7 +431,7 @@ def test_projective_pairs_are_decided_without_search(monkeypatch):
     left = modules.restrict_to_left_factor(omega, A)
     phi = iso_test(modules.opposite_regular(A), left)
     assert phi is not None and phi.matrix.is_invertible()
-    phi.verify(exhaustive=True)
+    verify_loop(phi, exhaustive=True)
     B, _ = load_fixture("nakayama_2_2")
     P00 = modules.standard_projective(B, [0, 0])
     P01 = modules.standard_projective(B, [0, 1])
@@ -495,7 +495,7 @@ def test_semisimple_pairs_match_the_search_oracle(name):
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.matrix.is_invertible()
-                got.verify(exhaustive=True)
+                verify_loop(got, exhaustive=True)
                 pairs += 1
     assert pairs > len(simples)
 
@@ -747,17 +747,10 @@ def test_stacked_constructions_match_loops_on_every_verify_call(
 
     real_verify = modules.ModuleMorphism.verify
 
-    def outcome(run, f, exhaustive):
-        try:
-            run(f, exhaustive)
-        except LinearAlgebraError as e:
-            return str(e)
-        return None
-
-    def verify(f, exhaustive=False):
+    def verify(f):
         calls["verify"] += 1
-        got = outcome(real_verify, f, exhaustive)
-        if got != outcome(verify_loop, f, exhaustive):
+        got = _verify_outcome(real_verify, f)
+        if got != _verify_outcome(verify_loop, f):
             mismatches.append(("verify", calls["verify"]))
         if got is not None:
             raise LinearAlgebraError(got)
@@ -773,9 +766,9 @@ def test_stacked_constructions_match_loops_on_every_verify_call(
     assert all(calls.values()), calls
 
 
-def _verify_outcome(run, f, exhaustive=False):
+def _verify_outcome(run, f):
     try:
-        run(f, exhaustive)
+        run(f)
     except LinearAlgebraError as e:
         return str(e)
     return None
@@ -791,10 +784,9 @@ def test_verify_names_the_first_failing_element_as_the_loop_does(p):
     e = A.idempotents[0]
     f = modules.ModuleMorphism(
         M, M, ExactMatrix.identity(A.field, M.dim) + M.action[e])
-    for exhaustive in (False, True):
-        got = _verify_outcome(modules.ModuleMorphism.verify, f, exhaustive)
-        assert got is not None
-        assert got == _verify_outcome(verify_loop, f, exhaustive)
+    got = _verify_outcome(modules.ModuleMorphism.verify, f)
+    assert got is not None
+    assert got == _verify_outcome(verify_loop, f)
     first = int(got.rsplit(" ", 1)[1])
     assert first not in A.idempotents
 
@@ -812,23 +804,22 @@ def test_verify_in_groups_stops_at_the_first_failing_group(p, monkeypatch):
     real = modules.left_products
     monkeypatch.setattr(modules, "left_products",
                         lambda *args: groups.append(args[2]) or real(*args))
-    for exhaustive in (False, True):
-        idx = list(range(A.dim)) if exhaustive else A.generators
-        want = _verify_outcome(verify_loop, f, exhaustive)
-        first = idx.index(int(want.rsplit(" ", 1)[1]))
-        for size in (1, 2):
-            monkeypatch.setattr(fields, "CUT_CELLS", size * M.dim * M.dim)
-            groups.clear()
-            got = _verify_outcome(modules.ModuleMorphism.verify, f, exhaustive)
-            assert got == want
-            assert len(groups) == first // size + 1 > 1
-            assert set(groups) == {size}
+    want = _verify_outcome(verify_loop, f)
+    first = A.generators.index(int(want.rsplit(" ", 1)[1]))
+    for size in (1, 2):
+        monkeypatch.setattr(fields, "CUT_CELLS", size * M.dim * M.dim)
+        groups.clear()
+        got = _verify_outcome(modules.ModuleMorphism.verify, f)
+        assert got == want
+        assert len(groups) == first // size + 1 > 1
+        assert set(groups) == {size}
 
 
 @pytest.mark.parametrize("p", [5, 0])
 def test_exhaustive_verify_checks_every_basis_element(p):
     # a source whose kept action of one path disagrees with its target's:
-    # the generators intertwine, only the exhaustive check sees the path
+    # the generators intertwine, so verify passes, and only the oracle's
+    # check of every basis element sees the path
     A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
     N = regular_module(A)
     M = Module(A, N.dim, N.stack)
@@ -838,8 +829,7 @@ def test_exhaustive_verify_checks_every_basis_element(p):
     f = modules.ModuleMorphism(M, N, ExactMatrix.identity(A.field, M.dim))
     f.verify()
     with pytest.raises(LinearAlgebraError, match=f"element {k}$"):
-        f.verify(exhaustive=True)
-    assert _verify_outcome(verify_loop, f, True).endswith(f"element {k}")
+        verify_loop(f, exhaustive=True)
 
 
 @pytest.mark.parametrize("p", [5, 0])
@@ -848,7 +838,7 @@ def test_verify_passes_for_zero_dimensional_ends(p):
     M, Z = regular_module(A), zero_module(A)
     for f in (zero_morphism(Z, M), zero_morphism(M, Z), identity_morphism(Z)):
         f.verify()
-        f.verify(exhaustive=True)
+        verify_loop(f, exhaustive=True)
 
 
 def test_indecomposable_projectives_are_kept_over_the_algebra_only():
