@@ -8,10 +8,10 @@
                       [--samples K] [--perturb-choices] [--emit PATH]
                       [--verbose]
 
-Each command accepts only the options it reads; any other is a usage error.
-``--max`` bounds the degree of the path basis under ``algebra`` (default 32)
-and the syzygies of the quasi-period scan elsewhere (default 12); values
-below 1 are refused.  The seed is ``--seed`` alone (default 0).
+Each command accepts only the options it reads, unabbreviated; any other
+is a usage error.  ``--max`` bounds the path basis degree under ``algebra``
+(default 32) and the scan's syzygies elsewhere (default 12); values below 1
+are refused.  The seed is ``--seed`` alone (default 0).
 
 All data goes to stdout as JSON; human-readable diagnostics go to stderr
 under --verbose.  Exit codes: 0 success / all checks pass, 1 mathematical
@@ -170,14 +170,14 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nangulator",
+        prog="nangulator", allow_abbrev=False,
         description="Detect bimodule quasi-periodicity of a quiver algebra "
                     "and build/verify the induced higher-angulated structure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, max_help, max_default):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("file", help="algebra description (JSON)")
         p.add_argument("--max", type=int, default=max_default,

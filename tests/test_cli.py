@@ -125,6 +125,11 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
     ["algebra", "--seed", "1"],
     ["angulate", "--samples", "2"],
     ["angulate", "--perturb-choices"],
+    # no prefix of a remaining option stands for it
+    ["period", "--m", "3"],
+    ["algebra", "--m", "5"],
+    ["angulate", "--s", "3"],
+    ["verify", "--perturb"],
 ])
 def test_foreign_options_are_usage_errors(argv, capsys):
     from nangulator.cli import run_cli
