@@ -10,10 +10,7 @@ the Gauss-Jordan elimination behind ``ExactMatrix.rref``.  Calls are grouped
 by their nearest four callers inside the package, leaving out
 ``ExactMatrix.rref`` itself and comprehensions.  One line per group gives
 the calls, the seconds and the mean number of cells (rows x columns)
-eliminated, largest time first.  A second table gives the calls and
-seconds per power-of-two bucket of cells, (2^(k-1), 2^k], with the share
-above ``fields.ROW_LOOP_CELLS``, the cut between the row loop and the numpy
-elimination over F_p.
+eliminated, largest time first.
 
 With ``--products`` it times the products instead: every call of
 ``ExactMatrix.__matmul__`` (``@``) and of ``fields.left_products``
@@ -87,7 +84,6 @@ def main(argv) -> int:
         return 2
     path, cmd, *options = argv
     stats = defaultdict(lambda: [0, 0.0, 0])     # calls, seconds, cells
-    buckets = defaultdict(lambda: [0, 0.0])      # calls, seconds
 
     def timing(kind, cells_of):
         def make(real):
@@ -101,9 +97,6 @@ def main(argv) -> int:
                 entry[0] += 1
                 entry[1] += seconds
                 entry[2] += cells
-                bucket = buckets[max(cells - 1, 0).bit_length()]
-                bucket[0] += 1
-                bucket[1] += seconds
                 return out
             return timed
         return make
@@ -139,17 +132,6 @@ def main(argv) -> int:
         label = (f"{site[0]}: {' < '.join(site[1:])}" if products
                  else ' < '.join(site))
         print(f"{n:>8} {s:>8.3f} {c / n:>11.0f}  {label}")
-    if products:
-        return 0
-    cut = fields.ROW_LOOP_CELLS
-    print()
-    print(f"{'cells <=':>10} {'calls':>8} {'seconds':>8}  "
-          f"(ROW_LOOP_CELLS = {cut})")
-    for k, (n, s) in sorted(buckets.items()):
-        print(f"{2 ** k:>10} {n:>8} {s:>8.3f}")
-    above = [v for k, v in buckets.items() if 2 ** (k - 1) >= cut]
-    print(f"{'above cut':>10} {sum(n for n, _ in above):>8} "
-          f"{sum(s for _, s in above):>8.3f}")
     return 0
 
 

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, summary, max_help, max_default):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("file", help="algebra description (JSON)")
         p.add_argument("--max", type=int, default=max_default,
                        help=f"{max_help} (default {max_default})")
@@ -214,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # argparse leaves a subcommand's unknown options to the top parser,
+        # whose usage line does not say what the subcommand accepts
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

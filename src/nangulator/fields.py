@@ -15,16 +15,15 @@ pinned (leftmost nonzero column, topmost nonzero row) so every downstream
 construction is reproducible bit for bit.
 
 Over Q a product multiplies the integer numerators over the product of the
-denominators, and elimination is fraction-free Gauss-Jordan on integer
-rows, each divided by its content, dividing by the pivots once at the end.
-The RREF is unique, so the results are those of fraction arithmetic.
+denominators.
 
-Elimination is sized to the matrices the program makes, most of them a few
-hundred cells.  Those of at most ``ROW_LOOP_CELLS`` cells, and every
-matrix over Q, are reduced as Python-int rows in one loop that serves both
-fields; larger F_p matrices are reduced in numpy.  Both paths update only
-the rows with a nonzero entry in the pivot column.  The RREF and its pivot
-columns are unique, so the two paths give the same bytes.
+Elimination is one Gauss-Jordan on sparse rows, ``{column: value}`` maps of
+the nonzeros, for both fields: the matrices the program reduces are a few
+hundred cells, or large and mostly zero (hom systems are 0.05-0.5 %
+nonzero).  Over Q it is fraction-free on integer rows, each divided by its
+content, dividing by the pivots once at the end.  The RREF and its pivot
+columns are unique, so the results are those of the pinned elimination in
+fraction arithmetic.
 
 A matrix knows when it is reduced: the R that ``rref()`` returns and the
 basis that ``row_space`` returns carry their pivot columns, and ``rref()`` on
@@ -432,121 +431,99 @@ def _dtype(field: FieldSpec):
     return np.int64 if field.characteristic else object
 
 
-# Eliminations of at most this many cells run on Python-int rows; larger
-# ones over F_p run on numpy arrays.  Most matrices the pipeline reduces
-# have a few hundred cells, where a numpy call costs more than the
-# arithmetic it does; a cut anywhere from 2048 to 8192 cells measured the
-# same (scripts/eliminate_sites.py prints the calls per cell bucket).
-ROW_LOOP_CELLS = 4096
-
-
 def _eliminate(p: int, a: np.ndarray):
-    """Gauss-Jordan elimination of a copy of the integer array ``a`` with
-    pinned pivoting: (reduced n, its denominator d, pivot columns).  Over Q
-    (p = 0) ``a`` holds numerators over a common denominator, which the
-    reduced form does not depend on.
+    """Gauss-Jordan elimination of the integer array ``a`` with pinned
+    pivoting, on sparse rows: (reduced n, its denominator d, pivot columns).
+    Over Q (p = 0) ``a`` holds numerators over a common denominator, which
+    the reduced form does not depend on.  ``a`` is left as it is.
 
-    Over Q, and over F_p up to ``ROW_LOOP_CELLS`` cells, the rows are
-    reduced as Python lists (``_eliminate_rows``); larger F_p matrices are
-    reduced in numpy (``_eliminate_array``).  The reduced form and its
-    pivots are unique, so both give the same result."""
+    Each row, a ``{column: value}`` map of its nonzeros, is reduced against
+    the rows kept so far, lowest column first, until its leading column is
+    new or it vanishes; a row that remains is kept, led by 1 over F_p and
+    primitive with a positive lead over Q.  The kept rows are then reduced
+    against each other, last pivot first, and written into one zero array,
+    over Q each divided by its lead, over the lcm of the leads.  The
+    reduced form and its pivots are unique, so this order of the work gives
+    those of the pinned elimination."""
     rows, cols = a.shape
-    if p and a.size > ROW_LOOP_CELLS:
-        return _eliminate_array(p, a)
-    m, pivots = _eliminate_rows(p, a.tolist(), cols)
-    if p:
-        return np.array(m, dtype=np.int64).reshape(rows, cols), 1, pivots
-    # primitive pivot rows, each divided by its pivot: over the lcm of the
-    # pivots, then in lowest terms
-    d = math.lcm(*(m[i][c] for i, c in enumerate(pivots)))
-    flat = [x * (d // m[i][c]) for i, c in enumerate(pivots) for x in m[i]]
-    flat += [0] * ((rows - len(pivots)) * cols)
-    return (*_lowest(_objects(flat, (rows, cols)), d), pivots)
-
-
-def _eliminate_rows(p: int, m: list, cols: int):
-    """Gauss-Jordan elimination of the rows ``m`` (lists of Python ints) in
-    place with pinned pivoting: (rows, pivot columns).
-
-    At a pivot in row r and column c, only the rows j with m_jc != 0 change.
-    Over F_p the pivot row is scaled to pivot 1 and row_j becomes
-    row_j - m_jc . row_r mod p; row r is zero left of c, so only columns c..
-    are computed.  Over Q (p = 0) the elimination is fraction-free: every
-    row is kept primitive (divided by its content), row_j becomes
-    row_j . pv - row_r . m_jc for the pivot pv, divided by its content, and
-    the pivot rows are left for the caller to divide by their pivots.  The
-    rows stay nonzero multiples of those of the fraction elimination, so
-    the pivots and the reduced form are the same."""
-    rows = len(m)
-    if not p:
-        m = [_primitive(row) for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        for i in range(r, rows):
-            if m[i][c]:
-                break
+    flat = a.ravel()
+    at = flat.nonzero()[0]
+    sparse = {}                  # row index -> {column: value}
+    for k, x in zip(at.tolist(), flat[at].tolist()):
+        i, j = divmod(k, cols)
+        if i in sparse:
+            sparse[i][j] = x
         else:
-            continue
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-        pivot = m[r]
-        pv = pivot[c]
-        if p:
-            if pv != 1:
-                inv = pow(pv, p - 2, p)
-                pivot[c:] = [x * inv % p for x in pivot[c:]]
-            tail = pivot[c:]
-        for j in range(rows):
-            row = m[j]
-            f = row[c]
-            if not f or j == r:
-                continue
-            if p:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+            sparse[i] = {j: x}
+    kept = {}                    # leading column -> kept row
+    for row in sparse.values():
+        while row:
+            c = min(row)
+            pivot = kept.get(c)
+            if pivot is None:
+                kept[c] = _normalised(p, row, c)
+                break
+            row = _reduce(p, row, c, pivot)
+    pivots = sorted(kept)
+    for c in reversed(pivots):
+        row = kept[c]
+        for j in [j for j in row if j != c and j in kept]:
+            row = _reduce(p, row, j, kept[j])
+        kept[c] = row
+    n = np.zeros((rows, cols), np.int64 if p else object)
+    at = [i * cols + j for i, c in enumerate(pivots) for j in kept[c]]
+    if p:
+        n.put(at, [x for c in pivots for x in kept[c].values()])
+        return n, 1, tuple(pivots)
+    # each primitive row over its lead, all over the lcm d of the leads: in
+    # lowest terms, as a prime power dividing d divides some lead exactly
+    # and that row has an entry it does not divide
+    d = math.lcm(*(kept[c][c] for c in pivots))
+    n.put(at, [x * s for c in pivots for s in (d // kept[c][c],)
+               for x in kept[c].values()])
+    return n, d, tuple(pivots)
+
+
+def _normalised(p: int, row: dict, c: int) -> dict:
+    """The row led at column c, scaled to lead 1 over F_p; over Q divided
+    by its content, signed to a positive lead."""
+    lead = row[c]
+    if p:
+        inv = pow(lead, p - 2, p)
+        return {j: x * inv % p for j, x in row.items()} if inv != 1 else row
+    g = math.gcd(*row.values())
+    if lead < 0:
+        g = -g
+    return {j: x // g for j, x in row.items()} if g != 1 else row
+
+
+def _reduce(p: int, row: dict, c: int, pivot: dict) -> dict:
+    """The row with its entry f at column c, the lead of the normalised
+    ``pivot``, cleared: row - f pivot mod p over F_p, changing the row
+    itself; over Q the primitive part of (pv / g) row - (f / g) pivot for
+    the lead pv and g = gcd(pv, f), which keeps a positive lead positive."""
+    f = row[c]
+    if p:
+        for j, y in pivot.items():
+            x = (row.get(j, 0) - f * y) % p
+            if x:
+                row[j] = x
             else:
-                m[j] = _primitive([x * pv - f * y for x, y in zip(row, pivot)])
-        pivots.append(c)
-        r += 1
-    return m, tuple(pivots)
-
-
-def _primitive(row: list) -> list:
-    """An integer row divided by its content (a zero row stays zero)."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _eliminate_array(p: int, a: np.ndarray):
-    """``_eliminate`` over F_p on a copy of the int64 array ``a``: each step
-    jumps to the next column with a nonzero entry at or below row r, and
-    only the rows with a nonzero entry in the pivot column are updated,
-    from the pivot column on."""
-    a = a.copy()
-    rows, cols = a.shape
-    pivots = []
-    r = c = 0
-    while r < rows and c < cols:
-        live = a[r:, c:] != 0
-        hit_cols = live.any(axis=0)
-        k = int(hit_cols.argmax())
-        if not hit_cols[k]:
-            break
-        c += k
-        i = r + int(live[:, k].argmax())
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
-        hit = np.flatnonzero(a[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-        c += 1
-    return a, 1, tuple(pivots)
+                del row[j]
+        return row
+    pv = pivot[c]
+    g = math.gcd(pv, f)
+    s, f = pv // g, f // g
+    if s != 1:
+        row = {j: x * s for j, x in row.items()}
+    for j, y in pivot.items():
+        x = row.get(j, 0) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    g = math.gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
 # -- module-level operations ------------------------------------------------
