@@ -6,19 +6,28 @@
 
 Runs ``CMD FILE OPTION ...`` in-process through ``nangulator.cli.run_cli``
 with its report discarded, and times every call of ``fields._eliminate``,
-the Gauss-Jordan elimination behind ``ExactMatrix.rref``.  Calls are grouped
-by their nearest four callers inside the package, leaving out
-``ExactMatrix.rref`` itself and comprehensions.  One line per group gives
-the calls, the seconds and the mean number of cells (rows x columns)
-eliminated, largest time first.
+the Gauss-Jordan elimination behind ``ExactMatrix.rref`` and
+``SparseStack.row_space``.  Calls are grouped by their nearest four callers
+inside the package, leaving out ``ExactMatrix.rref`` itself and
+comprehensions.  One line per group gives the calls, the seconds and the
+mean number of cells (rows x columns) eliminated, largest time first.
 
-With ``--products`` it times the products instead: every call of
-``ExactMatrix.__matmul__`` (``@``) and of ``fields.left_products``
-(``left``), the blockwise product over a module's stacked generator
-actions and over the vertex blocks of a hom basis, grouped
-the same way and labelled by kind; the mean cells are those of the
-result.  The benchmark's ``fields.matmul_calls`` counts ``@`` only, so
-this table also shows the products that moved into batched ones.
+With ``--products`` it times the products instead, grouped the same way
+and labelled by kind:
+- ``@``: ``ExactMatrix.__matmul__``;
+- ``left``: ``fields.left_products`` on a dense stack, the blockwise
+  product over the generator actions of a module over A and over the
+  vertex blocks of a hom basis;
+- ``sparse left``, ``sparse @`` and ``sparse row``: the products of a
+  ``SparseStack``, the generator actions of a bimodule, through its stored
+  nonzeros: ``fields.left_products`` on it (x @ S_i for every block),
+  ``SparseStack.__matmul__`` (S_i @ f for every block) and
+  ``SparseStack.row_product`` (y @ S_i for one block, the word walks).
+
+The mean cells are those of the result; for a sparse stack, its stored
+nonzeros.  The benchmark's ``fields.matmul_calls`` counts ``@`` only, so
+this table also shows the products that moved into batched and sparse
+ones.
 
 The wrapper's own cost is not in the seconds, but the command runs slower
 than without it.
@@ -26,6 +35,7 @@ than without it.
 
 import contextlib
 import io
+import math
 import os
 import pathlib
 import sys
@@ -93,7 +103,8 @@ def main(argv) -> int:
                 out = real(*args, **kwargs)
                 seconds = time.perf_counter() - t0
                 cells = cells_of(args, out)
-                entry = stats[(kind,) + site if kind else site]
+                label = kind(args) if callable(kind) else kind
+                entry = stats[(label,) + site if label else site]
                 entry[0] += 1
                 entry[1] += seconds
                 entry[2] += cells
@@ -104,14 +115,26 @@ def main(argv) -> int:
     if products:
         package = [m for m in vars(nangulator).values()
                    if isinstance(m, types.ModuleType)]
-        restore = patch([fields.ExactMatrix], "__matmul__",
-                        timing("@", lambda args, out: out.rows * out.cols))
+        def cells(args, out):
+            if isinstance(out, fields.SparseStack):
+                return len(out.key)
+            return out.rows * out.cols
+
+        def left_kind(args):
+            return ("sparse left" if isinstance(args[1], fields.SparseStack)
+                    else "left")
+
+        restore = patch([fields.ExactMatrix], "__matmul__", timing("@", cells))
         restore += patch([fields] + package, "left_products",
-                         timing("left", lambda args, out: out.rows * out.cols))
+                         timing(left_kind, cells))
+        restore += patch([fields.SparseStack], "__matmul__",
+                         timing("sparse @", cells))
+        restore += patch([fields.SparseStack], "row_product",
+                         timing("sparse row", cells))
         what = "products"
     else:
         restore = patch([fields], "_eliminate",
-                        timing(None, lambda args, out: args[1].size))
+                        timing(None, lambda args, out: math.prod(args[1].shape)))
         what = "eliminations"
     t0 = time.perf_counter()
     try:

@@ -13,7 +13,9 @@ The enveloping algebra A^e = A^op (x) A is index bookkeeping over A
 (``EnvelopingAlgebra``): it never forms its d^2 structure matrices of size
 d^2 x d^2.  Its generators are e_i (x) e_j, a (x) e_j and e_i (x) a for the
 vertices i, j and arrows a, and b_k (x) b_l is the word of b_k over A^op
-followed by that of b_l over A.
+followed by that of b_l over A.  It keeps, per vertex, the sparse blocks of
+A's generators acting on A e_u and on e_v A, from which every projective
+A e_u (x) e_v A is built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from .fields import (
     ExactMatrix,
     FieldSpec,
+    SparseStack,
     stack_cols,
     stack_rows,
     unequal_entries,
@@ -203,7 +206,10 @@ class EnvelopingAlgebra:
 
     ``right_mult`` is empty: a module over A^e acts through the generators
     e_i (x) e_j, a (x) e_j and e_i (x) a, and a projective e A^e =
-    A e_u (x) e_v A is built from A's own multiplication blocks.
+    A e_u (x) e_v A is built from A's own multiplication blocks
+    (``factor_blocks``).  ``position`` gives the place of each generator in
+    ``generators``, and ``pairs`` the places in A's generators of the two
+    factors of each generator.
     """
 
     def __init__(self, base: BasicAlgebra):
@@ -220,7 +226,12 @@ class EnvelopingAlgebra:
             [a * d + e for a in arrows for e in idem]
             + [e * d + a for e in idem for a in arrows])
         self.generators = self.idempotents + self.radical_right_generators
+        self.position = {g: t for t, g in enumerate(self.generators)}
+        place = {g: t for t, g in enumerate(base.generators)}
+        self.pairs = tuple([place[g // d if side else g % d]
+                            for g in self.generators] for side in (True, False))
         self._factors: dict[int, tuple[list[int], list[int]]] = {}
+        self._blocks: dict[tuple[int | None, bool], SparseStack] = {}
         self._rows: dict[int, list[int]] = {}
         # Module.digest() -> tops, kept by modules.top_multiplicities
         self.tops: dict[bytes, list] = {}
@@ -252,6 +263,38 @@ class EnvelopingAlgebra:
                 [k for k in range(A.dim) if A.right_unit_of[k] == u],
                 A.projective_rows(v))
         return hit
+
+    def factor_blocks(self, vertex: int | None, left: bool) -> SparseStack:
+        """A's generators acting on A e_u by left multiplication (``left``,
+        u = vertex) or on e_v A by right multiplication (v = vertex), each
+        restricted to that basis (``projective_factors``), or on all of A
+        for vertex None: one sparse block per generator of A, in order,
+        kept per vertex and side."""
+        hit = self._blocks.get((vertex, left))
+        if hit is None:
+            A = self.base
+            d, count = A.dim, len(A.generators)
+            n = len(A.idempotents)
+            if vertex is None:
+                basis = list(range(d))
+            else:
+                pos = vertex * n if left else vertex
+                basis = self.projective_factors(pos)[0 if left else 1]
+            table = A.mult_tables()[1 if left else 0]
+            blocks = table.take_rows(A.generators).reshape(count * d, d)
+            hit = self._blocks[(vertex, left)] = SparseStack.from_matrix(
+                blocks.take_rows([g * d + k for g in range(count)
+                                  for k in basis]).take_cols(basis), count)
+        return hit
+
+    def projective_nonzeros(self, pos: int) -> int:
+        """The nonzero entries of the generator actions of e A^e, e at
+        position pos: the products of the factor blocks' nonzeros."""
+        n = len(self.base.idempotents)
+        u, v = divmod(pos, n)
+        left = self.factor_blocks(u, True).sizes()[self.pairs[0]]
+        right = self.factor_blocks(v, False).sizes()[self.pairs[1]]
+        return int((left * right).sum())
 
     def projective_rows(self, pos: int) -> list[int]:
         """The basis of e A^e = A e_u (x) e_v A, in index order, listed once;

@@ -213,12 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        # argparse leaves a subcommand's unknown options to the top parser,
-        # whose usage line does not say what the subcommand accepts
-        args, unknown = build_parser().parse_known_args(argv)
+        # argparse leaves every unknown option to the top parser; one given
+        # before the subcommand is reported by the top parser, any other by
+        # the subcommand's, whose usage line says what it accepts
+        args, unknown = parser.parse_known_args(argv)
         if unknown:
-            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+            head = argv[:argv.index(args.command)]
+            top = [u for u in unknown if u in head]
+            (parser if top else args.parser).error(
+                f"unrecognized arguments: {' '.join(top or unknown)}")
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

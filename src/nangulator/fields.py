@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over prime fields F_p and the rationals.
+"""Exact linear algebra over prime fields F_p and the rationals: dense
+matrices, and sparse stacks of matrices.
 
 A matrix stores one integer array ``n`` over one positive denominator ``d``.
 Over F_p, ``n`` holds the canonical residues in an int64 array and d = 1;
@@ -30,6 +31,14 @@ basis that ``row_space`` returns carry their pivot columns, and ``rref()`` on
 such a matrix returns it at once, with no elimination.  Every other matrix,
 including one derived from a reduced matrix (rows, transpose, products,
 sums, the constructor), starts unreduced.
+
+A ``SparseStack`` holds a stack of matrices of one shape by its nonzero
+entries alone, as sorted (key, value) arrays over one denominator: the
+generator actions of a module over the enveloping algebra, which are
+0.05-0.8 % nonzero.  It is multiplied, summed, cut and eliminated through
+those entries, and formed dense only one matrix at a time on request.
+``left_products`` and ``first_unequal_block`` take a stack of either
+storage.
 """
 
 from __future__ import annotations
@@ -431,11 +440,13 @@ def _dtype(field: FieldSpec):
     return np.int64 if field.characteristic else object
 
 
-def _eliminate(p: int, a: np.ndarray):
+def _eliminate(p: int, a, basis: bool = False):
     """Gauss-Jordan elimination of the integer array ``a`` with pinned
     pivoting, on sparse rows: (reduced n, its denominator d, pivot columns).
     Over Q (p = 0) ``a`` holds numerators over a common denominator, which
-    the reduced form does not depend on.  ``a`` is left as it is.
+    the reduced form does not depend on.  ``a`` is left as it is.  A
+    ``SparseStack`` is eliminated as its row stack, read from its stored
+    nonzeros; with ``basis`` set, n holds the nonzero rows only.
 
     Each row, a ``{column: value}`` map of its nonzeros, is reduced against
     the rows kept so far, lowest column first, until its leading column is
@@ -446,10 +457,14 @@ def _eliminate(p: int, a: np.ndarray):
     reduced form and its pivots are unique, so this order of the work gives
     those of the pinned elimination."""
     rows, cols = a.shape
-    flat = a.ravel()
-    at = flat.nonzero()[0]
+    if isinstance(a, SparseStack):
+        at, values = a.key, a.v
+    else:
+        flat = a.ravel()
+        at = flat.nonzero()[0]
+        values = flat[at]
     sparse = {}                  # row index -> {column: value}
-    for k, x in zip(at.tolist(), flat[at].tolist()):
+    for k, x in zip(at.tolist(), values.tolist()):
         i, j = divmod(k, cols)
         if i in sparse:
             sparse[i][j] = x
@@ -470,7 +485,8 @@ def _eliminate(p: int, a: np.ndarray):
         for j in [j for j in row if j != c and j in kept]:
             row = _reduce(p, row, j, kept[j])
         kept[c] = row
-    n = np.zeros((rows, cols), np.int64 if p else object)
+    n = np.zeros((len(pivots) if basis else rows, cols),
+                 np.int64 if p else object)
     at = [i * cols + j for i, c in enumerate(pivots) for j in kept[c]]
     if p:
         n.put(at, [x for c in pivots for x in kept[c].values()])
@@ -609,45 +625,38 @@ def block_diag(field: FieldSpec, mats) -> ExactMatrix:
                  [(r, c, m) for r, c, m in zip(rows, cols, mats)])
 
 
-# Column cuts of a stack are taken for groups of blocks of at most this many
-# cells (512 KB over F_p), each multiplied into its slice of the result, so
-# a submodule of a large bimodule never holds a cut of its whole stack.
-# Such a cut, a few MB freed next to the live result, fragments the heap:
-# whole cuts raised the peak RSS of the scan benchmark by about 5 % over one
-# product per generator, and groups by nothing measurable.
-CUT_CELLS = 1 << 16
-
-
-def cell_groups(count: int, cells: int) -> list[range]:
-    """range(count) as consecutive groups of items of ``cells`` cells each,
-    each group of at most ``CUT_CELLS`` cells (at least one item)."""
-    step = max(1, CUT_CELLS // max(cells, 1))
-    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def left_products(x: ExactMatrix, stack: ExactMatrix, blocks: int,
-                  cols=None) -> ExactMatrix:
+def left_products(x: ExactMatrix, stack, blocks: int, cols=None):
     """x @ S_i for each of the ``blocks`` row blocks S_i of ``stack`` (each
     of x.cols rows), cut to the columns ``cols`` when given, stacked in the
-    same order: a batched product.  The result is allocated first and the
-    cut is taken for groups of blocks of at most ``CUT_CELLS`` cells
-    (``cell_groups``), each multiplied into its slice of the result."""
+    same order: a batched product, of the storage of ``stack``.  A
+    ``SparseStack`` multiplies through its nonzeros (``SparseStack.left``);
+    a dense stack by one broadcast product."""
+    if isinstance(stack, SparseStack):
+        return stack.left(x, cols)
     (k, n), c = x.shape, stack.cols
     if stack.rows != blocks * n:
         raise LinearAlgebraError(
             f"shape mismatch for blockwise product: {x.shape} @ {blocks} "
             f"blocks of {stack.shape}")
+    s = stack.n.reshape(blocks, n, c)
     if cols is not None:
-        cols, c = list(cols), len(cols)
-    out = np.empty((blocks, k, c), _dtype(x.field))
-    s = stack.n.reshape(blocks, n, stack.cols)
-    if cols is None:
-        np.matmul(x.n, s, out=out)
-    else:
-        for g in cell_groups(blocks, n * c):
-            np.matmul(x.n, s[g.start: g.stop][:, :, cols],
-                      out=out[g.start: g.stop])
-    return x._new(out.reshape(blocks * k, c), x.d * stack.d)
+        s = s[:, :, list(cols)]
+    return x._new(np.matmul(x.n, s).reshape(blocks * k, s.shape[2]),
+                  x.d * stack.d)
+
+
+def first_unequal_block(x, y, blocks: int):
+    """The index of the first of the ``blocks`` row blocks in which two
+    stacks of one shape and storage differ, or None when they are equal."""
+    if isinstance(x, SparseStack):
+        diff = SparseStack._collect(
+            x.field, x.count, x.rows, x.cols, np.concatenate([x.key, y.key]),
+            np.concatenate([x.v * y.d, -(y.v * x.d)]), 1)
+        return int(diff.key[0]) // (x.rows * x.cols) if len(diff.key) else None
+    if not x.n.size:
+        return None
+    bad = unequal_entries(x, y).reshape(blocks, x.n.size // blocks).any(axis=1)
+    return int(bad.argmax()) if bad.any() else None
 
 
 def unequal_entries(x: ExactMatrix, y: ExactMatrix) -> np.ndarray:
@@ -688,3 +697,303 @@ def reduce_rows_mod(space: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:
         return vecs
     r, piv = space.rref()
     return vecs - vecs.take_cols(piv) @ r.take_rows(range(len(piv)))
+
+
+# -- sparse stacks ----------------------------------------------------------
+
+
+def _expand(lo: np.ndarray, cnt: np.ndarray):
+    """(a, idx): each a repeated cnt[a] times, next to lo[a], lo[a] + 1, ...,
+    lo[a] + cnt[a] - 1; the index pairs of a join, flattened."""
+    a = np.repeat(np.arange(len(cnt)), cnt)
+    return a, np.arange(len(a)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+
+
+class SparseStack:
+    """Immutable stack of ``count`` matrices of shape rows x cols over a
+    FieldSpec, stored by its nonzero entries: the storage of a module over
+    the enveloping algebra, whose generator actions are almost all zero.
+
+    Read as the (count . rows) x cols row stack of the matrices, entry
+    (i, j) is kept as the key i . cols + j.  ``key`` is ascending, so sorted
+    by matrix, row and column, and ``v`` holds the values as integers over
+    one denominator ``d``, as in ``ExactMatrix``: int64 residues over F_p,
+    Python ints over Q.  No value is zero and (v, d) is in lowest terms, so
+    the arrays are unique for the contents.  Products run over the stored
+    nonzeros only: each nonzero of the stack meets the nonzeros of the
+    other factor in its row or column, and the products that land on one
+    entry are summed.
+    """
+
+    __slots__ = ("field", "count", "rows", "cols", "key", "v", "d",
+                 "_starts", "_digest")
+
+    def __init__(self, field: FieldSpec, count: int, rows: int, cols: int,
+                 key: np.ndarray, v: np.ndarray, d: int = 1):
+        """The stack of the given entries, already in normal form."""
+        key.setflags(write=False)
+        v.setflags(write=False)
+        self.field = field
+        self.count = count
+        self.rows = rows
+        self.cols = cols
+        self.key = key
+        self.v = v
+        self.d = d
+        self._starts = None
+        self._digest = None
+
+    @staticmethod
+    def _collect(field: FieldSpec, count: int, rows: int, cols: int,
+                 key: np.ndarray, v: np.ndarray, d: int) -> "SparseStack":
+        """The stack of the entries v / d at ``key``, in any order: values
+        at one key summed, reduced mod p, zeros dropped, in lowest terms."""
+        p = field.characteristic
+        if len(key):
+            order = np.argsort(key)
+            key, v = key[order], v[order]
+            new = np.empty(len(key), bool)
+            new[0] = True
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            if not new.all():
+                at = np.flatnonzero(new)
+                key, v = key[at], np.add.reduceat(v, at)
+            if p:
+                v = v % p
+            nz = v != 0
+            if not nz.all():
+                key, v = key[nz], v[nz]
+        if not len(key):
+            return SparseStack(field, count, rows, cols,
+                               np.zeros(0, np.int64), np.zeros(0, _dtype(field)))
+        if d > 1:
+            g = math.gcd(d, *v.tolist())
+            if g > 1:
+                v, d = v // g, d // g
+        return SparseStack(field, count, rows, cols, key, v, d)
+
+    @staticmethod
+    def from_matrix(m: ExactMatrix, count: int) -> "SparseStack":
+        """The row stack m read as ``count`` blocks of equal height."""
+        flat = m.n.ravel()
+        key = np.flatnonzero(flat)
+        rows = m.rows // count if count else 0
+        return SparseStack(m.field, count, rows, m.cols, key, flat[key],
+                           m.d if len(key) else 1)
+
+    @staticmethod
+    def diagonal(field: FieldSpec, stacks, count: int) -> "SparseStack":
+        """The stack of ``count`` blocks whose block i is the block diagonal
+        matrix of the blocks i of ``stacks``, over the lcm of their
+        denominators."""
+        rows = sum(s.rows for s in stacks)
+        cols = sum(s.cols for s in stacks)
+        d = math.lcm(1, *(s.d for s in stacks))
+        keys, vals, r0, c0 = [np.zeros(0, np.int64)], [np.zeros(0, _dtype(field))], 0, 0
+        for s in stacks:
+            rs, c = np.divmod(s.key, s.cols)
+            g, r = np.divmod(rs, s.rows)
+            keys.append((g * rows + r + r0) * cols + c + c0)
+            vals.append(s.v * (d // s.d) if s.d != d else s.v)
+            r0, c0 = r0 + s.rows, c0 + s.cols
+        return SparseStack._collect(field, count, rows, cols,
+                                    np.concatenate(keys),
+                                    np.concatenate(vals), d)
+
+    @staticmethod
+    def kron_sum(field: FieldSpec, pairs, factors) -> "SparseStack":
+        """The stack whose block t is the block diagonal matrix, over the
+        factor stacks (L, R) in ``factors``, of kron(L_{l_t}, R_{r_t}) for
+        the index arrays (l, r) = ``pairs``: entry (a q + c, b q + e) of a
+        Kronecker block is L[a, b] R[c, e] for R of q rows.  Built from the
+        nonzeros of the factors, one pair of nonzeros per entry."""
+        li, rj = (np.asarray(x, np.int64) for x in pairs)
+        total = sum(L.rows * R.rows for L, R in factors)
+        keys, vals, dens, off = [], [], [], 0
+        for L, R in factors:
+            ls, rs = L.starts(), R.starts()
+            nl, nr = L.sizes()[li], R.sizes()[rj]
+            t, within = _expand(np.zeros(len(li), np.int64), nl * nr)
+            q, m = np.divmod(within, nr[t])
+            lk, rk = ls[li][t] + q, rs[rj][t] + m
+            la, lb = np.divmod(L.key[lk] % (L.rows * L.cols), L.cols)
+            ra, rb = np.divmod(R.key[rk] % (R.rows * R.cols), R.cols)
+            keys.append((t * total + la * R.rows + ra + off) * total
+                        + lb * R.cols + rb + off)
+            vals.append(L.v[lk] * R.v[rk])
+            dens.append(L.d * R.d)
+            off += L.rows * R.rows
+        d = math.lcm(1, *dens)
+        vals = [v * (d // e) if e != d else v for v, e in zip(vals, dens)]
+        return SparseStack._collect(field, len(li), total, total,
+                                    np.concatenate(keys + [np.zeros(0, np.int64)]),
+                                    np.concatenate(vals + [np.zeros(0, _dtype(field))]),
+                                    d)
+
+    @staticmethod
+    def products(pairs, lefts: "SparseStack",
+                 rights: "SparseStack") -> "SparseStack":
+        """The stack whose block t is the product L_{l_t} @ R_{r_t} of block
+        l_t of ``lefts`` and block r_t of ``rights``, for the index arrays
+        (l, r) = ``pairs``: each nonzero of L_{l_t} meets the nonzeros of
+        its column's row of R_{r_t}."""
+        li, rj = (np.asarray(x, np.int64) for x in pairs)
+        rows, inner, cols = lefts.rows, lefts.cols, rights.cols
+        starts = lefts.starts()
+        lo = starts[li]
+        t, at = _expand(lo, starts[li + 1] - lo)
+        r, c = np.divmod(lefts.key[at] % (rows * inner), inner)
+        ptr = np.searchsorted(rights.key,
+                              np.arange(rights.count * inner + 1) * cols)
+        row = rj[t] * inner + c
+        a, b = _expand(ptr[row], ptr[row + 1] - ptr[row])
+        return SparseStack._collect(
+            lefts.field, len(li), rows, cols,
+            (t[a] * rows + r[a]) * cols + rights.key[b] % cols,
+            lefts.v[at[a]] * rights.v[b], lefts.d * rights.d)
+
+    # -- shape and contents -----------------------------------------------
+    @property
+    def shape(self):
+        """The shape of the row stack."""
+        return (self.count * self.rows, self.cols)
+
+    def starts(self) -> np.ndarray:
+        """Where the entries of each block start in ``key``, and the end."""
+        if self._starts is None:
+            size = self.rows * self.cols
+            self._starts = np.searchsorted(
+                self.key, np.arange(self.count + 1) * size)
+        return self._starts
+
+    def sizes(self) -> np.ndarray:
+        """The number of nonzeros of each block."""
+        return np.diff(self.starts())
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SparseStack) and self.field == other.field
+                and (self.count, self.rows, self.cols, self.d)
+                == (other.count, other.rows, other.cols, other.d)
+                and bool(np.array_equal(self.key, other.key))
+                and bool(np.array_equal(self.v, other.v)))
+
+    def digest(self) -> bytes:
+        """A content key: the blake2b digest of the entries, shape and
+        field."""
+        if self._digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(f"{self.field.characteristic}:{self.count}x{self.rows}"
+                     f"x{self.cols}:{self.d}".encode())
+            h.update(self.key.tobytes())
+            if self.field.characteristic:
+                h.update(self.v.tobytes())
+            else:
+                h.update(repr(self.v.tolist()).encode())
+            self._digest = h.digest()
+        return self._digest
+
+    def dense(self) -> ExactMatrix:
+        """The row stack as a dense matrix."""
+        n = np.zeros(self.count * self.rows * self.cols, _dtype(self.field))
+        n[self.key] = self.v
+        return ExactMatrix._wrap(self.field,
+                                 n.reshape(self.count * self.rows, self.cols),
+                                 self.d)
+
+    def block(self, i: int) -> ExactMatrix:
+        """Matrix i of the stack, dense."""
+        lo, hi = self.starts()[i: i + 2]
+        n = np.zeros(self.rows * self.cols, _dtype(self.field))
+        n[self.key[lo:hi] - i * self.rows * self.cols] = self.v[lo:hi]
+        return ExactMatrix._wrap(self.field,
+                                 *_lowest(n.reshape(self.rows, self.cols),
+                                          self.d))
+
+    def sums(self, groups) -> "SparseStack":
+        """The stack whose matrix t is the sum of the matrices of the
+        indices in groups[t]."""
+        members = np.array([i for g in groups for i in g], np.int64)
+        owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        starts = self.starts()
+        lo = starts[members]
+        a, idx = _expand(lo, starts[members + 1] - lo)
+        key = self.key[idx] + (owner[a] - members[a]) * (self.rows * self.cols)
+        return SparseStack._collect(self.field, len(groups), self.rows,
+                                    self.cols, key, self.v[idx], self.d)
+
+    def row_space(self) -> ExactMatrix:
+        """``row_space`` of the row stack, eliminated from its stored
+        nonzeros: no dense copy of the stack is formed."""
+        n, d, pivots = _eliminate(self.field.characteristic, self, basis=True)
+        basis = ExactMatrix._wrap(self.field, n, d)
+        basis._pivots = pivots
+        return basis
+
+    def take_rows(self, idx) -> "SparseStack":
+        """The rows idx of the row stack, ``count`` blocks of equal height:
+        the same rows of every block."""
+        idx = np.asarray(idx, np.int64)
+        where = np.full(self.count * self.rows, -1, np.int64)
+        where[idx] = np.arange(len(idx))
+        rs, c = np.divmod(self.key, self.cols)
+        new = where[rs]
+        keep = new >= 0
+        return SparseStack._collect(
+            self.field, self.count, len(idx) // self.count if self.count
+            else 0, self.cols, new[keep] * self.cols + c[keep], self.v[keep],
+            self.d)
+
+    # -- products -----------------------------------------------------------
+    def __matmul__(self, f: ExactMatrix) -> "SparseStack":
+        """S_i @ f for every matrix S_i: the product of the row stack."""
+        if self.cols != f.rows:
+            raise LinearAlgebraError(
+                f"shape mismatch for product: {self.shape} @ {f.shape}")
+        rs, c = np.divmod(self.key, self.cols)
+        fr, fc = np.nonzero(f.n)
+        ptr = np.searchsorted(fr, np.arange(f.rows + 1))
+        lo = ptr[c]
+        a, b = _expand(lo, ptr[c + 1] - lo)
+        return SparseStack._collect(
+            self.field, self.count, self.rows, f.cols, rs[a] * f.cols + fc[b],
+            self.v[a] * f.n[fr[b], fc[b]], self.d * f.d)
+
+    def left(self, x: ExactMatrix, cols=None) -> "SparseStack":
+        """x @ S_i for every matrix S_i, cut to the columns ``cols`` when
+        given (``fields.left_products``)."""
+        if x.cols != self.rows:
+            raise LinearAlgebraError(
+                f"shape mismatch for blockwise product: {x.shape} @ "
+                f"{self.count} blocks of {self.shape}")
+        rs, c = np.divmod(self.key, self.cols)
+        g, r = np.divmod(rs, self.rows)
+        v, width = self.v, self.cols
+        if cols is not None:
+            width = len(cols)
+            where = np.full(self.cols, -1, np.int64)
+            where[list(cols)] = np.arange(width)
+            c = where[c]
+            keep = c >= 0
+            g, r, c, v = g[keep], r[keep], c[keep], v[keep]
+        inner, j = np.nonzero(x.n.T)
+        ptr = np.searchsorted(inner, np.arange(self.rows + 1))
+        lo = ptr[r]
+        a, b = _expand(lo, ptr[r + 1] - lo)
+        return SparseStack._collect(
+            self.field, self.count, x.rows, width,
+            (g[a] * x.rows + j[b]) * width + c[a],
+            v[a] * x.n[j[b], inner[b]], self.d * x.d)
+
+    def row_product(self, y: ExactMatrix, i: int) -> ExactMatrix:
+        """y @ S_i, dense: each nonzero of S_i adds its row of y, scaled,
+        to its column."""
+        if y.cols != self.rows:
+            raise LinearAlgebraError(
+                f"shape mismatch for product: {y.shape} @ block of "
+                f"{self.rows} x {self.cols}")
+        lo, hi = self.starts()[i: i + 2]
+        r, c = np.divmod(self.key[lo:hi] - i * self.rows * self.cols,
+                         self.cols)
+        out = np.zeros((y.rows, self.cols), _dtype(self.field))
+        np.add.at(out, (slice(None), c), y.n[:, r] * self.v[lo:hi])
+        return y._new(out, y.d * self.d)

@@ -4,18 +4,24 @@ pullbacks and isomorphism testing.
 A module stores one action matrix per algebra generator: per idempotent and
 arrow for a module over A, and per e_i (x) e_j, a (x) e_j and e_i (x) a for
 a bimodule, a right module over the enveloping algebra A^e.  The matrices
-are stored once, stacked in generator order as one (#generators, dim, dim)
-array (``Module.stack`` holds it as a row stack), and the action of a
-generator is a view of its slice.  The action of any other basis element is
-the product of generator actions along its word (``BasicAlgebra.word``),
-derived on demand.  Constructions (submodules, quotients, direct sums,
-twists, duals) act on the whole stack with one product or one placement
-(``fields.place``), and ``ModuleMorphism.verify`` in groups of generators
-of bounded size; images of a vector under many basis elements are walked
-along the words on row vectors.  Every matrix is an ``ExactMatrix``, so
-the same code runs over F_p and Q, and this module never touches the
-stored integers.  Elements are row vectors; a morphism matrix F sends x to
-x @ F, so composition "f then g" is the matrix product F @ G.
+are stored once, stacked in generator order (``Module.stack``), in the
+storage of the algebra the module is over:
+- over A, one dense row stack (an ``ExactMatrix``), the action of a
+  generator a view of its slice: these are small dense matrices;
+- over A^e, a ``fields.SparseStack`` of the nonzero entries alone, as
+  bimodule actions are almost all zero.  A generator's action is formed
+  dense only when ``action`` is asked for it; projectives e A^e are built
+  from the nonzeros of A's own multiplication blocks.
+The action of any other basis element is the product of generator actions
+along its word (``BasicAlgebra.word``), derived on demand.  Constructions
+(submodules, quotients, direct sums, twists, duals) and
+``ModuleMorphism.verify`` act on the whole stack with one product or one
+placement, through the stored nonzeros of a sparse stack; images of a
+vector under many basis elements are walked along the words on row vectors
+(``Module.times``).  Every matrix is an ``ExactMatrix``, so the same code
+runs over F_p and Q, and this module never touches the stored integers.
+Elements are row vectors; a morphism matrix F sends x to x @ F, so
+composition "f then g" is the matrix product F @ G.
 """
 
 from __future__ import annotations
@@ -26,12 +32,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .algebra import Automorphism, BasicAlgebra
+from .algebra import Automorphism, BasicAlgebra, EnvelopingAlgebra
 from .fields import (
     ExactMatrix,
     LinearAlgebraError,
-    cell_groups,
+    SparseStack,
     check_memory,
+    first_unequal_block,
     left_products,
     linear_combination,
     place,
@@ -39,25 +46,26 @@ from .fields import (
     row_space,
     stack_cols,
     stack_rows,
-    unequal_entries,
 )
 
 
 class Module:
     """A right module, stored by the action of each algebra generator.
 
-    ``stack`` holds the generator actions once: the row stack, of shape
-    (#generators . dim, dim), of the (#generators, dim, dim) array whose
-    slices are the generator actions in ``algebra.generators`` order.
+    ``stack`` holds the generator actions once, in ``algebra.generators``
+    order, read as the row stack of shape (#generators . dim, dim): dense
+    over A, a ``SparseStack`` over A^e, chosen by the algebra alone.
     ``action[k]`` gives the matrix of any basis element k: for a generator
-    a view of its slice of the stack, for any other element the product of
+    a view of its slice of a dense stack, or the slice of a sparse one
+    formed dense on each call; for any other element the product of
     generator actions along the word of k, derived once and kept.
     Idempotent images and a bimodule's one-sided generator actions are kept
     too, one entry per idempotent or generator; the top is kept on the
     algebra, per ``digest`` (``top_multiplicities``).
 
-    ``action`` is given either as that row stack or as the generator
-    actions, a list by basis index or a dict read at the generators only.
+    ``action`` is given either as that row stack (dense, or sparse over
+    A^e) or as the generator actions, a list by basis index or a dict read
+    at the generators only.
 
     ``proj`` lists c_1..c_r when the module is literally
     e_{c_1}A (+) ... (+) e_{c_r}A in path bases, block by block; only
@@ -72,8 +80,11 @@ class Module:
         self.dim = dim
         self.proj = proj
         gens = algebra.generators
-        if not isinstance(action, ExactMatrix):
+        if not isinstance(action, (ExactMatrix, SparseStack)):
             action = stack_rows(algebra.field, [action[g] for g in gens])
+        if isinstance(algebra, EnvelopingAlgebra) and \
+                isinstance(action, ExactMatrix):
+            action = SparseStack.from_matrix(action, len(gens))
         if action.shape != (len(gens) * dim, dim):
             raise LinearAlgebraError(
                 f"generator actions of shape {action.shape} for "
@@ -95,9 +106,7 @@ class Module:
             h = hashlib.blake2b(digest_size=16)
             h.update(id(self.algebra).to_bytes(8, "little", signed=False))
             h.update(self.dim.to_bytes(4, "little"))
-            acts = self.action
-            for g in self.algebra.generators:
-                h.update(acts[g].digest())
+            h.update(self.stack.digest())
             self._digest = h.digest()
         return self._digest
 
@@ -108,12 +117,24 @@ class Module:
                                   [self.action[k] for k, _ in terms],
                                   (self.dim, self.dim))
 
+    def times(self, y: ExactMatrix, g: int) -> ExactMatrix:
+        """y @ (the action of generator g); through the stored nonzeros of
+        a sparse stack, without forming the action."""
+        if isinstance(self.stack, SparseStack):
+            return self.stack.row_product(y, self.algebra.position[g])
+        return y @ self.action[g]
+
     def idempotent_image(self, pos: int) -> ExactMatrix:
-        """Canonical basis rows of M e for the idempotent at position pos."""
+        """Canonical basis rows of M e for the idempotent at position pos;
+        over a sparse stack eliminated from the stored nonzeros, so only
+        the basis rows are formed dense."""
         hit = self._images.get(pos)
         if hit is None:
             e = self.algebra.idempotents[pos]
-            hit = self._images[pos] = row_space(self.action[e])
+            hit = self._images[pos] = (
+                self.stack.sums([[self.algebra.position[e]]]).row_space()
+                if isinstance(self.stack, SparseStack)
+                else row_space(self.action[e]))
         return hit
 
     def is_zero(self) -> bool:
@@ -136,15 +157,19 @@ class _Actions:
         acts = m._actions
         if acts is None:
             gens = m.algebra.generators
-            acts = m._actions = dict(zip(gens, m.stack.split_rows(len(gens))))
+            acts = m._actions = {} if isinstance(m.stack, SparseStack) \
+                else dict(zip(gens, m.stack.split_rows(len(gens))))
         hit = acts.get(k)
         if hit is None:
             if not 0 <= k < len(self):
                 raise IndexError(f"basis index {k} out of range")
             word = m.algebra.word(k)
-            hit = acts[word[0]]
+            if len(word) == 1:
+                # a generator of a sparse stack, formed on each call
+                return m.stack.block(m.algebra.position[k])
+            hit = self[word[0]]
             for g in word[1:]:
-                hit = hit @ acts[g]
+                hit = hit @ self[g]
             acts[k] = hit
         return hit
 
@@ -156,9 +181,10 @@ class _Actions:
             a == b for a, b in zip(self, other))
 
 
-def walk_words(y: ExactMatrix, words, act) -> list[ExactMatrix]:
-    """y . w for each word w of generators, act(g) the matrix of generator
-    g: one product of rows per distinct prefix, and no path matrix."""
+def walk_words(y: ExactMatrix, words, step) -> list[ExactMatrix]:
+    """y . w for each word w of generators, step(x, g) the rows x times
+    generator g: one product of rows per distinct prefix, and no path
+    matrix."""
     memo = {}
 
     def walk(w):
@@ -166,7 +192,7 @@ def walk_words(y: ExactMatrix, words, act) -> list[ExactMatrix]:
             return y
         hit = memo.get(w)
         if hit is None:
-            hit = memo[w] = walk(w[:-1]) @ act(w[-1])
+            hit = memo[w] = step(walk(w[:-1]), w[-1])
         return hit
 
     return [walk(w) for w in words]
@@ -199,25 +225,19 @@ class ModuleMorphism:
 
     def verify(self) -> None:
         """Check that the matrix intertwines the actions of the generators;
-        every other action is a product of theirs.  The generators are taken
-        in groups whose compared products have at most ``fields.CUT_CELLS``
-        cells (``cell_groups``): per group one product of the source's
-        stacked actions with the matrix and one blockwise product of the
-        matrix with the target's, compared block by block.  The check stops
-        at the first failing group, and the error names the first
-        generator, in index order, that fails."""
+        every other action is a product of theirs.  One product of the
+        source's stacked actions with the matrix and one blockwise product
+        of the matrix with the target's, both through the stored nonzeros of
+        a sparse stack, are compared block by block; the error names the
+        first generator, in index order, that fails."""
         src, dst, f = self.source, self.target, self.matrix
-        gens, cells = src.algebra.generators, f.rows * f.cols
-        for g in cell_groups(len(gens), cells):
-            lo, hi = g.start, g.stop
-            lhs = src.stack.take_rows(range(lo * src.dim, hi * src.dim))
-            rhs = dst.stack.take_rows(range(lo * dst.dim, hi * dst.dim))
-            bad = unequal_entries(lhs @ f, left_products(f, rhs, hi - lo))
-            bad = bad.reshape(hi - lo, cells).any(axis=1)
-            if bad.any():
-                k = gens[lo + int(bad.argmax())]
-                raise LinearAlgebraError(
-                    f"morphism does not intertwine element {k}")
+        gens = src.algebra.generators
+        bad = first_unequal_block(src.stack @ f,
+                                  left_products(f, dst.stack, len(gens)),
+                                  len(gens))
+        if bad is not None:
+            raise LinearAlgebraError(
+                f"morphism does not intertwine element {gens[bad]}")
 
     def rank(self) -> int:
         return self.matrix.rank()
@@ -238,20 +258,26 @@ def zero_module(algebra: BasicAlgebra) -> Module:
 # -- bimodule action helpers ---------------------------------------------------
 
 
+def _side(algebra: BasicAlgebra, g: int, left: bool) -> list[int]:
+    """The positions, among the A^e generators, of g (x) e_j (``left``) or
+    of e_i (x) g, over the vertices."""
+    position = algebra.enveloping().position
+    return [position[algebra.envelope_index(*((g, e) if left else (e, g)))]
+            for e in algebra.idempotents]
+
+
 def _one_sided(b: Module, algebra: BasicAlgebra, g: int, left: bool) -> ExactMatrix:
     """Action of b_g (x) 1 (``left``) or 1 (x) b_g on a bimodule.  For a
     generator g it is the sum of the A^e generators g (x) e_j, or e_i (x) g,
-    kept on the module; any other b_g is the product along its word, read
-    backwards on the left."""
+    summed over the stored nonzeros and kept on the module; any other b_g
+    is the product along its word, read backwards on the left."""
     key = (left, g)
     hit = b._sides.get(key)
     if hit is not None:
         return hit
     word = algebra.word(g)
     if len(word) == 1:
-        pairs = ((g, e) if left else (e, g) for e in algebra.idempotents)
-        hit = b._sides[key] = b.combination(
-            (algebra.envelope_index(*pair), 1) for pair in pairs)
+        hit = b._sides[key] = b.stack.sums([_side(algebra, g, left)]).dense()
         return hit
     acts = [_one_sided(b, algebra, x, left) for x in (word[::-1] if left else word)]
     hit = acts[0]
@@ -287,55 +313,61 @@ def projective_module(algebra, pos: int) -> Module:
     Its basis is ``algebra.projective_rows(pos)``, so generator actions are
     restrictions of right multiplication.  Over A it is built once per
     vertex and kept on the algebra (``BasicAlgebra.projectives``), so
-    repeat calls share one module and its caches.  Over A^e, e = e_u (x) e_v
-    and e A^e = A e_u (x) e_v A: the generator a (x) b acts by the Kronecker
-    product of A's left multiplication by a on A e_u and its right
-    multiplication by b on e_v A.  It is built afresh on every call, as
-    keeping all of them would hold every e A^e at once."""
-    rows = algebra.projective_rows(pos)
-    base = getattr(algebra, "base", None)
-    if base is None:
-        hit = algebra.projectives.get(pos)
-        if hit is None:
-            action = {g: algebra.right_mult[g].take_rows(rows).take_cols(rows)
-                      for g in algebra.generators}
-            hit = algebra.projectives[pos] = Module(algebra, len(rows), action,
-                                                    (pos,))
-        return hit
-    left, right = algebra.projective_factors(pos)
-    action = {}
-    for g in algebra.generators:
-        i, j = divmod(g, base.dim)
-        action[g] = (base.left_mult(i).take_rows(left).take_cols(left).kron(
-            base.right_mult[j].take_rows(right).take_cols(right)))
-    return Module(algebra, len(rows), action, (pos,))
+    repeat calls share one module and its caches.  Over A^e it is built
+    afresh on every call (``_bimodule_projective``)."""
+    if isinstance(algebra, EnvelopingAlgebra):
+        return _bimodule_projective(algebra, [pos])
+    hit = algebra.projectives.get(pos)
+    if hit is None:
+        rows = algebra.projective_rows(pos)
+        action = {g: algebra.right_mult[g].take_rows(rows).take_cols(rows)
+                  for g in algebra.generators}
+        hit = algebra.projectives[pos] = Module(algebra, len(rows), action,
+                                                (pos,))
+    return hit
+
+
+def _bimodule_projective(env: EnvelopingAlgebra, copies) -> Module:
+    """The direct sum of the e A^e for the idempotents at ``copies``, in
+    that order.  For e = e_u (x) e_v, e A^e = A e_u (x) e_v A and the
+    generator a (x) b acts by the Kronecker product of A's left
+    multiplication by a on A e_u and its right multiplication by b on e_v A
+    (``EnvelopingAlgebra.factor_blocks``): the sparse stack is built from
+    the nonzeros of those blocks, with no dense action formed."""
+    n = len(env.base.idempotents)
+    stack = SparseStack.kron_sum(env.field, env.pairs, [
+        (env.factor_blocks(pos // n, True), env.factor_blocks(pos % n, False))
+        for pos in copies])
+    return Module(env, stack.rows, stack, tuple(copies))
 
 
 def standard_projective(algebra: BasicAlgebra, copies: list[int]) -> Module:
     """Direct sum of indecomposable projectives in the given vertex order;
     its ``proj`` is ``tuple(copies)``.  Over A each vertex list is built
     once and kept on the algebra, so repeat calls share one module and its
-    caches; bimodule covers over A^e are built afresh."""
+    caches; bimodule covers over A^e are built afresh, in one piece."""
+    if isinstance(algebra, EnvelopingAlgebra):
+        return _bimodule_projective(algebra, copies)
     key = tuple(copies)
-    kept = algebra.standard_projectives if isinstance(algebra, BasicAlgebra) \
-        else {}
-    hit = kept.get(key)
+    hit = algebra.standard_projectives.get(key)
     if hit is None:
         parts = [projective_module(algebra, pos) for pos in copies]
-        hit = kept[key] = direct_sum(algebra, parts)[0]
+        hit = algebra.standard_projectives[key] = direct_sum(algebra, parts)[0]
     return hit
 
 
 def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
     """The bimodule that is regular on the left and right-twisted by sigma,
     as a right module over the enveloping algebra: the generator u (x) v
-    acts by x -> u x sigma(v)."""
+    acts by x -> u x sigma(v), the product of A's left multiplication by u
+    and its right multiplication by sigma(v), formed from their nonzeros."""
     env = algebra.enveloping()
-    d = algebra.dim
-    right = {g: algebra.element_right_matrix(sigma.matrix.row(g))
-             for g in algebra.generators}
-    return Module(env, d, stack_rows(algebra.field, [
-        algebra.left_mult(k // d) @ right[k % d] for k in env.generators]))
+    right = stack_rows(algebra.field, [
+        algebra.element_right_matrix(sigma.matrix.row(g))
+        for g in algebra.generators])
+    return Module(env, algebra.dim, SparseStack.products(
+        env.pairs, env.factor_blocks(None, True),
+        SparseStack.from_matrix(right, len(algebra.generators))))
 
 
 def _substituted(m: Module, terms_of) -> Module:
@@ -395,7 +427,8 @@ def submodule(m: Module, rows: ExactMatrix):
 
     Returns (S, include: S -> M).  With R the RREF basis and pivots pc,
     generator g acts on S by R M_g restricted to the columns pc: one
-    blockwise product of R with the columns pc of the stacked M_g.
+    blockwise product of R with the columns pc of the stacked M_g, through
+    the stored nonzeros of a sparse stack.
     """
     basis = row_space(rows)
     if basis.rows == 0:
@@ -453,9 +486,13 @@ def direct_sum(algebra: BasicAlgebra, parts: list[Module]):
     fld = algebra.field
     starts = list(accumulate([p.dim for p in parts], initial=0))
     total = starts[-1]
-    stack = place(fld, (total, total),
-                  [(off, off, p.stack) for off, p in zip(starts, parts)],
-                  depth=len(algebra.generators))
+    if isinstance(algebra, EnvelopingAlgebra):
+        stack = SparseStack.diagonal(fld, [p.stack for p in parts],
+                                     len(algebra.generators))
+    else:
+        stack = place(fld, (total, total),
+                      [(off, off, p.stack) for off, p in zip(starts, parts)],
+                      depth=len(algebra.generators))
     eye = ExactMatrix.identity(fld, total)
     cuts = [range(off, off + p.dim) for off, p in zip(starts, parts)]
     proj = None
@@ -569,7 +606,7 @@ def _walked(A, pos: int, ys: ExactMatrix, n: Module) -> ExactMatrix:
     """ys . b for each row of ys and the basis b of e_cA (c at pos), one walk
     along the words: row i holds the images of row i of ys side by side."""
     words = [A.word(k) for k in A.projective_rows(pos)]
-    return stack_cols(A.field, walk_words(ys, words, n.action.__getitem__))
+    return stack_cols(A.field, walk_words(ys, words, n.times))
 
 
 def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
@@ -719,22 +756,24 @@ def _tops(m: Module):
     # a path of positive length ends in an arrow, so rad A is the sum of the
     # A.g over the arrows g and M.rad A that of the M.g; over A^e,
     # rad A^e = sum of A^e(a (x) 1) + A^e(1 (x) a), so the 2.#arrows
-    # one-sided actions span M.rad A^e
-    base = getattr(A, "base", None)
-    if base is None:
-        gens = [m.action[g] for g in A.generators if g not in A.idempotents]
+    # one-sided actions span M.rad A^e, summed and eliminated from the
+    # stored nonzeros
+    if isinstance(A, EnvelopingAlgebra):
+        base = A.base
+        sides = [_side(base, g, left)
+                 for g in base.generators if g not in base.idempotents
+                 for left in (True, False)]
+        rad = m.stack.sums(sides).row_space()
     else:
-        gens = [_one_sided(m, base, g, left)
-                for g in base.generators if g not in base.idempotents
-                for left in (True, False)]
-    rad = row_space(stack_rows(fld, gens)) if gens \
-        else ExactMatrix.zeros(fld, 0, m.dim)
+        gens = [m.action[g] for g in A.generators if g not in A.idempotents]
+        rad = row_space(stack_rows(fld, gens)) if gens \
+            else ExactMatrix.zeros(fld, 0, m.dim)
     out = []
     for pos in range(len(A.idempotents)):
         comp = m.idempotent_image(pos)
         if comp.rows == 0:
             continue
-        rad_comp = row_space(rad @ m.action[A.idempotents[pos]]) if rad.rows \
+        rad_comp = row_space(m.times(rad, A.idempotents[pos])) if rad.rows \
             else ExactMatrix.zeros(fld, 0, m.dim)
         reduced = reduce_rows_mod(rad_comp, comp) if rad_comp.rows else comp
         lifts = row_space(reduced)

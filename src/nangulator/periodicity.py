@@ -2,12 +2,13 @@
 detection and twist extraction: the data the functor sequence and the
 suspension are read from.
 
-Bimodules are modules over A^e stored by their generator actions (e_i (x)
-e_j, a (x) e_j and e_i (x) a), and each projective cover is a direct sum of
-A e_i (x) e_j A built from A's own multiplication blocks, so no dense A^e is
-ever formed.  Before a cover is built, ``BimoduleResolution.extend``
-estimates the memory of its generator actions and stops with
-``fields.ResourceBoundExceeded`` above ``fields.MEMORY_BOUND``."""
+Bimodules are modules over A^e stored by the nonzeros of their generator
+actions (e_i (x) e_j, a (x) e_j and e_i (x) a) in a ``fields.SparseStack``,
+and each projective cover is a direct sum of A e_i (x) e_j A built from the
+nonzeros of A's own multiplication blocks, so neither a dense A^e nor a
+dense generator action is ever formed.  Before a cover is built,
+``BimoduleResolution.extend`` estimates what the step stores and forms and
+stops with ``fields.ResourceBoundExceeded`` above ``fields.MEMORY_BOUND``."""
 
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ class BimoduleResolution:
     def extend(self, up_to: int) -> None:
         while len(self.syzygies) < up_to:
             prev = self.syzygies[-1] if self.syzygies else self.regular
-            _check_cover_memory(prev)
+            _check_cover_memory(prev, self.terms[-1].dim if self.terms else 0)
             k, inc, P, pi = syzygy(prev)
             if self.syzygies:
                 d = ModuleMorphism(P, self.terms[-1],
@@ -83,15 +84,22 @@ class BimoduleResolution:
             self.inclusions.append(inc)
 
 
-def _check_cover_memory(m: Module) -> None:
-    """Refuse the projective cover of m when its generator actions alone,
-    #generators(A^e) dense dim P x dim P matrices, exceed
-    ``fields.MEMORY_BOUND``."""
+def _check_cover_memory(m: Module, below: int) -> None:
+    """Refuse the step that covers m by P -> m when what it stores and forms
+    exceeds ``fields.MEMORY_BOUND``: the nonzeros of P's generator actions,
+    two entries each (key and value), counted from A's factor blocks before
+    P is built (``EnvelopingAlgebra.projective_nonzeros``), and the dense
+    matrices of the step, all dim P wide or high: the cover map and one
+    RREF of its size (dim P x dim m each), the kernel basis
+    ((dim P - dim m) x dim P) and the differential into the previous term,
+    of dimension ``below`` (0 for the first step)."""
     env = m.algebra
-    size = sum(len(env.projective_rows(pos)) for pos, _ in top_multiplicities(m))
-    check_memory(env.field, len(env.generators) * size * size,
-                 f"the next bimodule cover has dimension {size}; its "
-                 f"{len(env.generators)} generator actions")
+    copies = [pos for pos, _ in top_multiplicities(m)]
+    size = sum(len(env.projective_rows(pos)) for pos in copies)
+    stored = sum(env.projective_nonzeros(pos) for pos in copies)
+    check_memory(env.field, 2 * stored + size * (m.dim + size + below),
+                 f"the next bimodule cover (dimension {size}, {stored} "
+                 f"stored nonzeros) and the dense matrices of its step")
 
 
 def bimodule_resolution(algebra: BasicAlgebra) -> BimoduleResolution:
@@ -122,7 +130,7 @@ def detect_twist(algebra: BasicAlgebra, m: Module) -> TwistWitness | None:
     g = algebra.unit() @ phi.matrix  # image of 1: a free left generator of M
     # row j: the coordinates of g . b_j in the left basis g . b_k
     images = walk_words(g, [algebra.word(j) for j in range(algebra.dim)],
-                        lambda x: bim_right_action(m, algebra, x))
+                        lambda y, x: y @ bim_right_action(m, algebra, x))
     sigma_matrix = stack_rows(algebra.field, images) @ phi.matrix.inv()
     if not sigma_matrix.is_invertible():
         # no free generator induces an invertible twist, so none does

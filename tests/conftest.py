@@ -64,6 +64,42 @@ def load_sequence(name, m):
     return _sequence_cache[key]
 
 
+_over = {}
+
+
+def fixture_over(name, p):
+    """The algebra of a fixture with its field replaced by F_p (Q for
+    p = 0), computed once."""
+    import json
+
+    from nangulator.algebra import compute_basis
+    from nangulator.quiver import parse_algebra
+
+    key = (name, p)
+    if key not in _over:
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        doc["field"] = p
+        _over[key] = compute_basis(parse_algebra(json.dumps(doc)))
+    return _over[key]
+
+
+def bimodule_projective_oracle(env, pos):
+    """The dense generator actions of e A^e = A e_u (x) e_v A, e at
+    position pos, by generator: a (x) b acts by the Kronecker product of
+    A's left multiplication by a on A e_u and its right multiplication by b
+    on e_v A, one product per generator.  The construction of
+    ``modules.projective_module`` over A^e before bimodules were stored
+    sparse, kept as an oracle."""
+    A = env.base
+    left, right = env.projective_factors(pos)
+    action = {}
+    for g in env.generators:
+        i, j = divmod(g, A.dim)
+        action[g] = A.left_mult(i).take_rows(left).take_cols(left).kron(
+            A.right_mult[j].take_rows(right).take_cols(right))
+    return action
+
+
 def syzygies_up_to(algebra, n):
     """The minimal bimodule syzygies Omega^1 .. Omega^n of the algebra."""
     from nangulator.periodicity import bimodule_resolution

@@ -130,17 +130,24 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
     ["algebra", "--m", "5"],
     ["angulate", "--s", "3"],
     ["verify", "--perturb"],
+    # before the command: the top level accepts only -h
+    ["--bogus", "algebra"],
 ])
 def test_foreign_options_are_usage_errors(argv, capsys):
     from nangulator.cli import run_cli
 
     loop = str(FIXTURES / "loop_p3.json")
-    assert run_cli([argv[0], loop] + argv[1:]) == 2
+    at = next(i for i, a in enumerate(argv) if not a.startswith("-"))
+    assert run_cli(argv[:at + 1] + [loop] + argv[at + 1:]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    # the usage line and the error are the subcommand's own
-    assert err.startswith(f"usage: nangulator {argv[0]} [-h] ")
-    assert f"nangulator {argv[0]}: error: unrecognized arguments: " in err
+    # the usage line and the error are those of the parser the option was
+    # given to: the subcommand's own, or the top level's before it
+    prog = "nangulator" if at else f"nangulator {argv[at]}"
+    assert err.startswith(f"usage: {prog} [-h] ")
+    assert f"{prog}: error: unrecognized arguments: " in err
+    if at:
+        assert err.endswith(f"unrecognized arguments: {' '.join(argv[:at])}\n")
 
 
 @pytest.mark.parametrize("command", ["algebra", "period", "verify"])
@@ -293,9 +300,15 @@ def test_memory_guard_exits_one_naming_the_estimate(monkeypatch, capsys):
     monkeypatch.setattr(fields, "MEMORY_BOUND", 1000)
     assert run_cli(["period", path]) == 1
     err = capsys.readouterr().err
-    # the first cover, A e_1 (x) e_1 A (+) A e_2 (x) e_2 A, has dimension
-    # 2 * 2 * 2 = 8; A^e has 4 + 2 * 2 * 2 = 12 generators; 8 bytes an entry
-    assert err.startswith("error: ") and "6144 bytes" in err
+    # the first cover P = A e_1 (x) e_1 A (+) A e_2 (x) e_2 A of the regular
+    # bimodule (dimension 4) has dimension 2 * 2 * 2 = 8.  Each summand has
+    # 8 nonzero generator entries: one for each of the 4 e_i (x) e_j, and
+    # one for each of the 2 + 2 arrow generators a (x) e_j, e_i (x) a with
+    # a ending at, or starting from, its vertex.  The guard charges the
+    # 16 stored nonzeros twice (key and value), the cover map and one RREF
+    # of 8 x 4 each and the 4 x 8 kernel basis; the first step has no
+    # differential: 2 * 16 + 8 * (4 + 8 + 0) = 128 entries, 8 bytes each
+    assert err.startswith("error: ") and "1024 bytes" in err
 
 
 def test_hom_system_guard_exits_one_naming_the_estimate(monkeypatch, capsys):
@@ -306,8 +319,10 @@ def test_hom_system_guard_exits_one_naming_the_estimate(monkeypatch, capsys):
     argv = ["verify", path, "--samples", "1", "--seed", "5"]
     assert run_cli(argv) == 0
     capsys.readouterr()
-    # the bimodule covers of loop_p3 take at most 384 bytes, so the scan
-    # passes and the first hom system above the bound stops the run
+    # the one step of loop_p3's bimodule resolution that the scan takes is
+    # charged 320 bytes (``periodicity._check_cover_memory``: 2 * 8 stored
+    # nonzeros and 4 * (2 + 4 + 0) dense entries), so the scan passes and
+    # the first hom system above the bound stops the run
     monkeypatch.setattr(fields, "MEMORY_BOUND", 500)
     assert run_cli(argv) == 1
     err = capsys.readouterr().err

@@ -15,6 +15,9 @@ from nangulator.fields import (
     ExactMatrix,
     FieldSpec,
     LinearAlgebraError,
+    SparseStack,
+    block_diag,
+    first_unequal_block,
     kron,
     left_products,
     reduce_rows_mod,
@@ -581,9 +584,9 @@ def test_module_stacks_over_q_are_in_lowest_terms():
          for j in range(A.dim)] for i in range(A.dim)]))
     twisted = twisted_bimodule(A, sigma).stack
     stacks = [direct_sum(A, [halves, P, halves])[0].stack,
-              dual_module(halves).stack, twisted,
+              dual_module(halves).stack, twisted.dense(),
               *halves.stack.split_rows(len(A.generators)),
-              *twisted.split_rows(len(A.enveloping().generators))]
+              *(twisted.block(i) for i in range(twisted.count))]
     assert halves.stack.d == twisted.d == 2
     for m in stacks:
         fresh_n, fresh_d = numerators(m.a)
@@ -670,15 +673,14 @@ def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
     assert z.reshape(4, 1).row(3).n.tolist() == [[-4]]
 
 
-@pytest.mark.parametrize("cut", [1, 17, fields.CUT_CELLS])
+@pytest.mark.parametrize("seed", [1, 17, 65536])
 @pytest.mark.parametrize("p", [5, 65521, 0])
-def test_left_products_match_one_product_per_block(p, cut, monkeypatch):
-    # the batched product, with or without a column cut and in groups of
-    # one block, of two and three (a short last group) or all, against one
-    # product per block, cut afterwards; blocks are views of the stack
-    monkeypatch.setattr(fields, "CUT_CELLS", cut)
+def test_left_products_match_one_product_per_block(p, seed):
+    # the batched product of a dense stack, with or without a column cut,
+    # against one product per block, cut afterwards; blocks are views of
+    # the stack
     field = FieldSpec(p)
-    rng = random.Random(p + cut)
+    rng = random.Random(p + seed)
 
     def entry():
         if p:
@@ -745,3 +747,119 @@ def test_only_fields_knows_the_storage_of_a_matrix():
                     offenders += [(path.name, a.name) for a in node.names
                                   if a.name.startswith("_")]
     assert offenders == []
+
+
+# -- sparse stacks --------------------------------------------------------------
+
+@st.composite
+def sparse_case(draw):
+    """(field, count, dense row stack) for a sparse stack: F2, F5 or Q, up
+    to four blocks of up to 3 x 3, zero rows and columns among them, blocks
+    left empty, mostly zero entries and, over Q, fractions with non-unit
+    denominators."""
+    p = draw(st.sampled_from([2, 5, 0]))
+    field = FieldSpec(p)
+    count, rows, cols = (draw(st.integers(0, n)) for n in (4, 3, 3))
+    value = (st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+             if not p else st.integers(0, p - 1))
+    entry = st.one_of(st.just(0), st.just(0), value)
+    blocks = [[[draw(entry) for _ in range(cols)] for _ in range(rows)]
+              if draw(st.booleans()) else [[0] * cols for _ in range(rows)]
+              for _ in range(count)]
+    flat = [row for b in blocks for row in b]
+    dense = ExactMatrix(field, np.array(flat, dtype=object).reshape(
+        count * rows, cols))
+    return field, count, dense
+
+
+def _random_over(field, rng, rows, cols):
+    p = field.characteristic
+    return ExactMatrix(field, np.array(
+        [rng.choice([0, rng.randrange(p) if p else
+                     Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))])
+         for _ in range(rows * cols)], dtype=object).reshape(rows, cols))
+
+
+@given(sparse_case(), st.integers(0, 1 << 16))
+def test_sparse_stack_operations_match_dense(case, seed):
+    # every operation of a sparse stack against the same operation on its
+    # dense row stack
+    field, count, big = case
+    rng = random.Random(seed)
+    s = SparseStack.from_matrix(big, count)
+    rows, cols = s.rows, s.cols
+    assert s.shape == big.shape and s.dense() == big
+    assert len(s.key) == int(np.count_nonzero(big.n))
+    blocks = big.split_rows(count) if count else []
+    assert [s.block(i) for i in range(count)] == blocks
+    assert list(s.sizes()) == [int(np.count_nonzero(b.n)) for b in blocks]
+    # one content, one digest; other content, other digest
+    again = SparseStack.from_matrix(ExactMatrix(field, big.a), count)
+    assert again == s and again.digest() == s.digest()
+    scaled = SparseStack.from_matrix(big.scale(2 if field.characteristic != 2
+                                               else 0), count)
+    assert (scaled == s) == (scaled.dense() == big)
+    assert (scaled.digest() == s.digest()) == (scaled == s)
+    # sums of groups, some empty or repeating a block
+    groups = [rng.choices(range(count), k=rng.randrange(3)) if count else []
+              for _ in range(rng.randrange(4))]
+    want = [sum((blocks[i] for i in g), ExactMatrix.zeros(field, rows, cols))
+            for g in groups]
+    got = s.sums(groups)
+    assert got.count == len(groups)
+    assert [got.block(t) for t in range(len(groups))] == want
+    # the same rows of every block
+    keep = sorted(rng.sample(range(rows), rng.randrange(rows + 1)))
+    idx = [i * rows + r for i in range(count) for r in keep]
+    assert s.take_rows(idx).dense() == big.take_rows(idx)
+    # products: S.F, x.S with and without a column cut, y.S_i
+    f = _random_over(field, rng, cols, rng.randrange(4))
+    assert (s @ f).dense() == big @ f
+    x = _random_over(field, rng, rng.randrange(4), rows)
+    cut = rng.sample(range(cols), rng.randrange(cols + 1))
+    assert s.left(x).dense() == left_products(x, big, count)
+    assert left_products(x, s, count, cut).dense() == \
+        left_products(x, big, count, cut)
+    for i in range(count):
+        assert s.row_product(x, i) == x @ blocks[i]
+    # the first unequal block, of stacks over different denominators
+    other = SparseStack.from_matrix(big + _random_over(field, rng, *big.shape),
+                                    count)
+    assert first_unequal_block(s, other, count) == first_unequal_block(
+        big, other.dense(), count)
+    assert first_unequal_block(s, s, count) is None
+    if count and rows and cols:
+        # only the last block differs, and over Q the denominators do too
+        bump = ExactMatrix(field, [[Fraction(1, 7) if not field.characteristic
+                                    else 1] * cols] * rows)
+        last = SparseStack.from_matrix(
+            stack_rows(field, blocks[:-1] + [blocks[-1] + bump]), count)
+        assert first_unequal_block(s, last, count) == count - 1
+    # block diagonals, Kronecker sums, products of pairs and the row space
+    t = SparseStack.from_matrix(other.dense(), count)
+    diag = SparseStack.diagonal(field, [s, t], count)
+    assert [diag.block(i) for i in range(count)] == [
+        block_diag(field, [blocks[i], t.block(i)]) for i in range(count)]
+    if rows == cols:
+        pairs = ([rng.randrange(count) for _ in range(3)],
+                 [rng.randrange(count) for _ in range(3)]) if count else ([], [])
+        ks = SparseStack.kron_sum(field, pairs, [(s, t), (t, s)])
+        assert [ks.block(k) for k in range(len(pairs[0]))] == [
+            block_diag(field, [blocks[a].kron(t.block(b)),
+                               t.block(a).kron(blocks[b])])
+            for a, b in zip(*pairs)]
+        prods = SparseStack.products(pairs, s, t)
+        assert [prods.block(k) for k in range(len(pairs[0]))] == [
+            blocks[a] @ t.block(b) for a, b in zip(*pairs)]
+    basis = s.row_space()
+    assert basis == row_space(big) and basis.rref()[1] == row_space(big).rref()[1]
+
+
+def test_first_unequal_block_compares_over_different_denominators():
+    # block 0 is the same in both stacks, whose denominators are 1 and 7
+    a = mat(QQ, [[1, 0], [0, 2], [3, 0], [0, 0]])
+    b = mat(QQ, [[1, 0], [0, 2], [3, Fraction(1, 7)], [0, 0]])
+    sa, sb = SparseStack.from_matrix(a, 2), SparseStack.from_matrix(b, 2)
+    assert (sa.d, sb.d) == (1, 7)
+    assert first_unequal_block(sa, sb, 2) == first_unequal_block(a, b, 2) == 1
+    assert first_unequal_block(sb, sb, 2) is first_unequal_block(b, b, 2) is None

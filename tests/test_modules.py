@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     FIXTURES,
     bimodule_chain,
+    bimodule_projective_oracle,
+    fixture_over,
     direct_sum_loop,
     evaluate_oracle,
     load_fixture,
@@ -39,7 +41,15 @@ from nangulator.algebra import (
     identity_automorphism,
     verify_automorphism,
 )
-from nangulator.fields import ExactMatrix, LinearAlgebraError, stack_rows
+from nangulator.fields import (
+    ExactMatrix,
+    LinearAlgebraError,
+    SparseStack,
+    block_diag,
+    first_unequal_block,
+    left_products,
+    stack_rows,
+)
 from nangulator.modules import (
     Module,
     bim_right_action,
@@ -792,27 +802,21 @@ def test_verify_names_the_first_failing_element_as_the_loop_does(p):
 
 
 @pytest.mark.parametrize("p", [5, 0])
-def test_verify_in_groups_stops_at_the_first_failing_group(p, monkeypatch):
-    # groups of one and of two elements: the first failing group is a later
-    # one, the check names the element the loop names, and no group after
-    # it is multiplied
+def test_verify_names_the_first_failing_generator_in_index_order(p):
+    # I + (action of the first generator) fails at several later generators,
+    # over A (a dense stack) and over A^e (a sparse one): verify names the
+    # first of them in the order of ``generators``, as the loop does
     A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
-    M = regular_module(A)
-    f = modules.ModuleMorphism(M, M, ExactMatrix.identity(A.field, M.dim)
-                               + M.action[A.idempotents[0]])
-    groups = []
-    real = modules.left_products
-    monkeypatch.setattr(modules, "left_products",
-                        lambda *args: groups.append(args[2]) or real(*args))
-    want = _verify_outcome(verify_loop, f)
-    first = A.generators.index(int(want.rsplit(" ", 1)[1]))
-    for size in (1, 2):
-        monkeypatch.setattr(fields, "CUT_CELLS", size * M.dim * M.dim)
-        groups.clear()
+    for M in (regular_module(A), twisted_bimodule(A, identity_automorphism(A))):
+        gens = M.algebra.generators
+        f = modules.ModuleMorphism(M, M, ExactMatrix.identity(A.field, M.dim)
+                                   + M.action[gens[0]])
+        failing = [g for g in gens
+                   if M.action[g] @ f.matrix != f.matrix @ M.action[g]]
+        assert len(failing) > 1 and failing[0] != gens[0]
         got = _verify_outcome(modules.ModuleMorphism.verify, f)
-        assert got == want
-        assert len(groups) == first // size + 1 > 1
-        assert set(groups) == {size}
+        assert got == f"morphism does not intertwine element {failing[0]}"
+        assert got == _verify_outcome(verify_loop, f)
 
 
 @pytest.mark.parametrize("p", [5, 0])
@@ -849,3 +853,108 @@ def test_indecomposable_projectives_are_kept_over_the_algebra_only():
     P = projective_module(env, 3)
     assert projective_module(env, 3) is not P
     assert projective_module(env, 3).digest() == P.digest()
+
+
+# -- sparse bimodule stacks against dense oracles -----------------------------
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
+
+
+def _random_dense(fld, rng, rows, cols):
+    """A seeded matrix over fld, about half of its entries zero; over Q with
+    denominators up to 3."""
+    from fractions import Fraction
+
+    p = fld.characteristic
+
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        return rng.randrange(p) if p else Fraction(rng.randrange(-3, 4),
+                                                    rng.randrange(1, 4))
+
+    return ExactMatrix(fld, np.array([entry() for _ in range(rows * cols)],
+                                     dtype=object).reshape(rows, cols))
+
+
+def _check_stack(m, dense, rng):
+    """Every operation of m's sparse stack against the dense generator
+    actions ``dense`` (in generator order): densifying each generator, the
+    digest, the batched products with and without a column cut, S.F and
+    F.S, the row products of the walks and the one-sided sums."""
+    env = m.algebra
+    A, fld, gens, n = env.base, env.field, env.generators, m.dim
+    s, big = m.stack, stack_rows(fld, dense)
+    assert isinstance(s, SparseStack)
+    assert s.dense() == big
+    for t, g in enumerate(gens):
+        assert s.block(t) == dense[t] and m.action[g] == dense[t]
+    # the digest is equal exactly when the contents are equal
+    same = SparseStack.from_matrix(big, len(gens))
+    assert same == s and same.digest() == s.digest()
+    if n:
+        bump = ExactMatrix.zeros(fld, *big.shape).n.copy()
+        bump[rng.randrange(big.rows), rng.randrange(n)] = 1
+        other = SparseStack.from_matrix(big + ExactMatrix(fld, bump), len(gens))
+        assert other != s and other.digest() != s.digest()
+    x = _random_dense(fld, rng, rng.randrange(4), n)
+    cols = rng.sample(range(n), rng.randrange(n + 1))
+    assert left_products(x, s, len(gens)).dense() == \
+        left_products(x, big, len(gens))
+    assert left_products(x, s, len(gens), cols).dense() == \
+        left_products(x, big, len(gens), cols)
+    f = _random_dense(fld, rng, n, n)
+    fs = left_products(f, s, len(gens))
+    assert (s @ f).dense() == big @ f
+    assert fs.dense() == left_products(f, big, len(gens))
+    assert first_unequal_block(s @ f, fs, len(gens)) == first_unequal_block(
+        big @ f, left_products(f, big, len(gens)), len(gens))
+    for t in rng.sample(range(len(gens)), min(3, len(gens))):
+        assert m.times(x, gens[t]) == x @ dense[t]
+    position = {g: t for t, g in enumerate(gens)}
+    for g in A.generators:
+        for left in (True, False):
+            terms = [dense[position[A.envelope_index(*((g, e) if left
+                                                      else (e, g)))]]
+                     for e in A.idempotents]
+            assert modules._one_sided(m, A, g, left) == sum(terms[1:],
+                                                             terms[0])
+
+
+@pytest.mark.parametrize("p", [2, 5, 0])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_bimodule_stacks_match_dense_oracles(name, p):
+    # every e A^e against the Kronecker products of A's blocks; then the
+    # regular bimodule and the first three covers and syzygies, each
+    # against its dense generator actions: a cover is the block diagonal of
+    # the oracle e A^e, it maps onto the module it covers, and the syzygy
+    # acts by the kernel basis times the cover's actions, cut to its pivots
+    from nangulator.homology import syzygy
+
+    A = fixture_over(name, p)
+    env, fld = A.enveloping(), A.field
+    gens = env.generators
+    oracle = [bimodule_projective_oracle(env, pos)
+              for pos in range(len(env.idempotents))]
+    for pos, want in enumerate(oracle):
+        got = projective_module(env, pos)
+        assert got.proj == (pos,)
+        assert got.stack.dense() == stack_rows(fld, [want[g] for g in gens])
+    rng = random.Random(f"{name}-{p}")
+    m = twisted_bimodule(A, identity_automorphism(A))
+    dense = [A.left_mult(i) @ A.right_mult[j]
+             for i, j in (divmod(g, A.dim) for g in gens)]
+    for _ in range(3):
+        _check_stack(m, dense, rng)
+        omega, inc, P, pi = syzygy(m)
+        cover = [block_diag(fld, [oracle[pos][g] for pos in P.proj or ()])
+                 for g in gens]
+        _check_stack(P, cover, rng)
+        assert all(c @ pi.matrix == pi.matrix @ d
+                   for c, d in zip(cover, dense))
+        assert pi.rank() == m.dim and inc.matrix.rows == P.dim - m.dim
+        assert (inc.matrix @ pi.matrix).is_zero()
+        piv = inc.matrix.rref()[1]
+        dense = [(inc.matrix @ c).take_cols(piv) for c in cover]
+        m = omega
+    _check_stack(m, dense, rng)
