@@ -7,21 +7,21 @@
 Runs ``CMD FILE OPTION ...`` in-process through ``nangulator.cli.run_cli``
 with its report discarded, and times every call of ``fields._eliminate``,
 the Gauss-Jordan elimination behind ``ExactMatrix.rref`` and
-``SparseStack.row_space``.  Calls are grouped by their nearest four callers
-inside the package, leaving out ``ExactMatrix.rref`` itself and
-comprehensions.  One line per group gives the calls, the seconds and the
-mean number of cells (rows x columns) eliminated, largest time first.
+``fields.row_space``.  Calls are grouped by their nearest four callers
+inside the package, leaving out ``ExactMatrix.rref`` and
+``fields.row_space`` themselves and comprehensions.  One line per group
+gives the calls, the seconds and the mean number of cells (rows x columns)
+eliminated, largest time first.
 
 With ``--products`` it times the products instead, grouped the same way
 and labelled by kind:
 - ``@``: ``ExactMatrix.__matmul__``;
-- ``left``: ``fields.left_products`` on a dense stack, the blockwise
-  product over the generator actions of a module over A and over the
-  vertex blocks of a hom basis;
+- ``left``: ``fields.left_products``, the blockwise product of a dense
+  stack: the hom-basis products of ``modules.hom_system``;
 - ``sparse left``, ``sparse @`` and ``sparse row``: the products of a
-  ``SparseStack``, the generator actions of a bimodule, through its stored
-  nonzeros: ``fields.left_products`` on it (x @ S_i for every block),
-  ``SparseStack.__matmul__`` (S_i @ f for every block) and
+  ``SparseStack``, the generator actions of every module, over A or over
+  A^e, through its stored nonzeros: ``SparseStack.left`` (x @ S_i for
+  every block), ``SparseStack.__matmul__`` (S_i @ f for every block) and
   ``SparseStack.row_product`` (y @ S_i for one block, the word walks).
 
 The mean cells are those of the result; for a sparse stack, its stored
@@ -52,14 +52,14 @@ from nangulator.cli import run_cli  # noqa: E402
 
 PACKAGE = str(ROOT / "src" / "nangulator")
 DEPTH = 4
-SKIPPED = ("ExactMatrix.rref", "<listcomp>", "<dictcomp>", "<setcomp>",
+SKIPPED = ("ExactMatrix.rref", "row_space", "<listcomp>", "<dictcomp>", "<setcomp>",
            "<genexpr>")
 
 
 def callers(frame) -> tuple:
     """The nearest DEPTH package functions above ``frame``, as
-    ``module.function`` names, skipping ``ExactMatrix.rref`` and
-    comprehensions."""
+    ``module.function`` names, skipping ``ExactMatrix.rref``,
+    ``fields.row_space`` and comprehensions."""
     out = []
     while frame is not None and len(out) < DEPTH:
         code = frame.f_code
@@ -120,13 +120,11 @@ def main(argv) -> int:
                 return len(out.key)
             return out.rows * out.cols
 
-        def left_kind(args):
-            return ("sparse left" if isinstance(args[1], fields.SparseStack)
-                    else "left")
-
         restore = patch([fields.ExactMatrix], "__matmul__", timing("@", cells))
         restore += patch([fields] + package, "left_products",
-                         timing(left_kind, cells))
+                         timing("left", cells))
+        restore += patch([fields.SparseStack], "left",
+                         timing("sparse left", cells))
         restore += patch([fields.SparseStack], "__matmul__",
                          timing("sparse @", cells))
         restore += patch([fields.SparseStack], "row_product",

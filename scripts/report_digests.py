@@ -18,7 +18,8 @@ with ``verify --m 3 --samples 2 --seed 5`` on kQ_2/I_2 over Q, and
 ``period`` on kQ_3/I_3 and kQ_4/I_3 over Q (labelled ``kQ<n>/I<s>/F<p>``, F0
 for Q, written to a temporary directory), then ``verify --samples 1 --seed
 7`` on the preprojective algebra Pi(A4) and ``period`` on Pi(D4) over F5
-(labelled ``Pi(A4)/F5`` and ``Pi(D4)/F5``): 121 lines.
+(labelled ``Pi(A4)/F5`` and ``Pi(D4)/F5``), and ``verify --samples 3 --seed
+7`` on both, where the modules over A reach dimension 2,044: 123 lines.
 Diff the output of two checkouts to see which reports changed.
 ``tests/golden/report_digests.txt`` holds the expected lines, and
 ``tests/test_cli.py`` recomputes them through ``digest_lines``.
@@ -49,7 +50,9 @@ RATIONAL = [(2, 2, 3), (2, 3, 2), (3, 2, 3)]
 RATIONAL_PERIOD = [(3, 3), (4, 3)]
 # (Dynkin type, rank, command) over F5
 PREPROJECTIVE = [("A", 4, ["verify", "--samples", "1", "--seed", "7"]),
-                 ("D", 4, ["period"])]
+                 ("D", 4, ["period"]),
+                 ("A", 4, ["verify", "--samples", "3", "--seed", "7"]),
+                 ("D", 4, ["verify", "--samples", "3", "--seed", "7"])]
 
 
 def nakayama_text(n, s, p):

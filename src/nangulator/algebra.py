@@ -89,6 +89,12 @@ class BasicAlgebra:
     # Module.digest() -> tops, kept by modules.top_multiplicities
     tops: dict = dc_field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    # generator -> its place in ``generators``, as on EnvelopingAlgebra
+    position: dict = dc_field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def __post_init__(self):
+        self.position = {g: t for t, g in enumerate(self.generators)}
 
     @property
     def dim(self) -> int:

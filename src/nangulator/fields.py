@@ -34,11 +34,17 @@ sums, the constructor), starts unreduced.
 
 A ``SparseStack`` holds a stack of matrices of one shape by its nonzero
 entries alone, as sorted (key, value) arrays over one denominator: the
-generator actions of a module over the enveloping algebra, which are
-0.05-0.8 % nonzero.  It is multiplied, summed, cut and eliminated through
-those entries, and formed dense only one matrix at a time on request.
-``left_products`` and ``first_unequal_block`` take a stack of either
-storage.
+generator actions of every module, over A or over its enveloping algebra,
+which are almost all zero (0.05 % of the 89 M cells of the modules over A
+that a Pi(D4) axiom suite builds, 0.05-0.8 % of a bimodule's).  It is
+multiplied, summed, cut and eliminated through those entries, and formed
+dense only one matrix at a time on request.  Most modules over A are small
+(median dimension 5), where an operation costs its array calls more than
+its arithmetic: so a stack keeps where each matrix starts and each entry's
+row and column once computed (``starts``, ``cells``), and an operation
+whose entries only move (a diagonal, a transpose, a cut) sorts them at
+most once and skips the summing.  ``left_products`` is the batched product
+of a dense stack, which the hom systems build from walked maps.
 """
 
 from __future__ import annotations
@@ -333,14 +339,6 @@ class ExactMatrix:
             return self._cut(self.n[:, idx.start: idx.stop])
         return self._cut(self.n[:, list(idx)])
 
-    def split_rows(self, parts: int) -> list["ExactMatrix"]:
-        """The matrix as ``parts`` blocks of equal height, top to bottom:
-        views of its rows, unless a block over Q has a smaller least common
-        denominator."""
-        size = self.rows // parts
-        return [self._cut(self.n[i * size: (i + 1) * size])
-                for i in range(parts)]
-
     def digest(self) -> bytes:
         """A content key: the blake2b digest of (n, d), shape and field."""
         if self._digest is None:
@@ -555,19 +553,15 @@ def _common(mats):
     return [m.n if m.d == d else m.n * (d // m.d) for m in mats], d
 
 
-def place(field: FieldSpec, shape, parts, depth: int = 1) -> ExactMatrix:
-    """The stack of ``depth`` matrices of the given (rows, cols) shape that
-    holds each part (rows, cols, m) at those rows and columns and is zero
-    elsewhere, as one (depth . rows) x cols matrix.  m is a row stack of
-    ``depth`` blocks; rows and cols are each a first index (an int: the
-    block's extent from there on) or a sequence of indices.  Parts do not
-    overlap.  ``parts`` is read once, so a part can be made just before it
-    is placed.  Over Q the parts are placed over the lcm of their
-    denominators, the entries placed so far rescaled when it grows, which
-    keeps the result in lowest terms."""
-    rows, cols = shape
-    out = np.zeros((depth * rows, cols), _dtype(field))
-    grid = out.reshape(depth, rows, cols) if depth > 1 else out
+def place(field: FieldSpec, shape, parts) -> ExactMatrix:
+    """The matrix of the given (rows, cols) shape that holds each part
+    (rows, cols, m) at those rows and columns and is zero elsewhere; rows
+    and cols are each a first index (an int: the block's extent from there
+    on) or a sequence of indices.  Parts do not overlap.  ``parts`` is read
+    once, so a part can be made just before it is placed.  Over Q the parts
+    are placed over the lcm of their denominators, the entries placed so
+    far rescaled when it grows, which keeps the result in lowest terms."""
+    out = np.zeros(shape, _dtype(field))
     d = 1
     for r, c, m in parts:
         if d % m.d:
@@ -575,15 +569,13 @@ def place(field: FieldSpec, shape, parts, depth: int = 1) -> ExactMatrix:
             out *= grow
             d *= grow
         n = m.n if m.d == d else m.n * (d // m.d)
-        if depth > 1:
-            n = n.reshape(depth, m.rows // depth, m.cols)
         if type(r) is int:
-            r = slice(r, r + n.shape[-2])
+            r = slice(r, r + m.rows)
         elif type(c) is not int:
             r = np.asarray(r)[:, None]  # rows by columns, not pairs
         if type(c) is int:
             c = slice(c, c + m.cols)
-        grid[..., r, c] = n
+        out[r, c] = n
     return ExactMatrix._wrap(field, out, d)
 
 
@@ -625,38 +617,30 @@ def block_diag(field: FieldSpec, mats) -> ExactMatrix:
                  [(r, c, m) for r, c, m in zip(rows, cols, mats)])
 
 
-def left_products(x: ExactMatrix, stack, blocks: int, cols=None):
-    """x @ S_i for each of the ``blocks`` row blocks S_i of ``stack`` (each
-    of x.cols rows), cut to the columns ``cols`` when given, stacked in the
-    same order: a batched product, of the storage of ``stack``.  A
-    ``SparseStack`` multiplies through its nonzeros (``SparseStack.left``);
-    a dense stack by one broadcast product."""
-    if isinstance(stack, SparseStack):
-        return stack.left(x, cols)
+def left_products(x: ExactMatrix, stack: ExactMatrix,
+                  blocks: int) -> ExactMatrix:
+    """x @ S_i for each of the ``blocks`` row blocks S_i of the dense
+    ``stack`` (each of x.cols rows), stacked in the same order: one
+    broadcast product.  ``SparseStack.left`` is the same product on a
+    sparse stack."""
     (k, n), c = x.shape, stack.cols
     if stack.rows != blocks * n:
         raise LinearAlgebraError(
             f"shape mismatch for blockwise product: {x.shape} @ {blocks} "
             f"blocks of {stack.shape}")
-    s = stack.n.reshape(blocks, n, c)
-    if cols is not None:
-        s = s[:, :, list(cols)]
-    return x._new(np.matmul(x.n, s).reshape(blocks * k, s.shape[2]),
-                  x.d * stack.d)
+    return x._new(np.matmul(x.n, stack.n.reshape(blocks, n, c)).reshape(
+        blocks * k, c), x.d * stack.d)
 
 
-def first_unequal_block(x, y, blocks: int):
-    """The index of the first of the ``blocks`` row blocks in which two
-    stacks of one shape and storage differ, or None when they are equal."""
-    if isinstance(x, SparseStack):
-        diff = SparseStack._collect(
-            x.field, x.count, x.rows, x.cols, np.concatenate([x.key, y.key]),
-            np.concatenate([x.v * y.d, -(y.v * x.d)]), 1)
-        return int(diff.key[0]) // (x.rows * x.cols) if len(diff.key) else None
-    if not x.n.size:
+def first_unequal_block(x: SparseStack, y: SparseStack):
+    """The index of the first matrix in which two stacks of one shape
+    differ, or None when they are equal: the lowest key of x - y."""
+    if x == y:
         return None
-    bad = unequal_entries(x, y).reshape(blocks, x.n.size // blocks).any(axis=1)
-    return int(bad.argmax()) if bad.any() else None
+    diff = SparseStack._collect(
+        x.field, x.count, x.rows, x.cols, np.concatenate([x.key, y.key]),
+        np.concatenate([x.v * y.d, -(y.v * x.d)]), 1)
+    return int(diff.key[0]) // (x.rows * x.cols) if len(diff.key) else None
 
 
 def unequal_entries(x: ExactMatrix, y: ExactMatrix) -> np.ndarray:
@@ -678,14 +662,18 @@ def linear_combination(field: FieldSpec, coeffs, mats, shape) -> ExactMatrix:
     return (ExactMatrix(field, [list(coeffs)]) @ flat).reshape(rows, cols)
 
 
-def row_space(m: ExactMatrix) -> ExactMatrix:
-    """Canonical RREF basis of the row space, zero rows stripped; it carries
-    its pivots."""
-    r, piv = m.rref()
-    if r.rows == len(piv):
-        return r
-    basis = r.take_rows(range(len(piv)))
-    basis._pivots = piv
+def row_space(a) -> ExactMatrix:
+    """Canonical RREF basis of the row space of a matrix, or of the row
+    stack of a ``SparseStack``, zero rows stripped; it carries its pivots.
+    Only the basis rows are formed, so a kept basis holds no larger array."""
+    field = a.field
+    if isinstance(a, ExactMatrix):
+        if a._pivots is not None and a.rows == len(a._pivots):
+            return a
+        a = a.n
+    n, d, pivots = _eliminate(field.characteristic, a, basis=True)
+    basis = ExactMatrix._wrap(field, n, d)
+    basis._pivots = pivots
     return basis
 
 
@@ -711,8 +699,8 @@ def _expand(lo: np.ndarray, cnt: np.ndarray):
 
 class SparseStack:
     """Immutable stack of ``count`` matrices of shape rows x cols over a
-    FieldSpec, stored by its nonzero entries: the storage of a module over
-    the enveloping algebra, whose generator actions are almost all zero.
+    FieldSpec, stored by its nonzero entries: the storage of the generator
+    actions of every module, which are almost all zero.
 
     Read as the (count . rows) x cols row stack of the matrices, entry
     (i, j) is kept as the key i . cols + j.  ``key`` is ascending, so sorted
@@ -726,7 +714,7 @@ class SparseStack:
     """
 
     __slots__ = ("field", "count", "rows", "cols", "key", "v", "d",
-                 "_starts", "_digest")
+                 "_starts", "_cells", "_digest")
 
     def __init__(self, field: FieldSpec, count: int, rows: int, cols: int,
                  key: np.ndarray, v: np.ndarray, d: int = 1):
@@ -741,6 +729,7 @@ class SparseStack:
         self.v = v
         self.d = d
         self._starts = None
+        self._cells = None
         self._digest = None
 
     @staticmethod
@@ -785,20 +774,24 @@ class SparseStack:
     def diagonal(field: FieldSpec, stacks, count: int) -> "SparseStack":
         """The stack of ``count`` blocks whose block i is the block diagonal
         matrix of the blocks i of ``stacks``, over the lcm of their
-        denominators."""
+        denominators.  The entries only move: none meet or cancel, and a
+        stack whose denominator has the most factors of a prime keeps an
+        entry that prime does not divide, so (v, d) stays in lowest terms
+        and one sort brings the keys in order."""
         rows = sum(s.rows for s in stacks)
         cols = sum(s.cols for s in stacks)
         d = math.lcm(1, *(s.d for s in stacks))
         keys, vals, r0, c0 = [np.zeros(0, np.int64)], [np.zeros(0, _dtype(field))], 0, 0
         for s in stacks:
-            rs, c = np.divmod(s.key, s.cols)
-            g, r = np.divmod(rs, s.rows)
+            r, c = s.cells()
+            g = s.key // (s.rows * s.cols)
             keys.append((g * rows + r + r0) * cols + c + c0)
             vals.append(s.v * (d // s.d) if s.d != d else s.v)
             r0, c0 = r0 + s.rows, c0 + s.cols
-        return SparseStack._collect(field, count, rows, cols,
-                                    np.concatenate(keys),
-                                    np.concatenate(vals), d)
+        key = np.concatenate(keys)
+        order = np.argsort(key)
+        return SparseStack(field, count, rows, cols, key[order],
+                           np.concatenate(vals)[order], d)
 
     @staticmethod
     def kron_sum(field: FieldSpec, pairs, factors) -> "SparseStack":
@@ -811,7 +804,7 @@ class SparseStack:
         total = sum(L.rows * R.rows for L, R in factors)
         keys, vals, dens, off = [], [], [], 0
         for L, R in factors:
-            ls, rs = L.starts(), R.starts()
+            ls, rs = np.asarray(L.starts()), np.asarray(R.starts())
             nl, nr = L.sizes()[li], R.sizes()[rj]
             t, within = _expand(np.zeros(len(li), np.int64), nl * nr)
             q, m = np.divmod(within, nr[t])
@@ -839,7 +832,7 @@ class SparseStack:
         its column's row of R_{r_t}."""
         li, rj = (np.asarray(x, np.int64) for x in pairs)
         rows, inner, cols = lefts.rows, lefts.cols, rights.cols
-        starts = lefts.starts()
+        starts = np.asarray(lefts.starts())
         lo = starts[li]
         t, at = _expand(lo, starts[li + 1] - lo)
         r, c = np.divmod(lefts.key[at] % (rows * inner), inner)
@@ -858,17 +851,49 @@ class SparseStack:
         """The shape of the row stack."""
         return (self.count * self.rows, self.cols)
 
-    def starts(self) -> np.ndarray:
-        """Where the entries of each block start in ``key``, and the end."""
+    def starts(self) -> list[int]:
+        """Where the entries of each block start in ``key``, and the end,
+        kept."""
         if self._starts is None:
             size = self.rows * self.cols
             self._starts = np.searchsorted(
-                self.key, np.arange(self.count + 1) * size)
+                self.key, np.arange(self.count + 1) * size).tolist()
         return self._starts
 
     def sizes(self) -> np.ndarray:
         """The number of nonzeros of each block."""
         return np.diff(self.starts())
+
+    def cells(self):
+        """(rows, cols): the row and column of each entry within its
+        matrix, kept."""
+        if self._cells is None:
+            self._cells = np.divmod(self.key % (self.rows * self.cols),
+                                    self.cols)
+        return self._cells
+
+    def take(self, idx) -> "SparseStack":
+        """The stack of the matrices idx, in that order."""
+        starts, size = self.starts(), self.rows * self.cols
+        cuts = [(starts[i], starts[i + 1], (t - i) * size)
+                for t, i in enumerate(idx)]
+        keys = [self.key[lo:hi] + shift for lo, hi, shift in cuts]
+        vals = [self.v[lo:hi] for lo, hi, _ in cuts]
+        if len(cuts) != 1:  # one matrix is read in place
+            keys = [np.concatenate([np.zeros(0, np.int64)] + keys)]
+            vals = [np.concatenate([np.zeros(0, self.v.dtype)] + vals)]
+        v, d = _lowest(vals[0], self.d)
+        return SparseStack(self.field, len(idx), self.rows, self.cols, keys[0],
+                           v, d if len(v) else 1)
+
+    @property
+    def T(self) -> "SparseStack":
+        """The stack of the transposed matrices."""
+        r, c = self.cells()
+        key = self.key - r * self.cols - c + c * self.rows + r
+        order = np.argsort(key)
+        return SparseStack(self.field, self.count, self.cols, self.rows,
+                           key[order], self.v[order], self.d)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseStack) and self.field == other.field
@@ -902,7 +927,8 @@ class SparseStack:
 
     def block(self, i: int) -> ExactMatrix:
         """Matrix i of the stack, dense."""
-        lo, hi = self.starts()[i: i + 2]
+        starts = self.starts()
+        lo, hi = starts[i], starts[i + 1]
         n = np.zeros(self.rows * self.cols, _dtype(self.field))
         n[self.key[lo:hi] - i * self.rows * self.cols] = self.v[lo:hi]
         return ExactMatrix._wrap(self.field,
@@ -914,34 +940,26 @@ class SparseStack:
         indices in groups[t]."""
         members = np.array([i for g in groups for i in g], np.int64)
         owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-        starts = self.starts()
+        starts = np.asarray(self.starts())
         lo = starts[members]
         a, idx = _expand(lo, starts[members + 1] - lo)
         key = self.key[idx] + (owner[a] - members[a]) * (self.rows * self.cols)
         return SparseStack._collect(self.field, len(groups), self.rows,
                                     self.cols, key, self.v[idx], self.d)
 
-    def row_space(self) -> ExactMatrix:
-        """``row_space`` of the row stack, eliminated from its stored
-        nonzeros: no dense copy of the stack is formed."""
-        n, d, pivots = _eliminate(self.field.characteristic, self, basis=True)
-        basis = ExactMatrix._wrap(self.field, n, d)
-        basis._pivots = pivots
-        return basis
-
-    def take_rows(self, idx) -> "SparseStack":
-        """The rows idx of the row stack, ``count`` blocks of equal height:
-        the same rows of every block."""
-        idx = np.asarray(idx, np.int64)
-        where = np.full(self.count * self.rows, -1, np.int64)
-        where[idx] = np.arange(len(idx))
-        rs, c = np.divmod(self.key, self.cols)
-        new = where[rs]
-        keep = new >= 0
-        return SparseStack._collect(
-            self.field, self.count, len(idx) // self.count if self.count
-            else 0, self.cols, new[keep] * self.cols + c[keep], self.v[keep],
-            self.d)
+    def take_rows(self, keep) -> "SparseStack":
+        """The rows ``keep``, ascending, of every matrix: the entries only
+        move, and keep their order."""
+        where = np.full(self.rows, -1, np.int64)
+        where[list(keep)] = np.arange(len(keep))
+        r, c = self.cells()
+        new = where[r]
+        at = np.flatnonzero(new >= 0)
+        key = (self.key[at] // (self.rows * self.cols) * len(keep)
+               + new[at]) * self.cols + c[at]
+        v, d = _lowest(self.v[at], self.d)
+        return SparseStack(self.field, self.count, len(keep), self.cols, key,
+                           v, d if len(v) else 1)
 
     # -- products -----------------------------------------------------------
     def __matmul__(self, f: ExactMatrix) -> "SparseStack":
@@ -965,8 +983,8 @@ class SparseStack:
             raise LinearAlgebraError(
                 f"shape mismatch for blockwise product: {x.shape} @ "
                 f"{self.count} blocks of {self.shape}")
-        rs, c = np.divmod(self.key, self.cols)
-        g, r = np.divmod(rs, self.rows)
+        r, c = self.cells()
+        g = self.key // (self.rows * self.cols)
         v, width = self.v, self.cols
         if cols is not None:
             width = len(cols)
@@ -991,9 +1009,9 @@ class SparseStack:
             raise LinearAlgebraError(
                 f"shape mismatch for product: {y.shape} @ block of "
                 f"{self.rows} x {self.cols}")
-        lo, hi = self.starts()[i: i + 2]
-        r, c = np.divmod(self.key[lo:hi] - i * self.rows * self.cols,
-                         self.cols)
-        out = np.zeros((y.rows, self.cols), _dtype(self.field))
-        np.add.at(out, (slice(None), c), y.n[:, r] * self.v[lo:hi])
+        starts, (r, c) = self.starts(), self.cells()
+        lo, hi = starts[i], starts[i + 1]
+        out = np.zeros((y.rows, self.cols), y.n.dtype)
+        np.add.at(out, (slice(None), c[lo:hi]),
+                  y.n.take(r[lo:hi], axis=1) * self.v[lo:hi])
         return y._new(out, y.d * self.d)

@@ -4,22 +4,19 @@ pullbacks and isomorphism testing.
 A module stores one action matrix per algebra generator: per idempotent and
 arrow for a module over A, and per e_i (x) e_j, a (x) e_j and e_i (x) a for
 a bimodule, a right module over the enveloping algebra A^e.  The matrices
-are stored once, stacked in generator order (``Module.stack``), in the
-storage of the algebra the module is over:
-- over A, one dense row stack (an ``ExactMatrix``), the action of a
-  generator a view of its slice: these are small dense matrices;
-- over A^e, a ``fields.SparseStack`` of the nonzero entries alone, as
-  bimodule actions are almost all zero.  A generator's action is formed
-  dense only when ``action`` is asked for it; projectives e A^e are built
-  from the nonzeros of A's own multiplication blocks.
-The action of any other basis element is the product of generator actions
-along its word (``BasicAlgebra.word``), derived on demand.  Constructions
-(submodules, quotients, direct sums, twists, duals) and
-``ModuleMorphism.verify`` act on the whole stack with one product or one
-placement, through the stored nonzeros of a sparse stack; images of a
-vector under many basis elements are walked along the words on row vectors
-(``Module.times``).  Every matrix is an ``ExactMatrix``, so the same code
-runs over F_p and Q, and this module never touches the stored integers.
+are stored once, stacked in generator order, as one ``fields.SparseStack``
+of their nonzero entries (``Module.stack``), whatever algebra the module is
+over: generator actions are almost all zero, over A as over A^e.  A
+generator's action is formed dense only when ``action`` is asked for it, and
+kept; projectives e A^e are built from the nonzeros of A's own
+multiplication blocks.  The action of any other basis element is the
+product of generator actions along its word (``BasicAlgebra.word``),
+derived on demand.  Constructions (submodules, quotients, direct sums,
+twists, duals) and ``ModuleMorphism.verify`` act on the whole stack with one
+product through its stored nonzeros; images of a vector under many basis
+elements are walked along the words on row vectors (``Module.times``).
+Every matrix is an ``ExactMatrix``, so the same code runs over F_p and Q,
+and this module never touches the stored integers.
 Elements are row vectors; a morphism matrix F sends x to x @ F, so
 composition "f then g" is the matrix product F @ G.
 """
@@ -53,19 +50,18 @@ class Module:
     """A right module, stored by the action of each algebra generator.
 
     ``stack`` holds the generator actions once, in ``algebra.generators``
-    order, read as the row stack of shape (#generators . dim, dim): dense
-    over A, a ``SparseStack`` over A^e, chosen by the algebra alone.
-    ``action[k]`` gives the matrix of any basis element k: for a generator
-    a view of its slice of a dense stack, or the slice of a sparse one
-    formed dense on each call; for any other element the product of
-    generator actions along the word of k, derived once and kept.
-    Idempotent images and a bimodule's one-sided generator actions are kept
-    too, one entry per idempotent or generator; the top is kept on the
-    algebra, per ``digest`` (``top_multiplicities``).
+    order, as a ``SparseStack`` of ``#generators`` matrices dim x dim.
+    ``action[k]`` gives the matrix of any basis element k, derived once and
+    kept: for a generator its matrix of the stack formed dense, for any
+    other element the product of generator actions along the word of k.
+    Idempotent images, their walks along e A that ``hom_space`` reads, and
+    a bimodule's one-sided generator actions are kept too, one entry per
+    idempotent or generator; the top is kept on the algebra, per ``digest``
+    (``top_multiplicities``).
 
-    ``action`` is given either as that row stack (dense, or sparse over
-    A^e) or as the generator actions, a list by basis index or a dict read
-    at the generators only.
+    ``action`` is given either as that stack, as its dense row stack of
+    shape (#generators . dim, dim), or as the generator actions, a list by
+    basis index or a dict read at the generators only.
 
     ``proj`` lists c_1..c_r when the module is literally
     e_{c_1}A (+) ... (+) e_{c_r}A in path bases, block by block; only
@@ -82,16 +78,16 @@ class Module:
         gens = algebra.generators
         if not isinstance(action, (ExactMatrix, SparseStack)):
             action = stack_rows(algebra.field, [action[g] for g in gens])
-        if isinstance(algebra, EnvelopingAlgebra) and \
-                isinstance(action, ExactMatrix):
+        if isinstance(action, ExactMatrix):
             action = SparseStack.from_matrix(action, len(gens))
         if action.shape != (len(gens) * dim, dim):
             raise LinearAlgebraError(
                 f"generator actions of shape {action.shape} for "
                 f"{len(gens)} generators on dimension {dim}")
         self.stack = action
-        self._actions: dict[int, ExactMatrix] | None = None
+        self._actions: dict[int, ExactMatrix] = {}
         self._images: dict[int, ExactMatrix] = {}
+        self._walks: dict[int, ExactMatrix] = {}
         self._sides: dict[tuple, ExactMatrix] = {}
         self._digest = None
 
@@ -118,23 +114,18 @@ class Module:
                                   (self.dim, self.dim))
 
     def times(self, y: ExactMatrix, g: int) -> ExactMatrix:
-        """y @ (the action of generator g); through the stored nonzeros of
-        a sparse stack, without forming the action."""
-        if isinstance(self.stack, SparseStack):
-            return self.stack.row_product(y, self.algebra.position[g])
-        return y @ self.action[g]
+        """y @ (the action of generator g), through the stored nonzeros,
+        without forming the action."""
+        return self.stack.row_product(y, self.algebra.position[g])
 
     def idempotent_image(self, pos: int) -> ExactMatrix:
-        """Canonical basis rows of M e for the idempotent at position pos;
-        over a sparse stack eliminated from the stored nonzeros, so only
-        the basis rows are formed dense."""
+        """Canonical basis rows of M e for the idempotent at position pos,
+        eliminated from the stored nonzeros."""
         hit = self._images.get(pos)
         if hit is None:
             e = self.algebra.idempotents[pos]
-            hit = self._images[pos] = (
-                self.stack.sums([[self.algebra.position[e]]]).row_space()
-                if isinstance(self.stack, SparseStack)
-                else row_space(self.action[e]))
+            hit = self._images[pos] = row_space(
+                self.stack.take([self.algebra.position[e]]))
         return hit
 
     def is_zero(self) -> bool:
@@ -154,23 +145,18 @@ class _Actions:
 
     def __getitem__(self, k: int) -> ExactMatrix:
         m = self.module
-        acts = m._actions
-        if acts is None:
-            gens = m.algebra.generators
-            acts = m._actions = {} if isinstance(m.stack, SparseStack) \
-                else dict(zip(gens, m.stack.split_rows(len(gens))))
-        hit = acts.get(k)
+        hit = m._actions.get(k)
         if hit is None:
             if not 0 <= k < len(self):
                 raise IndexError(f"basis index {k} out of range")
             word = m.algebra.word(k)
             if len(word) == 1:
-                # a generator of a sparse stack, formed on each call
-                return m.stack.block(m.algebra.position[k])
-            hit = self[word[0]]
-            for g in word[1:]:
-                hit = hit @ self[g]
-            acts[k] = hit
+                hit = m.stack.block(m.algebra.position[k])
+            else:
+                hit = self[word[0]]
+                for g in word[1:]:
+                    hit = hit @ self[g]
+            m._actions[k] = hit
         return hit
 
     def __iter__(self):
@@ -226,15 +212,13 @@ class ModuleMorphism:
     def verify(self) -> None:
         """Check that the matrix intertwines the actions of the generators;
         every other action is a product of theirs.  One product of the
-        source's stacked actions with the matrix and one blockwise product
-        of the matrix with the target's, both through the stored nonzeros of
-        a sparse stack, are compared block by block; the error names the
-        first generator, in index order, that fails."""
+        source's stack with the matrix and one blockwise product of the
+        matrix with the target's, both through the stored nonzeros, are
+        compared; the error names the first generator, in index order, that
+        fails."""
         src, dst, f = self.source, self.target, self.matrix
         gens = src.algebra.generators
-        bad = first_unequal_block(src.stack @ f,
-                                  left_products(f, dst.stack, len(gens)),
-                                  len(gens))
+        bad = first_unequal_block(src.stack @ f, dst.stack.left(f))
         if bad is not None:
             raise LinearAlgebraError(
                 f"morphism does not intertwine element {gens[bad]}")
@@ -418,8 +402,7 @@ def opposite_regular(algebra: BasicAlgebra) -> Module:
 def dual_module(m: Module) -> Module:
     """k-linear dual, a right module over the opposite algebra (transposes).
     The opposite algebra lists the same generators in the same order."""
-    op = m.algebra.opposite()
-    return Module(op, m.dim, {g: m.action[g].T for g in op.generators})
+    return Module(m.algebra.opposite(), m.dim, m.stack.T)
 
 
 def submodule(m: Module, rows: ExactMatrix):
@@ -427,16 +410,14 @@ def submodule(m: Module, rows: ExactMatrix):
 
     Returns (S, include: S -> M).  With R the RREF basis and pivots pc,
     generator g acts on S by R M_g restricted to the columns pc: one
-    blockwise product of R with the columns pc of the stacked M_g, through
-    the stored nonzeros of a sparse stack.
+    blockwise product of R with the columns pc of the stack, through its
+    stored nonzeros.
     """
     basis = row_space(rows)
     if basis.rows == 0:
         s = zero_module(m.algebra)
         return s, ModuleMorphism(s, m, ExactMatrix.zeros(m.algebra.field, 0, m.dim))
-    piv = basis.rref()[1]
-    action = left_products(basis, m.stack, len(m.algebra.generators), piv)
-    s = Module(m.algebra, basis.rows, action)
+    s = Module(m.algebra, basis.rows, m.stack.left(basis, basis.rref()[1]))
     return s, ModuleMorphism(s, m, basis)
 
 
@@ -448,7 +429,7 @@ def quotient(m: Module, rows: ExactMatrix):
     is e_j off the pivots and e_{pc_i} - R_i at pc_i; ``project`` is its
     non-pivot columns and ``lift`` picks the non-pivot rows.  Generator g
     acts on Q by the non-pivot rows of M_g times ``project``: one product
-    of the stacked rows with it.
+    of those rows of the stack with it.
     """
     space = row_space(rows)
     fld = m.algebra.field
@@ -462,9 +443,7 @@ def quotient(m: Module, rows: ExactMatrix):
     proj = place(fld, (m.dim, len(keep)), [
         (keep, 0, ExactMatrix.identity(fld, len(keep))),
         (list(piv), 0, -space.take_cols(keep))])
-    rows_kept = (np.arange(len(m.algebra.generators))[:, None] * m.dim
-                 + keep).ravel()
-    q = Module(m.algebra, len(keep), m.stack.take_rows(rows_kept) @ proj)
+    q = Module(m.algebra, len(keep), m.stack.take_rows(keep) @ proj)
     return q, ModuleMorphism(m, q, proj), eye.take_rows(keep)
 
 
@@ -479,20 +458,15 @@ def cokernel_of(f: ModuleMorphism):
 
 def direct_sum(algebra: BasicAlgebra, parts: list[Module]):
     """Direct sum with canonical inclusions and projections; the sum keeps
-    the ``proj`` decomposition when every part has one.  Each part's action
-    stack is copied into its diagonal block of the sum's stack, and the
+    the ``proj`` decomposition when every part has one.  Each part's
+    stack is placed in its diagonal block of the sum's stack, and the
     inclusions and projections are row and column slices of one
     identity."""
     fld = algebra.field
     starts = list(accumulate([p.dim for p in parts], initial=0))
     total = starts[-1]
-    if isinstance(algebra, EnvelopingAlgebra):
-        stack = SparseStack.diagonal(fld, [p.stack for p in parts],
-                                     len(algebra.generators))
-    else:
-        stack = place(fld, (total, total),
-                      [(off, off, p.stack) for off, p in zip(starts, parts)],
-                      depth=len(algebra.generators))
+    stack = SparseStack.diagonal(fld, [p.stack for p in parts],
+                                 len(algebra.generators))
     eye = ExactMatrix.identity(fld, total)
     cuts = [range(off, off + p.dim) for off, p in zip(starts, parts)]
     proj = None
@@ -591,13 +565,13 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     if m.proj is None:
         return _hom_generic(m, n)
     A = m.algebra
-    blocks, walked, off = [], {}, 0
+    blocks, off = [], 0
     for pos in m.proj:
         y = n.idempotent_image(pos)
         if y.rows:
-            if pos not in walked:
-                walked[pos] = _walked(A, pos, y, n)
-            blocks.append((off, walked[pos]))
+            if pos not in n._walks:
+                n._walks[pos] = _walked(A, pos, y, n)
+            blocks.append((off, n._walks[pos]))
         off += len(A.projective_rows(pos))
     return HomBasis(m, n, blocks)
 
@@ -753,21 +727,13 @@ def _tops(m: Module):
     fld = A.field
     if m.dim == 0:
         return []
-    # a path of positive length ends in an arrow, so rad A is the sum of the
-    # A.g over the arrows g and M.rad A that of the M.g; over A^e,
-    # rad A^e = sum of A^e(a (x) 1) + A^e(1 (x) a), so the 2.#arrows
-    # one-sided actions span M.rad A^e, summed and eliminated from the
-    # stored nonzeros
-    if isinstance(A, EnvelopingAlgebra):
-        base = A.base
-        sides = [_side(base, g, left)
-                 for g in base.generators if g not in base.idempotents
-                 for left in (True, False)]
-        rad = m.stack.sums(sides).row_space()
-    else:
-        gens = [m.action[g] for g in A.generators if g not in A.idempotents]
-        rad = row_space(stack_rows(fld, gens)) if gens \
-            else ExactMatrix.zeros(fld, 0, m.dim)
+    # the word of every basis element of the radical ends in a generator
+    # that is not an idempotent (an arrow of A; a (x) e_j or e_i (x) a over
+    # A^e), so M.rad is spanned by the M.g over those generators: the row
+    # space of their matrices of the stack, eliminated from its nonzeros
+    idempotents = set(A.idempotents)
+    rad = row_space(m.stack.take([t for t, g in enumerate(A.generators)
+                                  if g not in idempotents]))
     out = []
     for pos in range(len(A.idempotents)):
         comp = m.idempotent_image(pos)

@@ -611,6 +611,21 @@ def nakayama_text(n, s, p):
                        "arrows": arrows, "relations": relations})
 
 
+def dense_blocks(big, count):
+    """The ``count`` blocks of equal height of the dense row stack ``big``,
+    top to bottom."""
+    size = big.rows // count if count else 0
+    return [big.take_rows(range(i * size, (i + 1) * size)) for i in range(count)]
+
+
+def first_unequal_block_oracle(x, y, count):
+    """The index of the first of the ``count`` blocks in which two dense row
+    stacks of one shape differ, block by block, or None."""
+    return next((i for i, (a, b) in enumerate(zip(dense_blocks(x, count),
+                                                   dense_blocks(y, count)))
+                 if a != b), None)
+
+
 def preprojective_text(kind, n, p):
     """The preprojective algebra of the Dynkin quiver A_n or D_n (``kind``
     "A" or "D") over F_p: the double of a tree with edges i -> j, with arrow

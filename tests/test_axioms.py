@@ -89,3 +89,29 @@ def test_n1c_records_only_construction_failures(monkeypatch):
     seq = load_sequence("loop_p3", 3)
     with pytest.raises(TypeError, match="broken completion"):
         verify_axioms(seq.engine, seq, samples=1, seed=0)
+
+
+def test_preprojective_a4_suite_stays_within_its_memory_bound(tmp_path, capsys):
+    # the peak of the allocations traced during `verify --samples 3 --seed
+    # 7` on Pi(A4) over F5, whose modules over A reach dimension 828:
+    # 162.5 MiB with every generator stack stored by its nonzeros, 285.6 MiB
+    # when the stacks of the modules over A were dense; the bound is the
+    # former plus 25 %
+    import tracemalloc
+
+    from conftest import preprojective_text
+
+    from nangulator.cli import run_cli
+
+    path = tmp_path / "preproj_a4.json"
+    path.write_text(preprojective_text("A", 4, 5))
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        assert run_cli(["verify", str(path), "--samples", "3", "--seed",
+                        "7"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 203 * 2 ** 20, peak / 2 ** 20

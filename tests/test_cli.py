@@ -357,7 +357,7 @@ def test_period_on_dimension_20_stays_small_in_memory(capsys):
 
 
 def test_report_digests_match_golden():
-    # byte-identical reports are the contract of every refactor: the 121
+    # byte-identical reports are the contract of every refactor: the 123
     # lines of scripts/report_digests.py, recomputed in-process
     import importlib.util
 

@@ -1,12 +1,19 @@
 """Exact linear algebra: pinned-pivot elimination, kernels, solving."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from conftest import fraction_eliminate, fraction_matmul, reduce_rows_mod_loop
+from conftest import (
+    dense_blocks,
+    first_unequal_block_oracle,
+    fraction_eliminate,
+    fraction_matmul,
+    reduce_rows_mod_loop,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -207,6 +214,21 @@ def _random_matrices(field, rng):
             a[rng.randrange(rows)] = list(a[0])
         out.append(ExactMatrix(field, a))
     return out
+
+
+@pytest.mark.parametrize("p", [5, 0])
+def test_row_space_keeps_only_its_basis_rows(p):
+    # a kept basis holds no larger array: on rank-deficient inputs its rows
+    # are an array of their own, not a view of the whole reduced matrix
+    field = FieldSpec(p)
+    inputs = _random_matrices(field, random.Random(p))
+    inputs += [stack_rows(field, [x, x]) for x in inputs if x.rows]
+    deficient = [x for x in inputs if x.rank() < x.rows]
+    assert len(deficient) > 10
+    for x in deficient:
+        basis = row_space(x)
+        assert basis.rows == x.rank() and basis == row_space(basis)
+        assert basis.n.base is None or basis.n.base.shape == basis.shape
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
@@ -549,12 +571,10 @@ def test_kept_numerators_are_over_the_least_common_denominator(data):
                a.reshape(c, r), a.row(0), a.take_rows([r - 1]),
                a.take_rows(range(r - 1, r)), a.take_cols([0]),
                a.take_cols(range(c - 1)), (a @ b.T).take_cols([0]),
-               *a.split_rows(r), stack_rows(QQ, [a, b]),
+               *(a.row(i) for i in range(r)), stack_rows(QQ, [a, b]),
                stack_cols(QQ, [a, b]), block_diag(QQ, [a, b]),
                place(QQ, (r + 2, 2 * c), [([r + 1, 0][:r], c, a.take_rows(
                    range(min(r, 2)))), (0, [0][:c], b.take_cols([0][:c]))]),
-               place(QQ, (2 * r, c + 1), [(0, 1, stack_rows(QQ, [a, b]))],
-                     depth=2),
                ExactMatrix.identity(QQ, r)]
     for m in results:
         fresh_n, fresh_d = numerators(m.a)
@@ -565,7 +585,8 @@ def test_kept_numerators_are_over_the_least_common_denominator(data):
 
 def test_module_stacks_over_q_are_in_lowest_terms():
     # the stacks that direct_sum, dual_module and twisted_bimodule build
-    # from other stacks without arithmetic, on a module with fractions
+    # from other stacks without arithmetic, on a module with fractions: the
+    # stored (v, d) of each, its dense row stack and every matrix of it
     from conftest import nakayama_text, numerators
 
     from nangulator.algebra import compute_basis, verify_automorphism
@@ -584,13 +605,14 @@ def test_module_stacks_over_q_are_in_lowest_terms():
          for j in range(A.dim)] for i in range(A.dim)]))
     twisted = twisted_bimodule(A, sigma).stack
     stacks = [direct_sum(A, [halves, P, halves])[0].stack,
-              dual_module(halves).stack, twisted.dense(),
-              *halves.stack.split_rows(len(A.generators)),
-              *(twisted.block(i) for i in range(twisted.count))]
+              dual_module(halves).stack, twisted, halves.stack]
     assert halves.stack.d == twisted.d == 2
-    for m in stacks:
-        fresh_n, fresh_d = numerators(m.a)
-        assert m.d == fresh_d and m.n.tolist() == fresh_n.tolist()
+    for s in stacks:
+        assert isinstance(s, SparseStack) and len(s.v)
+        assert math.gcd(s.d, *s.v.tolist()) == 1 and all(s.v != 0)
+        for m in [s.dense(), *(s.block(i) for i in range(s.count))]:
+            fresh_n, fresh_d = numerators(m.a)
+            assert m.d == fresh_d and m.n.tolist() == fresh_n.tolist()
 
 
 @given(st.data())
@@ -676,9 +698,9 @@ def test_matrices_cut_from_larger_ones_compare_and_multiply_exactly():
 @pytest.mark.parametrize("seed", [1, 17, 65536])
 @pytest.mark.parametrize("p", [5, 65521, 0])
 def test_left_products_match_one_product_per_block(p, seed):
-    # the batched product of a dense stack, with or without a column cut,
-    # against one product per block, cut afterwards; blocks are views of
-    # the stack
+    # the batched product of a dense stack, and that of the same stack
+    # stored sparse with and without a column cut, against one product per
+    # block, cut afterwards
     field = FieldSpec(p)
     rng = random.Random(p + seed)
 
@@ -695,16 +717,15 @@ def test_left_products_match_one_product_per_block(p, seed):
     for k, n, c, blocks in [(3, 4, 6, 5), (1, 2, 2, 7), (0, 3, 2, 2),
                             (2, 0, 3, 4)]:
         x, stack = random_matrix(k, n), random_matrix(blocks * n, c)
-        parts = stack.split_rows(blocks)
-        # a block keeps the stack's denominator unless its own is smaller
-        assert all(b.n.base is not None for b in parts
-                   if b.n.size and b.d == stack.d)
+        parts = dense_blocks(stack, blocks)
+        sparse = SparseStack.from_matrix(stack, blocks)
         cols = [c - 1, 0] if c > 1 else []
         want = stack_rows(field, [x @ b for b in parts])
         assert left_products(x, stack, blocks) == want
+        assert sparse.left(x).dense() == want
         want = stack_rows(field, [(x @ b).take_cols(cols) for b in parts])
-        got = left_products(x, stack, blocks, cols)
-        assert got == want and got.shape == (blocks * k, len(cols))
+        got = sparse.left(x, cols)
+        assert got.dense() == want and got.shape == (blocks * k, len(cols))
     with pytest.raises(LinearAlgebraError, match="blockwise"):
         left_products(random_matrix(2, 3), random_matrix(7, 2), 2)
 
@@ -790,7 +811,7 @@ def test_sparse_stack_operations_match_dense(case, seed):
     rows, cols = s.rows, s.cols
     assert s.shape == big.shape and s.dense() == big
     assert len(s.key) == int(np.count_nonzero(big.n))
-    blocks = big.split_rows(count) if count else []
+    blocks = dense_blocks(big, count)
     assert [s.block(i) for i in range(count)] == blocks
     assert list(s.sizes()) == [int(np.count_nonzero(b.n)) for b in blocks]
     # one content, one digest; other content, other digest
@@ -808,33 +829,49 @@ def test_sparse_stack_operations_match_dense(case, seed):
     got = s.sums(groups)
     assert got.count == len(groups)
     assert [got.block(t) for t in range(len(groups))] == want
+    # some of the matrices, in any order, some repeated or none
+    picked = rng.choices(range(count), k=rng.randrange(4)) if count else []
+    got = s.take(picked)
+    assert got.count == len(picked)
+    assert [got.block(t) for t in range(len(picked))] == [blocks[i]
+                                                          for i in picked]
+    # the transposed matrices
+    flipped = s.T
+    assert (flipped.count, flipped.rows, flipped.cols) == (count, cols, rows)
+    assert [flipped.block(i) for i in range(count)] == [b.T for b in blocks]
     # the same rows of every block
     keep = sorted(rng.sample(range(rows), rng.randrange(rows + 1)))
     idx = [i * rows + r for i in range(count) for r in keep]
-    assert s.take_rows(idx).dense() == big.take_rows(idx)
+    kept = s.take_rows(keep)
+    assert kept.rows == len(keep) and kept.dense() == big.take_rows(idx)
+    # all three in normal form: keys ascending, no zero values, in lowest
+    # terms
+    for got in (got, flipped, kept):
+        assert all(np.diff(got.key) > 0) and all(got.v != 0)
+        assert math.gcd(got.d, *got.v.tolist()) == 1
     # products: S.F, x.S with and without a column cut, y.S_i
     f = _random_over(field, rng, cols, rng.randrange(4))
     assert (s @ f).dense() == big @ f
     x = _random_over(field, rng, rng.randrange(4), rows)
     cut = rng.sample(range(cols), rng.randrange(cols + 1))
     assert s.left(x).dense() == left_products(x, big, count)
-    assert left_products(x, s, count, cut).dense() == \
-        left_products(x, big, count, cut)
+    assert s.left(x, cut).dense() == \
+        left_products(x, big, count).take_cols(cut)
     for i in range(count):
         assert s.row_product(x, i) == x @ blocks[i]
     # the first unequal block, of stacks over different denominators
     other = SparseStack.from_matrix(big + _random_over(field, rng, *big.shape),
                                     count)
-    assert first_unequal_block(s, other, count) == first_unequal_block(
+    assert first_unequal_block(s, other) == first_unequal_block_oracle(
         big, other.dense(), count)
-    assert first_unequal_block(s, s, count) is None
+    assert first_unequal_block(s, s) is None
     if count and rows and cols:
         # only the last block differs, and over Q the denominators do too
         bump = ExactMatrix(field, [[Fraction(1, 7) if not field.characteristic
                                     else 1] * cols] * rows)
         last = SparseStack.from_matrix(
             stack_rows(field, blocks[:-1] + [blocks[-1] + bump]), count)
-        assert first_unequal_block(s, last, count) == count - 1
+        assert first_unequal_block(s, last) == count - 1
     # block diagonals, Kronecker sums, products of pairs and the row space
     t = SparseStack.from_matrix(other.dense(), count)
     diag = SparseStack.diagonal(field, [s, t], count)
@@ -851,7 +888,7 @@ def test_sparse_stack_operations_match_dense(case, seed):
         prods = SparseStack.products(pairs, s, t)
         assert [prods.block(k) for k in range(len(pairs[0]))] == [
             blocks[a] @ t.block(b) for a, b in zip(*pairs)]
-    basis = s.row_space()
+    basis = row_space(s)
     assert basis == row_space(big) and basis.rref()[1] == row_space(big).rref()[1]
 
 
@@ -861,5 +898,5 @@ def test_first_unequal_block_compares_over_different_denominators():
     b = mat(QQ, [[1, 0], [0, 2], [3, Fraction(1, 7)], [0, 0]])
     sa, sb = SparseStack.from_matrix(a, 2), SparseStack.from_matrix(b, 2)
     assert (sa.d, sb.d) == (1, 7)
-    assert first_unequal_block(sa, sb, 2) == first_unequal_block(a, b, 2) == 1
-    assert first_unequal_block(sb, sb, 2) is first_unequal_block(b, b, 2) is None
+    assert first_unequal_block(sa, sb) == first_unequal_block_oracle(a, b, 2) == 1
+    assert first_unequal_block(sb, sb) is first_unequal_block_oracle(b, b, 2) is None

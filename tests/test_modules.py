@@ -11,6 +11,7 @@ from conftest import (
     FIXTURES,
     bimodule_chain,
     bimodule_projective_oracle,
+    first_unequal_block_oracle,
     fixture_over,
     direct_sum_loop,
     evaluate_oracle,
@@ -37,6 +38,7 @@ import nangulator
 from nangulator import fields, homology, modules, periodicity
 
 from nangulator.algebra import (
+    EnvelopingAlgebra,
     compute_basis,
     identity_automorphism,
     verify_automorphism,
@@ -48,6 +50,7 @@ from nangulator.fields import (
     block_diag,
     first_unequal_block,
     left_products,
+    row_space,
     stack_rows,
 )
 from nangulator.modules import (
@@ -62,6 +65,7 @@ from nangulator.modules import (
     quotient,
     random_hom,
     right_twist,
+    submodule,
     tensor_module,
     twisted_bimodule,
     zero_module,
@@ -804,8 +808,8 @@ def test_verify_names_the_first_failing_element_as_the_loop_does(p):
 @pytest.mark.parametrize("p", [5, 0])
 def test_verify_names_the_first_failing_generator_in_index_order(p):
     # I + (action of the first generator) fails at several later generators,
-    # over A (a dense stack) and over A^e (a sparse one): verify names the
-    # first of them in the order of ``generators``, as the loop does
+    # over A and over A^e: verify names the first of them in the order of
+    # ``generators``, as the loop does
     A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
     for M in (regular_module(A), twisted_bimodule(A, identity_automorphism(A))):
         gens = M.algebra.generators
@@ -855,7 +859,7 @@ def test_indecomposable_projectives_are_kept_over_the_algebra_only():
     assert projective_module(env, 3).digest() == P.digest()
 
 
-# -- sparse bimodule stacks against dense oracles -----------------------------
+# -- module stacks against dense oracles ---------------------------------------
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
 
@@ -881,14 +885,17 @@ def _check_stack(m, dense, rng):
     """Every operation of m's sparse stack against the dense generator
     actions ``dense`` (in generator order): densifying each generator, the
     digest, the batched products with and without a column cut, S.F and
-    F.S, the row products of the walks and the one-sided sums."""
-    env = m.algebra
-    A, fld, gens, n = env.base, env.field, env.generators, m.dim
+    F.S, the row products of the walks, the idempotent images and, over
+    A^e, the one-sided sums."""
+    alg = m.algebra
+    fld, gens, n = alg.field, alg.generators, m.dim
     s, big = m.stack, stack_rows(fld, dense)
     assert isinstance(s, SparseStack)
     assert s.dense() == big
     for t, g in enumerate(gens):
         assert s.block(t) == dense[t] and m.action[g] == dense[t]
+    for pos, e in enumerate(alg.idempotents):
+        assert m.idempotent_image(pos) == row_space(dense[gens.index(e)])
     # the digest is equal exactly when the contents are equal
     same = SparseStack.from_matrix(big, len(gens))
     assert same == s and same.digest() == s.digest()
@@ -899,19 +906,20 @@ def _check_stack(m, dense, rng):
         assert other != s and other.digest() != s.digest()
     x = _random_dense(fld, rng, rng.randrange(4), n)
     cols = rng.sample(range(n), rng.randrange(n + 1))
-    assert left_products(x, s, len(gens)).dense() == \
-        left_products(x, big, len(gens))
-    assert left_products(x, s, len(gens), cols).dense() == \
-        left_products(x, big, len(gens), cols)
+    assert s.left(x).dense() == left_products(x, big, len(gens))
+    assert s.left(x, cols).dense() == \
+        left_products(x, big, len(gens)).take_cols(cols)
     f = _random_dense(fld, rng, n, n)
-    fs = left_products(f, s, len(gens))
+    fs = s.left(f)
     assert (s @ f).dense() == big @ f
     assert fs.dense() == left_products(f, big, len(gens))
-    assert first_unequal_block(s @ f, fs, len(gens)) == first_unequal_block(
+    assert first_unequal_block(s @ f, fs) == first_unequal_block_oracle(
         big @ f, left_products(f, big, len(gens)), len(gens))
     for t in rng.sample(range(len(gens)), min(3, len(gens))):
         assert m.times(x, gens[t]) == x @ dense[t]
-    position = {g: t for t, g in enumerate(gens)}
+    if not isinstance(alg, EnvelopingAlgebra):
+        return
+    A, position = alg.base, {g: t for t, g in enumerate(gens)}
     for g in A.generators:
         for left in (True, False):
             terms = [dense[position[A.envelope_index(*((g, e) if left
@@ -954,6 +962,44 @@ def test_bimodule_stacks_match_dense_oracles(name, p):
                    for c, d in zip(cover, dense))
         assert pi.rank() == m.dim and inc.matrix.rows == P.dim - m.dim
         assert (inc.matrix @ pi.matrix).is_zero()
+        piv = inc.matrix.rref()[1]
+        dense = [(inc.matrix @ c).take_cols(piv) for c in cover]
+        m = omega
+    _check_stack(m, dense, rng)
+
+
+@pytest.mark.parametrize("p", [2, 5, 0])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_module_stacks_match_dense_oracles(name, p):
+    # the same checks on modules over A: the regular module against A's
+    # right multiplications, then its radical and the first three covers
+    # and syzygies from there, the cover the block diagonal of the oracle
+    # e A (right multiplication cut to the basis of e A), mapping onto the
+    # module it covers, the submodules acting by their basis times the
+    # dense actions, cut to its pivots
+    from nangulator.homology import syzygy
+
+    A = fixture_over(name, p)
+    fld, gens = A.field, A.generators
+    oracle = [[A.right_mult[g].take_rows(rows).take_cols(rows) for g in gens]
+              for rows in map(A.projective_rows, range(len(A.idempotents)))]
+    rng = random.Random(f"{name}-{p}")
+    regular = regular_module(A)
+    dense = [A.right_mult[g] for g in gens]
+    _check_stack(regular, dense, rng)
+    m, inc = submodule(regular, ExactMatrix.identity(fld, A.dim).take_rows(
+        A.radical))
+    piv = inc.matrix.rref()[1]
+    dense = [(inc.matrix @ a).take_cols(piv) for a in dense]
+    for _ in range(3):
+        _check_stack(m, dense, rng)
+        omega, inc, P, pi = syzygy(m)
+        cover = [block_diag(fld, [oracle[pos][t] for pos in P.proj or ()])
+                 for t in range(len(gens))]
+        _check_stack(P, cover, rng)
+        assert all(c @ pi.matrix == pi.matrix @ d
+                   for c, d in zip(cover, dense))
+        assert pi.rank() == m.dim and inc.matrix.rows == P.dim - m.dim
         piv = inc.matrix.rref()[1]
         dense = [(inc.matrix @ c).take_cols(piv) for c in cover]
         m = omega
