@@ -6,18 +6,20 @@
 
 Runs ``CMD FILE OPTION ...`` in-process through ``nangulator.cli.run_cli``
 with its report discarded, and times every call of ``fields._eliminate``,
-the Gauss-Jordan elimination behind ``ExactMatrix.rref`` and
-``fields.row_space``.  Calls are grouped by their nearest four callers
-inside the package, leaving out ``ExactMatrix.rref`` and
-``fields.row_space`` themselves and comprehensions.  One line per group
-gives the calls, the seconds and the mean number of cells (rows x columns)
-eliminated, largest time first.
+the Gauss-Jordan elimination behind ``ExactMatrix.rref``,
+``fields.row_space``, ``fields.solve_left`` and ``fields.left_kernel``,
+which it reads from the nonzeros of a matrix of a given shape.  Calls are
+grouped by their nearest four callers inside the package, leaving out
+``ExactMatrix.rref`` and ``fields.row_space`` themselves and
+comprehensions.  One line per group gives the calls, the seconds and the
+mean number of cells (rows x columns) eliminated, largest time first.
 
 With ``--products`` it times the products instead, grouped the same way
 and labelled by kind:
 - ``@``: ``ExactMatrix.__matmul__``;
 - ``left``: ``fields.left_products``, the blockwise product of a dense
-  stack: the hom-basis products of ``modules.hom_system``;
+  stack: the block products of ``modules.hom_system``, whose nonzeros
+  ``SparseStack.placed`` places in the sparse system;
 - ``sparse left``, ``sparse @`` and ``sparse row``: the products of a
   ``SparseStack``, the generator actions of every module, over A or over
   A^e, through its stored nonzeros: ``SparseStack.left`` (x @ S_i for
@@ -132,7 +134,7 @@ def main(argv) -> int:
         what = "products"
     else:
         restore = patch([fields], "_eliminate",
-                        timing(None, lambda args, out: math.prod(args[1].shape)))
+                        timing(None, lambda args, out: math.prod(args[1])))
         what = "eliminations"
     t0 = time.perf_counter()
     try:

@@ -19,7 +19,10 @@ with ``verify --m 3 --samples 2 --seed 5`` on kQ_2/I_2 over Q, and
 for Q, written to a temporary directory), then ``verify --samples 1 --seed
 7`` on the preprojective algebra Pi(A4) and ``period`` on Pi(D4) over F5
 (labelled ``Pi(A4)/F5`` and ``Pi(D4)/F5``), and ``verify --samples 3 --seed
-7`` on both, where the modules over A reach dimension 2,044: 123 lines.
+7`` on both, where the modules over A reach dimension 2,044, and
+``angulate standard`` and ``angulate complete --seed 7`` on both, whose
+dumps hold matrices of the solved hom systems and so tell the two algebras
+apart: 127 lines.
 Diff the output of two checkouts to see which reports changed.
 ``tests/golden/report_digests.txt`` holds the expected lines, and
 ``tests/test_cli.py`` recomputes them through ``digest_lines``.
@@ -52,7 +55,11 @@ RATIONAL_PERIOD = [(3, 3), (4, 3)]
 PREPROJECTIVE = [("A", 4, ["verify", "--samples", "1", "--seed", "7"]),
                  ("D", 4, ["period"]),
                  ("A", 4, ["verify", "--samples", "3", "--seed", "7"]),
-                 ("D", 4, ["verify", "--samples", "3", "--seed", "7"])]
+                 ("D", 4, ["verify", "--samples", "3", "--seed", "7"]),
+                 ("A", 4, ["angulate", "standard"]),
+                 ("D", 4, ["angulate", "standard"]),
+                 ("A", 4, ["angulate", "complete", "--seed", "7"]),
+                 ("D", 4, ["angulate", "complete", "--seed", "7"])]
 
 
 def nakayama_text(n, s, p):

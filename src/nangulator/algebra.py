@@ -26,6 +26,7 @@ from .fields import (
     ExactMatrix,
     FieldSpec,
     SparseStack,
+    left_kernel,
     stack_cols,
     stack_rows,
     unequal_entries,
@@ -688,7 +689,7 @@ def check_self_injective(algebra: BasicAlgebra) -> NakayamaData:
         P = projective_module(algebra, pos)
         stacked = [P.action[g] for g in algebra.radical_right_generators]
         if stacked:
-            soc = stack_cols(algebra.field, stacked).left_kernel()
+            soc = left_kernel(stack_cols(algebra.field, stacked))
         else:
             soc = ExactMatrix.identity(algebra.field, P.dim)
         if soc.rows != 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Automorphism, BasicAlgebra
-from .fields import ExactMatrix, LinearAlgebraError, place, stack_cols
+from .fields import ExactMatrix, LinearAlgebraError, place, solve_left, stack_cols
 from .homology import Homology, cosyzygy_morphism, rank_exactness
 from .modules import (
     Module,
@@ -327,7 +327,7 @@ def standard_angle(seq: FunctorSequence, m: Module) -> AngleSequence:
 def descend_through_epi(epi: ExactMatrix, rhs: ExactMatrix):
     """Solve epi @ phi = rhs: the map induced on the target of a surjection.
     Unique when it exists.  Returns the matrix of phi or None."""
-    sol = epi.T.solve_left(rhs.T)
+    sol = solve_left(epi.T, rhs.T)
     return None if sol is None else sol.T
 
 
@@ -407,7 +407,7 @@ def angle_comparison(seq: FunctorSequence, x: AngleSequence) -> tuple:
     beta: Suspension(kernel) -> Omega^{-N} kernel is the induced comparison."""
     m, incl = kernel_of(x.maps[0])
     # factor the last map through the suspension of the kernel
-    pi_mat = incl.matrix.solve_left(x.maps[-1].matrix)
+    pi_mat = solve_left(incl.matrix, x.maps[-1].matrix)
     if pi_mat is None:
         raise LinearAlgebraError("last map does not factor through the kernel")
     beta = _compare_with_resolution(
@@ -584,8 +584,8 @@ def fill_morphism(seq: FunctorSequence, x: AngleSequence, y: AngleSequence,
     (m, l_m), (nn, l_n), h_mat = _kernel_restriction(x, y, phi1)
     sus = seq.suspension
     sus_m, sus_n = sus.apply(m), sus.apply(nn)
-    pi_mat = l_m.matrix.solve_left(x.maps[-1].matrix)
-    pi2_mat = l_n.matrix.solve_left(y.maps[-1].matrix)
+    pi_mat = solve_left(l_m.matrix, x.maps[-1].matrix)
+    pi2_mat = solve_left(l_n.matrix, y.maps[-1].matrix)
     if pi_mat is None or pi2_mat is None:
         raise FillError("angles are not exact at the boundary")
     pi = ModuleMorphism(x.objects[-1], sus_m, pi_mat)
@@ -616,7 +616,7 @@ def _kernel_restriction(x: AngleSequence, y: AngleSequence,
     """(kernel of f_1 with its inclusion, the same for g_1, the matrix of
     the map between them that phi1 restricts to)."""
     ker_x, ker_y = kernel_of(x.maps[0]), kernel_of(y.maps[0])
-    h_mat = ker_y[1].matrix.solve_left(ker_x[1].matrix @ phi1.matrix)
+    h_mat = solve_left(ker_y[1].matrix, ker_x[1].matrix @ phi1.matrix)
     if h_mat is None:
         raise FillError("the square does not restrict to the kernels")
     return ker_x, ker_y, h_mat

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .algebra import BasicAlgebra
-from .fields import ExactMatrix, LinearAlgebraError
+from .fields import ExactMatrix, LinearAlgebraError, left_kernel
 from .homology import Homology
 from .modules import (
     Module,
@@ -128,7 +128,7 @@ def sample_commuting_square(eng: Homology, x: AngleSequence, y: AngleSequence,
         [(0, None, y.maps[0].matrix), (1, -x.maps[0].matrix, None)],
         ExactMatrix.zeros(fld, x.objects[0].dim, y.objects[1].dim),
         x.objects[0])])
-    space = big.left_kernel()
+    space = left_kernel(big)
     scalars = [fld.random(rng) for _ in range(space.rows)]
     return tuple(combine_all(bases, ExactMatrix(fld, [scalars]) @ space))
 

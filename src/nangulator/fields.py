@@ -15,22 +15,21 @@ other matrices by one placement primitive (``place``), of which
 pinned (leftmost nonzero column, topmost nonzero row) so every downstream
 construction is reproducible bit for bit.
 
-Over Q a product multiplies the integer numerators over the product of the
-denominators.
-
 Elimination is one Gauss-Jordan on sparse rows, ``{column: value}`` maps of
 the nonzeros, for both fields: the matrices the program reduces are a few
 hundred cells, or large and mostly zero (hom systems are 0.05-0.5 %
-nonzero).  Over Q it is fraction-free on integer rows, each divided by its
-content, dividing by the pivots once at the end.  The RREF and its pivot
-columns are unique, so the results are those of the pinned elimination in
-fraction arithmetic.
+nonzero), read by their keys from a matrix or a sparse stack alike, and
+transposed or augmented by key arithmetic, not by dense copies.  Over Q it
+is fraction-free on integer rows, each divided by its content, dividing by
+the pivots once at the end.  The RREF and its pivot columns are unique, so
+the results are those of the pinned elimination in fraction arithmetic.
 
 A matrix knows when it is reduced: the R that ``rref()`` returns and the
-basis that ``row_space`` returns carry their pivot columns, and ``rref()`` on
-such a matrix returns it at once, with no elimination.  Every other matrix,
-including one derived from a reduced matrix (rows, transpose, products,
-sums, the constructor), starts unreduced.
+bases that ``row_space`` and ``left_kernel`` return carry their pivot
+columns, and ``rref()`` on such a matrix returns it at once, with no
+elimination.  Every other matrix, including one derived from a reduced
+matrix (rows, transpose, products, sums, the constructor), starts
+unreduced.
 
 A ``SparseStack`` holds a stack of matrices of one shape by its nonzero
 entries alone, as sorted (key, value) arrays over one denominator: the
@@ -43,8 +42,7 @@ dense only one matrix at a time on request.  Most modules over A are small
 its arithmetic: so a stack keeps where each matrix starts and each entry's
 row and column once computed (``starts``, ``cells``), and an operation
 whose entries only move (a diagonal, a transpose, a cut) sorts them at
-most once and skips the summing.  ``left_products`` is the batched product
-of a dense stack, which the hom systems build from walked maps.
+most once and skips the summing.  Hom systems are one-matrix stacks.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ class ResourceBoundExceeded(RuntimeError):
 
 
 MEMORY_BOUND = 1 << 30     # bytes one dense array of the pipeline may take
-FRACTION_BYTES = 112       # 8-byte pointer, 48-byte Fraction, two 28-byte ints
+FRACTION_BYTES = 48        # 8-byte pointer, Python int below 2^60 (<= 40 bytes)
 
 
 def check_memory(field: FieldSpec, entries: int, what: str) -> None:
@@ -201,11 +199,8 @@ class ExactMatrix:
         if n.ndim != 2:
             raise LinearAlgebraError(f"expected 2-d data, got shape {n.shape}")
         n.setflags(write=False)
-        self.field = field
-        self.n = n
-        self.d = d
-        self._digest = None
-        self._pivots = None
+        self.field, self.n, self.d, self._digest, self._pivots = (
+            field, n, d, None, None)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -362,15 +357,14 @@ class ExactMatrix:
 
     # -- gaussian elimination ----------------------------------------------
     def rref(self):
-        """Reduced row echelon form with pinned pivoting.
-
-        Returns (R, pivots) where pivots lists the pivot column of each of
-        the leading rows of R; trailing rows of R are zero.  R carries its
-        pivots, and a matrix that carries them is returned as it is.
-        """
+        """Reduced row echelon form with pinned pivoting: (R, pivots), the
+        pivot column of each leading row of R; trailing rows of R are zero.
+        R carries its pivots, and a matrix that carries them is returned as
+        it is."""
         if self._pivots is not None:
             return self, self._pivots
-        n, d, pivots = _eliminate(self.field.characteristic, self.n)
+        n, d, pivots = _eliminate(self.field.characteristic, self.shape,
+                                  *_nonzeros(self))
         r = ExactMatrix._wrap(self.field, n, d)  # the RREF is canonical
         r._pivots = pivots
         return r, pivots
@@ -378,52 +372,10 @@ class ExactMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def left_kernel(self) -> "ExactMatrix":
-        """Canonical basis (rows, in RREF) of {x : x @ self = 0}."""
-        r, piv = self.T.rref()
-        piv_set = set(piv)
-        free = [j for j in range(self.rows) if j not in piv_set]
-        if not free:
-            return ExactMatrix.zeros(self.field, 0, self.rows)
-        # free variable j set to 1, each pivot variable to minus its row at
-        # j, over the denominator of R
-        n = np.zeros((len(free), self.rows), _dtype(self.field))
-        n[range(len(free)), free] = r.d
-        n[:, list(piv)] = -r.n[: len(piv), free].T
-        basis = self._new(n, r.d)
-        # canonical form: reduce the kernel basis itself
-        return basis.rref()[0].take_rows(range(basis.rows))._strip_zero_rows()
-
-    def _strip_zero_rows(self) -> "ExactMatrix":
-        nz = np.flatnonzero(self.n.any(axis=1))
-        if len(nz) == self.rows:
-            return self
-        return self.take_rows(nz)
-
-    def solve_left(self, rhs: "ExactMatrix"):
-        """One solution X with X @ self = rhs, or None if inconsistent.
-
-        The particular solution is the back-substitution solution of the
-        fixed-pivot RREF (free variables set to zero).
-        """
-        if rhs.cols != self.cols:
-            raise LinearAlgebraError(
-                f"solve_left shape mismatch: {self.shape} vs rhs {rhs.shape}"
-            )
-        # Solve self.T @ X.T = rhs.T by eliminating the augmented matrix
-        # [self.T | rhs.T].
-        r, piv = stack_rows(self.field, [self, rhs]).T.rref()
-        n_unknowns = self.rows
-        if piv and piv[-1] >= n_unknowns:
-            return None  # pivot in augmented columns: inconsistent
-        sol = np.zeros((rhs.rows, n_unknowns), _dtype(self.field))
-        sol[:, list(piv)] = r.n[: len(piv), n_unknowns:].T
-        return r._cut(sol)
-
     def inv(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise LinearAlgebraError("inverse of a non-square matrix")
-        x = self.solve_left(ExactMatrix.identity(self.field, self.rows))
+        x = solve_left(self, ExactMatrix.identity(self.field, self.rows))
         if x is None:
             raise LinearAlgebraError("matrix is singular")
         # x @ self = I; for square matrices this is the two-sided inverse
@@ -438,36 +390,45 @@ def _dtype(field: FieldSpec):
     return np.int64 if field.characteristic else object
 
 
-def _eliminate(p: int, a, basis: bool = False):
-    """Gauss-Jordan elimination of the integer array ``a`` with pinned
-    pivoting, on sparse rows: (reduced n, its denominator d, pivot columns).
-    Over Q (p = 0) ``a`` holds numerators over a common denominator, which
-    the reduced form does not depend on.  ``a`` is left as it is.  A
-    ``SparseStack`` is eliminated as its row stack, read from its stored
-    nonzeros; with ``basis`` set, n holds the nonzero rows only.
+def _nonzeros(a):
+    """(keys, values) of the nonzeros of a matrix or the row stack of a
+    ``SparseStack``: entry (i, j) at key i . cols + j, ascending."""
+    if isinstance(a, SparseStack):
+        return a.key, a.v
+    flat = a.n.ravel()
+    key = flat.nonzero()[0]
+    return key, flat[key]
+
+
+def _eliminate(p: int, shape, key, values, basis: bool = False,
+               transposed: bool = False):
+    """Gauss-Jordan elimination with pinned pivoting, on sparse rows, of
+    the integer matrix of the given shape with ``values`` at ``key`` (entry
+    (i, j) at i . cols + j, in any order), or of its transpose: (reduced n,
+    its denominator d, pivot columns), n of the nonzero rows only with
+    ``basis`` set.  Over Q (p = 0) the values are numerators over a common
+    denominator, which the reduced form does not depend on.
 
     Each row, a ``{column: value}`` map of its nonzeros, is reduced against
     the rows kept so far, lowest column first, until its leading column is
     new or it vanishes; a row that remains is kept, led by 1 over F_p and
     primitive with a positive lead over Q.  The kept rows are then reduced
     against each other, last pivot first, and written into one zero array,
-    over Q each divided by its lead, over the lcm of the leads.  The
-    reduced form and its pivots are unique, so this order of the work gives
-    those of the pinned elimination."""
-    rows, cols = a.shape
-    if isinstance(a, SparseStack):
-        at, values = a.key, a.v
-    else:
-        flat = a.ravel()
-        at = flat.nonzero()[0]
-        values = flat[at]
+    over Q each divided by its lead, over the lcm of the leads.  The reduced
+    form and its pivots are unique, so this order of the work gives those
+    of the pinned elimination."""
+    rows, cols = shape
     sparse = {}                  # row index -> {column: value}
-    for k, x in zip(at.tolist(), values.tolist()):
+    for k, x in zip(key.tolist(), values.tolist()):
         i, j = divmod(k, cols)
+        if transposed:
+            i, j = j, i
         if i in sparse:
             sparse[i][j] = x
         else:
             sparse[i] = {j: x}
+    if transposed:
+        rows, cols = cols, rows
     kept = {}                    # leading column -> kept row
     for row in sparse.values():
         while row:
@@ -483,8 +444,7 @@ def _eliminate(p: int, a, basis: bool = False):
         for j in [j for j in row if j != c and j in kept]:
             row = _reduce(p, row, j, kept[j])
         kept[c] = row
-    n = np.zeros((len(pivots) if basis else rows, cols),
-                 np.int64 if p else object)
+    n = np.zeros((len(pivots) if basis else rows, cols), np.int64 if p else object)
     at = [i * cols + j for i, c in enumerate(pivots) for j in kept[c]]
     if p:
         n.put(at, [x for c in pivots for x in kept[c].values()])
@@ -561,21 +521,19 @@ def place(field: FieldSpec, shape, parts) -> ExactMatrix:
     once, so a part can be made just before it is placed.  Over Q the parts
     are placed over the lcm of their denominators, the entries placed so
     far rescaled when it grows, which keeps the result in lowest terms."""
-    out = np.zeros(shape, _dtype(field))
-    d = 1
+    out, d = np.zeros(shape, _dtype(field)), 1
     for r, c, m in parts:
         if d % m.d:
             grow = math.lcm(d, m.d) // d
             out *= grow
             d *= grow
-        n = m.n if m.d == d else m.n * (d // m.d)
         if type(r) is int:
             r = slice(r, r + m.rows)
         elif type(c) is not int:
             r = np.asarray(r)[:, None]  # rows by columns, not pairs
         if type(c) is int:
             c = slice(c, c + m.cols)
-        out[r, c] = n
+        out[r, c] = m.n if m.d == d else m.n * (d // m.d)
     return ExactMatrix._wrap(field, out, d)
 
 
@@ -651,30 +609,57 @@ def unequal_entries(x: ExactMatrix, y: ExactMatrix) -> np.ndarray:
     return x.n * y.d != y.n * x.d
 
 
-def linear_combination(field: FieldSpec, coeffs, mats, shape) -> ExactMatrix:
-    """sum_i coeffs[i] mats[i] for matrices of the given shape (zero when
-    there are none): one product of the coefficient row with the flattened
-    matrices."""
-    rows, cols = shape
-    if not len(mats):
-        return ExactMatrix.zeros(field, rows, cols)
-    flat = stack_rows(field, [m.reshape(1, rows * cols) for m in mats])
-    return (ExactMatrix(field, [list(coeffs)]) @ flat).reshape(rows, cols)
-
-
 def row_space(a) -> ExactMatrix:
     """Canonical RREF basis of the row space of a matrix, or of the row
     stack of a ``SparseStack``, zero rows stripped; it carries its pivots.
     Only the basis rows are formed, so a kept basis holds no larger array."""
-    field = a.field
-    if isinstance(a, ExactMatrix):
-        if a._pivots is not None and a.rows == len(a._pivots):
-            return a
-        a = a.n
-    n, d, pivots = _eliminate(field.characteristic, a, basis=True)
-    basis = ExactMatrix._wrap(field, n, d)
+    if isinstance(a, ExactMatrix) and a._pivots is not None \
+            and a.rows == len(a._pivots):
+        return a
+    n, d, pivots = _eliminate(a.field.characteristic, a.shape, *_nonzeros(a),
+                              basis=True)
+    basis = ExactMatrix._wrap(a.field, n, d)
     basis._pivots = pivots
     return basis
+
+
+def solve_left(a, rhs: ExactMatrix):
+    """One solution X with X @ a = rhs, for a matrix or a one-matrix stack
+    ``a``, or None if inconsistent: the back-substitution solution, free
+    unknowns zero, of the pinned RREF of [a; rhs]^T, eliminated from the
+    nonzeros of a and of rhs, its keys shifted below a's."""
+    (unknowns, cols), field = a.shape, a.field
+    if rhs.cols != cols:
+        raise LinearAlgebraError(
+            f"solve_left shape mismatch: {a.shape} vs rhs {rhs.shape}")
+    (ka, va), (kb, vb) = _nonzeros(a), _nonzeros(rhs)
+    if a.d != rhs.d:
+        va, vb = va * rhs.d, vb * a.d
+    r, d, piv = _eliminate(field.characteristic, (unknowns + rhs.rows, cols),
+                           np.concatenate([ka, kb + unknowns * cols]),
+                           np.concatenate([va, vb]), basis=True,
+                           transposed=True)
+    if piv and piv[-1] >= unknowns:
+        return None  # pivot in augmented columns: inconsistent
+    sol = np.zeros((rhs.rows, unknowns), _dtype(field))
+    sol[:, list(piv)] = r[:, unknowns:].T
+    return ExactMatrix._wrap(field, *_lowest(sol, d))
+
+
+def left_kernel(a) -> ExactMatrix:
+    """Canonical basis (rows, in RREF) of {x : x @ a = 0}, for a matrix or a
+    one-matrix stack ``a``: the row space of the vectors with free unknown j
+    1 and each pivot unknown minus its row of the RREF of a^T at j."""
+    unknowns, field, p = a.shape[0], a.field, a.field.characteristic
+    r, d, piv = _eliminate(p, a.shape, *_nonzeros(a), basis=True,
+                           transposed=True)
+    free = sorted(set(range(unknowns)).difference(piv))
+    if not free:
+        return ExactMatrix.zeros(field, 0, unknowns)
+    n = np.zeros((len(free), unknowns), _dtype(field))
+    n[range(len(free)), free] = d
+    n[:, list(piv)] = -r[:, free].T % p if p else -r[:, free].T
+    return row_space(ExactMatrix._wrap(field, *_lowest(n, d)))
 
 
 def reduce_rows_mod(space: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:
@@ -721,16 +706,9 @@ class SparseStack:
         """The stack of the given entries, already in normal form."""
         key.setflags(write=False)
         v.setflags(write=False)
-        self.field = field
-        self.count = count
-        self.rows = rows
-        self.cols = cols
-        self.key = key
-        self.v = v
-        self.d = d
-        self._starts = None
-        self._cells = None
-        self._digest = None
+        self.field, self.count, self.rows, self.cols = field, count, rows, cols
+        self.key, self.v, self.d = key, v, d
+        self._starts = self._cells = self._digest = None
 
     @staticmethod
     def _collect(field: FieldSpec, count: int, rows: int, cols: int,
@@ -764,11 +742,9 @@ class SparseStack:
     @staticmethod
     def from_matrix(m: ExactMatrix, count: int) -> "SparseStack":
         """The row stack m read as ``count`` blocks of equal height."""
-        flat = m.n.ravel()
-        key = np.flatnonzero(flat)
-        rows = m.rows // count if count else 0
-        return SparseStack(m.field, count, rows, m.cols, key, flat[key],
-                           m.d if len(key) else 1)
+        key, v = _nonzeros(m)
+        return SparseStack(m.field, count, m.rows // count if count else 0,
+                           m.cols, key, v, m.d if len(key) else 1)
 
     @staticmethod
     def diagonal(field: FieldSpec, stacks, count: int) -> "SparseStack":
@@ -791,6 +767,28 @@ class SparseStack:
         key = np.concatenate(keys)
         order = np.argsort(key)
         return SparseStack(field, count, rows, cols, key[order],
+                           np.concatenate(vals)[order], d)
+
+    @staticmethod
+    def placed(field: FieldSpec, shape, parts) -> "SparseStack":
+        """``place`` for a one-matrix stack, from the nonzeros of each part
+        (rows, col, m), m read in C order as len(rows) rows.  The keys are
+        worked out in Python: a hom system's parts hold a few nonzeros
+        each, where an array call costs more than the arithmetic."""
+        keys, vals, dens = [], [np.zeros(0, _dtype(field))], []
+        for r, c, m in parts:
+            flat = m.n.ravel()
+            at = flat.nonzero()[0]
+            w = len(flat) // len(r)
+            keys += [r[k // w] * shape[1] + c + k % w for k in at.tolist()]
+            vals.append(flat[at])
+            dens.append(m.d)
+        d = math.lcm(1, *dens)
+        if d > 1:
+            vals[1:] = [v * (d // e) for v, e in zip(vals[1:], dens)]
+        key = np.array(keys, np.int64)
+        order = key.argsort()
+        return SparseStack(field, 1, *shape, key[order],
                            np.concatenate(vals)[order], d)
 
     @staticmethod

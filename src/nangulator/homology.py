@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BasicAlgebra, NakayamaData
-from .fields import ExactMatrix, LinearAlgebraError, block_diag
+from .fields import ExactMatrix, LinearAlgebraError, block_diag, solve_left
 from .modules import (
     HomBasis,
     Module,
@@ -256,21 +256,15 @@ def cosyzygy_morphism(engine: Homology, f: ModuleMorphism, k: int) -> ModuleMorp
             I_m, I_n, [(iota_m.matrix, None, cur.matrix @ iota_n.matrix, None)])
         if u is None:
             raise LinearAlgebraError("comparison lift failed (hull not injective?)")
-        # induced map on cokernels: lift, push through u, project
-        lift = _section_of(proj_m)
+        # induced map on cokernels: lift by a linear section of the
+        # projection (x @ P = id), push through u, project
+        lift = solve_left(proj_m.matrix, ExactMatrix.identity(
+            proj_m.source.algebra.field, proj_m.target.dim))
+        if lift is None:
+            raise LinearAlgebraError("map has no section (not surjective)")
         mat = lift @ u.matrix @ proj_n.matrix
         cur = ModuleMorphism(res_m.cosyzygy(step + 1), res_n.cosyzygy(step + 1), mat)
     return cur
-
-
-def _section_of(proj: ModuleMorphism) -> ExactMatrix:
-    """A linear section of a surjective morphism: rows solve x @ P = id."""
-    sec = proj.matrix.solve_left(
-        ExactMatrix.identity(proj.source.algebra.field, proj.target.dim)
-    )
-    if sec is None:
-        raise LinearAlgebraError("map has no section (not surjective)")
-    return sec
 
 
 def rank_exactness(maps) -> bool:

@@ -15,8 +15,9 @@ derived on demand.  Constructions (submodules, quotients, direct sums,
 twists, duals) and ``ModuleMorphism.verify`` act on the whole stack with one
 product through its stored nonzeros; images of a vector under many basis
 elements are walked along the words on row vectors (``Module.times``).
-Every matrix is an ``ExactMatrix``, so the same code runs over F_p and Q,
-and this module never touches the stored integers.
+Every matrix is an ``ExactMatrix`` and every stack, hom systems among them,
+a ``SparseStack``, so the same code runs over F_p and Q, and this module
+never touches the stored integers.
 Elements are row vectors; a morphism matrix F sends x to x @ F, so
 composition "f then g" is the matrix product F @ G.
 """
@@ -36,11 +37,12 @@ from .fields import (
     SparseStack,
     check_memory,
     first_unequal_block,
+    left_kernel,
     left_products,
-    linear_combination,
     place,
     reduce_rows_mod,
     row_space,
+    solve_left,
     stack_cols,
     stack_rows,
 )
@@ -107,11 +109,13 @@ class Module:
         return self._digest
 
     def combination(self, terms) -> ExactMatrix:
-        """Action of the element sum c . b_k for (k, c) in ``terms``."""
-        terms = list(terms)
-        return linear_combination(self.algebra.field, [c for _, c in terms],
-                                  [self.action[k] for k, _ in terms],
-                                  (self.dim, self.dim))
+        """Action of the element sum c . b_k for (k, c) in ``terms``: one
+        product of the coefficient row with the flattened actions."""
+        terms, fld, n = list(terms), self.algebra.field, self.dim
+        if not terms:
+            return ExactMatrix.zeros(fld, n, n)
+        flat = stack_rows(fld, [self.action[k].reshape(1, n * n) for k, _ in terms])
+        return (ExactMatrix(fld, [[c for _, c in terms]]) @ flat).reshape(n, n)
 
     def times(self, y: ExactMatrix, g: int) -> ExactMatrix:
         """y @ (the action of generator g), through the stored nonzeros,
@@ -448,7 +452,7 @@ def quotient(m: Module, rows: ExactMatrix):
 
 
 def kernel_of(f: ModuleMorphism):
-    return submodule(f.source, f.matrix.left_kernel())
+    return submodule(f.source, left_kernel(f.matrix))
 
 
 def cokernel_of(f: ModuleMorphism):
@@ -486,7 +490,7 @@ def pullback(f: ModuleMorphism, g: ModuleMorphism):
     algebra = f.source.algebra
     fld = algebra.field
     stacked = stack_rows(fld, [f.matrix, -g.matrix])
-    k = stacked.left_kernel()  # rows are (x | y) pairs
+    k = left_kernel(stacked)  # rows are (x | y) pairs
     sum_mod, _, projs = direct_sum(algebra, [f.source, g.source])
     p, inc = submodule(sum_mod, k)
     p_x = ModuleMorphism(p, f.source, inc.matrix @ projs[0].matrix)
@@ -617,9 +621,9 @@ def _hom_generic(m: Module, n: Module) -> HomBasis:
                  f"the {len(A.generators) * size} x {size} entries of the "
                  f"Kronecker system of a hom space")
     eye_m, eye_n = (ExactMatrix.identity(fld, d) for d in (m.dim, n.dim))
-    null = stack_rows(fld, [
-        m.action[g].kron(eye_n) - eye_m.kron(n.action[g].T)
-        for g in A.generators]).T.left_kernel()
+    null = left_kernel(stack_cols(fld, [
+        m.action[g].T.kron(eye_n) - eye_m.kron(n.action[g])
+        for g in A.generators]))
     return HomBasis(m, n, [(0, null)] if null.rows else [])
 
 
@@ -629,6 +633,8 @@ def hom_system(bases, equations):
     rhs over the terms (j, L, R), L or R None for an identity, each unknown
     in at most one term.  Rows follow the basis elements, columns the
     entries of each equation: x @ matrix = rhs row iff x is a solution.
+    The matrix is a one-matrix ``SparseStack`` of the nonzeros of the block
+    products, which are made one at a time.
 
     With a ``source`` module all terms are module maps out of it, compared
     at its generators (``on_generators``): the equations at x . a are those
@@ -646,11 +652,17 @@ def hom_system(bases, equations):
             at(src, rhs)) for terms, rhs, src in equations]
     starts = list(accumulate([len(b) for b in bases], initial=0))
     cols = list(accumulate([rhs.rows * rhs.cols for _, rhs in eqs], initial=0))
-    check_memory(fld, starts[-1] * cols[-1], f"the {starts[-1]} x {cols[-1]} "
-                 f"entries of a hom system's coefficient matrix")
+    # a term's unknowns times its equation's entries bound its block
+    # products and the nonzeros kept of them (key and value); the solve
+    # writes at most min(C, U + 1) reduced rows of U + 1 entries
+    u, c = starts[-1], cols[-1]
+    blocks = [(starts[j + 1] - starts[j]) * (hi - lo) for (terms, _), lo, hi
+              in zip(eqs, cols, cols[1:]) for j, _, _ in terms]
+    stored, reduced = sum(blocks), min(c, u + 1) * (u + 1)
+    check_memory(fld, 2 * stored + max(blocks, default=0) + reduced,
+                 f"the {u} x {c} hom system's {stored} stored nonzeros, "
+                 f"largest block product and {reduced} reduced entries")
 
-    # made one block at a time, each placed before the next is made, so the
-    # system is held once
     def parts():
         for (terms, _), col in zip(eqs, cols):
             for j, lft, rgt in terms:
@@ -668,10 +680,9 @@ def hom_system(bases, equations):
                     # row i of block s is basis element i of the summand at s
                     rows = [starts[j] + row + i for i in range(w.rows)
                             for row, _ in places]
-                    yield rows, col, prod.reshape(len(rows),
-                                                  lft.rows * prod.cols)
+                    yield rows, col, prod
 
-    return (place(fld, (starts[-1], cols[-1]), parts()),
+    return (SparseStack.placed(fld, (u, c), parts()),
             stack_cols(fld, [rhs.reshape(1, rhs.rows * rhs.cols)
                              for _, rhs in eqs]))
 
@@ -682,7 +693,7 @@ def solve_homs(bases, equations):
     if not big.rows:
         return (combine_all(bases, ExactMatrix.zeros(big.field, 1, 0))
                 if rhs.is_zero() else None)
-    sol = big.solve_left(rhs)
+    sol = solve_left(big, rhs)
     return None if sol is None else combine_all(bases, sol)
 
 
@@ -951,13 +962,8 @@ def tensor_module(m: Module, b: Module, algebra: BasicAlgebra) -> TensorData:
 
 
 def _coords_in(basis: ExactMatrix, vecs: ExactMatrix) -> ExactMatrix:
-    """Coordinates of rows of vecs in an RREF basis (rows must lie in it)."""
-    if basis.rows == 0:
-        if not vecs.is_zero():
-            raise LinearAlgebraError("vectors not inside the designated space")
-        return ExactMatrix.zeros(basis.field, vecs.rows, 0)
-    piv = basis.rref()[1]
-    coords = vecs.take_cols(piv)
-    if (coords @ basis) != vecs:
+    """Coordinates of rows of vecs in a basis (rows must lie in its span)."""
+    coords = solve_left(basis, vecs)
+    if coords is None:
         raise LinearAlgebraError("vectors not inside the designated space")
     return coords

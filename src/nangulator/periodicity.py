@@ -28,6 +28,7 @@ from .fields import (
     ExactMatrix,
     LinearAlgebraError,
     check_memory,
+    left_kernel,
     stack_cols,
     stack_rows,
 )
@@ -154,9 +155,9 @@ def is_inner(algebra: BasicAlgebra, rho: Automorphism):
     coordinates decides the question.
     """
     fld = algebra.field
-    space = stack_cols(fld, [
+    space = left_kernel(stack_cols(fld, [
         algebra.element_left_matrix(rho.matrix.row(g)) - algebra.right_mult[g]
-        for g in algebra.generators]).left_kernel()
+        for g in algebra.generators]))
     coeffs = nowhere_zero(space.take_cols(algebra.idempotents))
     if coeffs is None:
         return None

@@ -178,7 +178,13 @@ def fingerprint(m):
     data and top multiplicities."""
     import numpy as np
 
-    from nangulator.fields import ExactMatrix, reduce_rows_mod, row_space, stack_rows
+    from nangulator.fields import (
+        ExactMatrix,
+        left_kernel,
+        reduce_rows_mod,
+        row_space,
+        stack_rows,
+    )
 
     A = m.algebra
     fld = A.field
@@ -196,7 +202,7 @@ def fingerprint(m):
         cur = nxt
     soc_stack = [m.action[g].a for g in A.radical_right_generators]
     if soc_stack:
-        soc = ExactMatrix(fld, np.concatenate(soc_stack, axis=1)).left_kernel()
+        soc = left_kernel(ExactMatrix(fld, np.concatenate(soc_stack, axis=1)))
     else:
         soc = ExactMatrix.identity(fld, m.dim)
     soc_per_vertex = tuple(row_space(soc @ m.action[A.idempotents[pos]]).rows
@@ -555,7 +561,7 @@ def quotient_to_direct(td, cover, tau, term):
 
     Returns (phi, big): big is the same map on the space before the
     quotient, so it is well defined iff td.project @ phi == big."""
-    from nangulator.fields import ExactMatrix
+    from nangulator.fields import ExactMatrix, solve_left
     from nangulator.modules import ModuleMorphism, right_twist
 
     A = td.base
@@ -584,7 +590,7 @@ def quotient_to_direct(td, cover, tau, term):
                 coeffs = bs.a[:, q_off + a * len(right): q_off + (a + 1) * len(right)]
                 if not (coeffs != 0).any():
                     continue
-                moved = basis.solve_left(ms @ twisted.action[x])
+                moved = solve_left(basis, ms @ twisted.action[x])
                 assert moved is not None
                 block = block + np.einsum("ik,jb->ijkb", moved.a.astype(object),
                                           coeffs.astype(object))
@@ -747,7 +753,7 @@ def hom_generic_oracle(m, n):
     """The canonical RREF basis of Hom(M, N) for any M: the maps X with
     a_M X = X a_N for every generator a, read off the images of the unit
     matrices E_ij one at a time rather than a Kronecker system."""
-    from nangulator.fields import ExactMatrix
+    from nangulator.fields import ExactMatrix, left_kernel
     from nangulator.modules import ModuleMorphism
 
     A = m.algebra
@@ -759,7 +765,7 @@ def hom_generic_oracle(m, n):
                              - np.outer(unit_m[i], an[j])).reshape(-1)
                             for am, an in acts])
             for i in range(m.dim) for j in range(n.dim)]
-    null = ExactMatrix(A.field, np.stack(rows)).left_kernel()
+    null = left_kernel(ExactMatrix(A.field, np.stack(rows)))
     return [ModuleMorphism(m, n, ExactMatrix(A.field, row.reshape(m.dim, n.dim)))
             for row in null.a]
 
@@ -831,11 +837,13 @@ def solve_in_spans_oracle(fld, bases, shapes, equations):
     """Matrices of maps in the spans of ``bases`` that solve ``equations``
     (``span_system_oracle``), or None: the ``solve_left`` solution of the
     expanded system, summed back term by term."""
+    from nangulator.fields import solve_left
+
     big, rhs = span_system_oracle(fld, bases, equations)
     if not big.rows:
         return None if not rhs.is_zero() else combine_oracle(
             fld, bases, shapes, [])
-    sol = big.solve_left(rhs)
+    sol = solve_left(big, rhs)
     return None if sol is None else combine_oracle(fld, bases, shapes, sol.a[0])
 
 
@@ -883,7 +891,7 @@ def commuting_square_oracle(engine, x, y, rng):
     """``axioms.sample_commuting_square`` on all rows, through
     ``hom_oracle``: the same draws from rng on the canonical basis of the
     left kernel of the expanded system f_1 phi2 - phi1 g_1 = 0."""
-    from nangulator.fields import ExactMatrix
+    from nangulator.fields import ExactMatrix, left_kernel
 
     fld = x.objects[0].algebra.field
     x0, x1, y0, y1 = x.objects[0], x.objects[1], y.objects[0], y.objects[1]
@@ -894,7 +902,7 @@ def commuting_square_oracle(engine, x, y, rng):
     big, _ = span_system_oracle(fld, bases, [(
         [(0, None, y.maps[0].matrix), (1, -x.maps[0].matrix, None)],
         ExactMatrix.zeros(fld, x0.dim, y1.dim))])
-    space = big.left_kernel()
+    space = left_kernel(big)
     scalars = [fld.random(rng) for _ in range(space.rows)]
     coeff = (ExactMatrix(fld, [scalars]) @ space).a[0]
     return combine_oracle(fld, bases, shapes, coeff)

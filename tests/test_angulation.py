@@ -37,7 +37,7 @@ from nangulator.angulation import (
     suspension,
     trivial_angle,
 )
-from nangulator.fields import ExactMatrix, stack_rows
+from nangulator.fields import ExactMatrix, left_kernel, solve_left, stack_rows
 from nangulator.homology import cosyzygy_morphism, rank_exactness
 from nangulator.modules import (
     ModuleMorphism,
@@ -264,8 +264,8 @@ def test_standard_angles_are_the_oracle_angles_transported(name, m, seed):
         assert c_new.kernel.dim == c_old.kernel.dim
         k_old, incl_old = kernel_of(old.maps[0])
         k_new, incl_new = kernel_of(new.maps[0])
-        psi = ModuleMorphism(k_old, k_new, incl_new.matrix.solve_left(
-            incl_old.matrix @ phis[0].matrix))
+        psi = ModuleMorphism(k_old, k_new, solve_left(
+            incl_new.matrix, incl_old.matrix @ phis[0].matrix))
         psi.verify()
         om_psi = cosyzygy_morphism(eng, psi, n)
         sus_psi = seq.suspension.apply_morphism(psi)
@@ -639,7 +639,7 @@ def test_fill_rejects_a_non_module_map_that_passes_the_generator_rungs():
     x = standard_angle(seq, simple_module(seq.algebra, 0))
     x2, y2 = x.objects[1], x.objects[1]
     gens = on_generators(x2, ExactMatrix.identity(fld, x2.dim))
-    ker = x.maps[0].matrix.T.left_kernel()          # rows v with f_1 v^T = 0
+    ker = left_kernel(x.maps[0].matrix.T)          # rows v with f_1 v^T = 0
     v = next(ker.row(r) for r in range(ker.rows)
              if (gens @ ker.row(r).T).is_zero() and not ker.row(r).is_zero())
     unit = ExactMatrix.identity(fld, y2.dim)

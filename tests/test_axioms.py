@@ -94,9 +94,9 @@ def test_n1c_records_only_construction_failures(monkeypatch):
 def test_preprojective_a4_suite_stays_within_its_memory_bound(tmp_path, capsys):
     # the peak of the allocations traced during `verify --samples 3 --seed
     # 7` on Pi(A4) over F5, whose modules over A reach dimension 828:
-    # 162.5 MiB with every generator stack stored by its nonzeros, 285.6 MiB
-    # when the stacks of the modules over A were dense; the bound is the
-    # former plus 25 %
+    # 80.2 MiB with every hom system solved from its nonzeros, 161.9 MiB
+    # when each was built dense and transposed to be solved; the bound is
+    # the former plus 25 %
     import tracemalloc
 
     from conftest import preprojective_text
@@ -114,4 +114,4 @@ def test_preprojective_a4_suite_stays_within_its_memory_bound(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 203 * 2 ** 20, peak / 2 ** 20
+    assert peak < 100 * 2 ** 20, peak / 2 ** 20

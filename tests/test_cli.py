@@ -322,12 +322,18 @@ def test_hom_system_guard_exits_one_naming_the_estimate(monkeypatch, capsys):
     # the one step of loop_p3's bimodule resolution that the scan takes is
     # charged 320 bytes (``periodicity._check_cover_memory``: 2 * 8 stored
     # nonzeros and 4 * (2 + 4 + 0) dense entries), so the scan passes and
-    # the first hom system above the bound stops the run
+    # the first hom system above the bound stops the run: a map out of
+    # P = e A (+) e A (+) e A (dimension 6) into a module of dimension 4,
+    # with 4 unknowns per summand and 2 generator rows of 4 entries to
+    # match.  Its one block product, 12 x 8 entries, bounds the 96 stored
+    # nonzeros, charged twice (key and value), and the solve writes at
+    # most min(8, 12 + 1) reduced rows of 12 + 1 entries:
+    # 2 * 96 + 96 + 8 * 13 = 392 entries, 8 bytes each
     monkeypatch.setattr(fields, "MEMORY_BOUND", 500)
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "hom system" in err
-    assert "12 x 8 entries" in err and "768 bytes" in err
+    assert "12 x 8 hom system" in err and "3136 bytes" in err
 
 
 def test_preprojective_a4_verify_matches_golden(tmp_path):
@@ -357,7 +363,7 @@ def test_period_on_dimension_20_stays_small_in_memory(capsys):
 
 
 def test_report_digests_match_golden():
-    # byte-identical reports are the contract of every refactor: the 123
+    # byte-identical reports are the contract of every refactor: the 127
     # lines of scripts/report_digests.py, recomputed in-process
     import importlib.util
 

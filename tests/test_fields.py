@@ -26,9 +26,11 @@ from nangulator.fields import (
     block_diag,
     first_unequal_block,
     kron,
+    left_kernel,
     left_products,
     reduce_rows_mod,
     row_space,
+    solve_left,
     stack_rows,
     unequal_entries,
 )
@@ -60,11 +62,11 @@ def test_field_spec_refuses_primes_that_could_overflow_int64():
 
 
 def test_kernel_of_identity_is_empty():
-    assert ExactMatrix.identity(F3, 3).left_kernel().rows == 0
+    assert left_kernel(ExactMatrix.identity(F3, 3)).rows == 0
 
 
 def test_kernel_of_zero_is_identity():
-    k = ExactMatrix.zeros(F3, 2, 2).left_kernel()
+    k = left_kernel(ExactMatrix.zeros(F3, 2, 2))
     assert k == ExactMatrix.identity(F3, 2)
 
 
@@ -75,7 +77,7 @@ def test_kernel_f3_matches_exhaustive_enumeration():
              if all((v[0] * m.a[0][c] + v[1] * m.a[1][c]) % 3 == 0
                     for c in range(2))
              and any(v)]
-    k = m.left_kernel()
+    k = left_kernel(m)
     # the enumeration finds the span of (1, 1): det = 1 - 4 = 0 in F_3
     assert len(brute) == 2  # (1,1) and (2,2)
     assert k.rows == 1
@@ -84,13 +86,13 @@ def test_kernel_f3_matches_exhaustive_enumeration():
 
 def test_solve_identity_returns_rhs():
     b = mat(F5, [[1, 2, 3]])
-    assert ExactMatrix.identity(F5, 3).solve_left(b) == b
+    assert solve_left(ExactMatrix.identity(F5, 3), b) == b
 
 
 def test_solve_zero_with_nonzero_rhs_is_inconsistent():
     zero = ExactMatrix.zeros(F5, 2, 2)
-    assert zero.solve_left(mat(F5, [[1, 0]])) is None
-    assert zero.left_kernel().rows == 2
+    assert solve_left(zero, mat(F5, [[1, 0]])) is None
+    assert left_kernel(zero).rows == 2
 
 
 def test_solve_random_4x3_cross_checked_against_exhaustive_search():
@@ -98,7 +100,7 @@ def test_solve_random_4x3_cross_checked_against_exhaustive_search():
     rng = np.random.RandomState(11)
     a = mat(F5, rng.randint(0, 5, size=(4, 3)))
     b = mat(F5, [[1, 4, 2]])
-    sol = a.solve_left(b)
+    sol = solve_left(a, b)
     brute = [v for v in product(range(5), repeat=4)
              if all(sum(v[r] * int(a.a[r][c]) for r in range(4)) % 5
                     == int(b.a[0][c]) for c in range(3))]
@@ -141,12 +143,12 @@ def f5_matrix(draw, max_dim=5):
 
 @given(f5_matrix())
 def test_rank_nullity(m):
-    assert m.rank() + m.left_kernel().rows == m.rows
+    assert m.rank() + left_kernel(m).rows == m.rows
 
 
 @given(f5_matrix())
 def test_kernel_annihilates(m):
-    k = m.left_kernel()
+    k = left_kernel(m)
     if k.rows:
         assert (k @ m).is_zero()
 
@@ -162,7 +164,7 @@ def test_rref_is_idempotent(m):
 def test_solutions_verify_by_substitution(m, xs):
     x = mat(F5, [xs[: m.rows] + [0] * max(0, m.rows - len(xs))])
     b = x @ m
-    sol = m.solve_left(b)
+    sol = solve_left(m, b)
     assert sol is not None
     assert (sol @ m) == b
 
@@ -182,7 +184,7 @@ def test_no_solution_confirmed_by_exhaustive_search(rows, rhs):
     # when the solver reports no solution, brute force over F_5^3 agrees
     m = mat(F5, rows)
     b = mat(F5, [rhs])
-    sol = m.solve_left(b)
+    sol = solve_left(m, b)
     brute = [v for v in product(range(5), repeat=3)
              if all(sum(v[r] * int(m.a[r][c]) for r in range(3)) % 5
                     == int(b.a[0][c]) for c in range(2))]
@@ -257,6 +259,17 @@ def test_reduced_matrices_match_a_fresh_elimination(p, monkeypatch):
         for d in derived:
             assert d._pivots is None
             assert d.rref() == ExactMatrix(field, d.a).rref()
+
+
+def _nonzeros(a):
+    """The input of ``fields._eliminate`` for the 2-d array a: the keys
+    i . cols + j of its nonzeros and their values, ascending, or column by
+    column (keys not ascending) when a is a transposed view."""
+    if a.flags.c_contiguous:
+        i, j = np.nonzero(a)
+    else:
+        j, i = np.nonzero(a.T)
+    return i * a.shape[1] + j, a[i, j]
 
 
 def _full_width_eliminate(p, a):
@@ -343,7 +356,7 @@ def test_both_prime_field_paths_match_full_width_elimination(p, shape, kind):
     before = a.copy()
     want, want_piv = _full_width_eliminate(p, a)
     assert kind != "low rank" or len(want_piv) <= 3
-    got, d, piv = fields._eliminate(p, a)
+    got, d, piv = fields._eliminate(p, a.shape, *_nonzeros(a))
     assert d == 1
     assert piv == want_piv
     assert got.dtype == np.int64 and got.shape == a.shape
@@ -359,7 +372,8 @@ def eliminate_inputs(draw):
     Q (p = 0, Python ints, some above 2^63): up to 6 x 6 with 0 x n and
     n x 0, drawn random, zero, of rank at most 2 below more rows (every row
     dependent on the others), or with duplicate rows; half of them a
-    transposed, non-contiguous view."""
+    transposed, non-contiguous view, whose nonzeros ``_nonzeros`` gives
+    column by column."""
     p = draw(st.sampled_from([2, 5, 65521, 0]))
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     value = (st.integers(1, p - 1) if p else
@@ -395,12 +409,23 @@ def test_eliminate_matches_full_width_elimination(case):
     before = a.copy()
     want, want_piv = _full_width_eliminate(p, a)
     want = ExactMatrix(FieldSpec(p), want)  # in lowest terms over Q
-    got, d, piv = fields._eliminate(p, a)
+    key, values = _nonzeros(a)
+    got, d, piv = fields._eliminate(p, a.shape, key, values)
     assert piv == want_piv
     assert got.shape == a.shape and got.dtype == want.n.dtype
     assert d == want.d and got.tolist() == want.n.tolist()
     assert all(type(x) is int for x in got.ravel().tolist())
+    assert [key.tolist(), values.tolist()] == [x.tolist() for x in _nonzeros(a)]
     assert np.array_equal(a, before)
+    # the nonzero rows only, and the transpose read off the same keys
+    basis, _, _ = fields._eliminate(p, a.shape, key, values, basis=True)
+    assert basis.tolist() == got[: len(piv)].tolist()
+    want_t, want_piv_t = _full_width_eliminate(p, a.T)
+    want_t = ExactMatrix(FieldSpec(p), want_t)
+    got_t, d_t, piv_t = fields._eliminate(p, a.shape, key, values,
+                                          transposed=True)
+    assert piv_t == want_piv_t and d_t == want_t.d
+    assert got_t.tolist() == want_t.n.tolist()
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 0])
@@ -419,7 +444,7 @@ def test_solve_left_matches_the_oracle_on_sparse_systems(p):
         x = matrix(2, m.rows, "dense")
         for rhs in (x @ m, matrix(2, m.cols, "dense")):
             want = _oracle_solve_left(m.a, rhs.a, p)
-            got = m.solve_left(rhs)
+            got = solve_left(m, rhs)
             outcomes.append(want is None)
             if want is None:
                 assert got is None
@@ -428,20 +453,81 @@ def test_solve_left_matches_the_oracle_on_sparse_systems(p):
     assert True in outcomes and False in outcomes
 
 
+@pytest.mark.parametrize("p", [2, 5, 65521, 0])
+def test_solve_left_and_left_kernel_read_one_matrix_stacks(p):
+    # hom systems reach both as one-matrix stacks: the answers are those of
+    # the dense matrix, and hold against a fresh elimination, the oracle
+    # and substitution; on 0 x n, n x 0 and zero matrices, zero rows, and
+    # right-hand sides that x m gives, that are zero and that are random
+    # (inconsistent where m has fewer independent columns)
+    field = FieldSpec(p)
+    rng = random.Random(900 + p)
+    outcomes = set()
+    for m in _random_matrices(field, rng):
+        s = SparseStack.from_matrix(m, 1)
+        kernel = left_kernel(s)
+        assert kernel == left_kernel(m)
+        assert kernel.rows == m.rows - m.rank() and kernel.cols == m.rows
+        assert (kernel @ m).is_zero()
+        fresh, piv = ExactMatrix(field, kernel.a).rref()
+        assert kernel == fresh.take_rows(range(len(piv)))
+
+        def rows(count, cols):
+            return ExactMatrix(field, np.array(
+                [[field.random(rng) for _ in range(cols)]
+                 for _ in range(count)], dtype=object).reshape(count, cols))
+
+        for rhs in (rows(2, m.rows) @ m, ExactMatrix.zeros(field, 1, m.cols),
+                    rows(2, m.cols)):
+            want = _oracle_solve_left(m.a, rhs.a, p)
+            got = solve_left(s, rhs)
+            assert got == solve_left(m, rhs)
+            outcomes.add(want is None)
+            if want is None:
+                assert got is None
+            else:
+                assert got == ExactMatrix(field, want) and got @ m == rhs
+    assert outcomes == {True, False}
+
+
+def test_rational_memory_charge_covers_what_is_stored(monkeypatch):
+    # numerators outside CPython's small-int cache are ints of their own:
+    # the guard's charge for the matrix is at least the bytes its storage
+    # is traced at, and less than twice them
+    import re
+    import tracemalloc
+
+    data = [[Fraction(1000 + 61 * i + j, 3) for j in range(60)]
+            for i in range(50)]
+    tracemalloc.start()
+    try:
+        m = ExactMatrix(QQ, data)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert m.d == 3 and min(m.n.ravel().tolist()) > 256
+    monkeypatch.setattr(fields, "MEMORY_BOUND", 0)
+    with pytest.raises(fields.ResourceBoundExceeded) as raised:
+        fields.check_memory(QQ, m.rows * m.cols, "the entries")
+    charge = int(re.search(r"estimated (\d+) bytes", str(raised.value))[1])
+    assert traced <= charge < 2 * traced
+
+
 def test_sparse_elimination_holds_less_than_the_dense_input():
     # a seeded F5 matrix of the shape and density of the largest hom system
-    # of a Pi(A4) verify (3,360 x 1,424, 0.05 % nonzero): what elimination
-    # holds besides its dense result, the sparse rows above all, stays
-    # below the bytes of the dense input
+    # of a Pi(A4) verify (3,360 x 1,424, 0.05 % nonzero), given by its
+    # nonzeros: what elimination holds besides its dense result, the sparse
+    # rows above all, stays below the bytes of the dense matrix
     import tracemalloc
 
     rng = np.random.default_rng(5)
     a = np.zeros((3360, 1424), np.int64)
     at = rng.choice(a.size, size=round(a.size * 0.0005), replace=False)
     a.ravel()[at] = rng.integers(1, 5, size=at.size)
+    key, values = _nonzeros(a)
     tracemalloc.start()
     try:
-        n, _, _ = fields._eliminate(5, a)
+        n, _, _ = fields._eliminate(5, a.shape, key, values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -620,7 +706,7 @@ def test_rational_solve_left_and_inv_match_the_fraction_oracle(data):
     m = data.draw(q_matrix())
     rhs = data.draw(q_matrix(data.draw(st.integers(0, 3)), m.cols))
     want = _oracle_solve_left(m.a, rhs.a)
-    got = m.solve_left(rhs)
+    got = solve_left(m, rhs)
     if want is None:
         assert got is None
     else:

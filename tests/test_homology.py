@@ -19,7 +19,7 @@ from conftest import (
     verify_loop,
 )
 
-from nangulator.fields import ExactMatrix, row_space, stack_rows
+from nangulator.fields import ExactMatrix, left_kernel, row_space, stack_rows
 from nangulator.homology import (
     Homology,
     cosyzygy_morphism,
@@ -171,8 +171,8 @@ def test_hull_is_essential_on_socles():
         soc_stack = [I.action[g].a for g in A.radical_right_generators]
         import numpy as np
 
-        soc_i = ExactMatrix(A.field,
-                            np.concatenate(soc_stack, axis=1)).left_kernel()
+        soc_i = left_kernel(ExactMatrix(A.field,
+                                        np.concatenate(soc_stack, axis=1)))
         # the socle of the hull is exactly the image of the socle of S
         assert soc_i.rows == 1
         assert member_of_row_space(row_space(iota.matrix), soc_i)
