@@ -22,7 +22,10 @@ for Q, written to a temporary directory), then ``verify --samples 1 --seed
 7`` on both, where the modules over A reach dimension 2,044, and
 ``angulate standard`` and ``angulate complete --seed 7`` on both, whose
 dumps hold matrices of the solved hom systems and so tell the two algebras
-apart: 127 lines.
+apart; last ``algebra`` on the 15 fixtures and the five golden algebras,
+whose reports hold the basis, the nilpotency index and the Nakayama
+permutation (or, for a2_hereditary, the exit-1 refusal), and ``period`` on
+kQ_8/I_5 over F5 (dim 40): 148 lines.
 Diff the output of two checkouts to see which reports changed.
 ``tests/golden/report_digests.txt`` holds the expected lines, and
 ``tests/test_cli.py`` recomputes them through ``digest_lines``.
@@ -129,6 +132,13 @@ def commands(tmp):
         path = tmp / f"preproj_{kind.lower()}{n}_f5.json"
         path.write_text(preprojective_text(kind, n, 5))
         yield f"Pi({kind}{n})/F5", path, args
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.stem, path, ["algebra"]
+    for path in sorted(GOLDEN.glob("*.algebra.json")):
+        yield f"golden/{path.name[: -len('.algebra.json')]}", path, ["algebra"]
+    path = tmp / "kq8_i5_f5.json"
+    path.write_text(nakayama_text(8, 5, 5))
+    yield "kQ8/I5/F5", path, ["period"]
 
 
 def digest_lines():

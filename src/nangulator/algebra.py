@@ -26,7 +26,10 @@ from .fields import (
     ExactMatrix,
     FieldSpec,
     SparseStack,
+    first_unequal_block,
     left_kernel,
+    left_products,
+    row_space,
     stack_cols,
     stack_rows,
     unequal_entries,
@@ -80,6 +83,9 @@ class BasicAlgebra:
                                              repr=False, compare=False)
     _tables: tuple | None = dc_field(default=None, init=False, repr=False,
                                      compare=False)
+    # left -> ``mult_stack(left)``
+    _stacks: dict = dc_field(default_factory=dict, init=False, repr=False,
+                             compare=False)
     # vertex position -> indecomposable projective, kept by
     # modules.projective_module
     projectives: dict = dc_field(default_factory=dict, init=False,
@@ -153,19 +159,59 @@ class BasicAlgebra:
         x . b_j = sum_i x_i b_i b_j."""
         return (x @ self.mult_tables()[1]).reshape(self.dim, self.dim)
 
+    def mult_stack(self, left: bool) -> SparseStack:
+        """The left (``left``) or right multiplication matrices of all basis
+        elements, in index order, as one sparse stack, kept."""
+        hit = self._stacks.get(left)
+        if hit is None:
+            d = self.dim
+            table = self.mult_tables()[1 if left else 0]
+            hit = self._stacks[left] = SparseStack.from_matrix(
+                table.reshape(d * d, d), d)
+        return hit
+
     def verify_associativity(self) -> None:
-        """Exhaustive check of associativity on all basis triples: for each
-        j and every k at once, (x b_j) b_k has matrix R_j R_k, read off
-        R_j @ H, and x (b_j b_k) has matrix sum_t (b_j b_k)_t R_t, read off
-        L_j @ V (see ``mult_tables``)."""
-        d = self.dim
-        right, left = self.mult_tables()
-        for j in range(d):
-            lhs = _swap_blocks(self.right_mult[j] @ left, d)
-            bad = unequal_entries(lhs, self.left_mult(j) @ right).any(axis=1)
-            if bad.any():
+        """Associativity on all basis triples, checked at the generators
+        g (the idempotents and arrows): (z x) g = z (x g) for all basis
+        elements z and x, that is L_z R_g = R_g L_z for the left and right
+        multiplication matrices, and b_k = b_{k'} b_a for each basis
+        element whose word is that of k' followed by a.  Then each b_y is
+        the product along its word, and for y = y' a, by induction on the
+        length of the word, z (x y) = z ((x y') a) = (z (x y')) a =
+        ((z x) y') a = (z x) y.  The products run through the nonzeros of
+        the generators' matrices."""
+        gens, d = self.generators, self.dim
+        left = self.mult_stack(True)
+        right = self.mult_stack(False).take(gens)
+        pairs = ([z for z in range(d) for _ in gens], list(range(len(gens))) * d)
+        bad = first_unequal_block(SparseStack.products(pairs, left, right),
+                                  SparseStack.products(pairs[::-1], right, left))
+        if bad is not None:
+            z, t = divmod(bad, len(gens))
+            raise SemanticError(f"associativity fails at basis element {z} "
+                                f"and generator {gens[t]}")
+        index = {w: k for k, w in enumerate(self.words)}
+        steps = []
+        for k, w in enumerate(self.words):
+            if w == (k,) and k in self.position:
+                continue
+            head = index.get(w[:-1])
+            if len(w) == 1 or head is None or w[-1] not in self.position:
                 raise SemanticError(
-                    f"associativity fails at pair ({j}, {int(bad.argmax())})")
+                    f"associativity fails at basis element {k}: its word "
+                    f"{w} is not a basis word followed by a generator")
+            steps.append((k, head, w[-1]))
+        # row k' of R_a, read off the right table, must be e_k
+        got = self.mult_tables()[0].reshape(d * d, d).take_rows(
+            [a * d + head for _, head, a in steps])
+        want = ExactMatrix.identity(self.field, d).take_rows(
+            [k for k, _, _ in steps])
+        bad = unequal_entries(got, want).any(axis=1)
+        if bad.any():
+            raise SemanticError(
+                f"associativity fails at basis element "
+                f"{steps[int(bad.argmax())][0]}: it is not the product along "
+                f"its word")
 
     def verify_idempotents(self) -> None:
         eye = ExactMatrix.identity(self.field, self.dim)
@@ -391,7 +437,12 @@ def identity_automorphism(algebra: BasicAlgebra) -> Automorphism:
 
 def verify_automorphism(algebra: BasicAlgebra, matrix: ExactMatrix) -> Automorphism:
     """Accept a matrix as an automorphism iff it is invertible, unital and
-    multiplicative on all basis pairs; errors name the failing property."""
+    multiplicative at the generators: sigma(x g) = sigma(x) sigma(g) for
+    every basis element x and generator g; errors name the failing
+    property.  That is enough, as A is associative and each b_k is the
+    product along its word: for y = y' g, by induction on the length of
+    the word, sigma(x y) = sigma((x y') g) = sigma(x y') sigma(g) =
+    sigma(x) sigma(y') sigma(g) = sigma(x) sigma(y)."""
     if matrix.shape != (algebra.dim, algebra.dim):
         raise AutomorphismError(
             f"matrix must be {algebra.dim} x {algebra.dim}, got {matrix.shape}"
@@ -401,16 +452,18 @@ def verify_automorphism(algebra: BasicAlgebra, matrix: ExactMatrix) -> Automorph
     unit = algebra.unit()
     if unit @ matrix != unit:
         raise AutomorphismError("not-unital: sigma(1) != 1")
-    # for each i and every j at once: row j of lhs is sigma(b_i b_j), row j
-    # of rhs is sigma(b_j) under left multiplication by sigma(b_i)
-    for i in range(algebra.dim):
-        lhs = algebra.left_mult(i) @ matrix
-        rhs = matrix @ algebra.element_left_matrix(matrix.row(i))
-        bad = unequal_entries(lhs, rhs).any(axis=1)
-        if bad.any():
-            raise AutomorphismError(
-                f"not-multiplicative on basis pair ({i}, {int(bad.argmax())})"
-            )
+    # row t d + x of lhs is sigma(b_x g_t), of rhs sigma(b_x) sigma(g_t):
+    # block t of rhs is matrix @ the right multiplication of sigma(g_t)
+    gens, d = algebra.generators, algebra.dim
+    right = algebra.mult_tables()[0]
+    lhs = right.take_rows(gens).reshape(len(gens) * d, d) @ matrix
+    rhs = left_products(matrix, (matrix.take_rows(gens) @ right).reshape(
+        len(gens) * d, d), len(gens))
+    bad = unequal_entries(lhs, rhs).any(axis=1)
+    if bad.any():
+        t, x = divmod(int(bad.argmax()), d)
+        raise AutomorphismError(
+            f"not-multiplicative on basis pair ({x}, {gens[t]})")
     return Automorphism(algebra, matrix)
 
 
@@ -656,17 +709,18 @@ def compute_basis(desc: AlgebraDescription, degree_bound: int = 32) -> BasicAlge
 
 
 def _verify_radical_nilpotent(alg: BasicAlgebra, bound: int) -> int:
+    """The least k with rad^k = 0, rad the arrow ideal: rad^{k+1} =
+    rad^k rad = sum over the arrows a of rad^k a, since every path of
+    positive length is a path times an arrow and rad^k is a right ideal."""
     if not alg.radical:
         return 1
-    from .fields import row_space
-
+    arrows = alg.mult_stack(False).take(alg.radical_right_generators)
     cur = row_space(ExactMatrix.identity(alg.field, alg.dim).take_rows(
         alg.radical))
     for k in range(1, bound + 2):
         if cur.rows == 0:
             return k
-        nxt = row_space(stack_rows(
-            alg.field, [cur @ alg.right_mult[j] for j in alg.radical]))
+        nxt = row_space(arrows.left(cur))
         if nxt.rows == cur.rows:
             raise NotFiniteDimensionalError(
                 "arrow ideal is not nilpotent (ideal not admissible)"

@@ -58,8 +58,9 @@ class Module:
     other element the product of generator actions along the word of k.
     Idempotent images, their walks along e A that ``hom_space`` reads, and
     a bimodule's one-sided generator actions are kept too, one entry per
-    idempotent or generator; the top is kept on the algebra, per ``digest``
-    (``top_multiplicities``).
+    idempotent or generator, and so are the generating rows that
+    ``on_generators`` reads; the top is kept on the algebra, per
+    ``digest`` (``top_multiplicities``).
 
     ``action`` is given either as that stack, as its dense row stack of
     shape (#generators . dim, dim), or as the generator actions, a list by
@@ -91,6 +92,7 @@ class Module:
         self._images: dict[int, ExactMatrix] = {}
         self._walks: dict[int, ExactMatrix] = {}
         self._sides: dict[tuple, ExactMatrix] = {}
+        self._generating = None  # kept by ``on_generators``
         self._digest = None
 
     @property
@@ -763,19 +765,22 @@ def _tops(m: Module):
 def on_generators(m: Module, mat: ExactMatrix) -> ExactMatrix:
     """The rows of a map out of m at a generating set of m: the summand
     generators of a ``proj`` module, else the lifted top rows of
-    ``top_multiplicities``.  Maps out of m agree iff they agree there."""
-    A = m.algebra
-    if m.proj is not None:
-        gens, off = [], 0
-        for pos in m.proj:
-            rows = A.projective_rows(pos)
-            gens.append(off + rows.index(A.idempotents[pos]))
-            off += len(rows)
-        return mat.take_rows(gens)
-    tops = top_multiplicities(m)
-    if not tops:
-        return mat.take_rows([])
-    return stack_rows(A.field, [row for _, row in tops]) @ mat
+    ``top_multiplicities``, both kept on m.  Maps out of m agree iff they
+    agree there."""
+    gens = m._generating
+    if gens is None:
+        A = m.algebra
+        if m.proj is not None:
+            gens, off = [], 0
+            for pos in m.proj:
+                rows = A.projective_rows(pos)
+                gens.append(off + rows.index(A.idempotents[pos]))
+                off += len(rows)
+        else:
+            tops = top_multiplicities(m)
+            gens = stack_rows(A.field, [row for _, row in tops]) if tops else []
+        m._generating = gens
+    return mat.take_rows(gens) if isinstance(gens, list) else gens @ mat
 
 
 def cover_from_tops(m: Module, tops) -> ModuleMorphism:

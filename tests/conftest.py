@@ -660,7 +660,8 @@ def preprojective_text(kind, n, p):
 def dense_enveloping(A):
     """A^e = A^op (x) A as a dense BasicAlgebra: one d^2 x d^2 right
     multiplication matrix kron(L_k, R_l) per basis pair (k, l), with
-    (a (x) b)(a' (x) b') = (a'a) (x) (bb').  The construction the program
+    (a (x) b)(a' (x) b') = (a'a) (x) (bb'), and the words of
+    ``EnvelopingAlgebra.word``.  The construction the program
     used before it kept A^e as index bookkeeping, kept as an oracle."""
     import numpy as np
 
@@ -688,6 +689,7 @@ def dense_enveloping(A):
     arrows = [g for g in A.generators if g not in triv]
     rad_gens = [a * d + e for a in arrows for e in A.idempotents]
     rad_gens += [e * d + a for e in A.idempotents for a in arrows]
+    env = A.enveloping()
     return BasicAlgebra(
         field=A.field,
         labels=[f"{A.labels[i]}(x){A.labels[j]}" for i, j in pairs],
@@ -699,7 +701,70 @@ def dense_enveloping(A):
         radical_right_generators=rad_gens,
         generators=idem + rad_gens,
         name=f"{A.name}^e",
+        words=[env.word(k) for k in range(d * d)],
     )
+
+
+def associativity_oracle(A):
+    """Raise SemanticError unless (b_i b_j) b_k = b_i (b_j b_k) on every
+    basis triple, read off the right multiplication matrices alone: for
+    each j and every k at once, (x b_j) b_k has matrix R_j R_k and
+    x (b_j b_k) has matrix sum_t (b_j b_k)_t R_t.  The exhaustive check the
+    program made before it checked at generators."""
+    from nangulator.fields import stack_cols, stack_rows
+    from nangulator.quiver import SemanticError
+
+    d, fld = A.dim, A.field
+    cols = stack_cols(fld, A.right_mult)      # [R_0 | ... | R_{d-1}]
+    flat = stack_rows(fld, [m.reshape(1, d * d) for m in A.right_mult])
+    for j in range(d):
+        lhs = (A.right_mult[j] @ cols).a.reshape(d, d, d)    # [x, k, c]
+        left = stack_rows(fld, [m.row(j) for m in A.right_mult])
+        rhs = (left @ flat).a.reshape(d, d, d)                # [k, x, c]
+        bad = (lhs.transpose(1, 0, 2) != rhs).any(axis=(1, 2))
+        if bad.any():
+            raise SemanticError(
+                f"associativity fails at pair ({j}, {int(bad.argmax())})")
+
+
+def automorphism_oracle(A, matrix) -> bool:
+    """Whether a matrix (row i the image of b_i) is an invertible, unital
+    map with sigma(b_i b_j) = sigma(b_i) sigma(b_j) on every basis pair:
+    for each i and every j at once, sigma(b_i b_j) is row j of L_i sigma
+    and sigma(b_i) sigma(b_j) row j of sigma L(sigma(b_i)), L(y) the left
+    multiplication by y.  The all-pairs check the program made before it
+    checked at generators."""
+    from nangulator.fields import stack_cols
+
+    d = A.dim
+    if not matrix.is_invertible() or A.unit() @ matrix != A.unit():
+        return False
+    cols = stack_cols(A.field, A.right_mult)   # row y: L(y) flattened
+    images = matrix @ cols
+    return all(cols.row(i).reshape(d, d) @ matrix
+               == matrix @ images.row(i).reshape(d, d) for i in range(d))
+
+
+def nilpotency_oracle(A, bound=32):
+    """The least k with rad^k = 0, each power the product of the last with
+    every radical basis element; NotFiniteDimensionalError as the program
+    raises it.  The loop the program ran before it multiplied by the
+    arrows only."""
+    from nangulator.algebra import NotFiniteDimensionalError
+    from nangulator.fields import ExactMatrix, row_space, stack_rows
+
+    if not A.radical:
+        return 1
+    cur = row_space(ExactMatrix.identity(A.field, A.dim).take_rows(A.radical))
+    for k in range(1, bound + 2):
+        if cur.rows == 0:
+            return k
+        nxt = row_space(stack_rows(A.field,
+                                   [cur @ A.right_mult[j] for j in A.radical]))
+        if nxt.rows == cur.rows:
+            raise NotFiniteDimensionalError("arrow ideal is not nilpotent")
+        cur = nxt
+    raise NotFiniteDimensionalError(f"no nilpotency certificate up to {bound}")
 
 
 def verify_module_axioms(m, exhaustive=True):

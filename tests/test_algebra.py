@@ -1,12 +1,21 @@
 """Basis computation, structure constants, self-injectivity, automorphisms,
 opposite and enveloping algebras."""
 
+import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from conftest import dense_enveloping, load_fixture
+from conftest import (
+    FIXTURES,
+    associativity_oracle,
+    dense_enveloping,
+    load_fixture,
+    nilpotency_oracle,
+    preprojective_text,
+)
 
 from nangulator.algebra import (
     AutomorphismError,
@@ -16,8 +25,11 @@ from nangulator.algebra import (
     compute_basis,
     verify_automorphism,
 )
+from nangulator.cli import run_cli
 from nangulator.fields import ExactMatrix, left_kernel
-from nangulator.quiver import parse_algebra
+from nangulator.quiver import SemanticError, load_algebra_file, parse_algebra
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def make(text):
@@ -62,6 +74,92 @@ def test_associativity_exhaustive_on_fixtures():
         A.verify_idempotents()
 
 
+def _checked_algebras():
+    """The 15 fixtures, the five golden algebras, and Pi(A4) and Pi(D4)
+    over F2, F5 and Q."""
+    cases = [pytest.param(path, id=path.stem)
+             for path in sorted(FIXTURES.glob("*.json"))]
+    cases += [pytest.param(path, id=f"golden-{path.stem}")
+              for path in sorted(GOLDEN.glob("*.algebra.json"))]
+    cases += [pytest.param((kind, p), id=f"Pi({kind}4)-F{p}")
+              for kind in "AD" for p in (2, 5, 0)]
+    return cases
+
+
+@pytest.mark.parametrize("source", _checked_algebras())
+def test_generator_checks_agree_with_the_exhaustive_oracles(source):
+    # compute_basis runs the generator checks; the oracles run the loops
+    # over every basis triple, pair and radical element
+    if isinstance(source, tuple):
+        A = make(preprojective_text(source[0], 4, source[1]))
+    else:
+        A = compute_basis(load_algebra_file(source))
+    associativity_oracle(A)
+    A.verify_associativity()
+    assert A.nilpotency == nilpotency_oracle(A)
+    identity = ExactMatrix.identity(A.field, A.dim)
+    assert verify_automorphism(A, identity).is_identity()
+
+
+def _corrupted(A, entries):
+    """A with the structure constants b_i b_j = value for (i, j, value) in
+    ``entries``, everything derived from the table built afresh."""
+    right = [m.a.copy() for m in A.right_mult]
+    for i, j, value in entries:
+        right[j][i] = value
+    return dataclasses.replace(
+        A, right_mult=[ExactMatrix(A.field, m) for m in right],
+        _left_mult=None, _opposite=None, _enveloping=None)
+
+
+def _off_generator_corruption(A):
+    # in k[x]/(x^4) with basis 1, x, x^2, x^3: x . x^2 = 2 x^3, a product
+    # with the non-generator x^2 (so (x x) x != x (x x))
+    return _corrupted(A, [(1, 2, [0, 0, 0, 2])])
+
+
+def _word_corruption(A):
+    # in k[x]/(x^3) with basis 1, x, y = x^2: x . x = 0 and x . y = y.  Left
+    # and right multiplications commute at the generators 1 and x, but y
+    # is not x . x, its word, and (x x) y = 0 != y = x (x y)
+    return _corrupted(A, [(1, 1, [0, 0, 0]), (1, 2, [0, 0, 1])])
+
+
+@pytest.mark.parametrize("name, corrupt, failure", [
+    ("nakayama_1_4", _off_generator_corruption, "and generator"),
+    # the generator condition alone accepts this table
+    ("nakayama_1_3", _word_corruption, "not the product along its word"),
+], ids=["off-generator-triple", "word"])
+def test_corrupted_tables_are_rejected_by_the_check_and_the_oracle(
+        name, corrupt, failure):
+    bad = corrupt(load_fixture(name)[0])
+    with pytest.raises(SemanticError, match="associativity fails"):
+        associativity_oracle(bad)
+    with pytest.raises(SemanticError, match=f"associativity fails.*{failure}"):
+        bad.verify_associativity()
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("nakayama_1_4", _off_generator_corruption),
+    ("nakayama_1_3", _word_corruption),
+], ids=["off-generator-triple", "word"])
+def test_cli_exits_two_on_a_corrupted_table(name, corrupt, monkeypatch,
+                                            capsys):
+    # compute_basis checks the idempotents, then associativity: corrupt the
+    # table in between
+    from nangulator.algebra import BasicAlgebra
+
+    check = BasicAlgebra.verify_idempotents
+
+    def corrupting(self):
+        self.right_mult = corrupt(self).right_mult
+        check(self)
+
+    monkeypatch.setattr(BasicAlgebra, "verify_idempotents", corrupting)
+    assert run_cli(["algebra", str(FIXTURES / f"{name}.json")]) == 2
+    assert "associativity fails" in capsys.readouterr().err
+
+
 def test_unit_is_sum_of_orthogonal_idempotents():
     A, _ = load_fixture("preproj_a3")
     u = A.unit()
@@ -78,7 +176,8 @@ def test_enveloping_dimension_and_associativity():
     A, _ = load_fixture("nakayama_2_2")
     env = dense_enveloping(A)
     assert env.dim == A.dim ** 2 == 16
-    env.verify_associativity()  # all 16^3 triples
+    env.verify_associativity()  # at generators, along the words of A^e
+    associativity_oracle(env)  # all 16^3 triples
     env.verify_idempotents()
     assert len(env.idempotents) == 4
 

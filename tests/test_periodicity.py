@@ -352,15 +352,14 @@ def test_full_pipeline_over_the_rationals():
     assert certify_angle(seq, t).verdict
 
 
-def _reference_candidates(algebra, perm):
-    """Every relation-compatible monomial candidate over perm as (order,
-    automorphism), by ascending (matrix order or 10**9, arrow scalars): the
-    enumerate-all-then-sort construction, kept as a brute-force oracle."""
+def _reference_scalings(algebra, perm):
+    """(arrow scalars, matrix) for every monomial scaling over perm, in
+    lexicographic order of the scalars: e_i to e_{perm(i)}, each arrow to
+    the scalar times the unique parallel arrow, each path to the product."""
     from itertools import product
 
     import numpy as np
 
-    from nangulator.algebra import AutomorphismError, verify_automorphism
     from nangulator.fields import ExactMatrix
 
     q = algebra.quiver
@@ -395,9 +394,18 @@ def _reference_candidates(algebra, perm):
             rows.append(acc)
         return ExactMatrix(fld, np.concatenate([r.a for r in rows], axis=0))
 
+    return [(scalars, build(scalars)) for scalars in
+            product(range(1, p) if p else [1, -1], repeat=len(arrow_map))]
+
+
+def _reference_candidates(algebra, perm):
+    """Every relation-compatible monomial candidate over perm as (order,
+    automorphism), by ascending (matrix order or 10**9, arrow scalars): the
+    enumerate-all-then-sort construction, kept as a brute-force oracle."""
+    from nangulator.algebra import AutomorphismError, verify_automorphism
+
     out = []
-    for scalars in product(range(1, p) if p else [1, -1], repeat=len(arrow_map)):
-        mat = build(scalars)
+    for scalars, mat in _reference_scalings(algebra, perm):
         if not mat.is_invertible():
             continue
         try:
@@ -456,6 +464,22 @@ def test_candidate_stream_is_a_prefix_of_the_brute_force_list(A, perm):
         got = monomial_twist_candidates(A, perm, 10 ** 9, 40,
                                         lambda c: c.matrix == target)
         assert same(got, listed[:3])
+
+
+@pytest.mark.parametrize("A, perm", _stream_cases())
+def test_verify_automorphism_accepts_the_scalings_the_oracle_accepts(A, perm):
+    # verify_automorphism checks sigma(x g) = sigma(x) sigma(g) at the
+    # generators g; the oracle checks every basis pair
+    from conftest import automorphism_oracle
+    from nangulator.algebra import AutomorphismError, verify_automorphism
+
+    for scalars, mat in _reference_scalings(A, perm):
+        try:
+            verify_automorphism(A, mat)
+            accepted = True
+        except AutomorphismError:
+            accepted = False
+        assert accepted == automorphism_oracle(A, mat), scalars
 
 
 @pytest.mark.parametrize("n, s, p", [
