@@ -284,7 +284,7 @@ class EnvelopingAlgebra:
         self.pairs = tuple([place[g // d if side else g % d]
                             for g in self.generators] for side in (True, False))
         self._factors: dict[int, tuple[list[int], list[int]]] = {}
-        self._blocks: dict[tuple[int | None, bool], SparseStack] = {}
+        self._blocks: dict[tuple[int, bool], SparseStack] = {}
         self._rows: dict[int, list[int]] = {}
         # Module.digest() -> tops, kept by modules.top_multiplicities
         self.tops: dict[bytes, list] = {}
@@ -317,22 +317,17 @@ class EnvelopingAlgebra:
                 A.projective_rows(v))
         return hit
 
-    def factor_blocks(self, vertex: int | None, left: bool) -> SparseStack:
+    def factor_blocks(self, vertex: int, left: bool) -> SparseStack:
         """A's generators acting on A e_u by left multiplication (``left``,
         u = vertex) or on e_v A by right multiplication (v = vertex), each
-        restricted to that basis (``projective_factors``), or on all of A
-        for vertex None: one sparse block per generator of A, in order,
-        kept per vertex and side."""
+        restricted to that basis (``projective_factors``): one sparse block
+        per generator of A, in order, kept per vertex and side."""
         hit = self._blocks.get((vertex, left))
         if hit is None:
             A = self.base
             d, count = A.dim, len(A.generators)
-            n = len(A.idempotents)
-            if vertex is None:
-                basis = list(range(d))
-            else:
-                pos = vertex * n if left else vertex
-                basis = self.projective_factors(pos)[0 if left else 1]
+            pos = vertex * len(A.idempotents) if left else vertex
+            basis = self.projective_factors(pos)[0 if left else 1]
             table = A.mult_tables()[1 if left else 0]
             blocks = table.take_rows(A.generators).reshape(count * d, d)
             hit = self._blocks[(vertex, left)] = SparseStack.from_matrix(

@@ -356,7 +356,7 @@ def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
         algebra.element_right_matrix(sigma.matrix.row(g))
         for g in algebra.generators])
     return Module(env, algebra.dim, SparseStack.products(
-        env.pairs, env.factor_blocks(None, True),
+        env.pairs, algebra.mult_stack(True).take(algebra.generators),
         SparseStack.from_matrix(right, len(algebra.generators))))
 
 
