@@ -24,8 +24,8 @@ for Q, written to a temporary directory), then ``verify --samples 1 --seed
 dumps hold matrices of the solved hom systems and so tell the two algebras
 apart; last ``algebra`` on the 15 fixtures and the five golden algebras,
 whose reports hold the basis, the nilpotency index and the Nakayama
-permutation (or, for a2_hereditary, the exit-1 refusal), and ``period`` on
-kQ_8/I_5 over F5 (dim 40): 148 lines.
+permutation (or, for a2_hereditary, the exit-1 refusal), and ``period`` and
+``verify --samples 3 --seed 7`` on kQ_8/I_5 over F5 (dim 40): 149 lines.
 Diff the output of two checkouts to see which reports changed.
 ``tests/golden/report_digests.txt`` holds the expected lines, and
 ``tests/test_cli.py`` recomputes them through ``digest_lines``.
@@ -139,6 +139,7 @@ def commands(tmp):
     path = tmp / "kq8_i5_f5.json"
     path.write_text(nakayama_text(8, 5, 5))
     yield "kQ8/I5/F5", path, ["period"]
+    yield "kQ8/I5/F5", path, ["verify", "--samples", "3", "--seed", "7"]
 
 
 def digest_lines():

@@ -736,7 +736,8 @@ def check_self_injective(algebra: BasicAlgebra) -> NakayamaData:
     socle_vectors = []
     for pos in range(n):
         P = projective_module(algebra, pos)
-        stacked = [P.action[g] for g in algebra.radical_right_generators]
+        stacked = [P.stack.block(algebra.position[g])
+                   for g in algebra.radical_right_generators]
         if stacked:
             soc = left_kernel(stack_cols(algebra.field, stacked))
         else:
@@ -748,7 +749,7 @@ def check_self_injective(algebra: BasicAlgebra) -> NakayamaData:
             )
         vec = soc.take_rows([0])
         types = [t for t in range(n)
-                 if not (vec @ P.action[algebra.idempotents[t]]).is_zero()]
+                 if not P.times(vec, algebra.idempotents[t]).is_zero()]
         if len(types) != 1:
             raise NotSelfInjectiveError(
                 f"socle at vertex {pos} is not homogeneous", witness_vertex=pos

@@ -55,8 +55,8 @@ class Suspension:
 
     Strictly functorial and strictly invertible: objects are re-actioned,
     morphism matrices are unchanged.  Each direction returns one module per
-    input content, so a suspended module keeps its derived actions,
-    idempotent images and top.
+    input content, so a suspended module keeps its idempotent images, walks
+    and top.
     """
 
     algebra: BasicAlgebra
@@ -114,24 +114,31 @@ def _tensor_rows(twisted: Module, q: Module, rows: ExactMatrix,
     """x (x) elem for each row x of M', with elem = sum c x_a (x) y_b an
     element of the cover Q = (+)_t A e_{u_t} (x) e_{v_t} A: the row
     sum c (x . x_a) (x) y_b of (+)_t M'e_{u_t} (x) e_{v_t} A, where x . x_a
-    (the action of M') is written in the basis of M'e_{u_t}."""
+    (the action of M') is written in the basis of M'e_{u_t}.  The rows are
+    walked once along the words of the paths x_a that elem hits, for all
+    summands together."""
     env = q.algebra
     fld = env.field
     nonzero = elem.a[0] != 0
-    blocks, off = [], 0
+    cuts, off = [], 0
     for pos in q.proj:
         left, right = env.projective_factors(pos)
-        basis = twisted.idempotent_image(pos // len(env.base.idempotents))
-        piv = basis.rref()[1]
         # the coefficients of x_a (x) y_b, b in right, are the a-th w of elem
         w = len(right)
         hit = nonzero[off: off + len(left) * w].reshape(len(left), w)
-        terms = [(rows @ twisted.action[left[a]]).take_cols(piv).kron(
-                     elem.take_cols(range(off + a * w, off + (a + 1) * w)))
-                 for a in np.flatnonzero(hit.any(axis=1))]
+        cuts.append((pos, w, [(left[a], off + a * w)
+                              for a in np.flatnonzero(hit.any(axis=1))]))
+        off += len(left) * w
+    paths = sorted({x for *_, hits in cuts for x, _ in hits})
+    walked = dict(zip(paths, twisted.walk(rows, paths)))
+    blocks = []
+    for pos, w, hits in cuts:
+        basis = twisted.idempotent_image(pos // len(env.base.idempotents))
+        piv = basis.rref()[1]
+        terms = [walked[x].take_cols(piv).kron(elem.take_cols(range(at, at + w)))
+                 for x, at in hits]
         blocks.append(sum(terms[1:], terms[0]) if terms else
                       ExactMatrix.zeros(fld, rows.rows, basis.rows * w))
-        off += len(left) * w
     return stack_cols(fld, blocks)
 
 
@@ -219,8 +226,8 @@ class FunctorSequence:
         end = _twist_once(twisted, self.end_twist.matrix.digest(), m,
                           self.end_twist)
         last_rows = [row for _, _, row in self._summands[-1]]
-        counit = tensors[-1].map_out(end, lambda s, gens: gens @ m.combination(
-            _terms(self.counit_matrix.row(last_rows[s]).a[0])))
+        counit = tensors[-1].map_out(end, lambda s, gens: m.combinations(
+            gens, [_terms(self.counit_matrix.row(last_rows[s]).a[0])]))
         val = {"terms": [t.module for t in tensors], "maps": maps,
                "unit": unit, "counit": counit,
                "suspended": self.suspension.apply(m), "module": m,

@@ -43,7 +43,7 @@ from .angulation import (
     standard_angle,
 )
 from .axioms import random_projective, verify_axioms
-from .fields import LinearAlgebraError, ResourceBoundExceeded, stack_rows
+from .fields import LinearAlgebraError, ResourceBoundExceeded, row_space
 from .homology import Homology
 from .modules import projective_module, quotient, random_hom
 from .periodicity import UndecidedIsomorphismError, quasi_period_scan
@@ -124,14 +124,13 @@ def cmd_angulate(args) -> int:
     algebra = engine.algebra
     rng = random.Random(args.seed)
     if args.mode == "standard":
-        # standard angle of the first simple module
+        # standard angle of the first simple module P_0 / P_0 . rad, with
+        # P_0 . rad the row space of P_0's arrow blocks (``modules._tops``)
         p0 = projective_module(algebra, 0)
-        if algebra.radical:
-            simple, _, _ = quotient(
-                p0, stack_rows(algebra.field,
-                               [p0.action[j] for j in algebra.radical]))
-        else:
-            simple = p0
+        arrows = [t for t, g in enumerate(algebra.generators)
+                  if g not in algebra.idempotents]
+        simple = quotient(p0, row_space(p0.stack.take(arrows)))[0] \
+            if arrows else p0
         angle = standard_angle(seq, simple)
     else:
         src = random_projective(algebra, rng)

@@ -6,15 +6,14 @@ arrow for a module over A, and per e_i (x) e_j, a (x) e_j and e_i (x) a for
 a bimodule, a right module over the enveloping algebra A^e.  The matrices
 are stored once, stacked in generator order, as one ``fields.SparseStack``
 of their nonzero entries (``Module.stack``), whatever algebra the module is
-over: generator actions are almost all zero, over A as over A^e.  A
-generator's action is formed dense only when ``action`` is asked for it, and
-kept; projectives e A^e are built from the nonzeros of A's own
-multiplication blocks.  The action of any other basis element is the
-product of generator actions along its word (``BasicAlgebra.word``),
-derived on demand.  Constructions (submodules, quotients, direct sums,
+over: generator actions are almost all zero, over A as over A^e.
+Projectives e A^e are built from the nonzeros of A's own multiplication
+blocks.  Every basis element acts along its word (``BasicAlgebra.word``):
+rows are walked through the stored nonzeros, one generator at a time
+(``Module.times``, ``Module.walk``), and no path matrix is formed or
+kept.  Constructions (submodules, quotients, direct sums,
 twists, duals) and ``ModuleMorphism.verify`` act on the whole stack with one
-product through its stored nonzeros; images of a vector under many basis
-elements are walked along the words on row vectors (``Module.times``).
+product through its stored nonzeros.
 Every matrix is an ``ExactMatrix`` and every stack, hom systems among them,
 a ``SparseStack``, so the same code runs over F_p and Q, and this module
 never touches the stored integers.
@@ -53,9 +52,9 @@ class Module:
 
     ``stack`` holds the generator actions once, in ``algebra.generators``
     order, as a ``SparseStack`` of ``#generators`` matrices dim x dim.
-    ``action[k]`` gives the matrix of any basis element k, derived once and
-    kept: for a generator its matrix of the stack formed dense, for any
-    other element the product of generator actions along the word of k.
+    Basis elements act on rows by walks along their words (``walk``);
+    ``action[k]`` forms the matrix of any basis element k on request, as
+    the walk of the identity, and keeps nothing.
     Idempotent images, their walks along e A that ``hom_space`` reads, and
     a bimodule's one-sided generator actions are kept too, one entry per
     idempotent or generator, and so are the generating rows that
@@ -88,7 +87,6 @@ class Module:
                 f"generator actions of shape {action.shape} for "
                 f"{len(gens)} generators on dimension {dim}")
         self.stack = action
-        self._actions: dict[int, ExactMatrix] = {}
         self._images: dict[int, ExactMatrix] = {}
         self._walks: dict[int, ExactMatrix] = {}
         self._sides: dict[tuple, ExactMatrix] = {}
@@ -110,19 +108,39 @@ class Module:
             self._digest = h.digest()
         return self._digest
 
-    def combination(self, terms) -> ExactMatrix:
-        """Action of the element sum c . b_k for (k, c) in ``terms``: one
-        product of the coefficient row with the flattened actions."""
-        terms, fld, n = list(terms), self.algebra.field, self.dim
-        if not terms:
-            return ExactMatrix.zeros(fld, n, n)
-        flat = stack_rows(fld, [self.action[k].reshape(1, n * n) for k, _ in terms])
-        return (ExactMatrix(fld, [[c for _, c in terms]]) @ flat).reshape(n, n)
-
-    def times(self, y: ExactMatrix, g: int) -> ExactMatrix:
+    def times(self, y: ExactMatrix | None, g: int) -> ExactMatrix:
         """y @ (the action of generator g), through the stored nonzeros,
-        without forming the action."""
-        return self.stack.row_product(y, self.algebra.position[g])
+        without forming the action; y None stands for the identity, whose
+        product is the action, read off the stack."""
+        t = self.algebra.position[g]
+        if y is None:
+            return self.stack.block(t)
+        return self.stack.row_product(y, t)
+
+    def walk(self, y: ExactMatrix | None, ks) -> list[ExactMatrix]:
+        """y . b_k for each basis index k in ks: one walk of the rows y
+        (None for the identity) along the words of the b_k
+        (``walk_words``)."""
+        return walk_words(y, [self.algebra.word(k) for k in ks], self.times)
+
+    def combinations(self, y: ExactMatrix | None, terms) -> ExactMatrix:
+        """y . (sum c b_k) for the pairs (k, c) of each list in ``terms``,
+        stacked in that order: one walk of y (None for the identity) along
+        the words of the b_k used, then one product of the coefficient
+        matrix with the flattened walks."""
+        rows = self.dim if y is None else y.rows
+        fld, shape = self.algebra.field, (len(terms) * rows, self.dim)
+        used = sorted({k for ts in terms for k, _ in ts})
+        if not used:
+            return ExactMatrix.zeros(fld, *shape)
+        column = {k: i for i, k in enumerate(used)}
+        coeffs = [[0] * len(used) for _ in terms]
+        for row, ts in zip(coeffs, terms):
+            for k, c in ts:
+                row[column[k]] += c
+        flat = stack_rows(fld, [w.reshape(1, rows * self.dim)
+                                for w in self.walk(y, used)])
+        return (ExactMatrix(fld, coeffs) @ flat).reshape(*shape)
 
     def idempotent_image(self, pos: int) -> ExactMatrix:
         """Canonical basis rows of M e for the idempotent at position pos,
@@ -139,7 +157,8 @@ class Module:
 
 
 class _Actions:
-    """``Module.action``: the action matrix of each basis element by index."""
+    """``Module.action``: the action matrix of each basis element by index,
+    formed on each request as the walk of the identity along its word."""
 
     __slots__ = ("module",)
 
@@ -151,26 +170,12 @@ class _Actions:
 
     def __getitem__(self, k: int) -> ExactMatrix:
         m = self.module
-        hit = m._actions.get(k)
-        if hit is None:
-            if not 0 <= k < len(self):
-                raise IndexError(f"basis index {k} out of range")
-            word = m.algebra.word(k)
-            if len(word) == 1:
-                hit = m.stack.block(m.algebra.position[k])
-            else:
-                hit = self[word[0]]
-                for g in word[1:]:
-                    hit = hit @ self[g]
-            m._actions[k] = hit
-        return hit
+        if not 0 <= k < len(self):
+            raise IndexError(f"basis index {k} out of range")
+        return m.walk(None, [k])[0]
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
 
 
 def walk_words(y: ExactMatrix, words, step) -> list[ExactMatrix]:
@@ -257,40 +262,34 @@ def _side(algebra: BasicAlgebra, g: int, left: bool) -> list[int]:
 
 
 def _one_sided(b: Module, algebra: BasicAlgebra, g: int, left: bool) -> ExactMatrix:
-    """Action of b_g (x) 1 (``left``) or 1 (x) b_g on a bimodule.  For a
-    generator g it is the sum of the A^e generators g (x) e_j, or e_i (x) g,
-    summed over the stored nonzeros and kept on the module; any other b_g
-    is the product along its word, read backwards on the left."""
+    """Action of g (x) 1 (``left``) or 1 (x) g on a bimodule, for a
+    generator g of A: the sum of the A^e generators g (x) e_j, or e_i (x) g,
+    summed over the stored nonzeros and kept on the module."""
     key = (left, g)
     hit = b._sides.get(key)
-    if hit is not None:
-        return hit
-    word = algebra.word(g)
-    if len(word) == 1:
+    if hit is None:
         hit = b._sides[key] = b.stack.sums([_side(algebra, g, left)]).dense()
-        return hit
-    acts = [_one_sided(b, algebra, x, left) for x in (word[::-1] if left else word)]
-    hit = acts[0]
-    for a in acts[1:]:
-        hit = hit @ a
     return hit
 
 
 def bim_right_action(b: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
-    """Action of (1 (x) b_g) on a bimodule: right multiplication by b_g."""
+    """Action of (1 (x) g) on a bimodule: right multiplication by the
+    generator g."""
     return _one_sided(b, algebra, g, left=False)
 
 
 def bim_left_action(b: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
-    """Action of (b_g (x) 1) on a bimodule: left multiplication by b_g."""
+    """Action of (g (x) 1) on a bimodule: left multiplication by the
+    generator g."""
     return _one_sided(b, algebra, g, left=True)
 
 
 def right_action_over(m: Module, algebra: BasicAlgebra, g: int) -> ExactMatrix:
-    """Right action of the base-algebra element g, whether m is a plain
-    module over ``algebra`` or a bimodule over its enveloping algebra."""
+    """Right action of the base-algebra generator g, whether m is a plain
+    module over ``algebra`` (its matrix of the stack) or a bimodule over
+    its enveloping algebra."""
     if m.algebra is algebra:
-        return m.action[g]
+        return m.stack.block(algebra.position[g])
     return bim_right_action(m, algebra, g)
 
 
@@ -362,19 +361,12 @@ def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
 
 def _substituted(m: Module, terms_of) -> Module:
     """m with each generator g acting as the combination ``terms_of(g)``:
-    one product of the coefficient matrix (generators x basis elements
-    used) with the flattened actions of those elements."""
-    A, fld, n = m.algebra, m.algebra.field, m.dim
-    terms = [terms_of(g) for g in A.generators]
-    used = sorted({k for ts in terms for k, _ in ts})
-    column = {k: i for i, k in enumerate(used)}
-    coeffs = [[0] * len(used) for _ in terms]
-    for row, ts in zip(coeffs, terms):
-        for k, c in ts:
-            row[column[k]] += c
-    flat = stack_rows(fld, [m.action[k].reshape(1, n * n) for k in used])
-    return Module(A, n, (ExactMatrix(fld, coeffs) @ flat).reshape(
-        len(terms) * n, n))
+    the identity walked along the words of the basis elements used, and
+    one product of the coefficient matrix with those walks
+    (``Module.combinations``)."""
+    A = m.algebra
+    return Module(A, m.dim, m.combinations(
+        None, [terms_of(g) for g in A.generators]))
 
 
 def _terms(row) -> list:
@@ -585,8 +577,7 @@ def hom_space(m: Module, n: Module) -> HomBasis:
 def _walked(A, pos: int, ys: ExactMatrix, n: Module) -> ExactMatrix:
     """ys . b for each row of ys and the basis b of e_cA (c at pos), one walk
     along the words: row i holds the images of row i of ys side by side."""
-    words = [A.word(k) for k in A.projective_rows(pos)]
-    return stack_cols(A.field, walk_words(ys, words, n.times))
+    return stack_cols(A.field, n.walk(ys, A.projective_rows(pos)))
 
 
 def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
@@ -624,8 +615,8 @@ def _hom_generic(m: Module, n: Module) -> HomBasis:
                  f"Kronecker system of a hom space")
     eye_m, eye_n = (ExactMatrix.identity(fld, d) for d in (m.dim, n.dim))
     null = left_kernel(stack_cols(fld, [
-        m.action[g].T.kron(eye_n) - eye_m.kron(n.action[g])
-        for g in A.generators]))
+        m.stack.block(t).T.kron(eye_n) - eye_m.kron(n.stack.block(t))
+        for t in range(len(A.generators))]))
     return HomBasis(m, n, [(0, null)] if null.rows else [])
 
 

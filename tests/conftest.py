@@ -173,6 +173,28 @@ def radical_indices(A):
     return [k for k in range(A.dim) if k // d not in triv or k % d not in triv]
 
 
+def dense_action(m, k, algebra=None, left=False):
+    """The action matrix of basis element k on m: the product of the dense
+    generator actions along the word of k.  With ``algebra`` the base of
+    the enveloping algebra of a bimodule m, the one-sided action b_k (x) 1
+    (``left``, the word read backwards) or 1 (x) b_k instead.  The product
+    chain the modules formed and kept before their rows were walked along
+    words, kept as an oracle for the walks."""
+    from nangulator.modules import bim_left_action, bim_right_action
+
+    if algebra is None or m.algebra is algebra:
+        A = m.algebra
+        acts = [m.stack.block(A.position[g]) for g in A.word(k)]
+    elif left:
+        acts = [bim_left_action(m, algebra, g) for g in algebra.word(k)[::-1]]
+    else:
+        acts = [bim_right_action(m, algebra, g) for g in algebra.word(k)]
+    out = acts[0]
+    for a in acts[1:]:
+        out = out @ a
+    return out
+
+
 def fingerprint(m):
     """Iso-invariant fingerprint: per-idempotent dims, radical series, socle
     data and top multiplicities."""
@@ -192,11 +214,12 @@ def fingerprint(m):
     vertices = range(len(A.idempotents))
     per_vertex = tuple(m.idempotent_image(pos).rows for pos in vertices)
     series = []
-    cur = row_space(stack_rows(fld, [m.action[j] for j in radical])) \
+    rad_acts = [m.action[j] for j in radical]
+    cur = row_space(stack_rows(fld, rad_acts)) \
         if radical else ExactMatrix.zeros(fld, 0, m.dim)
     while cur.rows:
         series.append(cur.rows)
-        nxt = row_space(stack_rows(fld, [cur @ m.action[j] for j in radical]))
+        nxt = row_space(stack_rows(fld, [cur @ a for a in rad_acts]))
         if nxt.rows == cur.rows:
             break
         cur = nxt
@@ -209,7 +232,7 @@ def fingerprint(m):
                            for pos in vertices)
     top = ExactMatrix.identity(fld, m.dim)
     if radical:
-        rad = row_space(stack_rows(fld, [m.action[j] for j in radical]))
+        rad = row_space(stack_rows(fld, rad_acts))
         top = row_space(reduce_rows_mod(rad, top))
     top_per_vertex = tuple(
         row_space(top @ m.action[A.idempotents[pos]]).rows if top.rows else 0
@@ -449,7 +472,7 @@ def multiply_out_of_tensor(td, target):
     class of m (x) y maps to m . y (plain action of y on m).  Kept as an
     oracle."""
     from nangulator.fields import ExactMatrix
-    from nangulator.modules import ModuleMorphism, right_action_over
+    from nangulator.modules import ModuleMorphism
 
     algebra = td.base
     fld = algebra.field
@@ -463,7 +486,7 @@ def multiply_out_of_tensor(td, target):
             y = td.b_rows[v].a[ib]
             img = _empty(fld, rm, m.dim)
             for j in np.nonzero(y)[0]:
-                img = img + y[j] * (td.m_rows[v] @ right_action_over(m, algebra, j)).a
+                img = img + y[j] * (td.m_rows[v] @ dense_action(m, j, algebra)).a
             big[td.offsets[v] + ib: td.offsets[v] + rm * rb: rb] = img
     mat = td.lift @ ExactMatrix(fld, big)
     return ModuleMorphism(td.module, target, mat)
@@ -590,7 +613,7 @@ def quotient_to_direct(td, cover, tau, term):
                 coeffs = bs.a[:, q_off + a * len(right): q_off + (a + 1) * len(right)]
                 if not (coeffs != 0).any():
                     continue
-                moved = solve_left(basis, ms @ twisted.action[x])
+                moved = solve_left(basis, ms @ dense_action(twisted, x))
                 assert moved is not None
                 block = block + np.einsum("ik,jb->ijkb", moved.a.astype(object),
                                           coeffs.astype(object))
@@ -772,16 +795,20 @@ def verify_module_axioms(m, exhaustive=True):
     with sum the identity and every pair of basis elements (or of
     generators) acts as its product does, read off the dense structure
     constants (``dense_enveloping`` for a bimodule)."""
+    from functools import cache
+
     from nangulator.fields import ExactMatrix, LinearAlgebraError
 
     A = m.algebra
     dense = dense_enveloping(A.base) if hasattr(A, "base") else A
 
+    act = cache(lambda k: m.action[k])
+
     def acting(coords):
         acc = ExactMatrix.zeros(A.field, m.dim, m.dim)
         for k, c in enumerate(coords):
             if c != 0:
-                acc = acc + m.action[k].scale(c)
+                acc = acc + act(k).scale(c)
         return acc
 
     unit = [1 if k in A.idempotents else 0 for k in range(A.dim)]
@@ -790,7 +817,7 @@ def verify_module_axioms(m, exhaustive=True):
     idx = range(A.dim) if exhaustive else A.generators
     for i in idx:
         for j in idx:
-            if m.action[i] @ m.action[j] != acting(dense.right_mult[j].a[i]):
+            if act(i) @ act(j) != acting(dense.right_mult[j].a[i]):
                 raise LinearAlgebraError(f"action violates product at ({i}, {j})")
 
 
@@ -1205,11 +1232,17 @@ def direct_sum_loop(algebra, parts):
 
 
 def substituted_loop(m, terms_of):
-    """``modules._substituted``: one linear combination per generator."""
+    """``modules._substituted``: one linear combination per generator of the
+    path actions, each a dense product along its word."""
+    from nangulator.fields import ExactMatrix
     from nangulator.modules import Module
 
+    def combination(terms):
+        return sum((dense_action(m, k).scale(c) for k, c in terms),
+                   ExactMatrix.zeros(m.algebra.field, m.dim, m.dim))
+
     return Module(m.algebra, m.dim,
-                  {g: m.combination(terms_of(g)) for g in m.algebra.generators})
+                  {g: combination(terms_of(g)) for g in m.algebra.generators})
 
 
 def verify_loop(f, exhaustive=False):

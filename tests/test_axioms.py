@@ -66,7 +66,7 @@ def test_random_module_generator_is_seeded():
     m1 = random_module(algebra, eng, random.Random(3))
     m2 = random_module(algebra, eng, random.Random(3))
     assert m1.dim == m2.dim
-    assert all(a == b for a, b in zip(m1.action, m2.action))
+    assert m1.stack == m2.stack
 
 
 def test_sampled_squares_commute():
@@ -115,3 +115,29 @@ def test_preprojective_a4_suite_stays_within_its_memory_bound(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 100 * 2 ** 20, peak / 2 ** 20
+
+
+def test_verify_of_kq8_i5_stays_within_its_memory_bound(tmp_path, capsys):
+    # the peak of the allocations traced during `verify --samples 3 --seed
+    # 7` on kQ_8/I_5 over F5 (dimension 40): 27.8 MiB with every path
+    # acting on rows by walks along its word, 53.1 MiB when each module kept
+    # the dense matrix of every path it was asked for; the bound is the
+    # former plus 25 %
+    import tracemalloc
+
+    from conftest import nakayama_text
+
+    from nangulator.cli import run_cli
+
+    path = tmp_path / "kq8_i5.json"
+    path.write_text(nakayama_text(8, 5, 5))
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        assert run_cli(["verify", str(path), "--samples", "3", "--seed",
+                        "7"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 34.8 * 2 ** 20, peak / 2 ** 20

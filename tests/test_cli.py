@@ -363,7 +363,7 @@ def test_period_on_dimension_20_stays_small_in_memory(capsys):
 
 
 def test_report_digests_match_golden():
-    # byte-identical reports are the contract of every refactor: the 148
+    # byte-identical reports are the contract of every refactor: the 149
     # lines of scripts/report_digests.py, recomputed in-process
     import importlib.util
 
@@ -373,6 +373,43 @@ def test_report_digests_match_golden():
     spec.loader.exec_module(script)
     golden = ROOT / "tests" / "golden" / "report_digests.txt"
     assert list(script.digest_lines()) == golden.read_text().splitlines()
+
+
+@pytest.mark.parametrize("name", ["nakayama_3_3", "preproj_a3", "kq2_i2_q"])
+def test_period_and_verify_form_no_path_matrix(name, tmp_path, monkeypatch,
+                                               capsys):
+    # paths act on rows by walks along their words: with the matrix of
+    # every basis element of word length > 1 refused, `period` and `verify`
+    # exit 0 and print what they print unrefused (kQ_2/I_2 over Q)
+    from conftest import nakayama_text
+
+    from nangulator import modules
+    from nangulator.cli import run_cli
+
+    path = FIXTURES / f"{name}.json"
+    if name == "kq2_i2_q":
+        path = tmp_path / "kq2_i2_q.json"
+        path.write_text(nakayama_text(2, 2, 0))
+    commands = [["period", str(path)],
+                ["verify", str(path), "--samples", "2", "--seed", "7"]]
+
+    def outputs():
+        out = []
+        for args in commands:
+            assert run_cli(args) == 0, args
+            out.append(capsys.readouterr().out)
+        return out
+
+    plain = outputs()
+    real = modules._Actions.__getitem__
+
+    def refusing(actions, k):
+        if len(actions.module.algebra.word(k)) > 1:
+            raise AssertionError(f"the matrix of basis element {k} was formed")
+        return real(actions, k)
+
+    monkeypatch.setattr(modules._Actions, "__getitem__", refusing)
+    assert outputs() == plain
 
 
 @pytest.mark.parametrize("mode", [[], ["--products"]])

@@ -11,6 +11,7 @@ from conftest import (
     FIXTURES,
     bimodule_chain,
     bimodule_projective_oracle,
+    dense_action,
     first_unequal_block_oracle,
     fixture_over,
     direct_sum_loop,
@@ -207,9 +208,7 @@ def _brute_tensor_dim(m, b, A):
     rows = []
     d_m, d_b = m.dim, b.dim
     for g in range(A.dim):
-        mg = m.action[g]
-        gb = __import__("nangulator.modules", fromlist=["bim_left_action"]) \
-            .bim_left_action(b, A, g)
+        mg, gb = dense_action(m, g), dense_action(b, g, A, left=True)
         for i in range(d_m):
             for j in range(d_b):
                 vec = np.zeros(d_m * d_b, dtype=np.int64)
@@ -528,7 +527,7 @@ def _assert_same_tensor_data(td, ref):
     assert td.project == ref.project and td.lift == ref.lift
     assert td.module.algebra is ref.module.algebra
     assert td.module.dim == ref.module.dim
-    assert td.module.action == ref.module.action
+    assert td.module.stack == ref.module.stack
 
 
 def assert_direct_model_matches_oracle(seq, m, val):
@@ -650,7 +649,7 @@ def test_quotient_closed_form_matches_oracle(p):
         for rows in spaces:
             q, proj, lift = quotient(M, rows)
             q_ref, proj_ref, lift_ref = quotient_oracle(M, rows)
-            assert q.dim == q_ref.dim and q.action == q_ref.action
+            assert q.dim == q_ref.dim and q.stack == q_ref.stack
             assert proj.matrix == proj_ref.matrix and lift == lift_ref
             assert (lift @ proj.matrix) == ExactMatrix.identity(fld, q.dim)
             cases += 1
@@ -825,15 +824,21 @@ def test_verify_names_the_first_failing_generator_in_index_order(p):
 
 @pytest.mark.parametrize("p", [5, 0])
 def test_exhaustive_verify_checks_every_basis_element(p):
-    # a source whose kept action of one path disagrees with its target's:
-    # the generators intertwine, so verify passes, and only the oracle's
-    # check of every basis element sees the path
+    # a source whose action of one path, read through ``action``, disagrees
+    # with its target's: the generators intertwine, so verify passes, and
+    # only the oracle's check of every basis element sees the path
     A = compute_basis(parse_algebra(nakayama_text(3, 3, p)))
     N = regular_module(A)
-    M = Module(A, N.dim, N.stack)
     k = next(k for k in range(A.dim) if len(A.word(k)) > 1)
-    M.action[k]
-    M._actions[k] = M.action[k] + ExactMatrix.identity(A.field, M.dim)
+
+    class Corrupted(Module):
+        @property
+        def action(self):
+            acts = list(super().action)
+            acts[k] = acts[k] + ExactMatrix.identity(A.field, self.dim)
+            return acts
+
+    M = Corrupted(A, N.dim, N.stack)
     f = modules.ModuleMorphism(M, N, ExactMatrix.identity(A.field, M.dim))
     f.verify()
     with pytest.raises(LinearAlgebraError, match=f"element {k}$"):
