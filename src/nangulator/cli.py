@@ -43,9 +43,9 @@ from .angulation import (
     standard_angle,
 )
 from .axioms import random_projective, verify_axioms
-from .fields import LinearAlgebraError, ResourceBoundExceeded, row_space
+from .fields import LinearAlgebraError, ResourceBoundExceeded
 from .homology import Homology
-from .modules import projective_module, quotient, random_hom
+from .modules import projective_module, quotient, radical_rows, random_hom
 from .periodicity import UndecidedIsomorphismError, quasi_period_scan
 from .quiver import ParseError, SemanticError, load_algebra_file
 from .reports import algebra_report, angle_dump, periodicity_dump, to_json
@@ -124,13 +124,10 @@ def cmd_angulate(args) -> int:
     algebra = engine.algebra
     rng = random.Random(args.seed)
     if args.mode == "standard":
-        # standard angle of the first simple module P_0 / P_0 . rad, with
-        # P_0 . rad the row space of P_0's arrow blocks (``modules._tops``)
+        # standard angle of the first simple module P_0 / P_0 . rad
         p0 = projective_module(algebra, 0)
-        arrows = [t for t, g in enumerate(algebra.generators)
-                  if g not in algebra.idempotents]
-        simple = quotient(p0, row_space(p0.stack.take(arrows)))[0] \
-            if arrows else p0
+        rad = radical_rows(p0)
+        simple = quotient(p0, rad)[0] if rad.rows else p0
         angle = standard_angle(seq, simple)
     else:
         src = random_projective(algebra, rng)

@@ -11,9 +11,9 @@ Projectives e A^e are built from the nonzeros of A's own multiplication
 blocks.  Every basis element acts along its word (``BasicAlgebra.word``):
 rows are walked through the stored nonzeros, one generator at a time
 (``Module.times``, ``Module.walk``), and no path matrix is formed or
-kept.  Constructions (submodules, quotients, direct sums,
-twists, duals) and ``ModuleMorphism.verify`` act on the whole stack with one
-product through its stored nonzeros.
+kept.  Constructions (submodules, quotients, direct sums, twists, duals)
+and ``ModuleMorphism.verify`` act on the whole stack with one product
+through its stored nonzeros.
 Every matrix is an ``ExactMatrix`` and every stack, hom systems among them,
 a ``SparseStack``, so the same code runs over F_p and Q, and this module
 never touches the stored integers.
@@ -169,16 +169,15 @@ class _Actions:
         return self.module.algebra.dim
 
     def __getitem__(self, k: int) -> ExactMatrix:
-        m = self.module
         if not 0 <= k < len(self):
             raise IndexError(f"basis index {k} out of range")
-        return m.walk(None, [k])[0]
+        return self.module.walk(None, [k])[0]
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
 
-def walk_words(y: ExactMatrix, words, step) -> list[ExactMatrix]:
+def walk_words(y: ExactMatrix | None, words, step) -> list[ExactMatrix]:
     """y . w for each word w of generators, step(x, g) the rows x times
     generator g: one product of rows per distinct prefix, and no path
     matrix."""
@@ -726,18 +725,23 @@ def top_multiplicities(m: Module):
     return list(kept[key])
 
 
+def radical_rows(m: Module) -> ExactMatrix:
+    """Basis rows of M.rad.  The word of every basis element of the radical
+    ends in a generator that is not an idempotent (an arrow of A; a (x) e_j
+    or e_i (x) a over A^e), so M.rad is spanned by the M.g over those
+    generators: the row space of their matrices of the stack, eliminated
+    from its nonzeros."""
+    idempotents = set(m.algebra.idempotents)
+    return row_space(m.stack.take([t for t, g in enumerate(m.algebra.generators)
+                                   if g not in idempotents]))
+
+
 def _tops(m: Module):
     A = m.algebra
     fld = A.field
     if m.dim == 0:
         return []
-    # the word of every basis element of the radical ends in a generator
-    # that is not an idempotent (an arrow of A; a (x) e_j or e_i (x) a over
-    # A^e), so M.rad is spanned by the M.g over those generators: the row
-    # space of their matrices of the stack, eliminated from its nonzeros
-    idempotents = set(A.idempotents)
-    rad = row_space(m.stack.take([t for t, g in enumerate(A.generators)
-                                  if g not in idempotents]))
+    rad = radical_rows(m)
     out = []
     for pos in range(len(A.idempotents)):
         comp = m.idempotent_image(pos)
