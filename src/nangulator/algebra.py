@@ -1,9 +1,13 @@
 """Finite-dimensional basic algebras: normal-form bases, structure constants,
 self-injectivity, automorphisms, opposite and enveloping algebras.
 
-A BasicAlgebra is stored uniformly (basis, right-multiplication matrices,
-idempotent bookkeeping, and the generator word of every basis element)
-whether it came from a quiver presentation or from taking the opposite.
+A BasicAlgebra is stored uniformly (basis, structure constants, idempotent
+bookkeeping, and the generator word of every basis element) whether it came
+from a quiver presentation or from taking the opposite.  The structure
+constants are kept once: the right multiplication matrices of the basis
+elements as one ``fields.SparseStack`` of their nonzeros.  The left ones
+are the same entries moved, and those of any elements one product with
+either stack (``BasicAlgebra.mult_stack_of``); no dense table is formed.
 Paths compose left to right (p.q means traverse p, then q) and all modules in
 the package are right modules.  A module stores the action of the
 generators only (the idempotents and the arrows); the word of a basis
@@ -13,9 +17,9 @@ The enveloping algebra A^e = A^op (x) A is index bookkeeping over A
 (``EnvelopingAlgebra``): it never forms its d^2 structure matrices of size
 d^2 x d^2.  Its generators are e_i (x) e_j, a (x) e_j and e_i (x) a for the
 vertices i, j and arrows a, and b_k (x) b_l is the word of b_k over A^op
-followed by that of b_l over A.  It keeps, per vertex, the sparse blocks of
-A's generators acting on A e_u and on e_v A, from which every projective
-A e_u (x) e_v A is built.
+followed by that of b_l over A.  Every projective A e_u (x) e_v A is built
+from the generator actions of the projectives A e_u over A^op and e_v A
+over A (``modules.projective_module``).
 """
 
 from __future__ import annotations
@@ -28,11 +32,8 @@ from .fields import (
     SparseStack,
     first_unequal_block,
     left_kernel,
-    left_products,
     row_space,
     stack_cols,
-    stack_rows,
-    unequal_entries,
 )
 from .quiver import AlgebraDescription, Quiver, SemanticError
 
@@ -55,15 +56,17 @@ class AutomorphismError(ValueError):
 class BasicAlgebra:
     """A finite-dimensional algebra with a distinguished idempotent-adapted basis.
 
-    right_mult[j] is the matrix of right multiplication by basis element j:
-    row i holds the coordinates of b_i * b_j.  left_unit_of / right_unit_of
-    give, for each basis element, the position of the idempotent acting as
-    identity on that side; for a path algebra these are source and target.
+    ``right_stack`` holds the structure constants, the algebra's only copy:
+    its matrix j is the right multiplication by basis element j, whose row
+    i holds the coordinates of b_i * b_j, stored by its nonzeros.
+    left_unit_of / right_unit_of give, for each basis element, the position
+    of the idempotent acting as identity on that side; for a path algebra
+    these are source and target.
     """
 
     field: FieldSpec
     labels: list[str]
-    right_mult: list[ExactMatrix]
+    right_stack: SparseStack
     idempotents: list[int]          # basis indices of the trivial idempotents
     left_unit_of: list[int]         # idempotent position (not basis index)
     right_unit_of: list[int]
@@ -76,16 +79,13 @@ class BasicAlgebra:
     nilpotency: int | None = None
     # words[k]: generators whose product, left to right, is b_k
     words: list | None = dc_field(default=None, repr=False)
-    _left_mult: list | None = dc_field(default=None, repr=False)
     _opposite: object = dc_field(default=None, repr=False)
     _enveloping: object = dc_field(default=None, repr=False)
     _projective_rows: list | None = dc_field(default=None, init=False,
                                              repr=False, compare=False)
-    _tables: tuple | None = dc_field(default=None, init=False, repr=False,
-                                     compare=False)
-    # left -> ``mult_stack(left)``
-    _stacks: dict = dc_field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    # ``mult_stack(True)``, moved from ``right_stack`` once
+    _left: SparseStack | None = dc_field(default=None, init=False,
+                                         repr=False, compare=False)
     # vertex position -> indecomposable projective, kept by
     # modules.projective_module
     projectives: dict = dc_field(default_factory=dict, init=False,
@@ -112,26 +112,6 @@ class BasicAlgebra:
         return ExactMatrix(self.field, [[int(k in idempotents)
                                          for k in range(self.dim)]])
 
-    def mult_tables(self) -> tuple[ExactMatrix, ExactMatrix]:
-        """(V, H), built once: row t of V is the right multiplication matrix
-        of b_t and row i of H the left multiplication matrix of b_i, each
-        flattened.  For an element x, x @ V and x @ H are its right and
-        left multiplication matrices, flattened."""
-        if self._tables is None:
-            d = self.dim
-            right = stack_rows(self.field, [m.reshape(1, d * d)
-                                            for m in self.right_mult])
-            self._tables = (right, _swap_blocks(right, d))
-        return self._tables
-
-    def left_mult(self, i: int) -> ExactMatrix:
-        """Matrix of left multiplication by basis element i (row j = b_i b_j)."""
-        if self._left_mult is None:
-            left = self.mult_tables()[1]
-            self._left_mult = [left.row(i).reshape(self.dim, self.dim)
-                               for i in range(self.dim)]
-        return self._left_mult[i]
-
     def word(self, k: int) -> tuple[int, ...]:
         """The generators whose product, left to right, is basis element k."""
         return self.words[k]
@@ -145,30 +125,27 @@ class BasicAlgebra:
                 for v in range(len(self.idempotents))]
         return self._projective_rows[pos]
 
-    def multiply(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        """Product of elements given as coordinate row vectors."""
-        return x @ self.element_right_matrix(y)
-
-    def element_right_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """Right multiplication matrix of an arbitrary element x (row vector):
-        row i is b_i . x = sum_j x_j b_i b_j."""
-        return (x @ self.mult_tables()[0]).reshape(self.dim, self.dim)
-
-    def element_left_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """Left multiplication matrix of x: u @ L(x) = x . u; row j is
-        x . b_j = sum_i x_i b_i b_j."""
-        return (x @ self.mult_tables()[1]).reshape(self.dim, self.dim)
-
     def mult_stack(self, left: bool) -> SparseStack:
-        """The left (``left``) or right multiplication matrices of all basis
-        elements, in index order, as one sparse stack, kept."""
-        hit = self._stacks.get(left)
-        if hit is None:
-            d = self.dim
-            table = self.mult_tables()[1 if left else 0]
-            hit = self._stacks[left] = SparseStack.from_matrix(
-                table.reshape(d * d, d), d)
-        return hit
+        """The right multiplication matrices of all basis elements, in index
+        order (``right_stack``), or their left multiplication matrices
+        (``left``; row j of L_i is b_i b_j), the same entries moved once
+        and kept: entry (i, l) of R_j is entry (j, l) of L_i."""
+        if not left:
+            return self.right_stack
+        if self._left is None:
+            self._left = self.right_stack.swapped()
+        return self._left
+
+    def mult_stack_of(self, x: ExactMatrix, left: bool) -> SparseStack:
+        """The stack whose matrix t is the left (``left``) or right
+        multiplication matrix of the element in row t of x: L(y) has row j
+        y . b_j = sum_i y_i b_i b_j and R(y) row i b_i . y.  It is x times
+        ``mult_stack(left)`` read as one d x d^2 matrix, whose row i is
+        matrix i flattened: the keys of d matrices d x d are those of one
+        d x d^2 matrix."""
+        d = self.dim
+        return self.mult_stack(left).reshape(1, d, d * d).left(x).reshape(
+            x.rows, d, d)
 
     def verify_associativity(self) -> None:
         """Associativity on all basis triples, checked at the generators
@@ -201,26 +178,28 @@ class BasicAlgebra:
                     f"associativity fails at basis element {k}: its word "
                     f"{w} is not a basis word followed by a generator")
             steps.append((k, head, w[-1]))
-        # row k' of R_a, read off the right table, must be e_k
-        got = self.mult_tables()[0].reshape(d * d, d).take_rows(
+        # row k' of R_a, read off the right stack row by row, must be e_k
+        got = self.right_stack.reshape(d * d, 1, d).take(
             [a * d + head for _, head, a in steps])
-        want = ExactMatrix.identity(self.field, d).take_rows(
-            [k for k, _, _ in steps])
-        bad = unequal_entries(got, want).any(axis=1)
-        if bad.any():
+        want = SparseStack.from_entries(
+            self.field, len(steps), 1, d,
+            [t * d + k for t, (k, _, _) in enumerate(steps)], [1] * len(steps))
+        bad = first_unequal_block(got, want)
+        if bad is not None:
             raise SemanticError(
-                f"associativity fails at basis element "
-                f"{steps[int(bad.argmax())][0]}: it is not the product along "
-                f"its word")
+                f"associativity fails at basis element {steps[bad][0]}: it "
+                f"is not the product along its word")
 
     def verify_idempotents(self) -> None:
-        eye = ExactMatrix.identity(self.field, self.dim)
-        zero = ExactMatrix.zeros(self.field, 1, self.dim)
-        for i in self.idempotents:
-            for j in self.idempotents:
-                expect = eye.row(i) if i == j else zero
-                if self.right_mult[j].row(i) != expect:
-                    raise SemanticError("trivial idempotents are not orthogonal")
+        """e_i e_j is e_i for i = j and 0 otherwise: row i of R_j, read off
+        the right stack row by row."""
+        idem, n, d = self.idempotents, len(self.idempotents), self.dim
+        got = self.right_stack.reshape(d * d, 1, d).take(
+            [j * d + i for j in idem for i in idem])
+        want = SparseStack.from_entries(self.field, n * n, 1, d, [
+            (q * n + q) * d + j for q, j in enumerate(idem)], [1] * n)
+        if got != want:
+            raise SemanticError("trivial idempotents are not orthogonal")
 
     # -- derived algebras ---------------------------------------------------
     def opposite(self) -> "BasicAlgebra":
@@ -229,7 +208,7 @@ class BasicAlgebra:
             op = BasicAlgebra(
                 field=self.field,
                 labels=[f"{l}^op" for l in self.labels],
-                right_mult=[self.left_mult(i) for i in range(self.dim)],
+                right_stack=self.mult_stack(True),
                 idempotents=list(self.idempotents),
                 left_unit_of=list(self.right_unit_of),
                 right_unit_of=list(self.left_unit_of),
@@ -239,7 +218,7 @@ class BasicAlgebra:
                 name=f"{self.name}^op",
                 words=[w[::-1] for w in self.words] if self.words else None,
             )
-            op._opposite = self
+            op._opposite, op._left = self, self.right_stack
             self._opposite = op
         return self._opposite
 
@@ -257,12 +236,12 @@ class EnvelopingAlgebra:
     """A^e = A^op (x) A as index bookkeeping over A: basis element k*d + l
     is b_k (x) b_l, and nothing of size d^2 x d^2 is stored.
 
-    ``right_mult`` is empty: a module over A^e acts through the generators
-    e_i (x) e_j, a (x) e_j and e_i (x) a, and a projective e A^e =
-    A e_u (x) e_v A is built from A's own multiplication blocks
-    (``factor_blocks``).  ``position`` gives the place of each generator in
-    ``generators``, and ``pairs`` the places in A's generators of the two
-    factors of each generator.
+    A module over A^e acts through the generators e_i (x) e_j, a (x) e_j
+    and e_i (x) a, and a projective e A^e = A e_u (x) e_v A is built from
+    the generator actions of A e_u over A^op and e_v A over A
+    (``modules.projective_module``).  ``position`` gives the place of each
+    generator in ``generators``, and ``pairs`` the places in A's generators
+    of the two factors of each generator.
     """
 
     def __init__(self, base: BasicAlgebra):
@@ -273,6 +252,8 @@ class EnvelopingAlgebra:
         self.field = base.field
         self.name = f"{base.name}^e"
         self.dim = d * d
+        # no structure matrices are stored; the empty tuple stays because
+        # the benchmark's layer tracer sums the sizes of its matrices
         self.right_mult = ()
         self.idempotents = [i * d + j for i in idem for j in idem]
         self.radical_right_generators = (
@@ -284,7 +265,6 @@ class EnvelopingAlgebra:
         self.pairs = tuple([place[g // d if side else g % d]
                             for g in self.generators] for side in (True, False))
         self._factors: dict[int, tuple[list[int], list[int]]] = {}
-        self._blocks: dict[tuple[int, bool], SparseStack] = {}
         self._rows: dict[int, list[int]] = {}
         # Module.digest() -> tops, kept by modules.top_multiplicities
         self.tops: dict[bytes, list] = {}
@@ -316,33 +296,6 @@ class EnvelopingAlgebra:
                 [k for k in range(A.dim) if A.right_unit_of[k] == u],
                 A.projective_rows(v))
         return hit
-
-    def factor_blocks(self, vertex: int, left: bool) -> SparseStack:
-        """A's generators acting on A e_u by left multiplication (``left``,
-        u = vertex) or on e_v A by right multiplication (v = vertex), each
-        restricted to that basis (``projective_factors``): one sparse block
-        per generator of A, in order, kept per vertex and side."""
-        hit = self._blocks.get((vertex, left))
-        if hit is None:
-            A = self.base
-            d, count = A.dim, len(A.generators)
-            pos = vertex * len(A.idempotents) if left else vertex
-            basis = self.projective_factors(pos)[0 if left else 1]
-            table = A.mult_tables()[1 if left else 0]
-            blocks = table.take_rows(A.generators).reshape(count * d, d)
-            hit = self._blocks[(vertex, left)] = SparseStack.from_matrix(
-                blocks.take_rows([g * d + k for g in range(count)
-                                  for k in basis]).take_cols(basis), count)
-        return hit
-
-    def projective_nonzeros(self, pos: int) -> int:
-        """The nonzero entries of the generator actions of e A^e, e at
-        position pos: the products of the factor blocks' nonzeros."""
-        n = len(self.base.idempotents)
-        u, v = divmod(pos, n)
-        left = self.factor_blocks(u, True).sizes()[self.pairs[0]]
-        right = self.factor_blocks(v, False).sizes()[self.pairs[1]]
-        return int((left * right).sum())
 
     def projective_rows(self, pos: int) -> list[int]:
         """The basis of e A^e = A e_u (x) e_v A, in index order, listed once;
@@ -447,16 +400,16 @@ def verify_automorphism(algebra: BasicAlgebra, matrix: ExactMatrix) -> Automorph
     unit = algebra.unit()
     if unit @ matrix != unit:
         raise AutomorphismError("not-unital: sigma(1) != 1")
-    # row t d + x of lhs is sigma(b_x g_t), of rhs sigma(b_x) sigma(g_t):
-    # block t of rhs is matrix @ the right multiplication of sigma(g_t)
+    # row x of block t of lhs is sigma(b_x g_t), of rhs sigma(b_x)
+    # sigma(g_t): block t of rhs is matrix @ the right multiplication of
+    # sigma(g_t); read row by row, the first unequal block is t d + x
     gens, d = algebra.generators, algebra.dim
-    right = algebra.mult_tables()[0]
-    lhs = right.take_rows(gens).reshape(len(gens) * d, d) @ matrix
-    rhs = left_products(matrix, (matrix.take_rows(gens) @ right).reshape(
-        len(gens) * d, d), len(gens))
-    bad = unequal_entries(lhs, rhs).any(axis=1)
-    if bad.any():
-        t, x = divmod(int(bad.argmax()), d)
+    lhs = algebra.right_stack.take(gens) @ matrix
+    rhs = algebra.mult_stack_of(matrix.take_rows(gens), False).left(matrix)
+    bad = first_unequal_block(lhs.reshape(len(gens) * d, 1, d),
+                              rhs.reshape(len(gens) * d, 1, d))
+    if bad is not None:
+        t, x = divmod(bad, d)
         raise AutomorphismError(
             f"not-multiplicative on basis pair ({x}, {gens[t]})")
     return Automorphism(algebra, matrix)
@@ -466,13 +419,6 @@ def verify_automorphism(algebra: BasicAlgebra, matrix: ExactMatrix) -> Automorph
 
 # A path is a tuple of arrow indices; the trivial path at vertex v is the
 # 1-tuple (("e", v),).  Helper predicates keep the two cases straight.
-
-
-def _swap_blocks(m: ExactMatrix, d: int) -> ExactMatrix:
-    """The d x d^2 matrix with the entry (i, k d + l) of m at (k, i d + l):
-    the first two axes of m read as a d x d x d array, swapped."""
-    order = [i * d + k for k in range(d) for i in range(d)]
-    return m.reshape(d * d, d).take_rows(order).reshape(d, d * d)
 
 
 def _is_trivial(path) -> bool:
@@ -643,21 +589,19 @@ def compute_basis(desc: AlgebraDescription, degree_bound: int = 32) -> BasicAlge
             acc = nxt
         return acc
 
-    right_mult = []
+    # entry (i, l) of R_j, the coordinate l of b_i b_j, at key (j d + i) d + l
+    keys, values = [], []
     for j, pj in enumerate(basis_paths):
-        mat = [[0] * dim for _ in range(dim)]
         for i, pi in enumerate(basis_paths):
             if path_target(pi) != path_source(pj):
                 continue
-            if _is_trivial(pi):
-                mat[i][j] = one
-                continue
-            if _is_trivial(pj):
-                mat[i][i] = one
-                continue
-            for pth, c in reduce_arrow_path(pi + pj).items():
-                mat[i][index[pth]] = c
-        right_mult.append(ExactMatrix(fld, mat))
+            if _is_trivial(pi) or _is_trivial(pj):
+                product = {pj if _is_trivial(pi) else pi: one}
+            else:
+                product = reduce_arrow_path(pi + pj)
+            for pth, c in product.items():
+                keys.append((j * dim + i) * dim + index[pth])
+                values.append(c)
 
     idem = [index[(("e", v),)] for v in range(n_vert)]
     lu = [path_source(p) for p in basis_paths]
@@ -675,7 +619,7 @@ def compute_basis(desc: AlgebraDescription, degree_bound: int = 32) -> BasicAlge
     alg = BasicAlgebra(
         field=fld,
         labels=[label(p) for p in basis_paths],
-        right_mult=right_mult,
+        right_stack=SparseStack.from_entries(fld, dim, dim, dim, keys, values),
         idempotents=idem,
         left_unit_of=lu,
         right_unit_of=ru,

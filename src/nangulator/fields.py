@@ -187,7 +187,7 @@ class ExactMatrix:
     maps act on the right (x @ M), and the left kernel is {x : x M = 0}.
     """
 
-    __slots__ = ("field", "n", "d", "_digest", "_pivots")
+    __slots__ = ("field", "n", "d", "_digest", "_pivots", "_rank")
 
     def __init__(self, field: FieldSpec, data):
         if isinstance(data, ExactMatrix):
@@ -199,8 +199,8 @@ class ExactMatrix:
         if n.ndim != 2:
             raise LinearAlgebraError(f"expected 2-d data, got shape {n.shape}")
         n.setflags(write=False)
-        self.field, self.n, self.d, self._digest, self._pivots = (
-            field, n, d, None, None)
+        self.field, self.n, self.d = field, n, d
+        self._digest = self._pivots = self._rank = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -211,8 +211,7 @@ class ExactMatrix:
         m.field = field
         m.n = n
         m.d = d
-        m._digest = None
-        m._pivots = None
+        m._digest = m._pivots = m._rank = None
         return m
 
     @staticmethod
@@ -360,17 +359,22 @@ class ExactMatrix:
         """Reduced row echelon form with pinned pivoting: (R, pivots), the
         pivot column of each leading row of R; trailing rows of R are zero.
         R carries its pivots, and a matrix that carries them is returned as
-        it is."""
+        it is.  The matrix keeps its rank, an int, and not R, which would
+        stay alive as long as the matrix."""
         if self._pivots is not None:
             return self, self._pivots
         n, d, pivots = _eliminate(self.field.characteristic, self.shape,
                                   *_nonzeros(self))
         r = ExactMatrix._wrap(self.field, n, d)  # the RREF is canonical
         r._pivots = pivots
+        self._rank = len(pivots)
         return r, pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The rank, from the first ``rref()`` on."""
+        if self._rank is None:
+            self._rank = len(self.rref()[1])
+        return self._rank
 
     def inv(self) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -595,9 +599,7 @@ def first_unequal_block(x: SparseStack, y: SparseStack):
     differ, or None when they are equal: the lowest key of x - y."""
     if x == y:
         return None
-    diff = SparseStack._collect(
-        x.field, x.count, x.rows, x.cols, np.concatenate([x.key, y.key]),
-        np.concatenate([x.v * y.d, -(y.v * x.d)]), 1)
+    diff = x - y
     return int(diff.key[0]) // (x.rows * x.cols) if len(diff.key) else None
 
 
@@ -740,6 +742,18 @@ class SparseStack:
         return SparseStack(field, count, rows, cols, key, v, d)
 
     @staticmethod
+    def from_entries(field: FieldSpec, count: int, rows: int, cols: int,
+                     key, values) -> "SparseStack":
+        """The stack of the field values ``values`` (ints, or ``Fraction``s
+        over Q) at ``key``, in any order."""
+        if field.characteristic:
+            v, d = np.array(values, np.int64), 1
+        else:
+            v, d = _rationals(values)
+        return SparseStack._collect(field, count, rows, cols,
+                                    np.array(key, np.int64), v, d)
+
+    @staticmethod
     def from_matrix(m: ExactMatrix, count: int) -> "SparseStack":
         """The row stack m read as ``count`` blocks of equal height."""
         key, v = _nonzeros(m)
@@ -870,6 +884,24 @@ class SparseStack:
                                     self.cols)
         return self._cells
 
+    def reshape(self, count: int, rows: int, cols: int) -> "SparseStack":
+        """The same entries in C order as ``count`` matrices rows x cols, of
+        as many entries in all: a key is the place in the flat array."""
+        assert count * rows * cols == self.count * self.rows * self.cols
+        return SparseStack(self.field, count, rows, cols, self.key, self.v,
+                           self.d)
+
+    def swapped(self) -> "SparseStack":
+        """The stack of ``rows`` matrices count x cols whose entry (t, c)
+        of matrix i is entry (i, c) of matrix t: the first two axes of the
+        count x rows x cols array swapped.  The entries only move."""
+        r, c = self.cells()
+        t = self.key // (self.rows * self.cols)
+        key = (r * self.count + t) * self.cols + c
+        order = np.argsort(key)
+        return SparseStack(self.field, self.rows, self.count, self.cols,
+                           key[order], self.v[order], self.d)
+
     def take(self, idx) -> "SparseStack":
         """The stack of the matrices idx, in that order."""
         starts, size = self.starts(), self.rows * self.cols
@@ -892,6 +924,15 @@ class SparseStack:
         order = np.argsort(key)
         return SparseStack(self.field, self.count, self.cols, self.rows,
                            key[order], self.v[order], self.d)
+
+    def __sub__(self, other: "SparseStack") -> "SparseStack":
+        """The stack of the differences of the matrices, for two stacks of
+        one shape."""
+        return SparseStack._collect(
+            self.field, self.count, self.rows, self.cols,
+            np.concatenate([self.key, other.key]),
+            np.concatenate([self.v * other.d, -(other.v * self.d)]),
+            self.d * other.d)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseStack) and self.field == other.field

@@ -308,25 +308,40 @@ def projective_module(algebra, pos: int) -> Module:
     hit = algebra.projectives.get(pos)
     if hit is None:
         rows = algebra.projective_rows(pos)
-        action = {g: algebra.right_mult[g].take_rows(rows).take_cols(rows)
-                  for g in algebra.generators}
+        cut = ExactMatrix.identity(algebra.field, algebra.dim).take_rows(rows)
+        action = algebra.right_stack.take(algebra.generators).left(cut, rows)
         hit = algebra.projectives[pos] = Module(algebra, len(rows), action,
                                                 (pos,))
     return hit
 
 
+def _factor_stacks(env: EnvelopingAlgebra, pos: int):
+    """For e = e_u (x) e_v at position pos, e A^e = A e_u (x) e_v A: the
+    generator actions of A e_u over A^op (A's left multiplications on
+    A e_u) and of e_v A over A, one block per generator of A, in order."""
+    A = env.base
+    u, v = divmod(pos, len(A.idempotents))
+    return (projective_module(A.opposite(), u).stack,
+            projective_module(A, v).stack)
+
+
 def _bimodule_projective(env: EnvelopingAlgebra, copies) -> Module:
     """The direct sum of the e A^e for the idempotents at ``copies``, in
-    that order.  For e = e_u (x) e_v, e A^e = A e_u (x) e_v A and the
-    generator a (x) b acts by the Kronecker product of A's left
-    multiplication by a on A e_u and its right multiplication by b on e_v A
-    (``EnvelopingAlgebra.factor_blocks``): the sparse stack is built from
-    the nonzeros of those blocks, with no dense action formed."""
-    n = len(env.base.idempotents)
-    stack = SparseStack.kron_sum(env.field, env.pairs, [
-        (env.factor_blocks(pos // n, True), env.factor_blocks(pos % n, False))
-        for pos in copies])
+    that order.  The generator a (x) b of A^e acts on e A^e = A e_u (x)
+    e_v A by the Kronecker product of a's block on A e_u and b's on e_v A
+    (``_factor_stacks``): the sparse stack is built from the nonzeros of
+    those blocks, with no dense action formed."""
+    stack = SparseStack.kron_sum(env.field, env.pairs,
+                                 [_factor_stacks(env, pos) for pos in copies])
     return Module(env, stack.rows, stack, tuple(copies))
+
+
+def projective_nonzeros(env: EnvelopingAlgebra, pos: int) -> int:
+    """The nonzero entries of the generator actions of e A^e, e at
+    position pos: the products of the factor blocks' nonzeros."""
+    left, right = _factor_stacks(env, pos)
+    return int((left.sizes()[env.pairs[0]]
+                * right.sizes()[env.pairs[1]]).sum())
 
 
 def standard_projective(algebra: BasicAlgebra, copies: list[int]) -> Module:
@@ -349,13 +364,10 @@ def twisted_bimodule(algebra: BasicAlgebra, sigma: Automorphism) -> Module:
     as a right module over the enveloping algebra: the generator u (x) v
     acts by x -> u x sigma(v), the product of A's left multiplication by u
     and its right multiplication by sigma(v), formed from their nonzeros."""
-    env = algebra.enveloping()
-    right = stack_rows(algebra.field, [
-        algebra.element_right_matrix(sigma.matrix.row(g))
-        for g in algebra.generators])
+    env, gens = algebra.enveloping(), algebra.generators
     return Module(env, algebra.dim, SparseStack.products(
-        env.pairs, algebra.mult_stack(True).take(algebra.generators),
-        SparseStack.from_matrix(right, len(algebra.generators))))
+        env.pairs, algebra.mult_stack(True).take(gens),
+        algebra.mult_stack_of(sigma.matrix.take_rows(gens), False)))
 
 
 def _substituted(m: Module, terms_of) -> Module:
@@ -393,7 +405,7 @@ def restrict_to_left_factor(m: Module, algebra: BasicAlgebra) -> Module:
 def opposite_regular(algebra: BasicAlgebra) -> Module:
     """A as a right module over A^op (that is, A as a left module)."""
     op = algebra.opposite()
-    return Module(op, algebra.dim, op.right_mult)
+    return Module(op, algebra.dim, op.right_stack.take(op.generators))
 
 
 def dual_module(m: Module) -> Module:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .fields import (
     LinearAlgebraError,
     check_memory,
     left_kernel,
-    stack_cols,
     stack_rows,
 )
 from .modules import (
@@ -38,6 +38,7 @@ from .modules import (
     bim_right_action,
     iso_test,
     opposite_regular,
+    projective_nonzeros,
     restrict_to_left_factor,
     top_multiplicities,
     twisted_bimodule,
@@ -89,7 +90,7 @@ def _check_cover_memory(m: Module, below: int) -> None:
     """Refuse the step that covers m by P -> m when what it stores and forms
     exceeds ``fields.MEMORY_BOUND``: the nonzeros of P's generator actions,
     two entries each (key and value), counted from A's factor blocks before
-    P is built (``EnvelopingAlgebra.projective_nonzeros``), and the dense
+    P is built (``modules.projective_nonzeros``), and the dense
     matrices of the step, all dim P wide or high: the cover map and one
     RREF of its size (dim P x dim m each), the kernel basis
     ((dim P - dim m) x dim P) and the differential into the previous term,
@@ -97,7 +98,7 @@ def _check_cover_memory(m: Module, below: int) -> None:
     env = m.algebra
     copies = [pos for pos, _ in top_multiplicities(m)]
     size = sum(len(env.projective_rows(pos)) for pos in copies)
-    stored = sum(env.projective_nonzeros(pos) for pos in copies)
+    stored = sum(projective_nonzeros(env, pos) for pos in copies)
     check_memory(env.field, 2 * stored + size * (m.dim + size + below),
                  f"the next bimodule cover (dimension {size}, {stored} "
                  f"stored nonzeros) and the dense matrices of its step")
@@ -154,10 +155,12 @@ def is_inner(algebra: BasicAlgebra, rho: Automorphism):
     coordinates vanishes, so ``nowhere_zero`` on the image of S in those
     coordinates decides the question.
     """
-    fld = algebra.field
-    space = left_kernel(stack_cols(fld, [
-        algebra.element_left_matrix(rho.matrix.row(g)) - algebra.right_mult[g]
-        for g in algebra.generators]))
+    # rho(g) u - u g = u (L(rho(g)) - R_g) = 0 at every generator g: the
+    # left kernel of the blocks L(rho(g)) - R_g side by side
+    fld, gens, d = algebra.field, algebra.generators, algebra.dim
+    blocks = (algebra.mult_stack_of(rho.matrix.take_rows(gens), True)
+              - algebra.right_stack.take(gens))
+    space = left_kernel(blocks.swapped().reshape(1, d, len(gens) * d))
     coeffs = nowhere_zero(space.take_cols(algebra.idempotents))
     if coeffs is None:
         return None
@@ -367,26 +370,25 @@ def monomial_twist_candidates(algebra: BasicAlgebra, perm: list[int],
         # two arrows with one image arrow: every candidate matrix is singular
         return []
     fld = algebra.field
-    arrow_basis_index = {}
-    for idx, path in enumerate(algebra.basis_paths):
-        if len(path) == 1 and not isinstance(path[0], tuple):
-            arrow_basis_index[path[0]] = idx
-
-    eye = ExactMatrix.identity(fld, algebra.dim)
+    # sigma_0, all arrow scalars 1, sends b_k to the product of the image
+    # generators along its word: the unit walked along the mapped words.
+    # A monomial map is multiplicative, so the candidate of the scalars s
+    # is sigma_0 with row k scaled by the product of the s_a along b_k.
+    arrow_index = {path[0]: k for k, path in enumerate(algebra.basis_paths)
+                   if len(path) == 1 and not isinstance(path[0], tuple)}
+    image = {e: algebra.idempotents[perm[v]]
+             for v, e in enumerate(algebra.idempotents)}
+    image.update((k, arrow_index[arrow_map[a]])
+                 for a, k in arrow_index.items())
+    sigma0 = walk_words(algebra.unit(), [
+        tuple(image[g] for g in algebra.word(k)) for k in range(algebra.dim)],
+        algebra.right_stack.row_product)
 
     def build(scalars) -> ExactMatrix:
-        rows = []
-        for path in algebra.basis_paths:
-            if isinstance(path[0], tuple):
-                rows.append(eye.row(algebra.idempotents[perm[path[0][1]]]))
-                continue
-            acc = None
-            for ai in path:
-                img_idx = arrow_basis_index[arrow_map[ai]]
-                vec = eye.row(img_idx).scale(scalars[ai])
-                acc = vec if acc is None else algebra.multiply(acc, vec)
-            rows.append(acc)
-        return stack_rows(fld, rows)
+        return stack_rows(fld, [
+            row if isinstance(path[0], tuple)
+            else row.scale(prod(scalars[ai] for ai in path))
+            for row, path in zip(sigma0, algebra.basis_paths)])
 
     out = []
     stream = _scalings(perm, arrow_map, _Scalars(fld.characteristic),
@@ -424,10 +426,10 @@ def normalize_twist(algebra: BasicAlgebra, sigma: Automorphism,
         if u is None:
             return False
         # new witness: x -> x u identifies the candidate twist with sigma's
-        r_u = algebra.element_right_matrix(u)
+        r_u = algebra.mult_stack_of(u, False)
         new_witness = ModuleMorphism(
             twisted_bimodule(algebra, cand), witness.target,
-            r_u @ witness.matrix,
+            (r_u @ witness.matrix).dense(),
         )
         try:
             new_witness.verify()

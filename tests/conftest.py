@@ -83,6 +83,24 @@ def fixture_over(name, p):
     return _over[key]
 
 
+def mult_matrix(A, x, left=False):
+    """The dense right (``left``: left) multiplication matrix of the basis
+    element x, or of the element whose coordinates are the row x: row i of
+    R(y) is b_i y and row j of L(y) is y b_j.  Formed from dense blocks of
+    ``A.mult_stack(left)``, the algebra's only store of its structure
+    constants, one block at a time."""
+    from nangulator.fields import ExactMatrix
+
+    stack = A.mult_stack(left)
+    if not isinstance(x, ExactMatrix):
+        return stack.block(x)
+    acc = ExactMatrix.zeros(A.field, A.dim, A.dim)
+    for j, c in enumerate(x.a[0]):
+        if c != 0:
+            acc = acc + stack.block(j).scale(c)
+    return acc
+
+
 def bimodule_projective_oracle(env, pos):
     """The dense generator actions of e A^e = A e_u (x) e_v A, e at
     position pos, by generator: a (x) b acts by the Kronecker product of
@@ -95,8 +113,8 @@ def bimodule_projective_oracle(env, pos):
     action = {}
     for g in env.generators:
         i, j = divmod(g, A.dim)
-        action[g] = A.left_mult(i).take_rows(left).take_cols(left).kron(
-            A.right_mult[j].take_rows(right).take_cols(right))
+        action[g] = mult_matrix(A, i, left=True).take_rows(left).take_cols(
+            left).kron(mult_matrix(A, j).take_rows(right).take_cols(right))
     return action
 
 
@@ -135,7 +153,8 @@ def regular_module(algebra):
     """The algebra as a right module over itself."""
     from nangulator.modules import Module
 
-    return Module(algebra, algebra.dim, algebra.right_mult)
+    return Module(algebra, algebra.dim,
+                  [mult_matrix(algebra, j) for j in range(algebra.dim)])
 
 
 def resolution_chain(res, length):
@@ -681,20 +700,22 @@ def preprojective_text(kind, n, p):
 
 
 def dense_enveloping(A):
-    """A^e = A^op (x) A as a dense BasicAlgebra: one d^2 x d^2 right
-    multiplication matrix kron(L_k, R_l) per basis pair (k, l), with
-    (a (x) b)(a' (x) b') = (a'a) (x) (bb'), and the words of
+    """A^e = A^op (x) A as a BasicAlgebra: one d^2 x d^2 right
+    multiplication matrix kron(L_k, R_l) per basis pair (k, l), each formed
+    dense, with (a (x) b)(a' (x) b') = (a'a) (x) (bb'), and the words of
     ``EnvelopingAlgebra.word``.  The construction the program
     used before it kept A^e as index bookkeeping, kept as an oracle."""
     import numpy as np
 
     from nangulator.algebra import BasicAlgebra
-    from nangulator.fields import ExactMatrix
+    from nangulator.fields import ExactMatrix, SparseStack, stack_rows
 
     d = A.dim
     pairs = [(i, j) for i in range(d) for j in range(d)]
-    right = [ExactMatrix(A.field, np.kron(A.left_mult(k).a, A.right_mult[l].a))
-             for (k, l) in pairs]
+    left = [mult_matrix(A, k, left=True).a for k in range(d)]
+    right = [mult_matrix(A, l).a for l in range(d)]
+    right = stack_rows(A.field, [ExactMatrix(A.field, np.kron(left[k], right[l]))
+                                 for (k, l) in pairs])
     idem_pairs = [(i, j) for i in A.idempotents for j in A.idempotents]
     idem = [i * d + j for (i, j) in idem_pairs]
     idem_pos = {pr: t for t, pr in enumerate(idem_pairs)}
@@ -716,7 +737,7 @@ def dense_enveloping(A):
     return BasicAlgebra(
         field=A.field,
         labels=[f"{A.labels[i]}(x){A.labels[j]}" for i, j in pairs],
-        right_mult=right,
+        right_stack=SparseStack.from_matrix(right, d * d),
         idempotents=idem,
         left_unit_of=lu,
         right_unit_of=ru,
@@ -738,11 +759,12 @@ def associativity_oracle(A):
     from nangulator.quiver import SemanticError
 
     d, fld = A.dim, A.field
-    cols = stack_cols(fld, A.right_mult)      # [R_0 | ... | R_{d-1}]
-    flat = stack_rows(fld, [m.reshape(1, d * d) for m in A.right_mult])
+    right = [mult_matrix(A, j) for j in range(d)]
+    cols = stack_cols(fld, right)      # [R_0 | ... | R_{d-1}]
+    flat = stack_rows(fld, [m.reshape(1, d * d) for m in right])
     for j in range(d):
-        lhs = (A.right_mult[j] @ cols).a.reshape(d, d, d)    # [x, k, c]
-        left = stack_rows(fld, [m.row(j) for m in A.right_mult])
+        lhs = (right[j] @ cols).a.reshape(d, d, d)    # [x, k, c]
+        left = stack_rows(fld, [m.row(j) for m in right])
         rhs = (left @ flat).a.reshape(d, d, d)                # [k, x, c]
         bad = (lhs.transpose(1, 0, 2) != rhs).any(axis=(1, 2))
         if bad.any():
@@ -762,7 +784,8 @@ def automorphism_oracle(A, matrix) -> bool:
     d = A.dim
     if not matrix.is_invertible() or A.unit() @ matrix != A.unit():
         return False
-    cols = stack_cols(A.field, A.right_mult)   # row y: L(y) flattened
+    # row y: L(y) flattened
+    cols = stack_cols(A.field, [mult_matrix(A, j) for j in range(d)])
     images = matrix @ cols
     return all(cols.row(i).reshape(d, d) @ matrix
                == matrix @ images.row(i).reshape(d, d) for i in range(d))
@@ -782,8 +805,8 @@ def nilpotency_oracle(A, bound=32):
     for k in range(1, bound + 2):
         if cur.rows == 0:
             return k
-        nxt = row_space(stack_rows(A.field,
-                                   [cur @ A.right_mult[j] for j in A.radical]))
+        nxt = row_space(stack_rows(A.field, [cur @ mult_matrix(A, j)
+                                             for j in A.radical]))
         if nxt.rows == cur.rows:
             raise NotFiniteDimensionalError("arrow ideal is not nilpotent")
         cur = nxt
@@ -815,9 +838,10 @@ def verify_module_axioms(m, exhaustive=True):
     if acting(unit) != ExactMatrix.identity(A.field, m.dim):
         raise LinearAlgebraError("unit does not act as identity")
     idx = range(A.dim) if exhaustive else A.generators
+    right = {j: mult_matrix(dense, j) for j in idx}
     for i in idx:
         for j in idx:
-            if act(i) @ act(j) != acting(dense.right_mult[j].a[i]):
+            if act(i) @ act(j) != acting(right[j].a[i]):
                 raise LinearAlgebraError(f"action violates product at ({i}, {j})")
 
 

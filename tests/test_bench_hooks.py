@@ -30,3 +30,33 @@ def test_traced_target_exists(name, target):
     else:
         # the tracer reads the method from the class __dict__, not by lookup
         assert attr in vars(getattr(module, cls_name)), name
+
+
+def test_a_traced_run_prints_what_an_untraced_run_prints(capsys):
+    # the tracer's after-hooks also read program attributes (the enveloping
+    # algebra's right_mult, the resolution's syzygies, the samples of the
+    # axiom suite's result): a traced period and verify must exit and print
+    # as untraced ones do
+    from nangulator.cli import run_cli
+
+    path = str(SPANS.parent.parent / "fixtures" / "nakayama_2_2.json")
+    commands = [["period", path],
+                ["verify", path, "--samples", "1", "--seed", "7"]]
+
+    def run_all():
+        out = []
+        for argv in commands:
+            code = run_cli(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    plain = run_all()
+    tracer = _spans.Tracer()
+    tracer.install()
+    try:
+        traced = run_all()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.calls["algebra.enveloping"] and tracer.calls["periodicity.scan"]
+    assert tracer.counters["syzygy_dim_max"] and tracer.counters["samples"]

@@ -930,9 +930,20 @@ def test_sparse_stack_operations_match_dense(case, seed):
     idx = [i * rows + r for i in range(count) for r in keep]
     kept = s.take_rows(keep)
     assert kept.rows == len(keep) and kept.dense() == big.take_rows(idx)
-    # all three in normal form: keys ascending, no zero values, in lowest
-    # terms
-    for got in (got, flipped, kept):
+    # the entries read as other blocks, and the first two axes swapped
+    cube = np.asarray(big.a).reshape(count, rows, cols)
+    assert s.reshape(1, count, rows * cols).dense() == ExactMatrix(
+        field, cube.reshape(count, rows * cols))
+    swapped = s.swapped()
+    assert (swapped.count, swapped.rows, swapped.cols) == (rows, count, cols)
+    assert swapped.dense() == ExactMatrix(
+        field, cube.swapaxes(0, 1).reshape(rows * count, cols))
+    # the same entries given in another order, as field values
+    values = np.asarray(big.a).ravel()[s.key].tolist()
+    assert SparseStack.from_entries(field, count, rows, cols,
+                                    s.key[::-1].tolist(), values[::-1]) == s
+    # all in normal form: keys ascending, no zero values, in lowest terms
+    for got in (got, flipped, kept, swapped):
         assert all(np.diff(got.key) > 0) and all(got.v != 0)
         assert math.gcd(got.d, *got.v.tolist()) == 1
     # products: S.F, x.S with and without a column cut, y.S_i
@@ -945,9 +956,11 @@ def test_sparse_stack_operations_match_dense(case, seed):
         left_products(x, big, count).take_cols(cut)
     for i in range(count):
         assert s.row_product(x, i) == x @ blocks[i]
-    # the first unequal block, of stacks over different denominators
+    # the difference and the first unequal block, of stacks over different
+    # denominators
     other = SparseStack.from_matrix(big + _random_over(field, rng, *big.shape),
                                     count)
+    assert (s - other).dense() == big - other.dense()
     assert first_unequal_block(s, other) == first_unequal_block_oracle(
         big, other.dense(), count)
     assert first_unequal_block(s, s) is None
@@ -976,6 +989,26 @@ def test_sparse_stack_operations_match_dense(case, seed):
             blocks[a] @ t.block(b) for a, b in zip(*pairs)]
     basis = row_space(s)
     assert basis == row_space(big) and basis.rref()[1] == row_space(big).rref()[1]
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_a_matrix_is_eliminated_once_for_its_rank(field, monkeypatch):
+    # the rank is kept on the matrix after its first rref(): a second
+    # is_invertible() or rank() eliminates nothing
+    calls = []
+    eliminate = fields._eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_eliminate", counting)
+    m = mat(field, [[1, 2, 0], [3, 4, 1], [4, 6, 1]])  # row 3 = 1 + 2
+    assert m.is_invertible() is m.is_invertible() is False
+    assert m.rank() == 2 and calls == [(3, 3)]
+    r, piv = m.rref()
+    assert len(piv) == 2 and len(calls) == 2
+    assert r.rank() == 2 and len(calls) == 2
 
 
 def test_first_unequal_block_compares_over_different_denominators():

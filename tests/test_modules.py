@@ -18,6 +18,7 @@ from conftest import (
     evaluate_oracle,
     load_fixture,
     multiply_out_of_tensor,
+    mult_matrix,
     nakayama_text,
     quotient_oracle,
     quotient_to_direct,
@@ -105,7 +106,7 @@ def test_regular_twisted_bimodule_actions_are_left_right_composites():
     bim = twisted_bimodule(A, identity_automorphism(A))
     for i in range(A.dim):
         for j in range(A.dim):
-            expect = A.left_mult(i) @ A.right_mult[j]
+            expect = mult_matrix(A, i, left=True) @ mult_matrix(A, j)
             assert bim.action[A.envelope_index(i, j)] == expect
 
 
@@ -955,7 +956,7 @@ def test_bimodule_stacks_match_dense_oracles(name, p):
         assert got.stack.dense() == stack_rows(fld, [want[g] for g in gens])
     rng = random.Random(f"{name}-{p}")
     m = twisted_bimodule(A, identity_automorphism(A))
-    dense = [A.left_mult(i) @ A.right_mult[j]
+    dense = [mult_matrix(A, i, left=True) @ mult_matrix(A, j)
              for i, j in (divmod(g, A.dim) for g in gens)]
     for _ in range(3):
         _check_stack(m, dense, rng)
@@ -986,11 +987,11 @@ def test_module_stacks_match_dense_oracles(name, p):
 
     A = fixture_over(name, p)
     fld, gens = A.field, A.generators
-    oracle = [[A.right_mult[g].take_rows(rows).take_cols(rows) for g in gens]
+    oracle = [[mult_matrix(A, g).take_rows(rows).take_cols(rows) for g in gens]
               for rows in map(A.projective_rows, range(len(A.idempotents)))]
     rng = random.Random(f"{name}-{p}")
     regular = regular_module(A)
-    dense = [A.right_mult[g] for g in gens]
+    dense = [mult_matrix(A, g) for g in gens]
     _check_stack(regular, dense, rng)
     m, inc = submodule(regular, ExactMatrix.identity(fld, A.dim).take_rows(
         A.radical))

@@ -15,6 +15,7 @@ from conftest import (
     load_pipeline,
     load_sequence,
     member_of_row_space,
+    mult_matrix,
     nakayama_text,
     padded,
     preprojective_text,
@@ -390,7 +391,7 @@ def _reference_scalings(algebra, perm):
             acc = None
             for ai in path:
                 vec = unit_row(arrow_basis_index[arrow_map[ai]], scalars[ai])
-                acc = vec if acc is None else algebra.multiply(acc, vec)
+                acc = vec if acc is None else acc @ mult_matrix(algebra, vec)
             rows.append(acc)
         return ExactMatrix(fld, np.concatenate([r.a for r in rows], axis=0))
 
@@ -617,7 +618,7 @@ def test_is_inner_finds_a_unit_when_no_basis_row_is_one(p):
 
     A = compute_basis(parse_algebra(disjoint_loops_text(p)))
     u = is_inner(A, identity_automorphism(A))
-    assert u is not None and A.element_right_matrix(u).is_invertible()
+    assert u is not None and mult_matrix(A, u).is_invertible()
     # swapping the first two components is not inner
     swap = {"e_1": "e_2", "e_2": "e_1", "x1": "x2", "x2": "x1"}
     rows = [[1 if A.labels[j] == swap.get(label, label) else 0
@@ -635,7 +636,7 @@ def _dense_projective(E, proj):
     for pos in proj:
         rows = [y for y in range(E.dim) if E.left_unit_of[y] == pos]
         blocks.append(np.ix_(rows, rows))
-    return [block_diag(E.field, [ExactMatrix(E.field, E.right_mult[x].a[b])
+    return [block_diag(E.field, [ExactMatrix(E.field, mult_matrix(E, x).a[b])
                                  for b in blocks])
             for x in range(E.dim)]
 
@@ -706,9 +707,9 @@ def test_bimodule_actions_match_the_dense_enveloping_algebra(
                            for act in dense[id(P)]])
         elif kind == "twisted_bimodule":
             A, sigma = args
-            right = [A.element_right_matrix(sigma.matrix.row(j))
+            right = [mult_matrix(A, sigma.matrix.row(j))
                      for j in range(A.dim)]
-            check(out, [A.left_mult(i) @ right[j]
+            check(out, [mult_matrix(A, i, left=True) @ right[j]
                         for i in range(A.dim) for j in range(A.dim)])
         else:
             src, tau = args
