@@ -25,7 +25,9 @@ dumps hold matrices of the solved hom systems and so tell the two algebras
 apart; last ``algebra`` on the 15 fixtures and the five golden algebras,
 whose reports hold the basis, the nilpotency index and the Nakayama
 permutation (or, for a2_hereditary, the exit-1 refusal), and ``period`` and
-``verify --samples 3 --seed 7`` on kQ_8/I_5 over F5 (dim 40): 149 lines.
+``verify --samples 3 --seed 7`` on kQ_8/I_5 over F5 (dim 40), and
+``period`` on Pi(A6) and Pi(D5) over F5 (dims 56 and 60), whose twist
+detection tests isomorphisms of projective modules: 151 lines.
 Diff the output of two checkouts to see which reports changed.
 ``tests/golden/report_digests.txt`` holds the expected lines, and
 ``tests/test_cli.py`` recomputes them through ``digest_lines``.
@@ -140,6 +142,10 @@ def commands(tmp):
     path.write_text(nakayama_text(8, 5, 5))
     yield "kQ8/I5/F5", path, ["period"]
     yield "kQ8/I5/F5", path, ["verify", "--samples", "3", "--seed", "7"]
+    for kind, n in (("A", 6), ("D", 5)):
+        path = tmp / f"preproj_{kind.lower()}{n}_f5.json"
+        path.write_text(preprojective_text(kind, n, 5))
+        yield f"Pi({kind}{n})/F5", path, ["period"]
 
 
 def digest_lines():

@@ -26,7 +26,14 @@ import numpy as np
 
 from .algebra import Automorphism, BasicAlgebra
 from .fields import ExactMatrix, LinearAlgebraError, place, solve_left, stack_cols
-from .homology import Homology, cosyzygy_morphism, rank_exactness
+from .homology import (
+    Homology,
+    _compare_with_resolution,
+    _ladder,
+    cosyzygy_morphism,
+    descend_through_epi,
+    rank_exactness,
+)
 from .modules import (
     Module,
     ModuleMorphism,
@@ -331,66 +338,6 @@ def standard_angle(seq: FunctorSequence, m: Module) -> AngleSequence:
     return AngleSequence(list(val["terms"]), maps, seq.suspension)
 
 
-def descend_through_epi(epi: ExactMatrix, rhs: ExactMatrix):
-    """Solve epi @ phi = rhs: the map induced on the target of a surjection.
-    Unique when it exists.  Returns the matrix of phi or None."""
-    sol = solve_left(epi.T, rhs.T)
-    return None if sol is None else sol.T
-
-
-def _ladder(eng: Homology, origin: Module, first, sources, source_maps,
-            targets, target_maps, fail) -> list[ModuleMorphism]:
-    """Lift a map onto a complex of projectives one rung at a time.
-
-    phi_0: sources[0] -> targets[0] solves C0 @ phi_0 = D0 for the pair
-    ``first`` = (C0, D0) of module maps out of ``origin``; each later phi_j
-    solves f_{j-1} @ phi_j = phi_{j-1} @ g_{j-1}, with f the source maps and
-    g the target maps.  Raises ``fail(j)`` when rung j has no solution.
-
-    C and D are module maps out of the rung's source X, so each rung is
-    compared at a generating set of X (``modules.hom_system``).  A D that is
-    not a module map can pass a rung it would fail on all rows; the callers'
-    final checks catch it.
-    """
-    phis = []
-    src_mod, (c_mat, d_mat) = origin, first
-    for j, (src, dst) in enumerate(zip(sources, targets)):
-        if j:
-            src_mod = sources[j - 1]
-            c_mat = source_maps[j - 1].matrix
-            d_mat = phis[-1].matrix @ target_maps[j - 1].matrix
-        phi = eng.solve_from_projective(src, dst,
-                                        [(c_mat, None, d_mat, src_mod)])
-        if phi is None:
-            raise fail(j)
-        phis.append(phi)
-    return phis
-
-
-def _compare_with_resolution(eng: Homology, m: Module, start: ExactMatrix,
-                             sources, source_maps, steps: int, epi, name: str,
-                             inconsistent: str) -> ModuleMorphism:
-    """The map out of the target of ``epi`` = (matrix, target) induced by
-    the ladder from the complex (sources, source_maps) onto the first
-    ``steps`` terms of the pinned injective resolution of m, starting from
-    the pair (start, inclusion of m): the last rung followed by the final
-    projection, descended through the epimorphism.  The ladder's errors
-    are named ``name``; ``inconsistent`` is the error of the last square."""
-    res = eng.resolution(m, steps)
-    phis = _ladder(
-        eng, m, (start, res.steps[0].include.matrix), sources, source_maps,
-        [res.term(k) for k in range(steps)],
-        [res.map_between(k) for k in range(steps - 1)],
-        lambda k: LinearAlgebraError(f"{name} failed at step {k}" if k
-                                     else f"{name} start failed"))
-    epi_mat, target = epi
-    mat = descend_through_epi(
-        epi_mat, phis[-1].matrix @ res.final_projection(steps).matrix)
-    if mat is None:
-        raise LinearAlgebraError(inconsistent)
-    return ModuleMorphism(target, res.cosyzygy(steps), mat)
-
-
 def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
     """The comparison isomorphism Suspension(M) -> Omega^{-N} M built by the
     ladder between the functor sequence at M and the pinned standard
@@ -401,8 +348,8 @@ def canonical_comparison(seq: FunctorSequence, m: Module) -> ModuleMorphism:
         return hit
     val = seq.evaluate(m)
     alpha = _compare_with_resolution(
-        seq.engine, m, val["unit"].matrix, val["terms"], val["maps"],
-        seq.length, (val["counit"].matrix, val["suspended"]),
+        seq.engine, identity_morphism(m), val["unit"].matrix, val["terms"],
+        val["maps"], (val["counit"].matrix, val["suspended"]),
         "comparison ladder", "final comparison square is inconsistent")
     seq._alpha_cache[key] = alpha
     return alpha
@@ -418,7 +365,7 @@ def angle_comparison(seq: FunctorSequence, x: AngleSequence) -> tuple:
     if pi_mat is None:
         raise LinearAlgebraError("last map does not factor through the kernel")
     beta = _compare_with_resolution(
-        seq.engine, m, incl.matrix, x.objects, x.maps, seq.length,
+        seq.engine, identity_morphism(m), incl.matrix, x.objects, x.maps,
         (pi_mat, seq.suspension.apply(m)), "angle comparison",
         "angle comparison final square inconsistent")
     return m, incl, beta
@@ -539,7 +486,7 @@ def complete_morphism(seq: FunctorSequence, f1: ModuleMorphism) -> AngleSequence
 
     # ladder to the resolution of the kernel
     g = _compare_with_resolution(
-        eng, a_ker, l.matrix, top_terms, top_maps, n - 1,
+        eng, identity_morphism(a_ker), l.matrix, top_terms, top_maps,
         (pi_c.matrix, c_mod), "completion ladder",
         "completion comparison is inconsistent")
 

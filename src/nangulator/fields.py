@@ -603,14 +603,6 @@ def first_unequal_block(x: SparseStack, y: SparseStack):
     return int(diff.key[0]) // (x.rows * x.cols) if len(diff.key) else None
 
 
-def unequal_entries(x: ExactMatrix, y: ExactMatrix) -> np.ndarray:
-    """The boolean array x != y, entry by entry, for matrices of one shape,
-    cross-multiplied by the denominators when they differ."""
-    if x.d == y.d:
-        return x.n != y.n
-    return x.n * y.d != y.n * x.d
-
-
 def row_space(a) -> ExactMatrix:
     """Canonical RREF basis of the row space of a matrix, or of the row
     stack of a ``SparseStack``, zero rows stripped; it carries its pivots.

@@ -17,6 +17,11 @@ summand t is a row of the walk of N e_{c_t} along e_{c_t}A on the rows of t.
 A projective without ``proj`` carries pi^-1 of its cover as a left factor.
 An equation between module maps out of X is compared at the generators of
 X only, an equivalent system; the solution is combined block by block.
+
+One comparison ladder (``_compare_with_resolution``) lifts a complex of
+projectives onto the pinned resolution of the target of a map; the
+comparison isomorphisms of the angulation and Omega^{-k} f
+(``cosyzygy_morphism``) are all calls of it.
 """
 
 from __future__ import annotations
@@ -240,31 +245,81 @@ class Homology:
         return None if sol is None else sol[0]
 
 
+def descend_through_epi(epi: ExactMatrix, rhs: ExactMatrix):
+    """Solve epi @ phi = rhs: the map induced on the target of a surjection.
+    Unique when it exists.  Returns the matrix of phi or None."""
+    sol = solve_left(epi.T, rhs.T)
+    return None if sol is None else sol.T
+
+
+def _ladder(eng: Homology, origin: Module, first, sources, source_maps,
+            targets, target_maps, fail) -> list[ModuleMorphism]:
+    """Lift a map onto a complex of projectives one rung at a time.
+
+    phi_0: sources[0] -> targets[0] solves C0 @ phi_0 = D0 for the pair
+    ``first`` = (C0, D0) of module maps out of ``origin``; each later phi_j
+    solves f_{j-1} @ phi_j = phi_{j-1} @ g_{j-1}, with f the source maps and
+    g the target maps.  Raises ``fail(j)`` when rung j has no solution.
+
+    C and D are module maps out of the rung's source X, so each rung is
+    compared at a generating set of X (``modules.hom_system``).  A D that is
+    not a module map can pass a rung it would fail on all rows; the callers'
+    final checks catch it.
+    """
+    phis = []
+    src_mod, (c_mat, d_mat) = origin, first
+    for j, (src, dst) in enumerate(zip(sources, targets)):
+        if j:
+            src_mod = sources[j - 1]
+            c_mat = source_maps[j - 1].matrix
+            d_mat = phis[-1].matrix @ target_maps[j - 1].matrix
+        phi = eng.solve_from_projective(src, dst,
+                                        [(c_mat, None, d_mat, src_mod)])
+        if phi is None:
+            raise fail(j)
+        phis.append(phi)
+    return phis
+
+
+def _compare_with_resolution(eng: Homology, f: ModuleMorphism,
+                             start: ExactMatrix, sources, source_maps, epi,
+                             name: str, inconsistent: str) -> ModuleMorphism:
+    """The map out of the target of ``epi`` = (matrix, target) induced by
+    the ladder from the complex (sources, source_maps) onto the first
+    len(sources) terms of the pinned injective resolution of the target of
+    f: M -> m, starting from the pair (start, f . inclusion of m) of maps
+    out of M: the last rung followed by the final projection, descended
+    through the epimorphism.  The ladder's errors are named ``name``;
+    ``inconsistent`` is the error of the last square."""
+    steps = len(sources)
+    res = eng.resolution(f.target, steps)
+    phis = _ladder(
+        eng, f.source, (start, f.matrix @ res.steps[0].include.matrix),
+        sources, source_maps, [res.term(k) for k in range(steps)],
+        [res.map_between(k) for k in range(steps - 1)],
+        lambda k: LinearAlgebraError(f"{name} failed at step {k}" if k
+                                     else f"{name} start failed"))
+    epi_mat, target = epi
+    mat = descend_through_epi(
+        epi_mat, phis[-1].matrix @ res.final_projection(steps).matrix)
+    if mat is None:
+        raise LinearAlgebraError(inconsistent)
+    return ModuleMorphism(target, res.cosyzygy(steps), mat)
+
+
 def cosyzygy_morphism(engine: Homology, f: ModuleMorphism, k: int) -> ModuleMorphism:
-    """Transport f: M -> N to Omega^{-k} f along the pinned resolutions."""
-    res_m = engine.resolution(f.source, k)
-    res_n = engine.resolution(f.target, k)
-    cur = f
-    for step in range(k):
-        I_m = res_m.term(step)
-        I_n = res_n.term(step)
-        iota_m = res_m.steps[step].include
-        iota_n = res_n.steps[step].include
-        proj_m = res_m.steps[step].project
-        proj_n = res_n.steps[step].project
-        u = engine.solve_from_projective(
-            I_m, I_n, [(iota_m.matrix, None, cur.matrix @ iota_n.matrix, None)])
-        if u is None:
-            raise LinearAlgebraError("comparison lift failed (hull not injective?)")
-        # induced map on cokernels: lift by a linear section of the
-        # projection (x @ P = id), push through u, project
-        lift = solve_left(proj_m.matrix, ExactMatrix.identity(
-            proj_m.source.algebra.field, proj_m.target.dim))
-        if lift is None:
-            raise LinearAlgebraError("map has no section (not surjective)")
-        mat = lift @ u.matrix @ proj_n.matrix
-        cur = ModuleMorphism(res_m.cosyzygy(step + 1), res_n.cosyzygy(step + 1), mat)
-    return cur
+    """Omega^{-k} f for f: M -> N: the ladder from the pinned resolution of
+    M onto that of N, started at (iota_M, f . iota_N) and descended through
+    M's final projection."""
+    if k == 0:
+        return f
+    res = engine.resolution(f.source, k)
+    return _compare_with_resolution(
+        engine, f, res.steps[0].include.matrix,
+        [res.term(j) for j in range(k)],
+        [res.map_between(j) for j in range(k - 1)],
+        (res.final_projection(k).matrix, res.cosyzygy(k)),
+        "comparison lift", "cosyzygy map does not descend")
 
 
 def rank_exactness(maps) -> bool:

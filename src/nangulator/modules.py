@@ -513,9 +513,10 @@ class HomBasis:
     from ``off`` on to W[i] read as a w x dim N matrix and the other rows to
     zero.  A ``proj`` module has one block per summand, W the walk of N e_c
     along e_cA shared by the summands at vertex c (``hom_space``); any other
-    source has one block at offset 0 (``_hom_generic``).  With ``left`` set
-    every basis map is left . H, as pi^-1 . H along a cover.  The basis reads
-    as a sequence of morphisms."""
+    source has one block at offset 0, the canonical RREF basis of the
+    flattened maps read through its projective cover (``_hom_generic``).
+    With ``left`` set every basis map is left . H, as pi^-1 . H or s . H
+    along a cover.  The basis reads as a sequence of morphisms."""
 
     source: Module
     target: Module
@@ -570,7 +571,8 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     """Deterministic basis of Hom(M, N).  Hom(e_{c_1}A (+) ... (+)
     e_{c_r}A, N) is N e_{c_1} (+) ... (+) N e_{c_r}: the generator of summand
     t runs through the basis rows of N e_{c_t}, the others go to zero, in one
-    block per summand; any other M goes through ``_hom_generic``."""
+    block per summand; any other M goes through its projective cover
+    (``_hom_generic``)."""
     if m.proj is None:
         return _hom_generic(m, n)
     A = m.algebra
@@ -614,21 +616,27 @@ def map_from_generators(p: Module, n: Module, images) -> ModuleMorphism:
 
 
 def _hom_generic(m: Module, n: Module) -> HomBasis:
-    """Hom(M, N) as the null space of the Kronecker system X a_M = a_N X
-    over the generators: the canonical RREF basis of the flattened maps,
-    one block at offset 0."""
-    A, fld = m.algebra, m.algebra.field
+    """Hom(M, N) through the projective cover pi: P -> M: the maps h out of
+    P that vanish on ker pi, read as s . h for a section s with s . pi = 1,
+    as the canonical RREF basis of the flattened maps, one block at offset
+    0.  A projective M has ker pi = 0 and skips the kernel step."""
     if m.dim == 0 or n.dim == 0:
         return HomBasis(m, n, [])
-    size = m.dim * n.dim
-    check_memory(fld, len(A.generators) * size * size,
-                 f"the {len(A.generators) * size} x {size} entries of the "
-                 f"Kronecker system of a hom space")
-    eye_m, eye_n = (ExactMatrix.identity(fld, d) for d in (m.dim, n.dim))
-    null = left_kernel(stack_cols(fld, [
-        m.stack.block(t).T.kron(eye_n) - eye_m.kron(n.stack.block(t))
-        for t in range(len(A.generators))]))
-    return HomBasis(m, n, [(0, null)] if null.rows else [])
+    fld = m.algebra.field
+    cover = cover_from_tops(m, top_multiplicities(m))
+    over_p = hom_space(cover.source, n)
+    if not len(over_p):
+        return HomBasis(m, n, [])
+    section = solve_left(cover.matrix, ExactMatrix.identity(fld, m.dim))
+    flat, _ = hom_system([HomBasis(m, n, over_p.blocks, section)], [(
+        [(0, None, None)], ExactMatrix.zeros(fld, m.dim, n.dim), None)])
+    if cover.source.dim > m.dim:
+        ker = left_kernel(cover.matrix)
+        vanish, _ = hom_system([over_p], [(
+            [(0, ker, None)], ExactMatrix.zeros(fld, ker.rows, n.dim), None)])
+        flat = flat.left(left_kernel(vanish))
+    basis = row_space(flat)
+    return HomBasis(m, n, [(0, basis)] if basis.rows else [])
 
 
 def hom_system(bases, equations):
@@ -803,23 +811,6 @@ def _is_projective(m: Module, tops) -> bool:
     return m.dim == sum(len(A.projective_rows(pos)) for pos, _ in tops)
 
 
-def _hom_through_cover(m: Module, n: Module, cover: ModuleMorphism):
-    """Basis of Hom(M, N) for a projective M with cover isomorphism
-    cover: P -> M.  A ``proj`` module keeps the basis of ``hom_space``;
-    otherwise Hom(P, N) is transported to cover^-1 . h and brought to the
-    canonical RREF basis of ``_hom_generic(m, n)``: the row space of the
-    hom system of X = 0, whose rows are the flattened maps."""
-    if m.proj is not None:
-        return hom_space(m, n)
-    moved = HomBasis(m, n, hom_space(cover.source, n).blocks,
-                     cover.matrix.inv())
-    if not len(moved):
-        return moved
-    zero = ExactMatrix.zeros(m.algebra.field, m.dim, n.dim)
-    flat, _ = hom_system([moved], [([(0, None, None)], zero, None)])
-    return HomBasis(m, n, [(0, row_space(flat))])
-
-
 def _first_invertible(homs: HomBasis, seed: int):
     """The first invertible element of the hom basis, else of ``ISO_DRAWS``
     seeded random combinations, else None."""
@@ -860,11 +851,10 @@ def iso_test(m: Module, n: Module, seed: int = 0xC0FFEE):
         return None
     if projective:
         # same top and dimension: both covers are isomorphisms from one P
-        cover_m = cover_from_tops(m, tops_m)
-        homs = _hom_through_cover(m, n, cover_m)
-        found = _first_invertible(homs, seed)
+        found = _first_invertible(hom_space(m, n), seed)
         if found is not None:
             return found
+        cover_m = cover_from_tops(m, tops_m)
         cover_n = cover_from_tops(n, tops_n)
         return ModuleMorphism(m, n, cover_m.matrix.inv() @ cover_n.matrix)
     fld = m.algebra.field

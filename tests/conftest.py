@@ -1003,6 +1003,35 @@ def stable_inverse_oracle(engine, f):
     return None if sol is None else ModuleMorphism(V, U, sol[0])
 
 
+def cosyzygy_oracle(engine, f, k):
+    """Omega^{-k} f one hull step at a time: u: I_M -> I_N with
+    iota_M u = cur . iota_N on all rows, then lift . u . proj_N for a
+    section lift of M's projection.  The loop ``cosyzygy_morphism`` ran
+    before it rode the shared comparison ladder, kept as an oracle."""
+    from nangulator.fields import ExactMatrix, solve_left
+    from nangulator.modules import ModuleMorphism
+
+    res_m = engine.resolution(f.source, k)
+    res_n = engine.resolution(f.target, k)
+    cur = f
+    for step in range(k):
+        iota_m = res_m.steps[step].include
+        iota_n = res_n.steps[step].include
+        proj_m = res_m.steps[step].project
+        proj_n = res_n.steps[step].project
+        u = engine.solve_from_projective(
+            res_m.term(step), res_n.term(step),
+            [(iota_m.matrix, None, cur.matrix @ iota_n.matrix, None)])
+        assert u is not None, "comparison lift failed"
+        lift = solve_left(proj_m.matrix, ExactMatrix.identity(
+            proj_m.source.algebra.field, proj_m.target.dim))
+        assert lift is not None, "projection has no section"
+        cur = ModuleMorphism(res_m.cosyzygy(step + 1),
+                             res_n.cosyzygy(step + 1),
+                             lift @ u.matrix @ proj_n.matrix)
+    return cur
+
+
 def commuting_square_oracle(engine, x, y, rng):
     """``axioms.sample_commuting_square`` on all rows, through
     ``hom_oracle``: the same draws from rng on the canonical basis of the

@@ -363,7 +363,7 @@ def test_period_on_dimension_20_stays_small_in_memory(capsys):
 
 
 def test_report_digests_match_golden():
-    # byte-identical reports are the contract of every refactor: the 149
+    # byte-identical reports are the contract of every refactor: the 151
     # lines of scripts/report_digests.py, recomputed in-process
     import importlib.util
 

@@ -6,6 +6,8 @@ import pytest
 from conftest import (
     FIXTURES,
     commuting_square_oracle,
+    cosyzygy_oracle,
+    fixture_over,
     hom_oracle,
     load_fixture,
     load_pipeline,
@@ -279,6 +281,31 @@ def test_cosyzygy_morphism_of_identity_is_stable_identity():
     target = eng.resolution(S, 2).cosyzygy(2)
     assert om_id.source.dim == target.dim
     assert eng.stable_equal(om_id, identity_morphism(target))
+
+
+@pytest.mark.parametrize("name, p", [
+    ("nakayama_2_2", 5), ("nakayama_3_3", 5), ("preproj_a3", 5),
+    ("loop_p3", 5), ("nakayama_2_2", 0),   # kQ_2/I_2 over Q
+])
+def test_cosyzygy_morphism_matches_the_step_by_step_oracle(name, p):
+    # the shared comparison ladder against the hull-by-hull loop with a
+    # section per step, on identities and random maps between random modules
+    from nangulator.algebra import check_self_injective
+    from nangulator.axioms import random_module
+
+    A = fixture_over(name, p)
+    eng = Homology(A, check_self_injective(A))
+    rng = random.Random(7)
+    mods = [random_module(A, eng, rng) for _ in range(5)]
+    maps = [identity_morphism(m) for m in mods] + [
+        random_hom(rng, hom_space(m, n)) for m in mods for n in mods]
+    for f in maps:
+        for k in (1, 2, 3):
+            got = cosyzygy_morphism(eng, f, k)
+            want = cosyzygy_oracle(eng, f, k)
+            assert got.matrix == want.matrix
+            assert (got.source.digest(), got.target.digest()) == (
+                want.source.digest(), want.target.digest())
 
 
 def test_syzygy_of_projective_vanishes():

@@ -15,6 +15,8 @@ from conftest import (
     first_unequal_block_oracle,
     fixture_over,
     direct_sum_loop,
+    hom_generic_oracle,
+    hom_space_oracle,
     evaluate_oracle,
     load_fixture,
     multiply_out_of_tensor,
@@ -56,6 +58,7 @@ from nangulator.fields import (
     stack_rows,
 )
 from nangulator.modules import (
+    HomBasis,
     Module,
     bim_right_action,
     hom_space,
@@ -335,10 +338,15 @@ def load_golden(name):
 
 def search_witness(m, n, seed=0xC0FFEE, draws=1000):
     """The witness choice of the search path, kept as an oracle: the first
-    invertible element of the hom basis (generator images for a ``proj``
-    module, the dense kernel of ``_hom_generic`` otherwise), then of the
-    seeded draws."""
-    homs = hom_space(m, n) if m.proj is not None else modules._hom_generic(m, n)
+    invertible element of the hom basis (``hom_space_oracle`` for a
+    ``proj`` module, ``hom_generic_oracle`` otherwise, wrapped as a
+    one-block ``HomBasis`` for the seeded draws), then of the seeded
+    draws."""
+    fld = m.algebra.field
+    oracle = hom_space_oracle if m.proj is not None else hom_generic_oracle
+    maps = oracle(m, n)
+    homs = HomBasis(m, n, [(0, stack_rows(fld, [
+        h.matrix.reshape(1, m.dim * n.dim) for h in maps]))] if maps else [])
     for h in homs:
         if h.matrix.is_invertible():
             return h
@@ -402,10 +410,8 @@ def test_projective_pairs_match_the_search_oracle(monkeypatch, run):
         m_projective = modules._is_projective(m, tops_m)
         assert m_projective or modules._is_projective(n, modules.top_multiplicities(n))
         if m_projective and m.proj is None:
-            cover = modules.cover_from_tops(m, tops_m)
-            fast = modules._hom_through_cover(m, n, cover)
-            slow = modules._hom_generic(m, n)
-            assert [h.matrix for h in fast] == [h.matrix for h in slow]
+            assert [h.matrix for h in hom_space(m, n)] == [
+                h.matrix for h in hom_generic_oracle(m, n)]
         old = search_witness(m, n, **kwargs)
         if old is not None:
             assert out is not None and out.matrix == old.matrix
@@ -414,7 +420,7 @@ def test_projective_pairs_match_the_search_oracle(monkeypatch, run):
             verify_loop(out, exhaustive=True)
 
 
-def test_hom_through_cover_is_the_canonical_basis():
+def test_hom_space_of_a_scrambled_projective_is_the_canonical_basis():
     # a projective in scrambled coordinates: the transported generator
     # images are not in RREF until row_space brings them there
     rng = random.Random(11)
@@ -428,18 +434,39 @@ def test_hom_through_cover_is_the_canonical_basis():
             if T.is_invertible():
                 break
         M = Module(A, P.dim, [T.inv() @ a @ T for a in P.action])
-        cover = modules.cover_from_tops(M, modules.top_multiplicities(M))
         for N in (regular_module(A), simple_module(A, 0), M):
-            fast = modules._hom_through_cover(M, N, cover)
-            slow = modules._hom_generic(M, N)
-            assert [h.matrix for h in fast] == [h.matrix for h in slow]
+            assert [h.matrix for h in hom_space(M, N)] == [
+                h.matrix for h in hom_generic_oracle(M, N)]
+
+
+@pytest.mark.parametrize("name, p", [
+    ("nakayama_2_2", 5), ("nakayama_2_3", 5), ("nakayama_3_3", 5),
+    ("preproj_a2", 5), ("preproj_a3", 5), ("loop_p3", 5),
+    ("nakayama_2_2", 0),   # kQ_2/I_2 over Q
+])
+def test_hom_space_through_the_cover_matches_the_oracle(name, p):
+    # kernels and cokernels of random maps between projectives: the maps
+    # out of the cover that vanish on its kernel, in canonical RREF
+    from nangulator.algebra import check_self_injective
+    from nangulator.axioms import random_module
+
+    A = fixture_over(name, p)
+    eng = homology.Homology(A, check_self_injective(A))
+    rng = random.Random(7)
+    mods = [random_module(A, eng, rng) for _ in range(5)]
+    assert any(m.proj is None and not modules._is_projective(
+        m, modules.top_multiplicities(m)) for m in mods)
+    for m in mods:
+        for n in mods:
+            assert [h.matrix for h in hom_space(m, n)] == [
+                h.matrix for h in hom_generic_oracle(m, n)]
 
 
 def test_projective_pairs_are_decided_without_search(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense hom kernel used on a projective pair")
+        raise AssertionError("Kronecker product formed on a projective pair")
 
-    monkeypatch.setattr(modules, "_hom_generic", forbidden)
+    monkeypatch.setattr(ExactMatrix, "kron", forbidden)
     A = load_golden("nakayama_5_3")               # quasi-period 2
     omega = syzygies_up_to(A, 2)[-1]
     left = modules.restrict_to_left_factor(omega, A)
@@ -457,13 +484,13 @@ def test_detect_twist_builds_no_dense_hom_system(monkeypatch):
     A = load_golden("nakayama_5_3")
     omega = syzygies_up_to(A, 2)[-1]
     calls = []
-    real = modules._hom_generic
+    real = ExactMatrix.kron
 
-    def counting(m, n):
-        calls.append((m.dim, n.dim))
-        return real(m, n)
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
 
-    monkeypatch.setattr(modules, "_hom_generic", counting)
+    monkeypatch.setattr(ExactMatrix, "kron", counting)
     assert periodicity.detect_twist(A, omega) is not None
     assert calls == []
 
